@@ -96,12 +96,22 @@ def _resolve_seed(args, spec: RunSpec | None) -> int:
     env = os.environ.get("QBMGRAD_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise SpecError(f"QBMGRAD_SEED must be an integer, got {env!r}") from exc
-    if args.seed is not None:
-        return args.seed
-    return spec.seed if spec is not None else 0
+        source = "QBMGRAD_SEED"
+    elif args.seed is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        seed, source = (spec.seed if spec is not None else 0), "the spec seed"
+    if seed < 0:
+        raise SpecError(f"{source} must be nonnegative, got {seed}")
+    return seed
+
+
+def _option(flag, opts: dict, key: str, default, cast):
+    """The flag when given (zero included), else the spec option, else the default."""
+    return flag if flag is not None else cast(opts.get(key, default))
 
 
 def _resolve_objective(args, spec: RunSpec | None) -> Objective:
@@ -262,20 +272,20 @@ def cmd_train(args) -> int:
     est = None
     if mode == "shot":
         est = EstimatorConfig(
-            epsilon=args.epsilon or float(opts.get("epsilon", 0.05)),
-            delta_fail=args.delta or float(opts.get("delta", 0.05)),
-            shots=args.shots if args.shots is not None else int(opts.get("shots", 0)),
+            epsilon=_option(args.epsilon, opts, "epsilon", 0.05, float),
+            delta_fail=_option(args.delta, opts, "delta", 0.05, float),
+            shots=_option(args.shots, opts, "shots", 0, int),
             seed=seed,
             threads=args.threads,
         )
     cfg = TrainConfig(
-        learning_rate=args.learning_rate or float(opts.get("learning_rate", 0.1)),
-        iterations=args.iterations or int(opts.get("iterations", 500)),
+        learning_rate=_option(args.learning_rate, opts, "learning_rate", 0.1, float),
+        iterations=_option(args.iterations, opts, "iterations", 500, int),
         gradient_mode=mode,
         estimator=est,
         objective=obj,
         seed=seed,
-        log_every=args.log_every or int(opts.get("log_every", 1)),
+        log_every=_option(args.log_every, opts, "log_every", 1, int),
     )
     problem = _train_problem(spec, obj, mode, est)
     traj = train(problem, cfg)
@@ -311,15 +321,15 @@ def cmd_estimate(args) -> int:
         raise SpecError("estimate covers generic/restricted models")
     seed = _resolve_seed(args, spec)
     opts = spec.estimate
-    term = args.term if args.term is not None else int(opts.get("term_index", 0))
+    term = _option(args.term, opts, "term_index", 0, int)
     model = thermalize(spec.model.param_hamiltonian())
     terms = model.hamiltonian.terms
     if not 0 <= term < len(terms):
         raise SpecError(f"term index {term} outside [0, {len(terms)})")
     cfg = EstimatorConfig(
-        epsilon=args.epsilon or float(opts.get("epsilon", 0.05)),
-        delta_fail=args.delta or float(opts.get("delta", 0.05)),
-        shots=args.shots if args.shots is not None else int(opts.get("shots", 0)),
+        epsilon=_option(args.epsilon, opts, "epsilon", 0.05, float),
+        delta_fail=_option(args.delta, opts, "delta", 0.05, float),
+        shots=_option(args.shots, opts, "shots", 0, int),
         seed=seed,
         threads=args.threads,
     )

@@ -326,21 +326,29 @@ def shot_sample(model: ThermalModel, rho, g_j, sampler_s: SeededSampler, sampler
 
 @dataclass(frozen=True)
 class _BatchContext:
-    """Model- and observable-level constants reused across every shot."""
+    """Shot-invariant constants of the estimation circuit.
 
-    rho_tilde: np.ndarray  # target in the sigma_v eigenbasis
+    Before the t-contraction every per-shot quantity is linear in the d_v^2
+    modular phases phi_ab(s) = e^{-is(ln l_a - ln l_b)/2} of the sigma_v
+    eigenbasis.  The target enters through the basis matrices
+    rho~_ab b_a b_b^dag, where b is the first (ancilla hit) or second
+    (ancilla miss) row block of the inverse-root dilation, so the maps
+    phi -> V^dag (w (x) R) V with R in {I, sigma_h} are fixed matrices built
+    once per (model, target, observable).
+    """
+
     log_vals: np.ndarray  # ln eigenvalues of sigma_v
-    bv: np.ndarray  # (first dilation column block) @ sigma_v eigvecs
     g_vals: np.ndarray  # eigenvalues of G
-    g_vecs: np.ndarray
-    d_weights: np.ndarray  # Gibbs weights of sigma_vh in the G eigenbasis
-    sigma_h: np.ndarray
-    y_values: np.ndarray  # per-outcome signed values
-    proj_rot: np.ndarray  # (K, D, D) distinct-eigenvalue projectors, G basis
+    # (d_v^2, 2 D^2): phases -> the two ancilla-hit blocks, at flat index
+    # (p, q): [V^dag(w0 (x) I)V]_qp D_p and [V^dag(w0 (x) sigma_h)V]_qp
+    lift_map: np.ndarray
+    # (d_v^2, 4): phases -> tr w0, tr w1, sum_p [V^dag(w1 (x) I)V]_pp D_p,
+    # tr V^dag(w1 (x) sigma_h)V; the ancilla-miss branch sums its projectors
+    # to the identity, so the evolution drops out of it
+    trace_map: np.ndarray
+    proj_flat: np.ndarray  # (D^2, K) distinct-eigenvalue projectors, G basis
     c1: np.ndarray  # Tr[Pi_k sigma_vh]
-    eye_h: np.ndarray
-    kappa: float
-    d_v: int
+    y_values: np.ndarray  # distinct eigenvalues of the observable
 
 
 def _batch_context(model: ThermalModel, rho, g_j) -> _BatchContext:
@@ -352,73 +360,68 @@ def _batch_context(model: ThermalModel, rho, g_j) -> _BatchContext:
     u2 = inv_sqrt_encoding(model).unitary
     values, projs = eigen_groups(g_j)
     g_vecs = model.g_eig.vecs
-    proj_rot = np.stack([g_vecs.conj().T @ pk @ g_vecs for pk in projs])
+    g_vecs_h = g_vecs.conj().T
+    dim = d_v * d_h
+    proj_rot = np.stack([g_vecs_h @ pk @ g_vecs for pk in projs])
     shifted = model.g_eig.vals - np.min(model.g_eig.vals)
     d_weights = np.exp(-shifted)
     d_weights /= d_weights.sum()
-    c1 = np.einsum("kpp,p->k", proj_rot, d_weights).real
+    sigma_h = partial_trace(model.sigma_vh, model.dims, keep="hidden")
+
+    rho_tilde = sv.vecs.conj().T @ rho @ sv.vecs
+    blocks = (u2[:, :d_v] @ sv.vecs).reshape(2, d_v, d_v)  # [ancilla, x, a]
+    basis = np.einsum("ab,nxa,nyb->nabxy", rho_tilde, blocks, blocks.conj())
+    w0, w1 = basis.reshape(2, d_v * d_v, d_v, d_v)
+
+    def in_g_basis(w, right):  # V^dag (w (x) right) V for a stack of w
+        lift = (w[:, :, None, :, None] * right[None, None, :, None, :]).reshape(-1, dim, dim)
+        return g_vecs_h @ lift @ g_vecs
+
+    eye_h = np.eye(d_h, dtype=complex)
+    w0_eye = in_g_basis(w0, eye_h) * d_weights
+    w0_sig = in_g_basis(w0, sigma_h)
+    lift_map = np.concatenate(
+        [w.transpose(0, 2, 1).reshape(-1, dim * dim) for w in (w0_eye, w0_sig)], axis=1
+    )
+    trace_map = np.stack(
+        [
+            np.einsum("npp->n", w0),
+            np.einsum("npp->n", w1),
+            np.einsum("npp,p->n", in_g_basis(w1, eye_h), d_weights),
+            np.einsum("npp->n", in_g_basis(w1, sigma_h)),
+        ],
+        axis=1,
+    )
     return _BatchContext(
-        rho_tilde=sv.vecs.conj().T @ rho @ sv.vecs,
         log_vals=np.log(sv.vals),
-        bv=u2[:, :d_v] @ sv.vecs,
         g_vals=model.g_eig.vals,
-        g_vecs=g_vecs,
-        d_weights=d_weights,
-        sigma_h=partial_trace(model.sigma_vh, model.dims, keep="hidden"),
+        lift_map=lift_map,
+        trace_map=trace_map,
+        proj_flat=np.ascontiguousarray(proj_rot.reshape(-1, dim * dim).T),
+        c1=np.einsum("kpp,p->k", proj_rot, d_weights).real,
         y_values=values,
-        proj_rot=proj_rot,
-        c1=c1,
-        eye_h=np.eye(d_h, dtype=complex),
-        kappa=model.kappa,
-        d_v=d_v,
     )
 
 
 def _batch_outcomes(ctx: _BatchContext, s: np.ndarray, t: np.ndarray):
     """Outcome values and per-shot probabilities for vectors of (s, t).
 
-    Exploits the product structure of the circuit: traces against the
-    swap factorize into visible-register contractions, so only
-    (d_v d_h)^2-sized tensors appear per shot.
+    Traces against the swap factorize into visible-register contractions,
+    and everything before the t-contraction is linear in the modular phases
+    phi_ab(s) = p_a p_b^*, p_a = e^{-is ln(l_a)/2}, so a chunk of m shots
+    costs d_v + D complex exponentials per shot and two GEMMs:
+    lift = phi @ lift_map (plus phi @ trace_map for the four scalars), then
+    T_mk = sum_pq lift[m,(p,q)] psi*[m,p] psi[m,q] proj[k,p,q] against the
+    flattened projectors, with psi[m,p] = e^{-i t_m g_p}.
     """
     m = s.shape[0]
-    d_v = ctx.d_v
-    dim = ctx.g_vals.shape[0]
     phase_s = np.exp(-0.5j * np.outer(s, ctx.log_vals))  # (m, d_v)
-    rho_s = phase_s[:, :, None] * ctx.rho_tilde[None, :, :] * phase_s.conj()[:, None, :]
-    xi = ctx.bv @ rho_s @ ctx.bv.conj().T
-    w0 = xi[:, :d_v, :d_v]
-    w1 = xi[:, d_v:, d_v:]
+    phi = (phase_s[:, :, None] * phase_s.conj()[:, None, :]).reshape(m, -1)
+    tr_w0, tr_w1, t2_1, t3_1 = (phi @ ctx.trace_map).real.T
     psi = np.exp(-1j * np.outer(t, ctx.g_vals))  # (m, D)
-    vecs = ctx.g_vecs
-    vecs_h = vecs.conj().T
-
-    def rotated(w, right):
-        lift = (w[:, :, None, :, None] * right[None, None, :, None, :]).reshape(m, dim, dim)
-        return vecs_h @ lift @ vecs
-
-    w0_eye = rotated(w0, ctx.eye_h)
-    w0_sig = rotated(w0, ctx.sigma_h)
-    w1_eye = rotated(w1, ctx.eye_h)
-    w1_sig = rotated(w1, ctx.sigma_h)
-
-    # evolved-projector contractions collapse to flat inner products:
-    # T_mk = sum_pq proj[k,p,q] * (wt[m,q,p] * psi[m,q] psi*[m,p] (* D_p))
-    proj_flat = ctx.proj_rot.reshape(-1, dim * dim)
-
-    def contract(wt, weight_p):
-        x = wt * psi[:, :, None] * psi.conj()[:, None, :]
-        if weight_p is not None:
-            x = x * weight_p[None, None, :]
-        return x.transpose(0, 2, 1).reshape(m, dim * dim) @ proj_flat.T
-
-    tr_w0 = np.einsum("mpp->m", w0).real
-    tr_w1 = np.einsum("mpp->m", w1).real
-    t2_0 = contract(w0_eye, ctx.d_weights)
-    t3_0 = contract(w0_sig, None)
-    # ancilla-miss branch: summing k over projectors collapses the evolution
-    t2_1 = np.einsum("mpp,p->m", w1_eye, ctx.d_weights)
-    t3_1 = np.einsum("mpp->m", w1_sig)
+    evolved = (phi @ ctx.lift_map).reshape(m, 2, -1)
+    evolved *= (psi.conj()[:, :, None] * psi[:, None, :]).reshape(m, 1, -1)
+    t2_0, t3_0 = (evolved.reshape(2 * m, -1) @ ctx.proj_flat).reshape(m, 2, -1).transpose(1, 0, 2)
 
     k = ctx.y_values.shape[0]
     probs = np.empty((m, 2 * k + 2))
@@ -453,7 +456,7 @@ def estimate_first_term(model: ThermalModel, rho, g_j, config: EstimatorConfig) 
     Shot count defaults to the Hoeffding bound for the configured
     (epsilon, delta_fail).  Work is split into fixed-size chunks with
     derived seeds (seed ^ chunk index) and merged in index order, so the
-    result is reproducible for any thread count.
+    result is reproducible for any thread count; a single chunk runs inline.
     """
     g_norm = spectral_norm(g_j)
     shots = config.shots or hoeffding_shots(model.kappa, g_norm, config.epsilon, config.delta_fail)
@@ -461,8 +464,8 @@ def estimate_first_term(model: ThermalModel, rho, g_j, config: EstimatorConfig) 
     sizes = [config.chunk] * (shots // config.chunk)
     if shots % config.chunk:
         sizes.append(shots % config.chunk)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+    if config.threads > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=min(config.threads, len(sizes))) as pool:
             parts = list(
                 pool.map(lambda iw: _run_chunk(ctx, config.seed, iw[0], iw[1]), enumerate(sizes))
             )
@@ -522,12 +525,12 @@ def quadrature_first_term(
     """
     t_pts, t_wts, t_w0 = expectation_nodes(HIGH_PEAK_TENT, T=t_max, nodes=t_nodes)
     g_j = as_hermitian(g_j)
-    o_bar = t_w0 * g_j
-    for t_i, w_i in zip(t_pts, t_wts):
-        phases = np.exp(1j * model.g_eig.vals * t_i)
-        u_t = (model.g_eig.vecs * phases) @ model.g_eig.vecs.conj().T
-        o_bar = o_bar + w_i * (u_t @ g_j @ u_t.conj().T)
-    o_bar = hermitize(o_bar)
+    # t_w0 G_j + sum_i w_i e^{iGt_i} G_j e^{-iGt_i} in the G eigenbasis is the
+    # Hadamard product K o (V^dag G_j V), K_pq = t_w0 + sum_i w_i e^{i(g_p - g_q)t_i}
+    vecs = model.g_eig.vecs
+    waves = np.exp(1j * np.outer(model.g_eig.vals, t_pts))  # (D, nodes)
+    kernel = t_w0 + (waves * t_wts) @ waves.conj().T
+    o_bar = hermitize(vecs @ (kernel * (vecs.conj().T @ g_j @ vecs)) @ vecs.conj().T)
 
     d_v = model.dims.d_v
     inv = inv_sqrt if inv_sqrt is not None else inv_sqrt_encoding(model)

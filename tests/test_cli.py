@@ -152,3 +152,31 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["bogus-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("estimate", ["--epsilon", "0"]),
+    ("estimate", ["--delta", "0"]),
+    ("train", ["--learning-rate", "0"]),
+    ("train", ["--iterations", "0"]),
+    ("train", ["--log-every", "0"]),
+    ("train", ["--mode", "shot", "--epsilon", "0"]),
+    ("train", ["--mode", "shot", "--delta", "0"]),
+])
+def test_zero_flag_is_input_error(tmp_path, capsys, command, flags):
+    spec = "estimate.json" if command == "estimate" else "train_qubit.json"
+    assert run([command, "--spec", DEMOS / spec, "--out", tmp_path, *flags]) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_negative_seed_flag_is_input_error(tmp_path, capsys):
+    assert run(["estimate", "--spec", DEMOS / "estimate.json", "--seed", "-1",
+                "--out", tmp_path]) == 2
+    assert "input error: --seed must be nonnegative" in capsys.readouterr().err
+
+
+def test_negative_seed_env_is_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QBMGRAD_SEED", "-1")
+    assert run(["estimate", "--spec", DEMOS / "estimate.json", "--out", tmp_path]) == 2
+    assert "input error: QBMGRAD_SEED must be nonnegative" in capsys.readouterr().err

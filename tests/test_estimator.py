@@ -34,9 +34,11 @@ from qbmgrad.estimator import (
     _batch_context,
     _batch_outcomes,
     _circuit_pieces,
+    _clean_probs,
     eigen_groups,
     outcome_distribution,
 )
+from qbmgrad.linalg import as_density, partial_trace
 from qbmgrad.verify import perturb_encoding
 from conftest import PAULI_Z, rand_herm, rand_model, rand_state, rand_unitary
 
@@ -208,6 +210,77 @@ def test_batch_outcomes_match_honest_path(rng):
         assert all(abs(a[k] - b[k]) < 1e-10 for k in a)
 
 
+def _reference_batch_outcomes(model, rho, g_j, s, t):
+    """Per-shot lift/contract algebra: four batched D x D conjugations per shot."""
+    d_v, d_h = model.dims.d_v, model.dims.d_h
+    dim = d_v * d_h
+    sv, ge = model.sigma_v_eig, model.g_eig
+    bv = inv_sqrt_encoding(model).unitary[:, :d_v] @ sv.vecs
+    rho_tilde = sv.vecs.conj().T @ as_density(rho) @ sv.vecs
+    values, projs = eigen_groups(g_j)
+    vecs, vecs_h = ge.vecs, ge.vecs.conj().T
+    proj_rot = np.stack([vecs_h @ pk @ vecs for pk in projs])
+    d_weights = np.exp(-(ge.vals - ge.vals.min()))
+    d_weights /= d_weights.sum()
+    sigma_h = partial_trace(model.sigma_vh, model.dims, keep="hidden")
+    c1 = np.einsum("kpp,p->k", proj_rot, d_weights).real
+
+    m = s.shape[0]
+    phase_s = np.exp(-0.5j * np.outer(s, np.log(sv.vals)))
+    rho_s = phase_s[:, :, None] * rho_tilde[None, :, :] * phase_s.conj()[:, None, :]
+    xi = bv @ rho_s @ bv.conj().T
+    w0, w1 = xi[:, :d_v, :d_v], xi[:, d_v:, d_v:]
+    psi = np.exp(-1j * np.outer(t, ge.vals))
+
+    def rotated(w, right):
+        lift = (w[:, :, None, :, None] * right[None, None, :, None, :]).reshape(m, dim, dim)
+        return vecs_h @ lift @ vecs
+
+    def contract(wt, weight_p):
+        x = wt * psi[:, :, None] * psi.conj()[:, None, :] * weight_p[None, None, :]
+        return x.transpose(0, 2, 1).reshape(m, dim * dim) @ proj_rot.reshape(-1, dim * dim).T
+
+    eye_h = np.eye(d_h)
+    t2_0 = contract(rotated(w0, eye_h), d_weights)
+    t3_0 = contract(rotated(w0, sigma_h), np.ones(dim))
+    t2_1 = np.einsum("mpp,p->m", rotated(w1, eye_h), d_weights)
+    t3_1 = np.einsum("mpp->m", rotated(w1, sigma_h))
+    tr_w0 = np.einsum("mpp->m", w0).real
+    tr_w1 = np.einsum("mpp->m", w1).real
+
+    k = values.shape[0]
+    probs = np.empty((m, 2 * k + 2))
+    base0 = tr_w0[:, None] * c1[None, :] + t3_0.real
+    probs[:, :k] = 0.25 * (base0 + 2.0 * t2_0.real)
+    probs[:, k : 2 * k] = 0.25 * (base0 - 2.0 * t2_0.real)
+    base1 = tr_w1 + t3_1.real
+    probs[:, 2 * k] = 0.25 * (base1 + 2.0 * t2_1.real)
+    probs[:, 2 * k + 1] = 0.25 * (base1 - 2.0 * t2_1.real)
+    return np.concatenate([values, -values, [0.0, 0.0]]), _clean_probs(probs)
+
+
+@pytest.mark.parametrize("d_h", [1, 2, 4])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_batch_outcomes_match_reference(rng, d_h, degenerate):
+    d_v = 3
+    model = rand_model(rng, d_v, d_h)
+    rho = rand_state(rng, d_v)
+    g_j = model.hamiltonian.terms[0]
+    if degenerate:  # two distinct eigenvalues, so K = 2 < D
+        u = rand_unitary(rng, d_v * d_h)
+        g_j = (u * np.where(np.arange(d_v * d_h) < 2, 0.7, -0.3)) @ u.conj().T
+    ctx = _batch_context(model, rho, g_j)
+    assert ctx.y_values.shape[0] == (2 if degenerate else d_v * d_h)
+    for m in (1, 8193):
+        s = 4.0 * rng.normal(size=m)
+        t = 4.0 * rng.normal(size=m)
+        y, probs = _batch_outcomes(ctx, s, t)
+        y_ref, probs_ref = _reference_batch_outcomes(model, rho, g_j, s, t)
+        assert np.array_equal(y, y_ref)
+        assert probs.shape == (m, y.shape[0])
+        assert np.max(np.abs(probs - probs_ref)) < 1e-12
+
+
 def test_shot_sample_deterministic_and_bounded(rng):
     model = rand_model(rng, 2, 2)
     rho = rand_state(rng, 2)
@@ -267,6 +340,30 @@ def test_estimate_reproducible_across_threads(rng):
     b = estimate_first_term(model, rho, g_j,
                             EstimatorConfig(shots=20_000, seed=9, threads=4))
     assert a[0] == b[0]
+
+
+def test_thread_pool_only_for_several_chunks(rng, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    import qbmgrad.estimator as est
+
+    workers = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(est, "ThreadPoolExecutor", Recording)
+    model = rand_model(rng, 2, 2)
+    rho = rand_state(rng, 2)
+    g_j = model.hamiltonian.terms[0]
+    for shots in (100, 250):
+        inline = estimate_first_term(model, rho, g_j, EstimatorConfig(shots=shots, chunk=100, seed=4))
+        pooled = estimate_first_term(model, rho, g_j,
+                                     EstimatorConfig(shots=shots, chunk=100, seed=4, threads=8))
+        assert pooled == inline
+    assert workers == [3]  # one chunk runs inline; three chunks get three workers
 
 
 def test_estimate_model_term(rng):

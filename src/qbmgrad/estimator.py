@@ -33,7 +33,9 @@ from .densities import (
     quantile,
 )
 from .errors import ScaleError, SpecError
-from .linalg import as_density, as_hermitian, eigh, hermitize, partial_trace, spectral_norm, tensor
+from .linalg import (
+    as_density, as_hermitian, eigh, gibbs_weights, hermitize, partial_trace, spectral_norm, tensor,
+)
 from .models import ThermalModel
 
 MAX_CIRCUIT_DIM = 256
@@ -363,9 +365,7 @@ def _batch_context(model: ThermalModel, rho, g_j) -> _BatchContext:
     g_vecs_h = g_vecs.conj().T
     dim = d_v * d_h
     proj_rot = np.stack([g_vecs_h @ pk @ g_vecs for pk in projs])
-    shifted = model.g_eig.vals - np.min(model.g_eig.vals)
-    d_weights = np.exp(-shifted)
-    d_weights /= d_weights.sum()
+    d_weights, _ = gibbs_weights(model.g_eig.vals)
     sigma_h = partial_trace(model.sigma_vh, model.dims, keep="hidden")
 
     rho_tilde = sv.vecs.conj().T @ rho @ sv.vecs

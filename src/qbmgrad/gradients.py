@@ -26,6 +26,7 @@ from .linalg import (
     as_hermitian,
     eigh,
     expectation,
+    gibbs_weights,
     hermitize,
     spectral_norm,
     tensor,
@@ -311,10 +312,7 @@ def classical_distribution(tables: np.ndarray, theta) -> np.ndarray:
     """Joint Boltzmann table p(v, h) for energy tables G_j(v, h)."""
     tables = np.asarray(tables, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    energy = np.tensordot(theta, tables, axes=1)
-    energy -= energy.min()
-    p = np.exp(-energy)
-    return p / p.sum()
+    return gibbs_weights(np.tensordot(theta, tables, axes=1))[0]
 
 
 def classical_objective(tables, theta, target_q) -> float:

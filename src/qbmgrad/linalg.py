@@ -80,13 +80,35 @@ class Eigensystem:
 
 
 def eigh(x, *, residual_tol: float = EIGH_RESIDUAL_TOL) -> Eigensystem:
-    """Eigendecompose a Hermitian matrix, checking the reconstruction."""
+    """Eigendecompose a Hermitian matrix, checking the reconstruction.
+
+    The check bounds the spectral norm of r = V diag(w) V^dag - x by
+    ``residual_tol * dim``.  A Frobenius-norm screen accepts first, which
+    is sound because |r|_2 <= |r|_F; only a residual that fails the screen
+    pays for the SVD behind ``spectral_norm``, which then decides.  The
+    screen keeps a 1e-12 relative margin so that rounding in either norm
+    cannot accept a residual the spectral norm would reject.
+    """
     x = as_hermitian(x)
     w, v = np.linalg.eigh(x)
-    resid = spectral_norm((v * w) @ v.conj().T - x)
-    if resid > residual_tol * x.shape[0]:
-        raise GuardError(f"eigendecomposition residual {resid:.3e} too large")
+    r = (v * w) @ v.conj().T - x
+    tol = residual_tol * x.shape[0]
+    if np.linalg.norm(r) > tol * (1.0 - 1e-12):
+        resid = spectral_norm(r)
+        if resid > tol:
+            raise GuardError(f"eigendecomposition residual {resid:.3e} too large")
     return Eigensystem(w, v)
+
+
+def gibbs_weights(energies) -> tuple[np.ndarray, float]:
+    """Normalised Boltzmann weights e^{-(E - E_min)} / z and the shifted sum z.
+
+    Shifting by the minimum keeps every exponent <= 0, so nothing overflows;
+    the unshifted partition function is z * e^{-E_min}.
+    """
+    boltz = np.exp(-(energies - np.min(energies)))
+    z = float(np.sum(boltz))
+    return boltz / z, z
 
 
 def matrix_function(es: Eigensystem, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -17,7 +17,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import densities
 from .errors import SpecError
-from .linalg import Eigensystem, as_hermitian, eigh, hermitize
+from .linalg import Eigensystem, as_hermitian, eigh, gibbs_weights, hermitize
 
 DEGENERATE_GAP_RTOL = 1e-10
 
@@ -205,9 +205,7 @@ def thermal_derivative(g_spec: Eigensystem, dg) -> np.ndarray:
     whenever dG is a multiple of the identity.
     """
     dg = as_hermitian(dg)
-    shifted = g_spec.vals - np.min(g_spec.vals)
-    weights = np.exp(-shifted)
-    weights /= np.sum(weights)
+    weights, _ = gibbs_weights(g_spec.vals)
     sigma = hermitize((g_spec.vecs * weights) @ g_spec.vecs.conj().T)
     phi = apply_channel(EXP_TENT, g_spec, dg)
     mean = float(np.trace(dg @ sigma).real)

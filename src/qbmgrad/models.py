@@ -9,6 +9,7 @@ special cases (classical hidden or classical visible register).
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from .linalg import (
     Eigensystem,
     as_hermitian,
     eigh,
+    gibbs_weights,
     hermitize,
     partial_trace,
     spectral_norm,
@@ -45,12 +47,15 @@ class ParamHamiltonian:
         )
         for t in self.terms:
             self.dims.check(t)
-        theta = np.asarray(self.theta, dtype=float)
+        object.__setattr__(self, "theta", self._checked_theta(self.theta))
+
+    def _checked_theta(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
         if theta.shape != (len(self.terms),):
             raise SpecError(
                 f"theta length {theta.shape} != number of terms {len(self.terms)}"
             )
-        object.__setattr__(self, "theta", theta)
+        return theta
 
     @property
     def n_params(self) -> int:
@@ -64,7 +69,15 @@ class ParamHamiltonian:
         return hermitize(g)
 
     def with_theta(self, theta) -> "ParamHamiltonian":
-        return replace(self, theta=np.asarray(theta, dtype=float))
+        """Same terms at a new theta; only theta is validated again.
+
+        The terms were validated and hermitized at construction, so the
+        copy shares them instead of re-running ``as_hermitian`` on each.
+        """
+        theta = self._checked_theta(theta)
+        out = copy.copy(self)
+        object.__setattr__(out, "theta", theta)
+        return out
 
 
 @dataclass(frozen=True)
@@ -93,11 +106,8 @@ def thermalize(h: ParamHamiltonian) -> ThermalModel:
     if norm > EXP_NORM_GUARD:
         raise ScaleError(f"|G| = {norm:.1f} exceeds the exponent guard {EXP_NORM_GUARD}")
     g_eig = eigh(g)
-    shifted = g_eig.vals - np.min(g_eig.vals)
-    boltz = np.exp(-shifted)
-    z_shifted = float(np.sum(boltz))
+    weights, z_shifted = gibbs_weights(g_eig.vals)
     z = z_shifted * float(np.exp(-np.min(g_eig.vals)))
-    weights = boltz / z_shifted
     sigma_vh = hermitize((g_eig.vecs * weights) @ g_eig.vecs.conj().T)
     sigma_v = hermitize(partial_trace(sigma_vh, h.dims, keep="visible"))
     order = np.argsort(weights)
@@ -215,11 +225,9 @@ def _thermal_blocks(block_hams: list[np.ndarray]) -> tuple[np.ndarray, list[np.n
     log_zs, states = [], []
     for g in block_hams:
         es = eigh(g)
-        lo = float(es.vals[0])
-        boltz = np.exp(-(es.vals - lo))
-        zx = float(np.sum(boltz))
-        states.append(hermitize((es.vecs * (boltz / zx)) @ es.vecs.conj().T))
-        log_zs.append(np.log(zx) - lo)
+        weights, zx = gibbs_weights(es.vals)
+        states.append(hermitize((es.vecs * weights) @ es.vecs.conj().T))
+        log_zs.append(np.log(zx) - float(es.vals[0]))
     log_zs = np.asarray(log_zs)
     p = np.exp(log_zs - np.max(log_zs))
     return p / p.sum(), states

@@ -27,7 +27,7 @@ from .gradients import (
     gradient_qc,
     relative_entropy,
 )
-from .models import CQModel, ParamHamiltonian, QCModel, thermalize
+from .models import CQModel, ParamHamiltonian, QCModel, ThermalModel, thermalize
 
 MAX_HALVINGS = 20
 DIVERGENCE_CAP = 1e6
@@ -92,7 +92,16 @@ class Problem:
 
 
 class QuantumProblem(Problem):
-    """Fully quantum model: match the visible marginal to a target state."""
+    """Fully quantum model: match the visible marginal to a target state.
+
+    ``train`` evaluates the objective at the accepted theta just before it
+    asks for the gradient there, so ``objective`` hands its thermal model
+    on: it keeps one (theta, model) slot, and ``gradient_vector`` takes
+    the model when its theta has the same shape and bytes and thermalizes
+    otherwise.  The slot is emptied before each thermalization, so an
+    objective that raises leaves no model behind, and again when the
+    gradient takes the model, so no model outlives its step.
+    """
 
     def __init__(self, hamiltonian: ParamHamiltonian, rho, obj: Objective = UMEGAKI,
                  mode: str = "exact", estimator: EstimatorConfig | None = None):
@@ -102,15 +111,30 @@ class QuantumProblem(Problem):
         self.mode = mode
         self.estimator = estimator
         self.theta0 = np.asarray(hamiltonian.theta, dtype=float)
+        self._last: tuple[tuple, ThermalModel] | None = None
+
+    @staticmethod
+    def _key(theta) -> tuple:
+        theta = np.asarray(theta, dtype=float)
+        return theta.shape, theta.tobytes()
 
     def _model(self, theta):
         return thermalize(self.hamiltonian.with_theta(theta))
 
     def objective(self, theta) -> float:
-        return relative_entropy(self.rho, self._model(theta).sigma_v, self.obj)
+        self._last = None
+        key = self._key(theta)
+        model = self._model(theta)
+        value = relative_entropy(self.rho, model.sigma_v, self.obj)
+        self._last = (key, model)
+        return value
 
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
-        model = self._model(theta)
+        last, self._last = self._last, None
+        if last is not None and last[0] == self._key(theta):
+            model = last[1]
+        else:
+            model = self._model(theta)
         if self.mode == "exact":
             return gradient(model, self.rho, self.obj).values
         if self.obj.kind != "umegaki":

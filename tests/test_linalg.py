@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbmgrad.linalg
 from qbmgrad import (
     BipartiteDims,
+    GuardError,
     SpecError,
     as_density,
     as_hermitian,
@@ -17,6 +19,7 @@ from qbmgrad import (
     tensor,
     trace_norm,
 )
+from qbmgrad.linalg import gibbs_weights
 from conftest import PAULI_Z, rand_herm, rand_state
 
 
@@ -107,6 +110,44 @@ def test_eigh_reconstruction(rng):
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(SpecError):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _shifted_eigh(monkeypatch, shift):
+    """Make the raw decomposition seen by qbmgrad.linalg return every
+    eigenvalue moved by ``shift``: the residual is then shift * I."""
+    raw = np.linalg.eigh
+
+    def perturbed(x):
+        w, v = raw(x)
+        return w + shift, v
+
+    monkeypatch.setattr(qbmgrad.linalg.np.linalg, "eigh", perturbed)
+
+
+@pytest.mark.parametrize("shift", [2e-9, 1e-6])
+def test_eigh_guard_rejects_large_residual(rng, monkeypatch, shift):
+    # tolerance 1e-10 * 16 = 1.6e-9; |r|_2 = shift exceeds it
+    x = rand_herm(rng, 16)
+    _shifted_eigh(monkeypatch, shift)
+    with pytest.raises(GuardError, match="eigendecomposition residual"):
+        eigh(x)
+
+
+def test_eigh_guard_accepts_spectral_residual_below_frobenius(rng, monkeypatch):
+    # |r|_2 = 1e-9 <= 1.6e-9 < |r|_F = 4e-9: the spectral norm decides
+    x = rand_herm(rng, 16)
+    _shifted_eigh(monkeypatch, 1e-9)
+    es = eigh(x)
+    assert np.allclose(es.vals, np.linalg.eigvalsh(x) + 1e-9, rtol=0.0, atol=1e-12)
+
+
+def test_gibbs_weights_shift_invariant_and_normalised():
+    energies = np.array([700.0, 701.0, 703.5])
+    w, z = gibbs_weights(energies)
+    w0, z0 = gibbs_weights(energies - 700.0)
+    assert np.array_equal(w, w0) and z == z0
+    assert abs(float(np.sum(w)) - 1.0) < 1e-15
+    assert np.allclose(w, np.exp(-(energies - 700.0)) / z, rtol=1e-15)
 
 
 def test_matrix_function_exp_of_zero():

@@ -66,6 +66,17 @@ def test_exponent_guard():
         thermalize(ham)
 
 
+@pytest.mark.parametrize("theta", [800.0, 1e9])
+def test_exponent_guard_precedes_eigh_guard(rng, theta):
+    # at theta = 1e9 a raw eigh residual (~1e-6) would also trip eigh's
+    # GuardError (tolerance 1.6e-9); the exponent guard must answer first
+    term = rand_herm(rng, 16)
+    term = term / spectral_norm(term)
+    ham = ParamHamiltonian(dims=BipartiteDims(4, 4), terms=(term,), theta=np.array([theta]))
+    with pytest.raises(ScaleError, match="exponent guard"):
+        thermalize(ham)
+
+
 def test_restricted_single_coupling_is_zz():
     spec = RestrictedSpec(a=[0.0], b=[0.0], w=[[1.0]], V=(PAULI_Z,), H=(PAULI_Z,))
     ham = restricted_to_param(spec)
@@ -210,3 +221,22 @@ def test_param_hamiltonian_validation(rng):
     with pytest.raises(SpecError):
         ParamHamiltonian(dims=BipartiteDims(3, 2), terms=(rand_herm(rng, 4),),
                          theta=np.zeros(1))
+    non_hermitian = rand_herm(rng, 4) + 1e-6j * np.eye(4)
+    with pytest.raises(SpecError, match="not Hermitian"):
+        ParamHamiltonian(dims=BipartiteDims(2, 2), terms=(non_hermitian,), theta=np.zeros(1))
+    ham = ParamHamiltonian(dims=BipartiteDims(2, 2), terms=(rand_herm(rng, 4),),
+                           theta=np.zeros(1))
+    for bad in (np.zeros(2), np.zeros(0), np.zeros((1, 1))):
+        with pytest.raises(SpecError, match="theta length"):
+            ham.with_theta(bad)
+
+
+def test_with_theta_shares_validated_terms(rng):
+    terms = tuple(rand_herm(rng, 6, 0.5) for _ in range(3))
+    ham = ParamHamiltonian(dims=BipartiteDims(2, 3), terms=terms, theta=np.zeros(3))
+    theta = rng.uniform(-0.5, 0.5, 3)
+    moved = ham.with_theta(theta)
+    fresh = ParamHamiltonian(dims=BipartiteDims(2, 3), terms=terms, theta=theta)
+    assert moved.terms is ham.terms
+    assert np.array_equal(moved.theta, theta) and np.array_equal(ham.theta, np.zeros(3))
+    assert np.array_equal(moved.assemble(), fresh.assemble())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qbmgrad.training
 from qbmgrad import (
     BipartiteDims,
     CQProblem,
@@ -14,6 +15,7 @@ from qbmgrad import (
     classical_gradient,
     cq_decompose,
     finite_difference_gradient,
+    gradient,
     thermalize,
     train,
     train_classical,
@@ -72,6 +74,71 @@ def test_shot_mode_trajectory_reproducible():
         runs.append(train(p, cfg))
     assert runs[0].objectives().tolist() == runs[1].objectives().tolist()
     assert np.array_equal(runs[0].final_theta, runs[1].final_theta)
+
+
+def _count_thermalize(monkeypatch) -> list[int]:
+    calls = [0]
+    raw = qbmgrad.training.thermalize
+
+    def counted(h):
+        calls[0] += 1
+        return raw(h)
+
+    monkeypatch.setattr(qbmgrad.training, "thermalize", counted)
+    return calls
+
+
+def test_train_thermalizes_once_per_step(monkeypatch):
+    problem, _ = _qubit_problem()
+    objective_calls = [0]
+    raw_objective = problem.objective
+
+    def counted_objective(theta):
+        objective_calls[0] += 1
+        return raw_objective(theta)
+
+    problem.objective = counted_objective
+    calls = _count_thermalize(monkeypatch)
+    iterations = 12
+    traj = train(problem, TrainConfig(learning_rate=0.1, iterations=iterations))
+    assert len(traj.rows) == iterations + 1
+    assert objective_calls[0] == iterations + 1  # no step was halved or rejected
+    assert calls[0] == iterations + 1
+    problem.gradient_vector(traj.final_theta, iterations)  # the model went with its step
+    assert calls[0] == iterations + 2
+
+
+def test_gradient_after_objective_elsewhere_matches_fresh(rng):
+    dims = BipartiteDims(2, 2)
+    terms = tuple(rand_herm(rng, 4, 0.4) for _ in range(3))
+    ham = ParamHamiltonian(dims=dims, terms=terms, theta=np.zeros(3))
+    rho = rand_state(rng, 2)
+    a, b = rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3)
+    want = gradient(thermalize(ham.with_theta(b)), rho).values
+    problem = QuantumProblem(ham, rho)
+    problem.objective(a)
+    assert np.array_equal(problem.gradient_vector(b, 0), want)
+    problem.objective(b)
+    assert np.array_equal(problem.gradient_vector(b, 1), want)
+
+
+@pytest.mark.parametrize("bad_theta", [800.0, 20.0])
+def test_raising_objective_leaves_no_model(monkeypatch, bad_theta):
+    # 800 trips the exponent guard in thermalize; 20 thermalizes, then
+    # sigma_v (smallest eigenvalue ~e^-40) trips the support floor
+    problem, _ = _qubit_problem()
+    good, bad = np.array([0.1]), np.array([bad_theta])
+    calls = _count_thermalize(monkeypatch)
+    for theta in (good, bad):
+        problem.objective(good)
+        with pytest.raises(GuardError):
+            problem.objective(bad)
+        before = calls[0]
+        try:
+            problem.gradient_vector(theta, 0)
+        except GuardError:
+            assert theta is bad
+        assert calls[0] == before + 1
 
 
 def test_shot_mode_training_reaches_exact_neighborhood():

@@ -14,7 +14,6 @@ from .estimator import (
     BEMeta,
     BlockEncoding,
     EstimatorConfig,
-    ShotRecord,
     be_product,
     budget_split,
     circuit_expectation,
@@ -27,7 +26,6 @@ from .estimator import (
     modular_unitary,
     quadrature_first_term,
     query_cost,
-    shot_sample,
 )
 from .gradients import (
     GradientReport,
@@ -53,12 +51,9 @@ from .linalg import (
     as_hermitian,
     eigh,
     expectation,
-    matrix_function,
-    norms,
     partial_trace,
     spectral_norm,
     tensor,
-    trace_norm,
 )
 from .matcalc import (
     ChannelKind,
@@ -93,7 +88,6 @@ from .training import (
     Trajectory,
     finite_difference_gradient,
     train,
-    train_classical,
 )
 
 __version__ = "0.1.0"

@@ -17,26 +17,14 @@ import numpy as np
 
 from .errors import GuardError, SpecError
 from .estimator import EstimatorConfig, estimate_first_term, hoeffding_shots
-from .gradients import (
-    GradientReport,
-    Objective,
-    UMEGAKI,
-    classical_gradient,
-    classical_objective,
-    cq_objective,
-    gradient,
-    gradient_cq,
-    gradient_qc,
-    q_overlap,
-    relative_entropy,
-    tsallis,
-)
-from .linalg import eigh, spectral_norm
+from .gradients import Objective, UMEGAKI, gradient, tsallis
+from .linalg import spectral_norm
 from .models import cq_decompose, qc_decompose, thermalize
 from .runspec import RunSpec, fmt17, load_runspec
 from .training import (
     CQProblem,
     ClassicalProblem,
+    Problem,
     QCProblem,
     QuantumProblem,
     TrainConfig,
@@ -161,65 +149,35 @@ def cmd_verify(args) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
 
 
-def _gradient_bundle(spec: RunSpec, obj: Objective):
-    """(report, objective_value, fd_objective_callable, theta) for any model kind."""
-    kind = spec.model.kind
+def _problem(spec: RunSpec, obj: Objective, mode: str = "exact",
+             est: EstimatorConfig | None = None) -> Problem:
+    """The Problem for the spec's model kind; ``est`` holds the shot-mode
+    settings (seed, and for classical tables the sample count)."""
+    kind, model = spec.model.kind, spec.model
+    if mode == "shot" and kind in ("qc", "cq"):
+        raise SpecError("shot-mode training covers generic, restricted and classical models only")
     if kind in ("generic", "restricted"):
-        ham = spec.model.param_hamiltonian()
-        model = thermalize(ham)
-        rep = gradient(model, spec.target_state, obj)
-        value = relative_entropy(spec.target_state, model.sigma_v, obj)
-
-        def fd_obj(th):
-            return relative_entropy(
-                spec.target_state, thermalize(ham.with_theta(th)).sigma_v, obj)
-
-        extra = {}
-        if obj.kind == "tsallis":
-            extra["q_overlap"] = q_overlap(spec.target_state, model.sigma_v_eig, obj.q)
-        return rep, value, fd_obj, ham.theta, extra
+        return QuantumProblem(model.param_hamiltonian(), spec.target_state, obj,
+                              mode=mode, estimator=est)
     if kind == "qc":
-        qc = qc_decompose(spec.model.param_hamiltonian(), spec.model.hidden_basis)
-        rep = gradient_qc(qc, spec.target_state, obj)
-        value = relative_entropy(spec.target_state, qc.visible_state(), obj)
-
-        def fd_obj(th):
-            return relative_entropy(
-                spec.target_state, qc.with_theta(th).visible_state(), obj)
-
-        extra = {}
-        if obj.kind == "tsallis":
-            extra["q_overlap"] = q_overlap(spec.target_state, eigh(qc.visible_state()), obj.q)
-        return rep, value, fd_obj, qc.theta, extra
+        return QCProblem(qc_decompose(model.param_hamiltonian(), model.hidden_basis),
+                         spec.target_state, obj)
     if kind == "cq":
-        cq = cq_decompose(spec.model.param_hamiltonian(), spec.model.visible_basis)
-        rep = gradient_cq(cq, spec.target_probs, obj)
-        value = cq_objective(cq, spec.target_probs, obj)
-
-        def fd_obj(th):
-            return cq_objective(cq.with_theta(th), spec.target_probs, obj)
-
-        return rep, value, fd_obj, cq.theta, {}
-    if kind == "classical":
-        if obj.kind != "umegaki":
-            raise SpecError("classical tables support the umegaki objective only")
-        tables, theta = spec.model.tables, spec.model.theta
-        grad_vec = classical_gradient(tables, theta, spec.target_probs)
-        rep = GradientReport(grad_vec, grad_vec, np.zeros_like(grad_vec))
-        value = classical_objective(tables, theta, spec.target_probs)
-
-        def fd_obj(th):
-            return classical_objective(tables, th, spec.target_probs)
-
-        return rep, value, fd_obj, theta, {}
-    raise SpecError(f"unknown model kind {kind!r}")
+        return CQProblem(cq_decompose(model.param_hamiltonian(), model.visible_basis),
+                         spec.target_probs, obj)
+    if obj.kind != "umegaki":
+        raise SpecError("classical tables support the umegaki objective only")
+    sampling = {} if est is None else {"samples": est.shots or 10_000, "seed": est.seed}
+    return ClassicalProblem(model.tables, spec.target_probs, model.theta, mode=mode, **sampling)
 
 
 def cmd_grad(args) -> int:
     spec = _need_spec(args)
     obj = _resolve_objective(args, spec)
-    rep, value, fd_obj, theta, extra = _gradient_bundle(spec, obj)
-    fd = finite_difference_gradient(fd_obj, theta)
+    p = _problem(spec, obj)
+    value = p.objective(p.theta0)
+    rep = p.report(p.theta0)
+    fd = finite_difference_gradient(p.objective, p.theta0)
     resid = np.abs(rep.values - fd)
     print(f"objective value: {value:.12g}")
     for j, (v, f1, s1, r) in enumerate(zip(rep.values, rep.first_terms, rep.second_terms, resid)):
@@ -233,34 +191,11 @@ def cmd_grad(args) -> int:
         "first_terms": rep.first_terms.tolist(),
         "second_terms": rep.second_terms.tolist(),
         "fd_residuals": resid.tolist(),
-        **extra,
+        **({"q_overlap": rep.q_overlap} if rep.q_overlap is not None else {}),
     }
     path = _write_report(args.out, payload)
     print(f"report -> {path}")
     return EXIT_OK
-
-
-def _train_problem(spec: RunSpec, obj: Objective, mode: str, est: EstimatorConfig | None):
-    kind = spec.model.kind
-    if kind in ("generic", "restricted"):
-        return QuantumProblem(spec.model.param_hamiltonian(), spec.target_state, obj,
-                              mode=mode, estimator=est)
-    if kind == "qc":
-        if mode == "shot":
-            raise SpecError("shot-mode training covers generic/restricted models only")
-        return QCProblem(qc_decompose(spec.model.param_hamiltonian(), spec.model.hidden_basis),
-                         spec.target_state, obj)
-    if kind == "cq":
-        if mode == "shot":
-            raise SpecError("shot-mode training covers generic/restricted models only")
-        return CQProblem(cq_decompose(spec.model.param_hamiltonian(), spec.model.visible_basis),
-                         spec.target_probs, obj)
-    if kind == "classical":
-        if obj.kind != "umegaki":
-            raise SpecError("classical tables support the umegaki objective only")
-        return ClassicalProblem(spec.model.tables, spec.target_probs, spec.model.theta,
-                                mode="exact" if mode == "exact" else "mc")
-    raise SpecError(f"unknown model kind {kind!r}")
 
 
 def cmd_train(args) -> int:
@@ -287,8 +222,7 @@ def cmd_train(args) -> int:
         seed=seed,
         log_every=_option(args.log_every, opts, "log_every", 1, int),
     )
-    problem = _train_problem(spec, obj, mode, est)
-    traj = train(problem, cfg)
+    traj = train(_problem(spec, obj, mode, est), cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / "trajectory.csv"
     n_theta = traj.rows[0].theta.size

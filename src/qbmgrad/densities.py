@@ -110,8 +110,8 @@ def quantile(d: Density, u) -> np.ndarray | float:
 class SeededSampler:
     """Deterministic inverse-transform sampler for one density.
 
-    Single-owner stream: draws advance internal RNG state.  Independent
-    parallel streams come from derived seeds (``seed ^ worker_index``).
+    Single-owner stream: draws advance internal RNG state, so two samplers
+    built with the same density and seed draw the same sequence.
     """
 
     density: Density
@@ -126,9 +126,6 @@ class SeededSampler:
         u = np.clip(u, 1e-16, 1.0 - 1e-16)
         t = quantile(self.density, u)
         return t if n is not None else float(t[0])
-
-    def derived(self, worker: int) -> "SeededSampler":
-        return SeededSampler(self.density, self.seed ^ worker)
 
 
 def tail_mass_bound(d: Density, T: float) -> float:

@@ -27,7 +27,6 @@ from numpy.polynomial.legendre import leggauss
 from .densities import (
     HIGH_PEAK_TENT,
     LOGISTIC,
-    SeededSampler,
     expectation_nodes,
     pdf,
     quantile,
@@ -139,17 +138,6 @@ def inv_sqrt_encoding(model: ThermalModel) -> BlockEncoding:
     root_kappa = math.sqrt(model.kappa)
     contraction = model.sigma_v_eig.power(-0.5) / root_kappa
     return dilate(contraction, root_kappa)
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One circuit execution: times, outcomes, and the signed value Y."""
-
-    s: float
-    t: float
-    z: int
-    g: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -310,15 +298,6 @@ def _clean_probs(p: np.ndarray) -> np.ndarray:
     if np.any(np.abs(total - 1.0) > PROB_DEFECT):
         raise SpecError("outcome probabilities defect exceeds 1e-8")
     return p / total
-
-
-def shot_sample(model: ThermalModel, rho, g_j, sampler_s: SeededSampler, sampler_t: SeededSampler, rng: np.random.Generator) -> ShotRecord:
-    """One record of the estimation circuit with freshly drawn (s, t)."""
-    s = sampler_s.sample()
-    t = sampler_t.sample()
-    z, g, y, prob = outcome_distribution(model, rho, g_j, s, t)
-    idx = int(rng.choice(len(prob), p=prob))
-    return ShotRecord(s=s, t=t, z=int(z[idx]), g=float(g[idx]), y=float(y[idx]))
 
 
 # ---------------------------------------------------------------------------

@@ -77,11 +77,15 @@ class GradientReport:
 
     values = first_terms - second_terms elementwise; for the tsallis
     objective the second term already carries the Q_q prefactor.
+    ``q_overlap`` is that prefactor Q_q = Tr[rho^q sigma_v^{1-q}] when the
+    gradient formula forms it (tsallis objective, quantum visible register),
+    else None.
     """
 
     values: np.ndarray
     first_terms: np.ndarray
     second_terms: np.ndarray
+    q_overlap: float | None = None
 
     def __post_init__(self):
         for name in ("values", "first_terms", "second_terms"):
@@ -175,14 +179,13 @@ def gradient(model: ThermalModel, rho, obj: Objective = UMEGAKI) -> GradientRepo
     )
     if obj.kind == "umegaki":
         lifted = lift_to_joint(model, rho, q=1.0)
-        first = np.array([expectation(t, lifted) for t in model.hamiltonian.terms])
-        second = second_raw
+        qq = None
     else:
-        q = obj.q
-        lifted = lift_to_joint(model, psd_power(rho, q), q=q)
-        first = np.array([expectation(t, lifted) for t in model.hamiltonian.terms])
-        second = q_overlap(rho, model.sigma_v_eig, q) * second_raw
-    return GradientReport(first - second, first, second)
+        lifted = lift_to_joint(model, psd_power(rho, obj.q), q=obj.q)
+        qq = q_overlap(rho, model.sigma_v_eig, obj.q)
+    first = np.array([expectation(t, lifted) for t in model.hamiltonian.terms])
+    second = second_raw if qq is None else qq * second_raw
+    return GradientReport(first - second, first, second, qq)
 
 
 def gradient_qc(qc: QCModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
@@ -217,8 +220,9 @@ def gradient_qc(qc: QCModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
             second_raw[j] += qc.p[x] * expectation(qc.terms_x[j][x], qc.sigma_x[x])
     if obj.kind == "umegaki":
         return GradientReport(first - second_raw, first, second_raw)
-    second = q_overlap(rho, sig_v_es, q) * second_raw
-    return GradientReport(first - second, first, second)
+    qq = q_overlap(rho, sig_v_es, q)
+    second = qq * second_raw
+    return GradientReport(first - second, first, second, qq)
 
 
 def gradient_cq(cq: CQModel, target_probs, obj: Objective = UMEGAKI) -> GradientReport:

@@ -111,11 +111,6 @@ def gibbs_weights(energies) -> tuple[np.ndarray, float]:
     return boltz / z, z
 
 
-def matrix_function(es: Eigensystem, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """U diag(f(lambda)) U^dag; errors if f is undefined at an eigenvalue."""
-    return es.apply(f)
-
-
 def tensor(a, b) -> np.ndarray:
     """Kronecker product (first factor = leftmost register)."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -171,14 +166,3 @@ def expectation(obs, state, *, imag_atol: float = 1e-10) -> float:
 def spectral_norm(x) -> float:
     """Largest singular value (= max |eigenvalue| for Hermitian input)."""
     return float(np.linalg.norm(np.asarray(x), ord=2))
-
-
-def trace_norm(x) -> float:
-    """Sum of singular values."""
-    return float(np.sum(np.linalg.svd(np.asarray(x), compute_uv=False)))
-
-
-def norms(x) -> tuple[float, float]:
-    """(spectral, trace) norm pair."""
-    s = np.linalg.svd(np.asarray(x), compute_uv=False)
-    return float(s[0]) if s.size else 0.0, float(np.sum(s))

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import GuardError, SpecError
 from .estimator import EstimatorConfig, estimate_first_term, estimate_model_term
 from .gradients import (
+    GradientReport,
     Objective,
     UMEGAKI,
     classical_distribution,
@@ -80,7 +81,11 @@ class Trajectory:
 
 
 class Problem:
-    """Objective/gradient pair over a parameter vector."""
+    """Objective/gradient pair over a parameter vector.
+
+    Each model kind has one subclass, which alone knows that kind's
+    objective, its exact gradient and its start point ``theta0``.
+    """
 
     theta0: np.ndarray
 
@@ -90,17 +95,26 @@ class Problem:
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
         raise NotImplementedError
 
+    def report(self, theta) -> GradientReport:
+        """Exact gradient at theta with its two-term breakdown.
+
+        ``train`` never calls it: it asks ``gradient_vector``, which in
+        exact mode returns ``report(theta).values``.
+        """
+        raise NotImplementedError
+
 
 class QuantumProblem(Problem):
     """Fully quantum model: match the visible marginal to a target state.
 
     ``train`` evaluates the objective at the accepted theta just before it
     asks for the gradient there, so ``objective`` hands its thermal model
-    on: it keeps one (theta, model) slot, and ``gradient_vector`` takes
-    the model when its theta has the same shape and bytes and thermalizes
-    otherwise.  The slot is emptied before each thermalization, so an
-    objective that raises leaves no model behind, and again when the
-    gradient takes the model, so no model outlives its step.
+    on: it keeps one (theta, model) slot, and ``report`` and
+    ``gradient_vector`` take the model when its theta has the same shape
+    and bytes and thermalize otherwise.  The slot is emptied before each
+    thermalization, so an objective that raises leaves no model behind,
+    and again when the gradient takes the model, so no model outlives its
+    step.
     """
 
     def __init__(self, hamiltonian: ParamHamiltonian, rho, obj: Objective = UMEGAKI,
@@ -129,14 +143,19 @@ class QuantumProblem(Problem):
         self._last = (key, model)
         return value
 
-    def gradient_vector(self, theta, iteration: int) -> np.ndarray:
+    def _take_model(self, theta) -> ThermalModel:
         last, self._last = self._last, None
         if last is not None and last[0] == self._key(theta):
-            model = last[1]
-        else:
-            model = self._model(theta)
+            return last[1]
+        return self._model(theta)
+
+    def report(self, theta) -> GradientReport:
+        return gradient(self._take_model(theta), self.rho, self.obj)
+
+    def gradient_vector(self, theta, iteration: int) -> np.ndarray:
         if self.mode == "exact":
-            return gradient(model, self.rho, self.obj).values
+            return self.report(theta).values
+        model = self._take_model(theta)
         if self.obj.kind != "umegaki":
             raise SpecError("shot-mode gradients cover the umegaki objective only")
         cfg = self.estimator or EstimatorConfig()
@@ -165,8 +184,11 @@ class QCProblem(Problem):
     def objective(self, theta) -> float:
         return relative_entropy(self.rho, self.qc.with_theta(theta).visible_state(), self.obj)
 
+    def report(self, theta) -> GradientReport:
+        return gradient_qc(self.qc.with_theta(theta), self.rho, self.obj)
+
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
-        return gradient_qc(self.qc.with_theta(theta), self.rho, self.obj).values
+        return self.report(theta).values
 
 
 class CQProblem(Problem):
@@ -181,12 +203,20 @@ class CQProblem(Problem):
     def objective(self, theta) -> float:
         return cq_objective(self.cq.with_theta(theta), self.target, self.obj)
 
+    def report(self, theta) -> GradientReport:
+        return gradient_cq(self.cq.with_theta(theta), self.target, self.obj)
+
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
-        return gradient_cq(self.cq.with_theta(theta), self.target, self.obj).values
+        return self.report(theta).values
 
 
 class ClassicalProblem(Problem):
-    """Classical energy tables against a visible target distribution."""
+    """Classical energy tables against a visible target distribution.
+
+    ``mode`` "exact" enumerates the gradient; "shot" estimates it from
+    ``samples`` Monte Carlo draws of (v, h) under the data and under the
+    model, from a stream seeded by ``seed`` and the iteration.
+    """
 
     def __init__(self, tables, target_q, theta0, mode: str = "exact",
                  samples: int = 10_000, seed: int = 0):
@@ -200,9 +230,13 @@ class ClassicalProblem(Problem):
     def objective(self, theta) -> float:
         return classical_objective(self.tables, theta, self.target)
 
+    def report(self, theta) -> GradientReport:
+        g = classical_gradient(self.tables, theta, self.target)
+        return GradientReport(g, g, np.zeros_like(g))
+
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
         if self.mode == "exact":
-            return classical_gradient(self.tables, theta, self.target)
+            return self.report(theta).values
         return self._sampled_gradient(theta, iteration)
 
     def _sampled_gradient(self, theta, iteration: int) -> np.ndarray:
@@ -283,15 +317,6 @@ def train(problem: Problem, cfg: TrainConfig) -> Trajectory:
             # would repeat forever: the objective is at its float floor
             break
     return traj
-
-
-def train_classical(tables, target_q, theta0, cfg: TrainConfig, *,
-                    samples: int = 10_000) -> Trajectory:
-    """Classical Boltzmann-machine baseline (exact enumeration or Monte Carlo)."""
-    problem = ClassicalProblem(tables, target_q, theta0,
-                               mode="exact" if cfg.gradient_mode == "exact" else "mc",
-                               samples=samples, seed=cfg.seed)
-    return train(problem, cfg)
 
 
 def _check_finite(obj: float, iteration: int) -> None:

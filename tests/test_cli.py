@@ -6,6 +6,21 @@ import numpy as np
 import pytest
 
 from qbmgrad.cli import main
+from qbmgrad.gradients import (
+    GradientReport,
+    classical_gradient,
+    classical_objective,
+    cq_objective,
+    gradient,
+    gradient_cq,
+    gradient_qc,
+    q_overlap,
+    relative_entropy,
+    tsallis,
+)
+from qbmgrad.linalg import eigh
+from qbmgrad.models import cq_decompose, qc_decompose, thermalize
+from qbmgrad.runspec import load_runspec
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -43,12 +58,46 @@ def test_grad_requires_q_with_tsallis(tmp_path):
                 "--out", tmp_path]) == 2
 
 
+def _direct_gradient(spec, obj):
+    """(report, objective value, q overlap or None) from the library call for the kind."""
+    m, rho, probs = spec.model, spec.target_state, spec.target_probs
+    tsal = obj.kind == "tsallis"
+    if m.kind in ("generic", "restricted"):
+        model = thermalize(m.param_hamiltonian())
+        return (gradient(model, rho, obj), relative_entropy(rho, model.sigma_v, obj),
+                q_overlap(rho, model.sigma_v_eig, obj.q) if tsal else None)
+    if m.kind == "qc":
+        qc = qc_decompose(m.param_hamiltonian(), m.hidden_basis)
+        return (gradient_qc(qc, rho, obj), relative_entropy(rho, qc.visible_state(), obj),
+                q_overlap(rho, eigh(qc.visible_state()), obj.q) if tsal else None)
+    if m.kind == "cq":
+        cq = cq_decompose(m.param_hamiltonian(), m.visible_basis)
+        return gradient_cq(cq, probs, obj), cq_objective(cq, probs, obj), None
+    g = classical_gradient(m.tables, m.theta, probs)
+    return GradientReport(g, g, np.zeros_like(g)), classical_objective(m.tables, m.theta, probs), None
+
+
 def test_all_model_kinds_grad(tmp_path):
-    for name in ("grad_restricted", "grad_qc", "grad_cq", "grad_classical"):
-        out = tmp_path / name
-        assert run(["grad", "--spec", DEMOS / f"{name}.json", "--out", out]) == 0
-        rep = json.loads((out / "report.json").read_text())
-        assert max(rep["fd_residuals"]) < 1e-6
+    paths = sorted(DEMOS.glob("grad_*.json"))
+    assert len(paths) == 7
+    for path in paths:
+        spec = load_runspec(path)
+        runs = [(spec.objective, [])]
+        if spec.model.kind != "classical":  # classical tables are umegaki only
+            runs.append((tsallis(1.5), ["--objective", "tsallis", "--q", "1.5"]))
+        for obj, flags in runs:
+            out = tmp_path / f"{path.stem}-{obj.kind}"
+            assert run(["grad", "--spec", path, "--out", out, *flags]) == 0
+            rep = json.loads((out / "report.json").read_text())
+            ref, value, overlap = _direct_gradient(spec, obj)
+            assert rep["values"] == ref.values.tolist()
+            assert rep["first_terms"] == ref.first_terms.tolist()
+            assert rep["second_terms"] == ref.second_terms.tolist()
+            assert rep["objective_value"] == value
+            quantum_visible = spec.model.kind in ("generic", "restricted", "qc")
+            assert ("q_overlap" in rep) == (obj.kind == "tsallis" and quantum_visible)
+            assert rep.get("q_overlap") == overlap
+            assert max(rep["fd_residuals"]) < 1e-6
 
 
 def test_train_writes_csv(tmp_path):
@@ -73,6 +122,19 @@ def test_train_csv_deterministic(tmp_path):
             rows = list(csv.reader(fh))
         outs.append([r[:-1] for r in rows])  # drop wall_ms
     assert outs[0] == outs[1]
+
+
+def test_classical_shot_training_honours_seed_and_shots(tmp_path):
+    def trajectory(*flags):
+        assert run(["train", "--spec", DEMOS / "grad_classical.json", "--mode", "shot",
+                    "--iterations", "5", "--out", tmp_path, *flags]) == 0
+        with (tmp_path / "trajectory.csv").open() as fh:
+            return [r[:-1] for r in csv.reader(fh)]  # drop wall_ms
+
+    seed5 = trajectory("--seed", "5")
+    assert seed5 != trajectory("--seed", "7")
+    assert seed5 == trajectory("--seed", "5")
+    assert seed5 != trajectory("--seed", "5", "--shots", "2000")
 
 
 def test_estimate_demo(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from qbmgrad import (
     modular_unitary,
     quadrature_first_term,
     query_cost,
-    shot_sample,
     spectral_norm,
     thermalize,
 )
@@ -257,6 +257,26 @@ def _reference_batch_outcomes(model, rho, g_j, s, t):
     probs[:, 2 * k] = 0.25 * (base1 + 2.0 * t2_1.real)
     probs[:, 2 * k + 1] = 0.25 * (base1 - 2.0 * t2_1.real)
     return np.concatenate([values, -values, [0.0, 0.0]]), _clean_probs(probs)
+
+
+@dataclass(frozen=True)
+class ShotRecord:
+    """One circuit execution: times, outcomes, and the signed value Y."""
+
+    s: float
+    t: float
+    z: int
+    g: float
+    y: float
+
+
+def shot_sample(model, rho, g_j, sampler_s, sampler_t, rng) -> ShotRecord:
+    """One record of the honest estimation circuit with freshly drawn (s, t)."""
+    s = sampler_s.sample()
+    t = sampler_t.sample()
+    z, g, y, prob = outcome_distribution(model, rho, g_j, s, t)
+    idx = int(rng.choice(len(prob), p=prob))
+    return ShotRecord(s=s, t=t, z=int(z[idx]), g=float(g[idx]), y=float(y[idx]))
 
 
 @pytest.mark.parametrize("d_h", [1, 2, 4])

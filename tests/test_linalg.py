@@ -12,12 +12,9 @@ from qbmgrad import (
     as_hermitian,
     eigh,
     expectation,
-    matrix_function,
-    norms,
     partial_trace,
     spectral_norm,
     tensor,
-    trace_norm,
 )
 from qbmgrad.linalg import gibbs_weights
 from conftest import PAULI_Z, rand_herm, rand_state
@@ -151,11 +148,11 @@ def test_gibbs_weights_shift_invariant_and_normalised():
 
 
 def test_matrix_function_exp_of_zero():
-    assert np.allclose(matrix_function(eigh(np.zeros((3, 3))), np.exp), np.eye(3))
+    assert np.allclose(eigh(np.zeros((3, 3))).apply(np.exp), np.eye(3))
 
 
 def test_matrix_function_inverse_sqrt():
-    out = matrix_function(eigh(np.diag([4.0, 1.0])), lambda w: w**-0.5)
+    out = eigh(np.diag([4.0, 1.0])).apply(lambda w: w**-0.5)
     assert np.allclose(out, np.diag([0.5, 1.0]), atol=1e-14)
 
 
@@ -163,13 +160,13 @@ def test_matrix_function_log_exp_roundtrip(rng):
     from conftest import rand_pd
 
     a = rand_pd(rng, 4)
-    back = matrix_function(eigh(matrix_function(eigh(a), np.log)), np.exp)
+    back = eigh(eigh(a).apply(np.log)).apply(np.exp)
     assert spectral_norm(back - a) < 1e-10
 
 
 def test_matrix_function_undefined_point():
     with pytest.raises(SpecError):
-        matrix_function(eigh(np.diag([1.0, 0.0])), np.log)
+        eigh(np.diag([1.0, 0.0])).apply(np.log)
 
 
 def test_expectation_identity_and_z(rng):
@@ -187,13 +184,11 @@ def test_expectation_thermal_qubit():
 
 
 def test_norms_examples(rng):
-    s, t = norms(np.eye(3))
-    assert (s, t) == (1.0, 3.0)
-    assert norms(PAULI_Z)[0] == 1.0
+    assert spectral_norm(np.eye(3)) == 1.0
+    assert spectral_norm(PAULI_Z) == 1.0
     x = rand_herm(rng, 4)
     w = np.linalg.eigvalsh(x)
     assert abs(spectral_norm(x) - np.max(np.abs(w))) < 1e-12
-    assert abs(trace_norm(x) - np.sum(np.abs(w))) < 1e-12
 
 
 def test_as_hermitian_symmetrizes_noise(rng):

@@ -18,7 +18,6 @@ from qbmgrad import (
     gradient,
     thermalize,
     train,
-    train_classical,
 )
 from conftest import PAULI_Z, block_visible_terms, rand_herm, rand_state, rand_unitary
 
@@ -173,8 +172,8 @@ def test_classical_training_stationary_at_marginal(rng):
     from qbmgrad.gradients import classical_distribution
 
     target = classical_distribution(tables, theta0).sum(axis=1)
-    traj = train_classical(tables, target, theta0,
-                           TrainConfig(learning_rate=0.1, iterations=20))
+    traj = train(ClassicalProblem(tables, target, theta0),
+                 TrainConfig(learning_rate=0.1, iterations=20))
     assert np.max(np.abs(traj.final_theta - theta0)) < 1e-10
 
 
@@ -185,8 +184,8 @@ def test_classical_training_realizable_target(rng):
     from qbmgrad.gradients import classical_distribution
 
     target = classical_distribution(tables, np.array([0.4, -0.3, 0.2, 0.5])).sum(axis=1)
-    traj = train_classical(tables, target, np.zeros(4),
-                           TrainConfig(learning_rate=0.5, iterations=800, log_every=40))
+    traj = train(ClassicalProblem(tables, target, np.zeros(4)),
+                 TrainConfig(learning_rate=0.5, iterations=800, log_every=40))
     assert traj.final_objective < 1e-4
 
 
@@ -196,7 +195,7 @@ def test_classical_monte_carlo_gradient_matches_exact(rng):
     target = rng.random(3)
     target /= target.sum()
     exact = classical_gradient(tables, theta, target)
-    problem = ClassicalProblem(tables, target, theta, mode="mc",
+    problem = ClassicalProblem(tables, target, theta, mode="shot",
                                samples=200_000, seed=8)
     mc = problem.gradient_vector(theta, 0)
     scale = np.max(np.abs(tables))

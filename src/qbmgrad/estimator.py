@@ -245,51 +245,6 @@ def eigen_groups(g_j, *, tol: float = 1e-9) -> tuple[np.ndarray, list[np.ndarray
     return np.asarray(values), projs
 
 
-def outcome_distribution(model: ThermalModel, rho, g_j, s: float, t: float, *, modular=None, inv_sqrt=None):
-    """Joint (z, g) outcome table of the commuting measurement pair.
-
-    Returns (z, g, y, prob) arrays; g is the outcome of the full observable
-    (ancilla projector times the evolved G_j), which is 0 whenever the
-    ancillas miss |0>.  Probabilities are clamped above -1e-10 and
-    renormalized; a larger defect raises.
-    """
-    tau, o_t, _ = _circuit_pieces(model, rho, s, t, g_j, modular, inv_sqrt)
-    d_v, d_h = model.dims.d_v, model.dims.d_h
-    dim = tau.shape[0]
-    values, projs = eigen_groups(g_j)
-    phases = np.exp(1j * model.g_eig.vals * t)
-    u_t = (model.g_eig.vecs * phases) @ model.g_eig.vecs.conj().T
-    obs_projs = []
-    obs_vals = []
-    covered = np.zeros((dim, dim), dtype=complex)
-    for g_val, pk in zip(values, projs):
-        if g_val == 0.0:
-            continue
-        full = tensor(_P0, tensor(np.eye(d_v), u_t @ pk @ u_t.conj().T))
-        lifted = tensor(np.eye(2), full)
-        obs_projs.append(lifted)
-        obs_vals.append(g_val)
-        covered += lifted
-    obs_projs.append(np.eye(dim) - covered)
-    obs_vals.append(0.0)
-
-    x_projs = [
-        tensor(0.5 * (np.eye(2) + sgn * _PAULI_X), np.eye(dim // 2)) for sgn in (+1.0, -1.0)
-    ]
-    z_out, g_out, p_out = [], [], []
-    for z, xp in enumerate(x_projs):
-        for g_val, op in zip(obs_vals, obs_projs):
-            p = complex(np.einsum("ij,ji->", xp @ op, tau)).real
-            z_out.append(z)
-            g_out.append(g_val)
-            p_out.append(p)
-    prob = _clean_probs(np.asarray(p_out))
-    z_arr = np.asarray(z_out)
-    g_arr = np.asarray(g_out)
-    y_arr = np.where(z_arr == 0, g_arr, -g_arr)
-    return z_arr, g_arr, y_arr, prob
-
-
 def _clean_probs(p: np.ndarray) -> np.ndarray:
     if float(p.min(initial=0.0)) < PROB_CLAMP:
         raise SpecError(f"negative outcome probability {float(p.min()):.3e}")

@@ -8,9 +8,13 @@ Every gradient has the same two-term shape: a model-average term
 <G_j>_{sigma_vh} and a target term obtained by lifting the target state to
 a joint quasi-state through a composition of
   (1) a logistic- or power-weighted modular averaging channel on sigma_v,
-  (2) a sigma_v^{-q/2} sandwich,
-  (3) an anticommutator with sigma_vh,
-  (4) a tent-weighted averaging channel generated by G(theta).
+  (2) a sigma_v^{-q/2} sandwich, extended by the identity on the hidden
+      register,
+  (3) an anticommutator with sigma_vh followed by the tent-weighted
+      averaging channel generated by G(theta), taken as one step: sigma_vh
+      is diagonal in the eigenbasis of G, where the channel acts, so there
+      the anticommutator is the Hadamard factor (w_a + w_b)/2 of the Gibbs
+      weights and folds into the channel's own factor.
 Commuting special cases (classical hidden or visible register) collapse to
 per-block formulas that avoid the joint register entirely.
 """
@@ -22,6 +26,7 @@ import numpy as np
 
 from .errors import SpecError, SupportError
 from .linalg import (
+    Eigensystem,
     as_density,
     as_hermitian,
     eigh,
@@ -29,9 +34,8 @@ from .linalg import (
     gibbs_weights,
     hermitize,
     spectral_norm,
-    tensor,
 )
-from .matcalc import EXP_TENT, LOG_LOGISTIC, apply_channel, power_beta
+from .matcalc import EXP_TENT, LOG_LOGISTIC, apply_channel, channel_factor, power_beta
 from .models import (
     CQModel,
     QCModel,
@@ -148,6 +152,25 @@ def q_overlap(rho, sigma_es, q: float) -> float:
     return expectation(sigma_es.power(1.0 - q), psd_power(rho, q))
 
 
+def _tent_of_anticommutator(g_eig: Eigensystem, core: np.ndarray, d_h: int = 1) -> np.ndarray:
+    """Tent channel of G applied to (1/2){sigma, core (x) I_h}.
+
+    sigma = e^{-G}/Z shares the eigenvectors V of G, so with
+    X~ = V^dag (core (x) I_h) V the result is
+    V [X~ * (w_a + w_b)/2 * tanh-factor(l_a - l_b)] V^dag, w the Gibbs
+    weights and l the eigenvalues of G.  (core (x) I_h) V contracts core
+    with V viewed as (d_v, d_h, D), at d_v D^2 cost.
+    """
+    vecs = g_eig.vecs
+    d = g_eig.dim
+    core_v = np.tensordot(core, vecs.reshape(core.shape[0], d_h, d), axes=1).reshape(d, d)
+    xt = vecs.conj().T @ core_v
+    w = gibbs_weights(g_eig.vals)[0]
+    lam = g_eig.vals
+    xt *= 0.5 * (w[:, None] + w[None, :]) * channel_factor(EXP_TENT, lam[:, None] - lam[None, :])
+    return hermitize(vecs @ xt @ vecs.conj().T)
+
+
 def lift_to_joint(model: ThermalModel, r_v, q: float = 1.0) -> np.ndarray:
     """Lift a visible operator to the joint quasi-state driving the gradient.
 
@@ -166,24 +189,22 @@ def lift_to_joint(model: ThermalModel, r_v, q: float = 1.0) -> np.ndarray:
     else:
         averaged = apply_channel(power_beta(1.0 - q), model.sigma_v_eig, r_v)
     side = model.sigma_v_eig.power(-q / 2.0)
-    sandwiched = tensor(side @ averaged @ side, np.eye(model.dims.d_h))
-    anti = 0.5 * (model.sigma_vh @ sandwiched + sandwiched @ model.sigma_vh)
-    return apply_channel(EXP_TENT, model.g_eig, hermitize(anti))
+    core = hermitize(side @ averaged @ side)
+    return _tent_of_anticommutator(model.g_eig, core, model.dims.d_h)
 
 
 def gradient(model: ThermalModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
     """Exact objective gradient for a fully quantum model."""
     rho = as_density(rho)
-    second_raw = np.array(
-        [expectation(t, model.sigma_vh) for t in model.hamiltonian.terms]
-    )
+    terms = model.hamiltonian.stack
+    second_raw = expectation(terms, model.sigma_vh)
     if obj.kind == "umegaki":
         lifted = lift_to_joint(model, rho, q=1.0)
         qq = None
     else:
         lifted = lift_to_joint(model, psd_power(rho, obj.q), q=obj.q)
         qq = q_overlap(rho, model.sigma_v_eig, obj.q)
-    first = np.array([expectation(t, lifted) for t in model.hamiltonian.terms])
+    first = expectation(terms, lifted)
     second = second_raw if qq is None else qq * second_raw
     return GradientReport(first - second, first, second, qq)
 
@@ -212,9 +233,8 @@ def gradient_qc(qc: QCModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
     first = np.zeros(qc.n_params)
     second_raw = np.zeros(qc.n_params)
     for x in range(n_x):
-        anti = hermitize(0.5 * (qc.sigma_x[x] @ core + core @ qc.sigma_x[x]))
-        block_es = eigh(qc.block_ham(x))
-        lifted_x = apply_channel(EXP_TENT, block_es, anti)
+        # sigma_x is the Gibbs state of this block's Hamiltonian
+        lifted_x = _tent_of_anticommutator(eigh(qc.block_ham(x)), core)
         for j in range(qc.n_params):
             first[j] += qc.p[x] * expectation(qc.terms_x[j][x], lifted_x)
             second_raw[j] += qc.p[x] * expectation(qc.terms_x[j][x], qc.sigma_x[x])

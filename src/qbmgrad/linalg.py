@@ -150,19 +150,34 @@ def partial_trace(x, dims: BipartiteDims, keep: str) -> np.ndarray:
     raise SpecError(f"keep must be 'visible' or 'hidden', got {keep!r}")
 
 
-def expectation(obs, state, *, imag_atol: float = 1e-10) -> float:
-    """Tr[obs @ state], checked to be real up to a small residue."""
+def expectation(obs, state, *, imag_atol: float = 1e-10):
+    """Tr[obs @ state], checked to be real up to a small residue.
+
+    ``obs`` is one d x d matrix, giving a float, or a stack (n, d, d) of
+    them, giving the n traces as an array from a single contraction; the
+    imaginary-residue check applies to each trace on its own.
+    """
     obs = np.asarray(obs, dtype=complex)
     state = np.asarray(state, dtype=complex)
-    if obs.shape != state.shape:
+    if obs.ndim not in (2, 3) or obs.shape[-2:] != state.shape:
         raise SpecError(f"shape mismatch {obs.shape} vs {state.shape}")
-    val = complex(np.einsum("ij,ji->", obs, state))
-    scale = max(1.0, abs(val))
-    if abs(val.imag) > imag_atol * scale:
-        raise GuardError(f"expectation has imaginary residue {val.imag:.3e}")
-    return val.real
+    # Tr[A B] = sum_ij A_ij B_ji: one matrix-vector product over the stack
+    vals = obs.reshape(-1, state.size) @ state.T.ravel()
+    residue = np.abs(vals.imag) > imag_atol * np.maximum(1.0, np.abs(vals))
+    if np.any(residue):
+        raise GuardError(f"expectation has imaginary residue {vals.imag[residue][0]:.3e}")
+    return vals.real if obs.ndim == 3 else float(vals[0].real)
 
 
 def spectral_norm(x) -> float:
-    """Largest singular value (= max |eigenvalue| for Hermitian input)."""
-    return float(np.linalg.norm(np.asarray(x), ord=2))
+    """Largest singular value.
+
+    For exactly Hermitian input (every ``hermitize`` output is) this is
+    max(|lambda_min|, |lambda_max|), read from ``eigvalsh``, which costs
+    about half an SVD; any other input pays for the SVD.
+    """
+    x = np.asarray(x)
+    if x.ndim == 2 and x.size and np.array_equal(x, x.conj().T):
+        w = np.linalg.eigvalsh(x)
+        return float(max(abs(w[0]), abs(w[-1])))
+    return float(np.linalg.norm(x, ord=2))

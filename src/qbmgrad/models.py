@@ -33,20 +33,32 @@ BLOCK_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class ParamHamiltonian:
-    """Terms G_j on the joint register plus the current parameter vector."""
+    """Terms G_j on the joint register plus the current parameter vector.
+
+    The validated terms live in one contiguous (n, D, D) array ``stack``,
+    filled term by term at construction, and ``terms`` holds views into
+    it; the caller's arrays are copied, so changing them later leaves the
+    model unchanged.  ``assemble`` and the gradient's term averages each
+    contract the whole stack at once.
+    """
 
     dims: BipartiteDims
     terms: tuple[np.ndarray, ...]
     theta: np.ndarray
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.terms) < 1:
             raise SpecError("need at least one Hamiltonian term")
-        object.__setattr__(
-            self, "terms", tuple(as_hermitian(t) for t in self.terms)
-        )
-        for t in self.terms:
+        stack = None
+        for k, t in enumerate(self.terms):
+            t = as_hermitian(t)
             self.dims.check(t)
+            if stack is None:  # sized from a validated term, never from dims alone
+                stack = np.empty((len(self.terms),) + t.shape, dtype=complex)
+            stack[k] = t
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "terms", tuple(stack))
         object.__setattr__(self, "theta", self._checked_theta(self.theta))
 
     def _checked_theta(self, theta) -> np.ndarray:
@@ -63,10 +75,7 @@ class ParamHamiltonian:
 
     def assemble(self, theta=None) -> np.ndarray:
         th = self.theta if theta is None else np.asarray(theta, dtype=float)
-        g = np.zeros((self.dims.total, self.dims.total), dtype=complex)
-        for c, t in zip(th, self.terms):
-            g += c * t
-        return hermitize(g)
+        return hermitize(np.tensordot(th, self.stack, axes=1))
 
     def with_theta(self, theta) -> "ParamHamiltonian":
         """Same terms at a new theta; only theta is validated again.

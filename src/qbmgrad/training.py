@@ -34,6 +34,12 @@ MAX_HALVINGS = 20
 DIVERGENCE_CAP = 1e6
 
 
+def _check_mode(mode: str) -> str:
+    if mode not in ("exact", "shot"):
+        raise SpecError(f"unknown gradient mode {mode!r}")
+    return mode
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.1
@@ -49,8 +55,7 @@ class TrainConfig:
             raise SpecError("learning rate must be positive")
         if self.iterations < 1 or self.log_every < 1:
             raise SpecError("iterations and log_every must be >= 1")
-        if self.gradient_mode not in ("exact", "shot"):
-            raise SpecError(f"unknown gradient mode {self.gradient_mode!r}")
+        _check_mode(self.gradient_mode)
         if self.gradient_mode == "shot" and self.estimator is None:
             object.__setattr__(self, "estimator", EstimatorConfig(seed=self.seed))
 
@@ -85,9 +90,19 @@ class Problem:
 
     Each model kind has one subclass, which alone knows that kind's
     objective, its exact gradient and its start point ``theta0``.
+
+    ``train`` evaluates the objective at the accepted theta just before it
+    asks for the gradient there, so a subclass whose objective builds a
+    model (``_model(theta)``) hands it on through ``_evaluate``: one
+    (theta, model) slot, which ``_take_model`` empties and uses when its
+    theta has the same shape and bytes, building a fresh model otherwise.
+    The slot is emptied before each model is built, so an objective that
+    raises leaves no model behind, and again when the gradient takes the
+    model, so no model outlives its step.
     """
 
     theta0: np.ndarray
+    _last: tuple | None = None
 
     def objective(self, theta) -> float:
         raise NotImplementedError
@@ -103,51 +118,47 @@ class Problem:
         """
         raise NotImplementedError
 
-
-class QuantumProblem(Problem):
-    """Fully quantum model: match the visible marginal to a target state.
-
-    ``train`` evaluates the objective at the accepted theta just before it
-    asks for the gradient there, so ``objective`` hands its thermal model
-    on: it keeps one (theta, model) slot, and ``report`` and
-    ``gradient_vector`` take the model when its theta has the same shape
-    and bytes and thermalize otherwise.  The slot is emptied before each
-    thermalization, so an objective that raises leaves no model behind,
-    and again when the gradient takes the model, so no model outlives its
-    step.
-    """
-
-    def __init__(self, hamiltonian: ParamHamiltonian, rho, obj: Objective = UMEGAKI,
-                 mode: str = "exact", estimator: EstimatorConfig | None = None):
-        self.hamiltonian = hamiltonian
-        self.rho = rho
-        self.obj = obj
-        self.mode = mode
-        self.estimator = estimator
-        self.theta0 = np.asarray(hamiltonian.theta, dtype=float)
-        self._last: tuple[tuple, ThermalModel] | None = None
+    def _model(self, theta):
+        raise NotImplementedError
 
     @staticmethod
     def _key(theta) -> tuple:
         theta = np.asarray(theta, dtype=float)
         return theta.shape, theta.tobytes()
 
-    def _model(self, theta):
-        return thermalize(self.hamiltonian.with_theta(theta))
-
-    def objective(self, theta) -> float:
+    def _evaluate(self, theta, value_of) -> float:
+        """value_of(model at theta), keeping the model for the gradient."""
         self._last = None
         key = self._key(theta)
         model = self._model(theta)
-        value = relative_entropy(self.rho, model.sigma_v, self.obj)
+        value = value_of(model)
         self._last = (key, model)
         return value
 
-    def _take_model(self, theta) -> ThermalModel:
+    def _take_model(self, theta):
         last, self._last = self._last, None
         if last is not None and last[0] == self._key(theta):
             return last[1]
         return self._model(theta)
+
+
+class QuantumProblem(Problem):
+    """Fully quantum model: match the visible marginal to a target state."""
+
+    def __init__(self, hamiltonian: ParamHamiltonian, rho, obj: Objective = UMEGAKI,
+                 mode: str = "exact", estimator: EstimatorConfig | None = None):
+        self.hamiltonian = hamiltonian
+        self.rho = rho
+        self.obj = obj
+        self.mode = _check_mode(mode)
+        self.estimator = estimator
+        self.theta0 = np.asarray(hamiltonian.theta, dtype=float)
+
+    def _model(self, theta) -> ThermalModel:
+        return thermalize(self.hamiltonian.with_theta(theta))
+
+    def objective(self, theta) -> float:
+        return self._evaluate(theta, lambda m: relative_entropy(self.rho, m.sigma_v, self.obj))
 
     def report(self, theta) -> GradientReport:
         return gradient(self._take_model(theta), self.rho, self.obj)
@@ -181,11 +192,15 @@ class QCProblem(Problem):
         self.obj = obj
         self.theta0 = np.asarray(qc.theta, dtype=float)
 
+    def _model(self, theta) -> QCModel:
+        return self.qc.with_theta(theta)
+
     def objective(self, theta) -> float:
-        return relative_entropy(self.rho, self.qc.with_theta(theta).visible_state(), self.obj)
+        return self._evaluate(
+            theta, lambda m: relative_entropy(self.rho, m.visible_state(), self.obj))
 
     def report(self, theta) -> GradientReport:
-        return gradient_qc(self.qc.with_theta(theta), self.rho, self.obj)
+        return gradient_qc(self._take_model(theta), self.rho, self.obj)
 
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
         return self.report(theta).values
@@ -200,11 +215,14 @@ class CQProblem(Problem):
         self.obj = obj
         self.theta0 = np.asarray(cq.theta, dtype=float)
 
+    def _model(self, theta) -> CQModel:
+        return self.cq.with_theta(theta)
+
     def objective(self, theta) -> float:
-        return cq_objective(self.cq.with_theta(theta), self.target, self.obj)
+        return self._evaluate(theta, lambda m: cq_objective(m, self.target, self.obj))
 
     def report(self, theta) -> GradientReport:
-        return gradient_cq(self.cq.with_theta(theta), self.target, self.obj)
+        return gradient_cq(self._take_model(theta), self.target, self.obj)
 
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
         return self.report(theta).values
@@ -223,7 +241,7 @@ class ClassicalProblem(Problem):
         self.tables = np.asarray(tables, dtype=float)
         self.target = np.asarray(target_q, dtype=float)
         self.theta0 = np.asarray(theta0, dtype=float)
-        self.mode = mode
+        self.mode = _check_mode(mode)
         self.samples = samples
         self.seed = seed
 

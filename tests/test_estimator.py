@@ -31,14 +31,15 @@ from qbmgrad import (
     thermalize,
 )
 from qbmgrad.estimator import (
+    _P0,
+    _PAULI_X,
     _batch_context,
     _batch_outcomes,
     _circuit_pieces,
     _clean_probs,
     eigen_groups,
-    outcome_distribution,
 )
-from qbmgrad.linalg import as_density, partial_trace
+from qbmgrad.linalg import as_density, partial_trace, tensor
 from qbmgrad.verify import perturb_encoding
 from conftest import PAULI_Z, rand_herm, rand_model, rand_state, rand_unitary
 
@@ -179,6 +180,51 @@ def test_eigen_groups_handles_degeneracy():
     values, projs = eigen_groups(g)
     assert np.allclose(values, [-2.0, 1.0])
     assert abs(np.trace(projs[1]).real - 2.0) < 1e-12
+
+
+def outcome_distribution(model, rho, g_j, s, t, *, modular=None, inv_sqrt=None):
+    """Joint (z, g) outcome table of the commuting measurement pair.
+
+    Returns (z, g, y, prob) arrays; g is the outcome of the full observable
+    (ancilla projector times the evolved G_j), which is 0 whenever the
+    ancillas miss |0>.  Probabilities are clamped above -1e-10 and
+    renormalized; a larger defect raises.
+    """
+    tau, o_t, _ = _circuit_pieces(model, rho, s, t, g_j, modular, inv_sqrt)
+    d_v = model.dims.d_v
+    dim = tau.shape[0]
+    values, projs = eigen_groups(g_j)
+    phases = np.exp(1j * model.g_eig.vals * t)
+    u_t = (model.g_eig.vecs * phases) @ model.g_eig.vecs.conj().T
+    obs_projs = []
+    obs_vals = []
+    covered = np.zeros((dim, dim), dtype=complex)
+    for g_val, pk in zip(values, projs):
+        if g_val == 0.0:
+            continue
+        full = tensor(_P0, tensor(np.eye(d_v), u_t @ pk @ u_t.conj().T))
+        lifted = tensor(np.eye(2), full)
+        obs_projs.append(lifted)
+        obs_vals.append(g_val)
+        covered += lifted
+    obs_projs.append(np.eye(dim) - covered)
+    obs_vals.append(0.0)
+
+    x_projs = [
+        tensor(0.5 * (np.eye(2) + sgn * _PAULI_X), np.eye(dim // 2)) for sgn in (+1.0, -1.0)
+    ]
+    z_out, g_out, p_out = [], [], []
+    for z, xp in enumerate(x_projs):
+        for g_val, op in zip(obs_vals, obs_projs):
+            p = complex(np.einsum("ij,ji->", xp @ op, tau)).real
+            z_out.append(z)
+            g_out.append(g_val)
+            p_out.append(p)
+    prob = _clean_probs(np.asarray(p_out))
+    z_arr = np.asarray(z_out)
+    g_arr = np.asarray(g_out)
+    y_arr = np.where(z_arr == 0, g_arr, -g_arr)
+    return z_arr, g_arr, y_arr, prob
 
 
 def test_outcome_distribution_normalized_and_bounded(rng):

@@ -2,31 +2,38 @@ import numpy as np
 import pytest
 
 from qbmgrad import (
+    EXP_TENT,
+    LOG_LOGISTIC,
     BipartiteDims,
     ParamHamiltonian,
     RestrictedSpec,
     SpecError,
     SupportError,
     UMEGAKI,
+    apply_channel,
     classical_gradient,
     classical_objective,
     cq_decompose,
+    eigh,
     expectation,
     gradient,
     gradient_cq,
     gradient_qc,
     lift_to_joint,
     pgm_povm,
+    power_beta,
     povm_probs,
     qc_decompose,
     relative_entropy,
     restricted_gradients,
     restricted_to_param,
     spectral_norm,
+    tensor,
     thermalize,
     tsallis,
 )
-from qbmgrad.gradients import cq_objective
+from qbmgrad.gradients import cq_objective, psd_power
+from qbmgrad.linalg import hermitize
 from qbmgrad.training import finite_difference_gradient
 from conftest import (
     PAULI_Z,
@@ -84,6 +91,51 @@ def test_lift_trace_and_hermiticity(rng):
     out = lift_to_joint(model, rand_state(rng, 3))
     assert abs(np.trace(out).real - 1.0) < 1e-10
     assert np.max(np.abs(out - out.conj().T)) < 1e-12
+
+
+def _visible_core(sig_v_es, r_v, q):
+    """sigma_v^{-q/2} Upsilon(r_v) sigma_v^{-q/2}: the visible-side steps."""
+    if q == 1.0:
+        averaged = apply_channel(LOG_LOGISTIC, sig_v_es, r_v)
+    elif q == 2.0:
+        averaged = r_v
+    else:
+        averaged = apply_channel(power_beta(1.0 - q), sig_v_es, r_v)
+    side = sig_v_es.power(-q / 2.0)
+    return side @ averaged @ side
+
+
+def _four_step_lift(model, r_v, q):
+    """Reference lift: tensor with I_h, anticommutator with sigma_vh, then
+    the tent channel of G, each as a dense step."""
+    sandwiched = tensor(_visible_core(model.sigma_v_eig, r_v, q), np.eye(model.dims.d_h))
+    anti = 0.5 * (model.sigma_vh @ sandwiched + sandwiched @ model.sigma_vh)
+    return apply_channel(EXP_TENT, model.g_eig, hermitize(anti))
+
+
+def _degenerate_model(rng, d_v, d_h):
+    """G = theta U diag(spectrum with repeated eigenvalues) U^dag."""
+    d = d_v * d_h
+    u = rand_unitary(rng, d)
+    spectrum = np.repeat([-0.6, 0.4], -(-d // 2))[:d]
+    term = hermitize((u * spectrum) @ u.conj().T)
+    ham = ParamHamiltonian(dims=BipartiteDims(d_v, d_h), terms=(term,), theta=np.array([1.3]))
+    return thermalize(ham)
+
+
+@pytest.mark.parametrize("q", [1.0, 0.5, 1.5, 2.0])
+@pytest.mark.parametrize("d_h", [1, 2, 4])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_lift_matches_four_step_reference(rng, q, d_h, degenerate):
+    model = _degenerate_model(rng, 3, d_h) if degenerate else rand_model(rng, 3, d_h)
+    if degenerate:
+        assert np.min(np.diff(model.g_eig.vals)) < 1e-12  # the tent factor's gap-0 branch
+    rho = rand_state(rng, 3)
+    r_v = rho if q == 1.0 else psd_power(rho, q)
+    got = lift_to_joint(model, r_v, q=q)
+    want = _four_step_lift(model, r_v, q)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.array_equal(got, got.conj().T)
 
 
 def test_gradient_zero_at_fixed_point(rng):

@@ -191,6 +191,51 @@ def test_norms_examples(rng):
     assert abs(spectral_norm(x) - np.max(np.abs(w))) < 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 16, 256])
+def test_spectral_norm_hermitian_path_matches_svd(rng, d, monkeypatch):
+    x = rand_herm(rng, d)
+    assert np.array_equal(x, x.conj().T)  # as_hermitian output is exactly Hermitian
+    want = float(np.linalg.svd(x, compute_uv=False)[0])
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("Hermitian input took the SVD")
+
+    monkeypatch.setattr(np.linalg, "norm", no_svd)
+    assert abs(spectral_norm(x) - want) <= 1e-13 * want
+    assert abs(spectral_norm(-x) - want) <= 1e-13 * want  # lambda_min carries the norm
+
+
+def test_spectral_norm_non_hermitian_is_largest_singular_value(rng):
+    for shape in ((5, 5), (4, 6)):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = float(np.linalg.svd(a, compute_uv=False)[0])
+        assert abs(spectral_norm(a) - want) <= 1e-13 * want
+    nilpotent = np.array([[0.0, 2.0], [0.0, 0.0]])  # eigenvalues 0, singular value 2
+    assert spectral_norm(nilpotent) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_expectation_stack_matches_single_terms(rng):
+    state = rand_state(rng, 6)
+    stack = np.stack([rand_herm(rng, 6) for _ in range(4)])
+    vals = expectation(stack, state)
+    assert vals.shape == (4,)
+    for v, t in zip(vals, stack):
+        assert abs(v - expectation(t, state)) < 1e-14
+    with pytest.raises(SpecError, match="shape mismatch"):
+        expectation(stack, state[:5, :5])
+
+
+def test_expectation_stack_keeps_residue_guard(rng):
+    state = rand_state(rng, 4)
+    bad = rand_herm(rng, 4) + 0.3j * np.eye(4)  # Tr[bad rho] has imaginary part 0.3
+    with pytest.raises(GuardError, match="imaginary residue") as single:
+        expectation(bad, state)
+    stack = np.stack([rand_herm(rng, 4), bad, rand_herm(rng, 4)])
+    with pytest.raises(GuardError) as stacked:
+        expectation(stack, state)
+    assert str(stacked.value) == str(single.value)
+
+
 def test_as_hermitian_symmetrizes_noise(rng):
     x = rand_herm(rng, 3)
     noisy = x + 1e-14 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))

@@ -218,9 +218,9 @@ def test_param_hamiltonian_validation(rng):
     with pytest.raises(SpecError):
         ParamHamiltonian(dims=BipartiteDims(2, 2), terms=(rand_herm(rng, 4),),
                          theta=np.zeros(2))
-    with pytest.raises(SpecError):
-        ParamHamiltonian(dims=BipartiteDims(3, 2), terms=(rand_herm(rng, 4),),
-                         theta=np.zeros(1))
+    for dims in (BipartiteDims(3, 2), BipartiteDims(10**5, 10**5)):
+        with pytest.raises(SpecError):
+            ParamHamiltonian(dims=dims, terms=(rand_herm(rng, 4),), theta=np.zeros(1))
     non_hermitian = rand_herm(rng, 4) + 1e-6j * np.eye(4)
     with pytest.raises(SpecError, match="not Hermitian"):
         ParamHamiltonian(dims=BipartiteDims(2, 2), terms=(non_hermitian,), theta=np.zeros(1))
@@ -240,3 +240,27 @@ def test_with_theta_shares_validated_terms(rng):
     assert moved.terms is ham.terms
     assert np.array_equal(moved.theta, theta) and np.array_equal(ham.theta, np.zeros(3))
     assert np.array_equal(moved.assemble(), fresh.assemble())
+
+
+def test_param_hamiltonian_copies_caller_terms(rng):
+    terms = [rand_herm(rng, 4, 0.5) for _ in range(3)]
+    kept = [t.copy() for t in terms]
+    ham = ParamHamiltonian(dims=BipartiteDims(2, 2), terms=tuple(terms),
+                           theta=rng.uniform(-0.5, 0.5, 3))
+    g = ham.assemble()
+    for t in terms:
+        t[...] = 7.0
+    assert np.array_equal(ham.assemble(), g)
+    for t, want, row in zip(ham.terms, kept, ham.stack):
+        assert np.array_equal(t, want) and np.shares_memory(t, ham.stack)
+        assert np.array_equal(row, want)
+
+
+def test_assemble_matches_term_sum(rng):
+    terms = tuple(rand_herm(rng, 6, 0.5) for _ in range(4))
+    theta = rng.uniform(-1.0, 1.0, 4)
+    ham = ParamHamiltonian(dims=BipartiteDims(3, 2), terms=terms, theta=theta)
+    want = sum(c * t for c, t in zip(theta, terms))
+    assert np.max(np.abs(ham.assemble() - want)) < 1e-14
+    g = ham.assemble()
+    assert np.array_equal(g, g.conj().T)

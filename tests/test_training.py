@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from pathlib import Path
+
+import qbmgrad.models
 import qbmgrad.training
 from qbmgrad import (
     BipartiteDims,
@@ -9,16 +12,19 @@ from qbmgrad import (
     EstimatorConfig,
     GuardError,
     ParamHamiltonian,
+    QCProblem,
     QuantumProblem,
     SpecError,
     TrainConfig,
     classical_gradient,
     cq_decompose,
     finite_difference_gradient,
+    qc_decompose,
     gradient,
     thermalize,
     train,
 )
+from qbmgrad.runspec import load_runspec
 from conftest import PAULI_Z, block_visible_terms, rand_herm, rand_state, rand_unitary
 
 
@@ -138,6 +144,52 @@ def test_raising_objective_leaves_no_model(monkeypatch, bad_theta):
         except GuardError:
             assert theta is bad
         assert calls[0] == before + 1
+
+
+def _block_problem(name):
+    spec = load_runspec(Path(__file__).resolve().parents[1] / "demos" / f"{name}.json")
+    model = spec.model
+    if model.kind == "qc":
+        return lambda: QCProblem(
+            qc_decompose(model.param_hamiltonian(), model.hidden_basis), spec.target_state)
+    return lambda: CQProblem(
+        cq_decompose(model.param_hamiltonian(), model.visible_basis), spec.target_probs)
+
+
+@pytest.mark.parametrize("name", ["grad_qc", "grad_cq"])
+def test_block_training_decomposes_once_per_step(monkeypatch, name):
+    make = _block_problem(name)
+    problem, fresh = make(), make()
+    calls = [0]
+    raw = qbmgrad.models._thermal_blocks
+
+    def counted(block_hams):
+        calls[0] += 1
+        return raw(block_hams)
+
+    monkeypatch.setattr(qbmgrad.models, "_thermal_blocks", counted)
+    iterations = 12
+    traj = train(problem, TrainConfig(learning_rate=0.1, iterations=iterations))
+    assert len(traj.rows) == iterations + 1
+    assert calls[0] == iterations + 1  # one model per accepted step, not two
+    # the handed-on model gives the same report as a fresh one
+    theta = traj.final_theta
+    problem.objective(theta)
+    got, want = problem.report(theta), fresh.report(theta)
+    for field in ("values", "first_terms", "second_terms"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert np.array_equal(traj.rows[-1].grad_norm, np.linalg.norm(want.values))
+
+
+@pytest.mark.parametrize("make", [
+    lambda mode: QuantumProblem(_qubit_problem()[0].hamiltonian, np.eye(2) / 2, mode=mode),
+    lambda mode: ClassicalProblem(np.zeros((1, 2, 1)), np.array([0.5, 0.5]), np.zeros(1),
+                                  mode=mode),
+], ids=["quantum", "classical"])
+def test_problem_rejects_unknown_mode(make):
+    with pytest.raises(SpecError, match="unknown gradient mode 'exatc'"):
+        make("exatc")
+    make("shot")
 
 
 def test_shot_mode_training_reaches_exact_neighborhood():

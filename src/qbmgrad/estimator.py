@@ -13,6 +13,16 @@ Block-encodings here are exact unitary dilations (normalization alpha,
 declared spectral error delta); the error-composition and sample-count
 accounting still covers the inexact case and is exercised by injecting
 controlled perturbations.
+
+Shots are simulated in chunks without forming the circuit register.  Up to
+the evolution, a shot's state is linear in the modular phases
+e^{i theta_ab} of the sigma_v eigenbasis; the diagonal phases are 1 and the
+transposed ones are conjugates, so 1 + d_v(d_v - 1) real features
+(1, cos theta_ab, sin theta_ab) carry the modular time.  In the eigenbasis
+of G the evolved blocks and the observable's projectors are Hermitian, so
+the evolution time enters only through the D(D - 1)/2 phases
+e^{it(g_p - g_q)}, p < q.  Each chunk is then two real GEMMs against maps
+built once per (model, target, observable); see ``_BatchContext``.
 """
 from __future__ import annotations
 
@@ -262,28 +272,31 @@ def _clean_probs(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _BatchContext:
-    """Shot-invariant constants of the estimation circuit.
+    """Shot-invariant constants of the estimation circuit, in real features.
 
     Before the t-contraction every per-shot quantity is linear in the d_v^2
-    modular phases phi_ab(s) = e^{-is(ln l_a - ln l_b)/2} of the sigma_v
-    eigenbasis.  The target enters through the basis matrices
-    rho~_ab b_a b_b^dag, where b is the first (ancilla hit) or second
-    (ancilla miss) row block of the inverse-root dilation, so the maps
-    phi -> V^dag (w (x) R) V with R in {I, sigma_h} are fixed matrices built
-    once per (model, target, observable).
+    modular phases phi_ab(s) = e^{i theta_ab}, theta_ab = -s(ln l_a - ln l_b)/2,
+    of the sigma_v eigenbasis.  The target enters through the basis matrices
+    w_ab = rho~_ab b_a b_b^dag, where b is the first (ancilla hit) or second
+    (ancilla miss) row block of the inverse-root dilation.  Since phi_aa = 1
+    and phi_ba = conj(phi_ab), the phases fold into n_f = 1 + d_v(d_v - 1)
+    real features f = [1, cos theta_ab, sin theta_ab]_{a<b} against the
+    Hermitian matrices sum_a w_aa, w_ab + w_ba and i(w_ab - w_ba).
+
+    In the eigenbasis V of G the ancilla-hit blocks X = V^dag(w (x) R)V,
+    R in {I, sigma_h}, are Hermitian, so the (p, q) and (q, p) terms of the
+    t-contraction are complex conjugates up to their weights: only the
+    P = D(D-1)/2 entries X_qp with p < q are kept, weighted by D_p + D_q
+    (Gibbs weights, block R = I) or 2 (block R = sigma_h).  The p = q terms
+    do not depend on t and join the traces and the ancilla-miss branch in
+    ``static_map``; the table's 1/4, +-1 and factor 2 sit in both maps.
     """
 
     log_vals: np.ndarray  # ln eigenvalues of sigma_v
     g_vals: np.ndarray  # eigenvalues of G
-    # (d_v^2, 2 D^2): phases -> the two ancilla-hit blocks, at flat index
-    # (p, q): [V^dag(w0 (x) I)V]_qp D_p and [V^dag(w0 (x) sigma_h)V]_qp
-    lift_map: np.ndarray
-    # (d_v^2, 4): phases -> tr w0, tr w1, sum_p [V^dag(w1 (x) I)V]_pp D_p,
-    # tr V^dag(w1 (x) sigma_h)V; the ancilla-miss branch sums its projectors
-    # to the identity, so the evolution drops out of it
-    trace_map: np.ndarray
-    proj_flat: np.ndarray  # (D^2, K) distinct-eigenvalue projectors, G basis
-    c1: np.ndarray  # Tr[Pi_k sigma_vh]
+    static_map: np.ndarray  # (n_f, 2K+2): features -> t-independent table part
+    lift_map: np.ndarray  # (n_f, 4P): features -> (Re, Im) X_qp, block-major
+    pair_map: np.ndarray  # (4P, 2K+2): (Re, Im) X_qp e^{it(g_p-g_q)} -> table
     y_values: np.ndarray  # distinct eigenvalues of the observable
 
 
@@ -305,68 +318,102 @@ def _batch_context(model: ThermalModel, rho, g_j) -> _BatchContext:
     rho_tilde = sv.vecs.conj().T @ rho @ sv.vecs
     blocks = (u2[:, :d_v] @ sv.vecs).reshape(2, d_v, d_v)  # [ancilla, x, a]
     basis = np.einsum("ab,nxa,nyb->nabxy", rho_tilde, blocks, blocks.conj())
-    w0, w1 = basis.reshape(2, d_v * d_v, d_v, d_v)
+    a, b = np.triu_indices(d_v, 1)
+    upper, lower = basis[:, a, b], basis[:, b, a]
+    w0, w1 = np.concatenate(
+        [np.einsum("naaxy->nxy", basis)[:, None], upper + lower, 1j * (upper - lower)], axis=1
+    )
 
     def in_g_basis(w, right):  # V^dag (w (x) right) V for a stack of w
         lift = (w[:, :, None, :, None] * right[None, None, :, None, :]).reshape(-1, dim, dim)
         return g_vecs_h @ lift @ g_vecs
 
     eye_h = np.eye(d_h, dtype=complex)
-    w0_eye = in_g_basis(w0, eye_h) * d_weights
-    w0_sig = in_g_basis(w0, sigma_h)
-    lift_map = np.concatenate(
-        [w.transpose(0, 2, 1).reshape(-1, dim * dim) for w in (w0_eye, w0_sig)], axis=1
-    )
-    trace_map = np.stack(
-        [
-            np.einsum("npp->n", w0),
-            np.einsum("npp->n", w1),
-            np.einsum("npp,p->n", in_g_basis(w1, eye_h), d_weights),
-            np.einsum("npp->n", in_g_basis(w1, sigma_h)),
-        ],
+    hit = np.stack([in_g_basis(w0, eye_h), in_g_basis(w0, sigma_h)], axis=1)
+    k = values.shape[0]
+    c1 = np.einsum("kpp,p->k", proj_rot, d_weights).real  # Tr[Pi_k sigma_vh]
+    base0 = np.einsum("fpp->f", w0).real[:, None] * c1 + np.einsum(
+        "fpp,kpp->fk", hit[:, 1], proj_rot).real
+    cross0 = 2.0 * np.einsum("fpp,kpp,p->fk", hit[:, 0], proj_rot, d_weights).real
+    # the ancilla-miss branch sums its projectors to the identity, so the
+    # evolution drops out of it
+    base1 = np.einsum("fpp->f", w1).real + np.einsum("fpp->f", in_g_basis(w1, sigma_h)).real
+    cross1 = 2.0 * np.einsum("fpp,p->f", in_g_basis(w1, eye_h), d_weights).real
+    static_map = 0.25 * np.concatenate(
+        [base0 + cross0, base0 - cross0, (base1 + cross1)[:, None], (base1 - cross1)[:, None]],
         axis=1,
     )
+
+    p, q = np.triu_indices(dim, 1)
+    entries = hit[:, :, q, p]  # (n_f, block, pair): X_qp of both ancilla-hit blocks
+    lift_map = np.stack([entries.real, entries.imag], axis=-1).reshape(entries.shape[0], -1)
+    # the (p,q) and (q,p) terms sum to w Re(z Pi_pq), z = X_qp e_pq, with the
+    # pair weight w = D_p + D_q (block I) or 2 (block sigma_h), and
+    # Re(z w Pi) = Re z Re(w Pi) - Im z Im(w Pi)
+    pair_weights = np.stack([d_weights[p] + d_weights[q], np.full(p.shape[0], 2.0)])
+    weighted = pair_weights[:, :, None] * proj_rot[:, p, q].T  # (block, pair, K)
+    rows = np.stack([weighted.real, -weighted.imag], axis=2)  # (block, pair, re/im, K)
+    # 1/4 (base +- cross): block I is the cross term 2 t2, block sigma_h joins base
+    pair_map = np.zeros(rows.shape[:3] + (2 * k + 2,))
+    pair_map[0, ..., :k], pair_map[0, ..., k : 2 * k] = 0.5 * rows[0], -0.5 * rows[0]
+    pair_map[1, ..., :k] = pair_map[1, ..., k : 2 * k] = 0.25 * rows[1]
     return _BatchContext(
         log_vals=np.log(sv.vals),
         g_vals=model.g_eig.vals,
+        static_map=static_map,
         lift_map=lift_map,
-        trace_map=trace_map,
-        proj_flat=np.ascontiguousarray(proj_rot.reshape(-1, dim * dim).T),
-        c1=np.einsum("kpp,p->k", proj_rot, d_weights).real,
+        pair_map=pair_map.reshape(-1, 2 * k + 2),
         y_values=values,
     )
+
+
+def _pair_phases(angles: np.ndarray) -> np.ndarray:
+    """e^{i(a_p - a_q)} for p < q in row-major pair order, from (n, m) angles.
+
+    Each row block is a product u_p conj(u_q) of u = cos a + i sin a, so
+    the n(n-1)/2 phases cost 2n real trigonometric calls per shot.
+    """
+    n, m = angles.shape
+    u = np.empty((n, m), dtype=complex)
+    np.cos(angles, out=u.real)
+    np.sin(angles, out=u.imag)
+    u_conj = u.conj()
+    out = np.empty((n * (n - 1) // 2, m), dtype=complex)
+    start = 0
+    for p in range(n - 1):
+        stop = start + n - 1 - p
+        np.multiply(u_conj[p + 1 :], u[p], out=out[start:stop])
+        start = stop
+    return out
 
 
 def _batch_outcomes(ctx: _BatchContext, s: np.ndarray, t: np.ndarray):
     """Outcome values and per-shot probabilities for vectors of (s, t).
 
-    Traces against the swap factorize into visible-register contractions,
-    and everything before the t-contraction is linear in the modular phases
-    phi_ab(s) = p_a p_b^*, p_a = e^{-is ln(l_a)/2}, so a chunk of m shots
-    costs d_v + D complex exponentials per shot and two GEMMs:
-    lift = phi @ lift_map (plus phi @ trace_map for the four scalars), then
-    T_mk = sum_pq lift[m,(p,q)] psi*[m,p] psi[m,q] proj[k,p,q] against the
-    flattened projectors, with psi[m,p] = e^{-i t_m g_p}.
+    Traces against the swap factorize into visible-register contractions.
+    A chunk of m shots builds the n_f real modular features f and the P
+    evolution phases e_pq = e^{it(g_p - g_q)}, p < q, from cos/sin of real
+    angles.  Two real GEMMs follow.  The first maps f to the t-independent
+    table part and to the pair entries X_qp of both ancilla-hit blocks
+    (taken as f @ static_map and f @ lift_map, so the pair block stays
+    contiguous); X_qp is multiplied by e_pq in place through a complex view.
+    The second, (X e) @ pair_map, adds the t-dependent part.  Both maps
+    carry the table's assembly, so the products sum straight to the
+    (m, 2K+2) probabilities.
     """
     m = s.shape[0]
-    phase_s = np.exp(-0.5j * np.outer(s, ctx.log_vals))  # (m, d_v)
-    phi = (phase_s[:, :, None] * phase_s.conj()[:, None, :]).reshape(m, -1)
-    tr_w0, tr_w1, t2_1, t3_1 = (phi @ ctx.trace_map).real.T
-    psi = np.exp(-1j * np.outer(t, ctx.g_vals))  # (m, D)
-    evolved = (phi @ ctx.lift_map).reshape(m, 2, -1)
-    evolved *= (psi.conj()[:, :, None] * psi[:, None, :]).reshape(m, 1, -1)
-    t2_0, t3_0 = (evolved.reshape(2 * m, -1) @ ctx.proj_flat).reshape(m, 2, -1).transpose(1, 0, 2)
-
-    k = ctx.y_values.shape[0]
-    probs = np.empty((m, 2 * k + 2))
-    base0 = tr_w0[:, None] * ctx.c1[None, :] + t3_0.real
-    cross0 = 2.0 * t2_0.real
-    probs[:, :k] = 0.25 * (base0 + cross0)  # z = 0, ancilla hit
-    probs[:, k : 2 * k] = 0.25 * (base0 - cross0)  # z = 1, ancilla hit
-    base1 = tr_w1 + t3_1.real
-    cross1 = 2.0 * t2_1.real
-    probs[:, 2 * k] = 0.25 * (base1 + cross1)
-    probs[:, 2 * k + 1] = 0.25 * (base1 - cross1)
+    n_f = ctx.static_map.shape[0]
+    phi = _pair_phases(np.outer(-0.5 * ctx.log_vals, s))
+    feats = np.empty((n_f, m))
+    feats[0] = 1.0
+    feats[1 : 1 + phi.shape[0]] = phi.real
+    feats[1 + phi.shape[0] :] = phi.imag
+    phases = _pair_phases(np.outer(ctx.g_vals, t))
+    lifted = feats.T @ ctx.lift_map
+    evolved = lifted.view(complex).reshape(m, 2, phases.shape[0])
+    evolved *= phases.T[:, None, :]
+    probs = feats.T @ ctx.static_map
+    probs += lifted @ ctx.pair_map
     y = np.concatenate([ctx.y_values, -ctx.y_values, [0.0, 0.0]])
     return y, _clean_probs(probs)
 

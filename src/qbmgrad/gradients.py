@@ -133,9 +133,14 @@ def psd_power(rho, q: float) -> np.ndarray:
 
 def relative_entropy(rho, sigma, obj: Objective = UMEGAKI) -> float:
     """D(rho || sigma): umegaki Tr[rho(ln rho - ln sigma)], or the tsallis
-    quasi-entropy (Tr[rho^q sigma^{1-q}] - 1)/(q - 1)."""
+    quasi-entropy (Tr[rho^q sigma^{1-q}] - 1)/(q - 1).
+
+    ``sigma`` is a density matrix or, as in q_overlap, its already
+    decomposed Eigensystem (e.g. ``model.sigma_v_eig``); either way the
+    support check runs on its eigenvalues.
+    """
     rho = as_density(rho)
-    sig_es = eigh(as_density(sigma))
+    sig_es = sigma if isinstance(sigma, Eigensystem) else eigh(as_density(sigma))
     _check_support(sig_es.vals, "second argument")
     if obj.kind == "umegaki":
         p = np.maximum(np.linalg.eigvalsh(rho), 0.0)
@@ -234,7 +239,7 @@ def gradient_qc(qc: QCModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
     second_raw = np.zeros(qc.n_params)
     for x in range(n_x):
         # sigma_x is the Gibbs state of this block's Hamiltonian
-        lifted_x = _tent_of_anticommutator(eigh(qc.block_ham(x)), core)
+        lifted_x = _tent_of_anticommutator(qc.block_eig[x], core)
         for j in range(qc.n_params):
             first[j] += qc.p[x] * expectation(qc.terms_x[j][x], lifted_x)
             second_raw[j] += qc.p[x] * expectation(qc.terms_x[j][x], qc.sigma_x[x])

@@ -224,22 +224,25 @@ def _blocks(term: np.ndarray, dims: BipartiteDims, classical: str) -> list[np.nd
     return [as_hermitian(mat(x, x)) for x in range(n)]
 
 
-def _thermal_blocks(block_hams: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(p_x, sigma_x) for a list of per-label Hamiltonians.
+def _thermal_blocks(
+    block_hams: list[np.ndarray],
+) -> tuple[np.ndarray, list[np.ndarray], list[Eigensystem]]:
+    """(p_x, sigma_x, eigensystem of each block) for per-label Hamiltonians.
 
     Each state uses its own eigenvalue shift; the weights p_x come from the
     per-block log partition functions, so nothing underflows even when the
     blocks sit at very different energies.
     """
-    log_zs, states = [], []
+    log_zs, states, eigs = [], [], []
     for g in block_hams:
         es = eigh(g)
         weights, zx = gibbs_weights(es.vals)
         states.append(hermitize((es.vecs * weights) @ es.vecs.conj().T))
         log_zs.append(np.log(zx) - float(es.vals[0]))
+        eigs.append(es)
     log_zs = np.asarray(log_zs)
     p = np.exp(log_zs - np.max(log_zs))
-    return p / p.sum(), states
+    return p / p.sum(), states, eigs
 
 
 @dataclass(frozen=True)
@@ -252,13 +255,15 @@ class QCModel:
     theta: np.ndarray
     p: np.ndarray = field(init=False)
     sigma_x: tuple[np.ndarray, ...] = field(init=False)
+    block_eig: tuple[Eigensystem, ...] = field(init=False)  # of each block_ham(x)
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
         object.__setattr__(self, "theta", theta)
-        p, states = _thermal_blocks([self.block_ham(x) for x in range(self.dims.d_h)])
+        p, states, eigs = _thermal_blocks([self.block_ham(x) for x in range(self.dims.d_h)])
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "sigma_x", tuple(states))
+        object.__setattr__(self, "block_eig", tuple(eigs))
 
     @property
     def n_params(self) -> int:
@@ -304,7 +309,7 @@ class CQModel:
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
         object.__setattr__(self, "theta", theta)
-        p, states = _thermal_blocks([self.block_ham(x) for x in range(self.dims.d_v)])
+        p, states, _ = _thermal_blocks([self.block_ham(x) for x in range(self.dims.d_v)])
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "sigma_x", tuple(states))
 

@@ -158,7 +158,7 @@ class QuantumProblem(Problem):
         return thermalize(self.hamiltonian.with_theta(theta))
 
     def objective(self, theta) -> float:
-        return self._evaluate(theta, lambda m: relative_entropy(self.rho, m.sigma_v, self.obj))
+        return self._evaluate(theta, lambda m: relative_entropy(self.rho, m.sigma_v_eig, self.obj))
 
     def report(self, theta) -> GradientReport:
         return gradient(self._take_model(theta), self.rho, self.obj)

@@ -325,16 +325,30 @@ def shot_sample(model, rho, g_j, sampler_s, sampler_t, rng) -> ShotRecord:
     return ShotRecord(s=s, t=t, z=int(z[idx]), g=float(g[idx]), y=float(y[idx]))
 
 
-@pytest.mark.parametrize("d_h", [1, 2, 4])
-@pytest.mark.parametrize("degenerate", [False, True])
-def test_batch_outcomes_match_reference(rng, d_h, degenerate):
-    d_v = 3
+_REFERENCE_CASES = [
+    pytest.param(3, d_h, degenerate, False, id=f"{degenerate}-{d_h}")
+    for degenerate in (False, True)
+    for d_h in (1, 2, 4)
+] + [
+    pytest.param(1, 4, False, False, id="dv1-no-modular-pairs"),
+    pytest.param(1, 1, False, False, id="dv1-dh1-no-pairs-at-all"),
+    pytest.param(4, 2, False, False, id="dv4-dh2-criterion9-shape"),
+    pytest.param(4, 2, True, False, id="dv4-dh2-degenerate"),
+    pytest.param(3, 2, False, True, id="theta0-equal-weights-zero-phases"),
+]
+
+
+@pytest.mark.parametrize("d_v, d_h, degenerate, theta_zero", _REFERENCE_CASES)
+def test_batch_outcomes_match_reference(rng, d_v, d_h, degenerate, theta_zero):
     model = rand_model(rng, d_v, d_h)
     rho = rand_state(rng, d_v)
     g_j = model.hamiltonian.terms[0]
     if degenerate:  # two distinct eigenvalues, so K = 2 < D
         u = rand_unitary(rng, d_v * d_h)
         g_j = (u * np.where(np.arange(d_v * d_h) < 2, 0.7, -0.3)) @ u.conj().T
+    if theta_zero:  # G = 0: every Gibbs weight equal, every phase difference zero
+        model = thermalize(model.hamiltonian.with_theta(np.zeros(3)))
+        assert np.ptp(model.g_eig.vals) == 0.0 and np.ptp(np.log(model.sigma_v_eig.vals)) < 1e-15
     ctx = _batch_context(model, rho, g_j)
     assert ctx.y_values.shape[0] == (2 if degenerate else d_v * d_h)
     for m in (1, 8193):

@@ -80,6 +80,21 @@ def test_relative_entropy_support_guard():
         relative_entropy(rho, sig)
 
 
+def test_relative_entropy_takes_decomposed_sigma(rng):
+    model = rand_model(rng, 3, 2)
+    rho = rand_state(rng, 3)
+    for obj in (UMEGAKI, tsallis(0.5), tsallis(1.5)):
+        got = relative_entropy(rho, model.sigma_v_eig, obj)
+        assert got == relative_entropy(rho, model.sigma_v, obj)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    sig0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(SupportError) as by_matrix:
+        relative_entropy(rho0, sig0)
+    with pytest.raises(SupportError) as by_eig:
+        relative_entropy(rho0, eigh(sig0))
+    assert str(by_eig.value) == str(by_matrix.value)
+
+
 def test_lift_fixed_point_returns_thermal_state(rng):
     model = rand_model(rng, 3, 2)
     out = lift_to_joint(model, model.sigma_v)

@@ -3,6 +3,7 @@ import pytest
 
 from pathlib import Path
 
+import qbmgrad.gradients
 import qbmgrad.models
 import qbmgrad.training
 from qbmgrad import (
@@ -21,6 +22,7 @@ from qbmgrad import (
     finite_difference_gradient,
     qc_decompose,
     gradient,
+    relative_entropy,
     thermalize,
     train,
 )
@@ -179,6 +181,46 @@ def test_block_training_decomposes_once_per_step(monkeypatch, name):
     for field in ("values", "first_terms", "second_terms"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
     assert np.array_equal(traj.rows[-1].grad_norm, np.linalg.norm(want.values))
+
+
+def _count_eigh(monkeypatch, module) -> list[int]:
+    calls = [0]
+    raw = module.eigh
+
+    def counted(x, **kw):
+        calls[0] += 1
+        return raw(x, **kw)
+
+    monkeypatch.setattr(module, "eigh", counted)
+    return calls
+
+
+def test_qc_training_decomposes_each_block_once_per_step(monkeypatch):
+    problem = _block_problem("grad_qc")()
+    d_h = problem.qc.dims.d_h
+    in_models = _count_eigh(monkeypatch, qbmgrad.models)
+    in_gradients = _count_eigh(monkeypatch, qbmgrad.gradients)
+    iterations = 12
+    train(problem, TrainConfig(learning_rate=0.1, iterations=iterations))
+    steps = iterations + 1
+    # one eigh per block per accepted step, made when the step's model is built
+    assert in_models[0] == d_h * steps
+    # gradient_qc reuses the model's block eigensystems: the only eigh left in
+    # gradients is the visible marginal, once in the objective and once in
+    # gradient_qc
+    assert in_gradients[0] == 2 * steps
+
+
+def test_exact_objective_reuses_the_thermal_decomposition(monkeypatch, rng):
+    dims = BipartiteDims(2, 2)
+    terms = tuple(rand_herm(rng, 4, 0.4) for _ in range(2))
+    ham = ParamHamiltonian(dims=dims, terms=terms, theta=np.array([0.3, -0.2]))
+    rho = rand_state(rng, 2)
+    problem = QuantumProblem(ham, rho)
+    want = relative_entropy(rho, thermalize(ham).sigma_v)
+    calls = _count_eigh(monkeypatch, qbmgrad.gradients)
+    assert problem.objective(ham.theta) == want
+    assert calls[0] == 0  # sigma_v is not decomposed a second time
 
 
 @pytest.mark.parametrize("make", [

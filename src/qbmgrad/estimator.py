@@ -21,8 +21,12 @@ transposed ones are conjugates, so 1 + d_v(d_v - 1) real features
 (1, cos theta_ab, sin theta_ab) carry the modular time.  In the eigenbasis
 of G the evolved blocks and the observable's projectors are Hermitian, so
 the evolution time enters only through the D(D - 1)/2 phases
-e^{it(g_p - g_q)}, p < q.  Each chunk is then two real GEMMs against maps
-built once per (model, target, observable); see ``_BatchContext``.
+e^{it(g_p - g_q)}, p < q.  Each kernel pass is then two real GEMMs against
+maps built once per (model, target, observable); see ``_BatchContext``.
+A chunk draws all its random numbers first and runs the kernel over
+sub-blocks of ``_SUB_BLOCK`` shots, small enough that a sub-block's
+temporaries stay in a core's L2 cache instead of being freshly paged in
+for every chunk; the outcomes are those of one pass over the whole chunk.
 """
 from __future__ import annotations
 
@@ -50,6 +54,7 @@ from .models import ThermalModel
 MAX_CIRCUIT_DIM = 256
 PROB_CLAMP = -1e-10
 PROB_DEFECT = 1e-8
+_SUB_BLOCK = 1024  # shots per kernel pass inside a chunk
 
 
 @dataclass(frozen=True)
@@ -419,16 +424,28 @@ def _batch_outcomes(ctx: _BatchContext, s: np.ndarray, t: np.ndarray):
 
 
 def _run_chunk(ctx: _BatchContext, seed: int, worker: int, n: int) -> np.ndarray:
+    """Signed outcomes Y of one chunk of n shots.
+
+    The chunk's random numbers (u_s, u_t, then the outcome draws) come from
+    one stream, drawn in full up front; the kernel itself is deterministic.
+    Quantiles, outcome tables and sampling then run in sub-blocks of
+    ``_SUB_BLOCK`` shots, so each sub-block's temporaries stay cache-sized,
+    and every shot gets the same value as in one pass over the chunk.
+    """
     rng = np.random.default_rng(seed ^ worker)
     u_s = np.clip(rng.random(n), 1e-16, 1 - 1e-16)
     u_t = np.clip(rng.random(n), 1e-16, 1 - 1e-16)
-    s = np.asarray(quantile(LOGISTIC, u_s))
-    t = np.asarray(quantile(HIGH_PEAK_TENT, u_t))
-    y, probs = _batch_outcomes(ctx, s, t)
-    cum = np.cumsum(probs, axis=1)
     draws = rng.random(n)
-    idx = np.sum(draws[:, None] > cum, axis=1)
-    return y[np.minimum(idx, y.shape[0] - 1)]
+    out = np.empty(n)
+    for lo in range(0, n, _SUB_BLOCK):
+        block = slice(lo, lo + _SUB_BLOCK)
+        s = np.asarray(quantile(LOGISTIC, u_s[block]))
+        t = np.asarray(quantile(HIGH_PEAK_TENT, u_t[block]))
+        y, probs = _batch_outcomes(ctx, s, t)
+        cum = np.cumsum(probs, axis=1)
+        idx = np.sum(draws[block, None] > cum, axis=1)
+        out[block] = y[np.minimum(idx, y.shape[0] - 1)]
+    return out
 
 
 def estimate_first_term(model: ThermalModel, rho, g_j, config: EstimatorConfig) -> tuple[float, float, int]:

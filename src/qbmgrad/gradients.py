@@ -222,7 +222,7 @@ def gradient_qc(qc: QCModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
     register, so no rotation of rho is needed).
     """
     rho = as_density(rho)
-    sig_v_es = eigh(qc.visible_state())
+    sig_v_es = qc.visible_eig
     _check_support(sig_v_es.vals, "visible marginal")
     q = 1.0 if obj.kind == "umegaki" else obj.q
     if q == 1.0:
@@ -295,7 +295,7 @@ def pgm_povm(qc: QCModel) -> POVM:
     Lambda_x = Upsilon(sigma_v^{-1/2} p_x sigma_x sigma_v^{-1/2}); complete
     by construction because the weighted blocks average to sigma_v.
     """
-    sig_v_es = eigh(qc.visible_state())
+    sig_v_es = qc.visible_eig
     _check_support(sig_v_es.vals, "visible marginal")
     inv_sqrt = sig_v_es.power(-0.5)
     elems = []

@@ -256,6 +256,7 @@ class QCModel:
     p: np.ndarray = field(init=False)
     sigma_x: tuple[np.ndarray, ...] = field(init=False)
     block_eig: tuple[Eigensystem, ...] = field(init=False)  # of each block_ham(x)
+    visible_eig: Eigensystem = field(init=False)  # of visible_state()
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -264,6 +265,7 @@ class QCModel:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "sigma_x", tuple(states))
         object.__setattr__(self, "block_eig", tuple(eigs))
+        object.__setattr__(self, "visible_eig", eigh(self.visible_state()))
 
     @property
     def n_params(self) -> int:

@@ -197,7 +197,7 @@ class QCProblem(Problem):
 
     def objective(self, theta) -> float:
         return self._evaluate(
-            theta, lambda m: relative_entropy(self.rho, m.visible_state(), self.obj))
+            theta, lambda m: relative_entropy(self.rho, m.visible_eig, self.obj))
 
     def report(self, theta) -> GradientReport:
         return gradient_qc(self._take_model(theta), self.rho, self.obj)

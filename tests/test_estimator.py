@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -30,15 +30,19 @@ from qbmgrad import (
     spectral_norm,
     thermalize,
 )
+import qbmgrad.estimator as est
 from qbmgrad.estimator import (
     _P0,
     _PAULI_X,
+    _SUB_BLOCK,
     _batch_context,
     _batch_outcomes,
     _circuit_pieces,
     _clean_probs,
+    _run_chunk,
     eigen_groups,
 )
+from qbmgrad.densities import quantile
 from qbmgrad.linalg import as_density, partial_trace, tensor
 from qbmgrad.verify import perturb_encoding
 from conftest import PAULI_Z, rand_herm, rand_model, rand_state, rand_unitary
@@ -359,6 +363,62 @@ def test_batch_outcomes_match_reference(rng, d_v, d_h, degenerate, theta_zero):
         assert np.array_equal(y, y_ref)
         assert probs.shape == (m, y.shape[0])
         assert np.max(np.abs(probs - probs_ref)) < 1e-12
+
+
+def _reference_run_chunk(ctx, seed, worker, n):
+    """Single pass over the chunk: one kernel call for all n shots."""
+    rng = np.random.default_rng(seed ^ worker)
+    u_s = np.clip(rng.random(n), 1e-16, 1 - 1e-16)
+    u_t = np.clip(rng.random(n), 1e-16, 1 - 1e-16)
+    s = np.asarray(quantile(LOGISTIC, u_s))
+    t = np.asarray(quantile(HIGH_PEAK_TENT, u_t))
+    y, probs = _batch_outcomes(ctx, s, t)
+    cum = np.cumsum(probs, axis=1)
+    draws = rng.random(n)
+    idx = np.sum(draws[:, None] > cum, axis=1)
+    return y[np.minimum(idx, y.shape[0] - 1)]
+
+
+@pytest.mark.parametrize("n", [1, _SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1, 8192, 8193])
+def test_blocked_chunk_matches_single_pass(rng, n):
+    model = rand_model(rng, 4, 2)
+    rho = rand_state(rng, 4)
+    ctx = _batch_context(model, rho, model.hamiltonian.terms[0])
+    for seed, worker in [(0, 0), (11, 3)]:
+        assert np.array_equal(_run_chunk(ctx, seed, worker, n), _reference_run_chunk(ctx, seed, worker, n))
+
+
+def test_estimate_equal_for_one_and_two_threads(rng):
+    model = rand_model(rng, 4, 2)
+    rho = rand_state(rng, 4)
+    g_j = model.hamiltonian.terms[1]
+    shots = 2 * 8192 + _SUB_BLOCK + 7  # full chunks and a partial last sub-block
+    one = estimate_first_term(model, rho, g_j, EstimatorConfig(shots=shots, seed=17))
+    two = estimate_first_term(model, rho, g_j, EstimatorConfig(shots=shots, seed=17, threads=2))
+    assert one == two
+
+
+@pytest.mark.parametrize("shift, message", [
+    (-0.6, "negative outcome probability"),
+    (0.01, "defect exceeds"),
+])
+def test_guards_fire_in_a_later_sub_block(rng, monkeypatch, shift, message):
+    model = rand_model(rng, 3, 2)
+    rho = rand_state(rng, 3)
+    ctx = _batch_context(model, rho, model.hamiltonian.terms[0])
+    static_map = ctx.static_map.copy()
+    static_map[0, 0] += shift  # the constant feature feeds every shot's first outcome
+    broken = replace(ctx, static_map=static_map)
+    calls = []
+
+    def second_block_broken(c, s, t):
+        calls.append(s.shape[0])
+        return _batch_outcomes(broken if len(calls) == 2 else c, s, t)
+
+    monkeypatch.setattr(est, "_batch_outcomes", second_block_broken)
+    with pytest.raises(SpecError, match=message):
+        _run_chunk(ctx, 5, 0, 2 * _SUB_BLOCK + 3)
+    assert calls == [_SUB_BLOCK, _SUB_BLOCK]
 
 
 def test_shot_sample_deterministic_and_bounded(rng):

@@ -203,12 +203,11 @@ def test_qc_training_decomposes_each_block_once_per_step(monkeypatch):
     iterations = 12
     train(problem, TrainConfig(learning_rate=0.1, iterations=iterations))
     steps = iterations + 1
-    # one eigh per block per accepted step, made when the step's model is built
-    assert in_models[0] == d_h * steps
-    # gradient_qc reuses the model's block eigensystems: the only eigh left in
-    # gradients is the visible marginal, once in the objective and once in
-    # gradient_qc
-    assert in_gradients[0] == 2 * steps
+    # one eigh per block and one of the visible marginal per accepted step,
+    # made when the step's model is built
+    assert in_models[0] == (d_h + 1) * steps
+    # the objective and gradient_qc reuse the model's eigensystems
+    assert in_gradients[0] == 0
 
 
 def test_exact_objective_reuses_the_thermal_decomposition(monkeypatch, rng):

@@ -56,6 +56,14 @@ PROB_CLAMP = -1e-10
 PROB_DEFECT = 1e-8
 _SUB_BLOCK = 1024  # shots per kernel pass inside a chunk
 
+# First word of the spawn key of every random stream the package derives from
+# a user seed, one per consumer: np.random.SeedSequence(seed, spawn_key=(tag,
+# ...)) then gives each (seed, consumer, index) its own independent stream.
+CHUNK_STREAM = 1  # estimator chunk: (tag, chunk index)
+SHOT_GRADIENT_STREAM = 2  # shot-mode training: (tag, iteration, term)
+CLASSICAL_STREAM = 3  # classical sampled gradient: (tag, iteration)
+KS_CHECK_STREAM = 4  # verify's sampler fit check: (tag,)
+
 
 @dataclass(frozen=True)
 class BlockEncoding:
@@ -423,16 +431,21 @@ def _batch_outcomes(ctx: _BatchContext, s: np.ndarray, t: np.ndarray):
     return y, _clean_probs(probs)
 
 
-def _run_chunk(ctx: _BatchContext, seed: int, worker: int, n: int) -> np.ndarray:
+def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(CHUNK_STREAM, chunk)))
+
+
+def _run_chunk(ctx: _BatchContext, seed: int, chunk: int, n: int) -> np.ndarray:
     """Signed outcomes Y of one chunk of n shots.
 
     The chunk's random numbers (u_s, u_t, then the outcome draws) come from
-    one stream, drawn in full up front; the kernel itself is deterministic.
-    Quantiles, outcome tables and sampling then run in sub-blocks of
-    ``_SUB_BLOCK`` shots, so each sub-block's temporaries stay cache-sized,
-    and every shot gets the same value as in one pass over the chunk.
+    its own stream, ``_chunk_rng(seed, chunk)``, and are drawn in full up
+    front; the kernel uses none.  Quantiles, outcome tables and sampling then
+    run in sub-blocks of ``_SUB_BLOCK`` shots, so each sub-block's
+    temporaries stay cache-sized, and every shot gets the value one pass
+    over the whole chunk would give it.
     """
-    rng = np.random.default_rng(seed ^ worker)
+    rng = _chunk_rng(seed, chunk)
     u_s = np.clip(rng.random(n), 1e-16, 1 - 1e-16)
     u_t = np.clip(rng.random(n), 1e-16, 1 - 1e-16)
     draws = rng.random(n)
@@ -452,9 +465,11 @@ def estimate_first_term(model: ThermalModel, rho, g_j, config: EstimatorConfig) 
     """Shot estimate (mean, stderr, shots) of the lifted-state term.
 
     Shot count defaults to the Hoeffding bound for the configured
-    (epsilon, delta_fail).  Work is split into fixed-size chunks with
-    derived seeds (seed ^ chunk index) and merged in index order, so the
-    result is reproducible for any thread count; a single chunk runs inline.
+    (epsilon, delta_fail).  Work is split into fixed-size chunks; chunk i
+    draws from the stream SeedSequence(seed, spawn_key=(CHUNK_STREAM, i)),
+    independent of every other (seed, chunk) pair, and runs its kernel in
+    sub-blocks.  Chunks are merged in index order, so the result is
+    reproducible for any thread count; a single chunk runs inline.
     """
     g_norm = spectral_norm(g_j)
     shots = config.shots or hoeffding_shots(model.kappa, g_norm, config.epsilon, config.delta_fail)

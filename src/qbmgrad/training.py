@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardError, SpecError
-from .estimator import EstimatorConfig, estimate_first_term, estimate_model_term
+from .estimator import (
+    CLASSICAL_STREAM,
+    SHOT_GRADIENT_STREAM,
+    EstimatorConfig,
+    estimate_first_term,
+    estimate_model_term,
+)
 from .gradients import (
     GradientReport,
     Objective,
@@ -172,13 +178,14 @@ class QuantumProblem(Problem):
         cfg = self.estimator or EstimatorConfig()
         out = np.zeros(self.hamiltonian.n_params)
         for j, term in enumerate(self.hamiltonian.terms):
-            seed_j = cfg.seed ^ (0x9E3779B9 * (iteration * 131 + j) & 0x7FFFFFFF)
+            seq = np.random.SeedSequence(cfg.seed, spawn_key=(SHOT_GRADIENT_STREAM, iteration, j))
+            seed_first, seed_model = (int(x) for x in seq.generate_state(2, np.uint64))
             cfg_j = EstimatorConfig(
                 epsilon=cfg.epsilon, delta_fail=cfg.delta_fail, shots=cfg.shots,
-                seed=seed_j, chunk=cfg.chunk, threads=cfg.threads,
+                seed=seed_first, chunk=cfg.chunk, threads=cfg.threads,
             )
             first, _, shots = estimate_first_term(model, self.rho, term, cfg_j)
-            second, _ = estimate_model_term(model, term, shots, seed_j ^ 0x5bd1e995)
+            second, _ = estimate_model_term(model, term, shots, seed_model)
             out[j] = first - second
         return out
 
@@ -233,7 +240,8 @@ class ClassicalProblem(Problem):
 
     ``mode`` "exact" enumerates the gradient; "shot" estimates it from
     ``samples`` Monte Carlo draws of (v, h) under the data and under the
-    model, from a stream seeded by ``seed`` and the iteration.
+    model, from the stream SeedSequence(seed, spawn_key=(CLASSICAL_STREAM,
+    iteration)).
     """
 
     def __init__(self, tables, target_q, theta0, mode: str = "exact",
@@ -259,7 +267,8 @@ class ClassicalProblem(Problem):
 
     def _sampled_gradient(self, theta, iteration: int) -> np.ndarray:
         """Monte Carlo gradient: sample (v,h) from q(v) p(h|v) and p(v,h)."""
-        rng = np.random.default_rng(self.seed ^ (iteration * 2654435761 & 0x7FFFFFFF))
+        rng = np.random.default_rng(
+            np.random.SeedSequence(self.seed, spawn_key=(CLASSICAL_STREAM, iteration)))
         p_vh = classical_distribution(self.tables, theta)
         n_v, n_h = p_vh.shape
         p_v = p_vh.sum(axis=1)

@@ -37,6 +37,7 @@ from qbmgrad.estimator import (
     _SUB_BLOCK,
     _batch_context,
     _batch_outcomes,
+    _chunk_rng,
     _circuit_pieces,
     _clean_probs,
     _run_chunk,
@@ -365,9 +366,9 @@ def test_batch_outcomes_match_reference(rng, d_v, d_h, degenerate, theta_zero):
         assert np.max(np.abs(probs - probs_ref)) < 1e-12
 
 
-def _reference_run_chunk(ctx, seed, worker, n):
+def _reference_run_chunk(ctx, seed, chunk, n):
     """Single pass over the chunk: one kernel call for all n shots."""
-    rng = np.random.default_rng(seed ^ worker)
+    rng = _chunk_rng(seed, chunk)
     u_s = np.clip(rng.random(n), 1e-16, 1 - 1e-16)
     u_t = np.clip(rng.random(n), 1e-16, 1 - 1e-16)
     s = np.asarray(quantile(LOGISTIC, u_s))
@@ -384,8 +385,19 @@ def test_blocked_chunk_matches_single_pass(rng, n):
     model = rand_model(rng, 4, 2)
     rho = rand_state(rng, 4)
     ctx = _batch_context(model, rho, model.hamiltonian.terms[0])
-    for seed, worker in [(0, 0), (11, 3)]:
-        assert np.array_equal(_run_chunk(ctx, seed, worker, n), _reference_run_chunk(ctx, seed, worker, n))
+    for seed, chunk in [(0, 0), (11, 3)]:
+        assert np.array_equal(_run_chunk(ctx, seed, chunk, n), _reference_run_chunk(ctx, seed, chunk, n))
+
+
+def test_chunk_streams_pairwise_distinct():
+    # seed ^ chunk gave (0, 1) and (1, 0) one stream; spawn keys keep every
+    # (seed, chunk) pair apart, large seeds included
+    pairs = [(seed, chunk) for seed in (0, 1, 2, 3, 2**32, 2**32 + 1, 2**64 + 5) for chunk in range(8)]
+    states = {_chunk_rng(seed, chunk).bit_generator.state["state"]["state"] for seed, chunk in pairs}
+    assert len(states) == len(pairs)
+    first_draws = {float(_chunk_rng(seed, chunk).random()) for seed, chunk in pairs}
+    assert len(first_draws) == len(pairs)
+    assert np.array_equal(_chunk_rng(5, 2).random(4), _chunk_rng(5, 2).random(4))
 
 
 def test_estimate_equal_for_one_and_two_threads(rng):

@@ -83,6 +83,38 @@ def test_shot_mode_trajectory_reproducible():
     assert np.array_equal(runs[0].final_theta, runs[1].final_theta)
 
 
+def test_shot_gradient_streams_differ_across_seed_and_iteration(rng):
+    # seed ^ f(iteration, term) gave (seed f(1, 0), iteration 0) and
+    # (seed 0, iteration 1) one stream; every (seed, iteration) now has its own
+    dims = BipartiteDims(2, 2)
+    ham = ParamHamiltonian(dims=dims, terms=(rand_herm(rng, 4, 0.4),), theta=np.array([0.3]))
+    rho = rand_state(rng, 2)
+
+    def shot_grad(seed, iteration):
+        est = EstimatorConfig(shots=500, seed=seed)
+        return QuantumProblem(ham, rho, mode="shot", estimator=est).gradient_vector(
+            ham.theta, iteration)
+
+    old_alias = 0x9E3779B9 * 131 & 0x7FFFFFFF
+    grads = [shot_grad(old_alias, 0), shot_grad(0, 1), shot_grad(0, 0), shot_grad(old_alias, 1)]
+    assert len({g.tobytes() for g in grads}) == 4
+    assert np.array_equal(shot_grad(0, 1), grads[1])
+
+
+def test_classical_sampled_streams_differ_across_seed_and_iteration(rng):
+    tables = rng.normal(size=(2, 3, 2))
+    theta = rng.uniform(-0.4, 0.4, 2)
+    target = np.array([0.2, 0.3, 0.5])
+
+    def sampled(seed, iteration):
+        problem = ClassicalProblem(tables, target, theta, mode="shot", samples=200, seed=seed)
+        return problem.gradient_vector(theta, iteration)
+
+    old_alias = 2654435761 & 0x7FFFFFFF
+    grads = [sampled(old_alias, 0), sampled(0, 1), sampled(0, 0), sampled(old_alias, 1)]
+    assert len({g.tobytes() for g in grads}) == 4
+
+
 def _count_thermalize(monkeypatch) -> list[int]:
     calls = [0]
     raw = qbmgrad.training.thermalize

@@ -23,8 +23,8 @@ of G the evolved blocks and the observable's projectors are Hermitian, so
 the evolution time enters only through the D(D - 1)/2 phases
 e^{it(g_p - g_q)}, p < q.  Each kernel pass is then two real GEMMs against
 maps built once per (model, target, observable); see ``_BatchContext``.
-A chunk draws all its random numbers first and runs the kernel over
-sub-blocks of ``_SUB_BLOCK`` shots, small enough that a sub-block's
+A chunk draws all its random numbers and times first and runs the kernel
+over sub-blocks of ``_SUB_BLOCK`` shots, small enough that a sub-block's
 temporaries stay in a core's L2 cache instead of being freshly paged in
 for every chunk; the outcomes are those of one pass over the whole chunk.
 """
@@ -439,22 +439,20 @@ def _run_chunk(ctx: _BatchContext, seed: int, chunk: int, n: int) -> np.ndarray:
     """Signed outcomes Y of one chunk of n shots.
 
     The chunk's random numbers (u_s, u_t, then the outcome draws) come from
-    its own stream, ``_chunk_rng(seed, chunk)``, and are drawn in full up
-    front; the kernel uses none.  Quantiles, outcome tables and sampling then
-    run in sub-blocks of ``_SUB_BLOCK`` shots, so each sub-block's
-    temporaries stay cache-sized, and every shot gets the value one pass
-    over the whole chunk would give it.
+    its own stream, ``_chunk_rng(seed, chunk)``; they and the times s and t
+    are computed for the whole chunk up front.  The outcome tables, which
+    use no randomness, and the sampling then run in sub-blocks of
+    ``_SUB_BLOCK`` shots, so each sub-block's temporaries stay cache-sized,
+    and every shot gets the value one pass over the whole chunk would give.
     """
     rng = _chunk_rng(seed, chunk)
-    u_s = np.clip(rng.random(n), 1e-16, 1 - 1e-16)
-    u_t = np.clip(rng.random(n), 1e-16, 1 - 1e-16)
+    s = np.asarray(quantile(LOGISTIC, np.clip(rng.random(n), 1e-16, 1 - 1e-16)))
+    t = np.asarray(quantile(HIGH_PEAK_TENT, np.clip(rng.random(n), 1e-16, 1 - 1e-16)))
     draws = rng.random(n)
     out = np.empty(n)
     for lo in range(0, n, _SUB_BLOCK):
         block = slice(lo, lo + _SUB_BLOCK)
-        s = np.asarray(quantile(LOGISTIC, u_s[block]))
-        t = np.asarray(quantile(HIGH_PEAK_TENT, u_t[block]))
-        y, probs = _batch_outcomes(ctx, s, t)
+        y, probs = _batch_outcomes(ctx, s[block], t[block])
         cum = np.cumsum(probs, axis=1)
         idx = np.sum(draws[block, None] > cum, axis=1)
         out[block] = y[np.minimum(idx, y.shape[0] - 1)]

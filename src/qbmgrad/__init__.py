@@ -16,7 +16,6 @@ from .estimator import (
     EstimatorConfig,
     be_product,
     budget_split,
-    circuit_expectation,
     dilate,
     error_budget,
     estimate_first_term,

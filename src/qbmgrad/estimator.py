@@ -27,13 +27,19 @@ A chunk draws all its random numbers and times first and runs the kernel
 over sub-blocks of ``_SUB_BLOCK`` shots, small enough that a sub-block's
 temporaries stay in a core's L2 cache instead of being freshly paged in
 for every chunk; the outcomes are those of one pass over the whole chunk.
+
+The deterministic (s, t)-quadrature uses the same maps.  The outcome table
+is linear in the features for fixed phases and in the phases for fixed
+features, so the density-weighted double sum over the nodes collapses to
+one table evaluation at the weighted feature and phase sums; no circuit
+register is ever formed.  The full-register circuit survives only as the
+test oracle in ``tests/test_estimator.py``.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -46,9 +52,7 @@ from .densities import (
     quantile,
 )
 from .errors import ScaleError, SpecError
-from .linalg import (
-    as_density, as_hermitian, eigh, gibbs_weights, hermitize, partial_trace, spectral_norm, tensor,
-)
+from .linalg import as_density, eigh, gibbs_weights, partial_trace, spectral_norm
 from .models import ThermalModel
 
 MAX_CIRCUIT_DIM = 256
@@ -181,6 +185,8 @@ class EstimatorConfig:
             raise SpecError("delta_fail must lie in (0, 1)")
         if self.shots < 0 or self.chunk < 1 or self.threads < 1:
             raise SpecError("shots, chunk and threads must be nonnegative/positive")
+        if self.seed < 0:
+            raise SpecError("seed must be nonnegative")
 
 
 def hoeffding_shots(kappa: float, g_norm: float, epsilon: float, delta_fail: float) -> int:
@@ -189,66 +195,6 @@ def hoeffding_shots(kappa: float, g_norm: float, epsilon: float, delta_fail: flo
     if min(kappa, g_norm, epsilon) <= 0.0 or not 0.0 < delta_fail < 1.0:
         raise SpecError("hoeffding_shots needs positive inputs and delta in (0,1)")
     return int(math.ceil(2.0 * (kappa * g_norm / epsilon) ** 2 * math.log(2.0 / delta_fail)))
-
-
-# ---------------------------------------------------------------------------
-# honest full-register circuit
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=32)
-def _swap_perm(d_v: int, d_h: int) -> np.ndarray:
-    """Index permutation of the controlled swap on (c, a, v1, v2, h)."""
-    dim = 2 * 2 * d_v * d_v * d_h
-    idx = np.arange(dim).reshape(2, 2, d_v, d_v, d_h)
-    perm = idx.copy()
-    perm[1] = idx[1].transpose(0, 2, 1, 3)
-    return perm.reshape(-1)
-
-
-def _circuit_pieces(model: ThermalModel, rho, s: float, t: float, g_j, modular, inv_sqrt):
-    d_v, d_h = model.dims.d_v, model.dims.d_h
-    dim = 2 * 2 * d_v * d_v * d_h
-    if dim > MAX_CIRCUIT_DIM:
-        raise ScaleError(f"circuit register dim {dim} exceeds {MAX_CIRCUIT_DIM}")
-    mod = modular if modular is not None else modular_unitary(model, s)
-    inv = inv_sqrt if inv_sqrt is not None else inv_sqrt_encoding(model)
-    if mod.ancillas != 0 or inv.ancillas != 1:
-        raise SpecError("circuit expects an ancilla-free modular encoding and a one-ancilla inverse-root encoding")
-    rho = as_density(rho)
-    rho_s = mod.unitary @ rho @ mod.unitary.conj().T
-    embedded = np.zeros((2 * d_v, 2 * d_v), dtype=complex)
-    embedded[:d_v, :d_v] = rho_s
-    xi = inv.unitary @ embedded @ inv.unitary.conj().T
-    omega = tensor(xi, model.sigma_vh)
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    full = tensor(plus, omega)
-    perm = _swap_perm(d_v, d_h)
-    tau = full[np.ix_(perm, perm)]
-    phases = np.exp(1j * model.g_eig.vals * t)
-    u_t = (model.g_eig.vecs * phases) @ model.g_eig.vecs.conj().T
-    o_t = hermitize(u_t @ as_hermitian(g_j) @ u_t.conj().T)
-    scale = (mod.alpha * inv.alpha) ** 2
-    return tau, o_t, scale
-
-
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-
-
-def circuit_expectation(model: ThermalModel, rho, g_j, s: float, t: float, *, modular=None, inv_sqrt=None) -> float:
-    """(alpha1 alpha2)^2 <X_c (x) O> on the post-swap circuit state.
-
-    With exact encodings this equals
-    (1/2) Tr[e^{iGt} G_j e^{-iGt} {sigma_vh, sigma_v^{-1/2} sigma_v^{-is/2}
-    rho sigma_v^{is/2} sigma_v^{-1/2} (x) I_h}]; averaging over s and t
-    yields the gradient's lifted-state term.
-    """
-    tau, o_t, scale = _circuit_pieces(model, rho, s, t, g_j, modular, inv_sqrt)
-    d_v = model.dims.d_v
-    meas = tensor(_PAULI_X, tensor(_P0, tensor(np.eye(d_v), o_t)))
-    val = complex(np.einsum("ij,ji->", tau, meas))
-    return scale * val.real
 
 
 def eigen_groups(g_j, *, tol: float = 1e-9) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -279,7 +225,7 @@ def _clean_probs(p: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# vectorized shot batches (identical statistics to the honest path)
+# shot-invariant maps of the estimation circuit and the shot kernel
 # ---------------------------------------------------------------------------
 
 
@@ -303,6 +249,10 @@ class _BatchContext:
     (Gibbs weights, block R = I) or 2 (block R = sigma_h).  The p = q terms
     do not depend on t and join the traces and the ancilla-miss branch in
     ``static_map``; the table's 1/4, +-1 and factor 2 sit in both maps.
+
+    ``modular_noise`` (a unitary applied after the modular flow) and
+    ``inv_sqrt`` (a one-ancilla encoding in place of the exact dilation)
+    inject controlled encoding errors: both only change the row blocks b.
     """
 
     log_vals: np.ndarray  # ln eigenvalues of sigma_v
@@ -313,13 +263,18 @@ class _BatchContext:
     y_values: np.ndarray  # distinct eigenvalues of the observable
 
 
-def _batch_context(model: ThermalModel, rho, g_j) -> _BatchContext:
+def _batch_context(model: ThermalModel, rho, g_j, *, modular_noise=None, inv_sqrt=None) -> _BatchContext:
     d_v, d_h = model.dims.d_v, model.dims.d_h
     if 2 * 2 * d_v * d_v * d_h > MAX_CIRCUIT_DIM:
         raise ScaleError("circuit register exceeds the supported size")
     rho = as_density(rho)
     sv = model.sigma_v_eig
-    u2 = inv_sqrt_encoding(model).unitary
+    inv = inv_sqrt if inv_sqrt is not None else inv_sqrt_encoding(model)
+    if inv.ancillas != 1:
+        raise SpecError("the inverse-root encoding must use exactly one ancilla")
+    hit_miss = inv.unitary[:, :d_v]
+    if modular_noise is not None:
+        hit_miss = hit_miss @ BlockEncoding(modular_noise, 1.0, 0).unitary
     values, projs = eigen_groups(g_j)
     g_vecs = model.g_eig.vecs
     g_vecs_h = g_vecs.conj().T
@@ -329,7 +284,7 @@ def _batch_context(model: ThermalModel, rho, g_j) -> _BatchContext:
     sigma_h = partial_trace(model.sigma_vh, model.dims, keep="hidden")
 
     rho_tilde = sv.vecs.conj().T @ rho @ sv.vecs
-    blocks = (u2[:, :d_v] @ sv.vecs).reshape(2, d_v, d_v)  # [ancilla, x, a]
+    blocks = (hit_miss @ sv.vecs).reshape(2, d_v, d_v)  # [ancilla, x, a]
     basis = np.einsum("ab,nxa,nyb->nabxy", rho_tilde, blocks, blocks.conj())
     a, b = np.triu_indices(d_v, 1)
     upper, lower = basis[:, a, b], basis[:, b, a]
@@ -400,6 +355,31 @@ def _pair_phases(angles: np.ndarray) -> np.ndarray:
     return out
 
 
+def _modular_features(ctx: _BatchContext, s: np.ndarray) -> np.ndarray:
+    """(n_f, m) real features [1, cos theta_ab, sin theta_ab] of m modular times."""
+    phi = _pair_phases(np.outer(-0.5 * ctx.log_vals, s))
+    feats = np.empty((ctx.static_map.shape[0], s.shape[0]))
+    feats[0] = 1.0
+    feats[1 : 1 + phi.shape[0]] = phi.real
+    feats[1 + phi.shape[0] :] = phi.imag
+    return feats
+
+
+def _outcome_table(ctx: _BatchContext, feats: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """(m, 2K+2) outcome table from (n_f, m) features and (P, m) pair phases.
+
+    Linear in the features for fixed phases and in the phases for fixed
+    features.
+    """
+    m = feats.shape[1]
+    lifted = feats.T @ ctx.lift_map
+    evolved = lifted.view(complex).reshape(m, 2, phases.shape[0])
+    evolved *= phases.T[:, None, :]
+    probs = feats.T @ ctx.static_map
+    probs += lifted @ ctx.pair_map
+    return probs
+
+
 def _batch_outcomes(ctx: _BatchContext, s: np.ndarray, t: np.ndarray):
     """Outcome values and per-shot probabilities for vectors of (s, t).
 
@@ -414,19 +394,7 @@ def _batch_outcomes(ctx: _BatchContext, s: np.ndarray, t: np.ndarray):
     carry the table's assembly, so the products sum straight to the
     (m, 2K+2) probabilities.
     """
-    m = s.shape[0]
-    n_f = ctx.static_map.shape[0]
-    phi = _pair_phases(np.outer(-0.5 * ctx.log_vals, s))
-    feats = np.empty((n_f, m))
-    feats[0] = 1.0
-    feats[1 : 1 + phi.shape[0]] = phi.real
-    feats[1 + phi.shape[0] :] = phi.imag
-    phases = _pair_phases(np.outer(ctx.g_vals, t))
-    lifted = feats.T @ ctx.lift_map
-    evolved = lifted.view(complex).reshape(m, 2, phases.shape[0])
-    evolved *= phases.T[:, None, :]
-    probs = feats.T @ ctx.static_map
-    probs += lifted @ ctx.pair_map
+    probs = _outcome_table(ctx, _modular_features(ctx, s), _pair_phases(np.outer(ctx.g_vals, t)))
     y = np.concatenate([ctx.y_values, -ctx.y_values, [0.0, 0.0]])
     return y, _clean_probs(probs)
 
@@ -499,7 +467,7 @@ def estimate_model_term(model: ThermalModel, g_j, shots: int, seed: int) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# deterministic (s, t)-quadrature of the circuit
+# deterministic (s, t)-quadrature through the same maps
 # ---------------------------------------------------------------------------
 
 
@@ -527,34 +495,27 @@ def quadrature_first_term(
     modular_noise=None,
     inv_sqrt=None,
 ) -> float:
-    """Density-weighted (s, t)-quadrature average of circuit_expectation.
+    """Density-weighted (s, t)-quadrature average of the circuit's mean
+    alpha^2 <X_c (x) O>, alpha the inverse-root encoding's normalization.
 
-    By bilinearity the t-average is folded into the measured observable, so
-    this equals the plain double-grid average of circuit expectations while
-    costing one trace per s node.  ``modular_noise`` (a unitary applied after
-    the modular flow) and ``inv_sqrt`` inject controlled encoding errors.
+    The plain double-grid sum sum_i sum_j w_i w_j table(f(s_i), e(t_j)), with
+    the t-density's point mass t_w0 at t = 0 among the t-nodes, is evaluated
+    in closed form: the table is linear in the modular features f and in the
+    pair phases e separately, so the sum equals W table(f_bar, e_bar / W)
+    with f_bar = sum_i w_i f(s_i), e_bar = t_w0 + sum_j w_j e(t_j) and
+    W = t_w0 + sum_j w_j.  ``modular_noise`` (a unitary applied after the
+    modular flow) and ``inv_sqrt`` inject controlled encoding errors.
     """
-    t_pts, t_wts, t_w0 = expectation_nodes(HIGH_PEAK_TENT, T=t_max, nodes=t_nodes)
-    g_j = as_hermitian(g_j)
-    # t_w0 G_j + sum_i w_i e^{iGt_i} G_j e^{-iGt_i} in the G eigenbasis is the
-    # Hadamard product K o (V^dag G_j V), K_pq = t_w0 + sum_i w_i e^{i(g_p - g_q)t_i}
-    vecs = model.g_eig.vecs
-    waves = np.exp(1j * np.outer(model.g_eig.vals, t_pts))  # (D, nodes)
-    kernel = t_w0 + (waves * t_wts) @ waves.conj().T
-    o_bar = hermitize(vecs @ (kernel * (vecs.conj().T @ g_j @ vecs)) @ vecs.conj().T)
-
-    d_v = model.dims.d_v
     inv = inv_sqrt if inv_sqrt is not None else inv_sqrt_encoding(model)
+    ctx = _batch_context(model, rho, g_j, modular_noise=modular_noise, inv_sqrt=inv)
     s_pts, s_wts = _logistic_panels(s_max, s_panels, s_nodes)
-    meas = tensor(_PAULI_X, tensor(_P0, tensor(np.eye(d_v), o_bar)))
-    total = 0.0
-    for s_i, w_i in zip(s_pts, s_wts):
-        mod = modular_unitary(model, s_i)
-        if modular_noise is not None:
-            mod = BlockEncoding(modular_noise @ mod.unitary, mod.alpha, 0, mod.delta)
-        tau, _, scale = _circuit_pieces(model, rho, s_i, 0.0, g_j, mod, inv)
-        total += w_i * scale * complex(np.einsum("ij,ji->", tau, meas)).real
-    return total
+    t_pts, t_wts, t_w0 = expectation_nodes(HIGH_PEAK_TENT, T=t_max, nodes=t_nodes)
+    t_mass = t_w0 + float(np.sum(t_wts))
+    f_bar = _modular_features(ctx, s_pts) @ s_wts
+    e_bar = (t_w0 + _pair_phases(np.outer(ctx.g_vals, t_pts)) @ t_wts) / t_mass
+    table = _outcome_table(ctx, f_bar[:, None], e_bar[:, None])[0]
+    k = ctx.y_values.shape[0]
+    return inv.alpha**2 * t_mass * float((table[:k] - table[k : 2 * k]) @ ctx.y_values)
 
 
 # ---------------------------------------------------------------------------

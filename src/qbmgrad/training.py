@@ -250,6 +250,8 @@ class ClassicalProblem(Problem):
         self.target = np.asarray(target_q, dtype=float)
         self.theta0 = np.asarray(theta0, dtype=float)
         self.mode = _check_mode(mode)
+        if samples < 1 or seed < 0:
+            raise SpecError("samples must be >= 1 and seed nonnegative")
         self.samples = samples
         self.seed = seed
 

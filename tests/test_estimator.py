@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from qbmgrad import (
     BEMeta,
     BipartiteDims,
+    BlockEncoding,
     EstimatorConfig,
     HIGH_PEAK_TENT,
     LOGISTIC,
@@ -16,7 +18,6 @@ from qbmgrad import (
     SpecError,
     be_product,
     budget_split,
-    circuit_expectation,
     dilate,
     error_budget,
     estimate_first_term,
@@ -32,21 +33,81 @@ from qbmgrad import (
 )
 import qbmgrad.estimator as est
 from qbmgrad.estimator import (
-    _P0,
-    _PAULI_X,
+    MAX_CIRCUIT_DIM,
     _SUB_BLOCK,
     _batch_context,
     _batch_outcomes,
     _chunk_rng,
-    _circuit_pieces,
     _clean_probs,
+    _logistic_panels,
     _run_chunk,
     eigen_groups,
 )
-from qbmgrad.densities import quantile
-from qbmgrad.linalg import as_density, partial_trace, tensor
+from qbmgrad.densities import expectation_nodes, quantile
+from qbmgrad.linalg import as_density, as_hermitian, hermitize, partial_trace, tensor
 from qbmgrad.verify import perturb_encoding
 from conftest import PAULI_Z, rand_herm, rand_model, rand_state, rand_unitary
+
+
+# ---------------------------------------------------------------------------
+# oracle: the estimation circuit on the full register (c, a, v1, v2, h)
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=32)
+def _swap_perm(d_v: int, d_h: int) -> np.ndarray:
+    """Index permutation of the controlled swap on (c, a, v1, v2, h)."""
+    dim = 2 * 2 * d_v * d_v * d_h
+    idx = np.arange(dim).reshape(2, 2, d_v, d_v, d_h)
+    perm = idx.copy()
+    perm[1] = idx[1].transpose(0, 2, 1, 3)
+    return perm.reshape(-1)
+
+
+def _circuit_pieces(model, rho, s, t, g_j, modular, inv_sqrt):
+    """Post-swap register state, evolved observable and (alpha1 alpha2)^2."""
+    d_v, d_h = model.dims.d_v, model.dims.d_h
+    dim = 2 * 2 * d_v * d_v * d_h
+    if dim > MAX_CIRCUIT_DIM:
+        raise ScaleError(f"circuit register dim {dim} exceeds {MAX_CIRCUIT_DIM}")
+    mod = modular if modular is not None else modular_unitary(model, s)
+    inv = inv_sqrt if inv_sqrt is not None else inv_sqrt_encoding(model)
+    if mod.ancillas != 0 or inv.ancillas != 1:
+        raise SpecError("circuit expects an ancilla-free modular encoding and a one-ancilla inverse-root encoding")
+    rho = as_density(rho)
+    rho_s = mod.unitary @ rho @ mod.unitary.conj().T
+    embedded = np.zeros((2 * d_v, 2 * d_v), dtype=complex)
+    embedded[:d_v, :d_v] = rho_s
+    xi = inv.unitary @ embedded @ inv.unitary.conj().T
+    omega = tensor(xi, model.sigma_vh)
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    full = tensor(plus, omega)
+    perm = _swap_perm(d_v, d_h)
+    tau = full[np.ix_(perm, perm)]
+    phases = np.exp(1j * model.g_eig.vals * t)
+    u_t = (model.g_eig.vecs * phases) @ model.g_eig.vecs.conj().T
+    o_t = hermitize(u_t @ as_hermitian(g_j) @ u_t.conj().T)
+    scale = (mod.alpha * inv.alpha) ** 2
+    return tau, o_t, scale
+
+
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_P0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+
+def circuit_expectation(model, rho, g_j, s, t, *, modular=None, inv_sqrt=None) -> float:
+    """(alpha1 alpha2)^2 <X_c (x) O> on the post-swap circuit state.
+
+    With exact encodings this equals
+    (1/2) Tr[e^{iGt} G_j e^{-iGt} {sigma_vh, sigma_v^{-1/2} sigma_v^{-is/2}
+    rho sigma_v^{is/2} sigma_v^{-1/2} (x) I_h}]; averaging over s and t
+    yields the gradient's lifted-state term.
+    """
+    tau, o_t, scale = _circuit_pieces(model, rho, s, t, g_j, modular, inv_sqrt)
+    d_v = model.dims.d_v
+    meas = tensor(_PAULI_X, tensor(_P0, tensor(np.eye(d_v), o_t)))
+    val = complex(np.einsum("ij,ji->", tau, meas))
+    return scale * val.real
 
 
 def test_dilate_unitary_input(rng):
@@ -145,10 +206,22 @@ def test_circuit_state_is_physical(rng):
 
 
 def test_circuit_register_guard(rng):
+    # 2 * 2 * 8 * 8 * 4 = 1024 exceeds MAX_CIRCUIT_DIM on every entry point
+    model = rand_model(rng, 8, 4, n_terms=1, term_scale=0.1)
+    rho, g_j = rand_state(rng, 8), model.hamiltonian.terms[0]
     with pytest.raises(ScaleError):
-        model = rand_model(rng, 8, 4, n_terms=1, term_scale=0.1)
-        circuit_expectation(model, rand_state(rng, 8),
-                            model.hamiltonian.terms[0], 0.0, 0.0)
+        quadrature_first_term(model, rho, g_j)
+    with pytest.raises(ScaleError):
+        estimate_first_term(model, rho, g_j, EstimatorConfig(shots=10))
+
+
+def test_injected_encodings_are_checked(rng):
+    model = rand_model(rng, 2, 2)
+    rho, g_j = rand_state(rng, 2), model.hamiltonian.terms[0]
+    with pytest.raises(SpecError, match="not unitary"):
+        quadrature_first_term(model, rho, g_j, modular_noise=np.diag([1.0, 0.9]))
+    with pytest.raises(SpecError, match="ancilla"):
+        quadrature_first_term(model, rho, g_j, inv_sqrt=BlockEncoding(np.eye(2), 1.0, 0))
 
 
 def test_quadrature_average_matches_lifted_term(rng):
@@ -160,24 +233,39 @@ def test_quadrature_average_matches_lifted_term(rng):
         assert abs(quadrature_first_term(model, rho, g_j) - exact) < 1e-6
 
 
-def test_quadrature_equals_double_grid_average(rng):
-    # bilinearity: the folded t-average equals the plain double loop
-    model = rand_model(rng, 2, 2)
-    rho = rand_state(rng, 2)
-    g_j = model.hamiltonian.terms[1]
-    from qbmgrad.densities import expectation_nodes
-    from qbmgrad.estimator import _logistic_panels
-
-    t_pts, t_wts, t_w0 = expectation_nodes(HIGH_PEAK_TENT, T=4.0, nodes=64)
-    s_pts, s_wts = _logistic_panels(4.0, 2, 8)
-    brute = 0.0
+def _double_grid_average(model, rho, g_j, *, s_max, t_max, s_panels, s_nodes, t_nodes,
+                         modular_noise=None, inv_sqrt=None):
+    """Brute double loop over the oracle circuit, t_w0 weighting t = 0."""
+    t_pts, t_wts, t_w0 = expectation_nodes(HIGH_PEAK_TENT, T=t_max, nodes=t_nodes)
+    s_pts, s_wts = _logistic_panels(s_max, s_panels, s_nodes)
+    total = 0.0
     for s_i, ws in zip(s_pts, s_wts):
-        brute += ws * t_w0 * circuit_expectation(model, rho, g_j, s_i, 0.0)
-        for t_i, wt in zip(t_pts, t_wts):
-            brute += ws * wt * circuit_expectation(model, rho, g_j, s_i, t_i)
-    fast = quadrature_first_term(model, rho, g_j, s_max=4.0, t_max=4.0,
-                                 s_panels=2, s_nodes=8, t_nodes=64)
-    assert abs(fast - brute) < 1e-10
+        mod = None
+        if modular_noise is not None:
+            mod = BlockEncoding(modular_noise @ modular_unitary(model, s_i).unitary, 1.0, 0)
+        for t_i, wt in [(0.0, t_w0)] + list(zip(t_pts, t_wts)):
+            total += ws * wt * circuit_expectation(model, rho, g_j, s_i, t_i,
+                                                   modular=mod, inv_sqrt=inv_sqrt)
+    return total
+
+
+def test_quadrature_equals_double_grid_average(rng):
+    # the closed-form contraction equals the plain double loop over the
+    # full-register circuit, with and without injected encoding errors
+    grid = dict(s_max=4.0, t_max=4.0, s_panels=2, s_nodes=8, t_nodes=64)
+    for d_v, d_h, noisy in [(2, 2, False), (2, 2, True), (1, 4, False), (3, 1, False), (3, 1, True)]:
+        model = rand_model(rng, d_v, d_h)
+        rho = rand_state(rng, d_v)
+        g_j = model.hamiltonian.terms[1]
+        injected = {}
+        if noisy:
+            inv = inv_sqrt_encoding(model)
+            injected = dict(modular_noise=_unitary_noise(rng, d_v, 0.05),
+                            inv_sqrt=perturb_encoding(inv, rng, scale=0.05)[0])
+            assert injected["inv_sqrt"].delta > 1e-4
+        brute = _double_grid_average(model, rho, g_j, **grid, **injected)
+        fast = quadrature_first_term(model, rho, g_j, **grid, **injected)
+        assert abs(fast - brute) < 1e-10, (d_v, d_h, noisy)
 
 
 def test_eigen_groups_handles_degeneracy():
@@ -599,3 +687,9 @@ def test_estimator_config_validation():
         EstimatorConfig(epsilon=-0.1)
     with pytest.raises(SpecError):
         EstimatorConfig(delta_fail=1.5)
+
+
+def test_estimator_config_rejects_negative_seed():
+    with pytest.raises(SpecError, match="seed"):
+        EstimatorConfig(seed=-1, shots=10)
+    assert EstimatorConfig(seed=0).seed == 0

@@ -267,7 +267,6 @@ def test_problem_rejects_unknown_mode(make):
 
 @pytest.mark.parametrize("samples, seed", [(0, 0), (-3, 0), (10, -1)])
 def test_classical_problem_rejects_bad_sampling(samples, seed):
-    # samples=0 gave a nan gradient and negative values numpy's ValueError
     with pytest.raises(SpecError, match="samples must be >= 1 and seed nonnegative"):
         ClassicalProblem(np.zeros((1, 2, 1)), np.array([0.5, 0.5]), np.zeros(1),
                          mode="shot", samples=samples, seed=seed)

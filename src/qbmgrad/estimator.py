@@ -263,7 +263,9 @@ class _BatchContext:
     y_values: np.ndarray  # distinct eigenvalues of the observable
 
 
-def _batch_context(model: ThermalModel, rho, g_j, *, modular_noise=None, inv_sqrt=None) -> _BatchContext:
+def _batch_context(
+    model: ThermalModel, rho, g_j, *, modular_noise=None, inv_sqrt=None
+) -> _BatchContext:
     d_v, d_h = model.dims.d_v, model.dims.d_h
     if 2 * 2 * d_v * d_v * d_h > MAX_CIRCUIT_DIM:
         raise ScaleError("circuit register exceeds the supported size")

@@ -45,8 +45,7 @@ def main() -> None:
     est = EstimatorConfig(epsilon=args.epsilon, delta_fail=args.delta, seed=args.seed)
     shot = train(QuantumProblem(ham, rho, mode="shot", estimator=est),
                  TrainConfig(learning_rate=args.learning_rate,
-                             iterations=args.iterations, gradient_mode="shot",
-                             seed=args.seed, log_every=10))
+                             iterations=args.iterations, log_every=10))
 
     print(f"closed-form minimizer theta* = {theta_star:+.6f}")
     print(f"{'iter':>6} {'exact D':>14} {'shot D':>14}")

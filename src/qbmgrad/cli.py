@@ -28,6 +28,7 @@ from .training import (
     QCProblem,
     QuantumProblem,
     TrainConfig,
+    check_mode,
     finite_difference_gradient,
     train,
 )
@@ -102,6 +103,17 @@ def _option(flag, opts: dict, key: str, default, cast):
     return flag if flag is not None else cast(opts.get(key, default))
 
 
+def _estimator_config(args, opts: dict, seed: int) -> EstimatorConfig:
+    """Shot settings of a train or estimate run: flags over spec options."""
+    return EstimatorConfig(
+        epsilon=_option(args.epsilon, opts, "epsilon", 0.05, float),
+        delta_fail=_option(args.delta, opts, "delta", 0.05, float),
+        shots=_option(args.shots, opts, "shots", 0, int),
+        seed=seed,
+        threads=args.threads,
+    )
+
+
 def _resolve_objective(args, spec: RunSpec | None) -> Objective:
     if args.objective == "umegaki":
         return UMEGAKI
@@ -154,6 +166,7 @@ def _problem(spec: RunSpec, obj: Objective, mode: str = "exact",
     """The Problem for the spec's model kind; ``est`` holds the shot-mode
     settings (seed, and for classical tables the sample count)."""
     kind, model = spec.model.kind, spec.model
+    check_mode(mode)
     if mode == "shot" and kind in ("qc", "cq"):
         raise SpecError("shot-mode training covers generic, restricted and classical models only")
     if kind in ("generic", "restricted"):
@@ -204,22 +217,10 @@ def cmd_train(args) -> int:
     seed = _resolve_seed(args, spec)
     opts = spec.train
     mode = args.mode or opts.get("mode", "exact")
-    est = None
-    if mode == "shot":
-        est = EstimatorConfig(
-            epsilon=_option(args.epsilon, opts, "epsilon", 0.05, float),
-            delta_fail=_option(args.delta, opts, "delta", 0.05, float),
-            shots=_option(args.shots, opts, "shots", 0, int),
-            seed=seed,
-            threads=args.threads,
-        )
+    est = _estimator_config(args, opts, seed) if mode == "shot" else None
     cfg = TrainConfig(
         learning_rate=_option(args.learning_rate, opts, "learning_rate", 0.1, float),
         iterations=_option(args.iterations, opts, "iterations", 500, int),
-        gradient_mode=mode,
-        estimator=est,
-        objective=obj,
-        seed=seed,
         log_every=_option(args.log_every, opts, "log_every", 1, int),
     )
     traj = train(_problem(spec, obj, mode, est), cfg)
@@ -260,13 +261,7 @@ def cmd_estimate(args) -> int:
     terms = model.hamiltonian.terms
     if not 0 <= term < len(terms):
         raise SpecError(f"term index {term} outside [0, {len(terms)})")
-    cfg = EstimatorConfig(
-        epsilon=_option(args.epsilon, opts, "epsilon", 0.05, float),
-        delta_fail=_option(args.delta, opts, "delta", 0.05, float),
-        shots=_option(args.shots, opts, "shots", 0, int),
-        seed=seed,
-        threads=args.threads,
-    )
+    cfg = _estimator_config(args, opts, seed)
     g_norm = spectral_norm(terms[term])
     start = time.perf_counter()
     mean, stderr, shots = estimate_first_term(model, spec.target_state, terms[term], cfg)

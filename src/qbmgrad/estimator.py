@@ -58,6 +58,7 @@ from .models import ThermalModel
 MAX_CIRCUIT_DIM = 256
 PROB_CLAMP = -1e-10
 PROB_DEFECT = 1e-8
+_CHUNK = 8192  # shots per chunk, the unit of seeding and of threading
 _SUB_BLOCK = 1024  # shots per kernel pass inside a chunk
 
 # First word of the spawn key of every random stream the package derives from
@@ -169,13 +170,13 @@ def inv_sqrt_encoding(model: ThermalModel) -> BlockEncoding:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Error target, failure probability, optional fixed shot count, seed."""
+    """Error target, failure probability, optional fixed shot count, seed and
+    threads; the seed roots the streams of the ``_CHUNK``-shot chunks."""
 
     epsilon: float = 0.05
     delta_fail: float = 0.05
     shots: int = 0  # 0 = auto from the Hoeffding bound
     seed: int = 0
-    chunk: int = 8192
     threads: int = 1
 
     def __post_init__(self):
@@ -183,8 +184,8 @@ class EstimatorConfig:
             raise SpecError("epsilon must be positive")
         if not 0.0 < self.delta_fail < 1.0:
             raise SpecError("delta_fail must lie in (0, 1)")
-        if self.shots < 0 or self.chunk < 1 or self.threads < 1:
-            raise SpecError("shots, chunk and threads must be nonnegative/positive")
+        if self.shots < 0 or self.threads < 1:
+            raise SpecError("shots and threads must be nonnegative/positive")
         if self.seed < 0:
             raise SpecError("seed must be nonnegative")
 
@@ -442,9 +443,9 @@ def estimate_first_term(model: ThermalModel, rho, g_j, config: EstimatorConfig) 
     g_norm = spectral_norm(g_j)
     shots = config.shots or hoeffding_shots(model.kappa, g_norm, config.epsilon, config.delta_fail)
     ctx = _batch_context(model, rho, g_j)
-    sizes = [config.chunk] * (shots // config.chunk)
-    if shots % config.chunk:
-        sizes.append(shots % config.chunk)
+    sizes = [_CHUNK] * (shots // _CHUNK)
+    if shots % _CHUNK:
+        sizes.append(shots % _CHUNK)
     if config.threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=min(config.threads, len(sizes))) as pool:
             parts = list(

@@ -187,15 +187,22 @@ def lift_to_joint(model: ThermalModel, r_v, q: float = 1.0) -> np.ndarray:
     if r_v.shape[0] != model.dims.d_v:
         raise SpecError("input must live on the visible register")
     _check_support(model.sigma_v_eig.vals, "visible marginal")
+    core = _visible_core(model.sigma_v_eig, r_v, q)
+    return _tent_of_anticommutator(model.g_eig, core, model.dims.d_h)
+
+
+def _visible_core(sigma_v_eig: Eigensystem, r_v, q: float) -> np.ndarray:
+    """sigma_v^{-q/2} Upsilon_q(r_v) sigma_v^{-q/2} for r_v = rho^q: the
+    visible side of the lift.  Callers check sigma_v's support; gradient_qc
+    does so before it forms rho^q, keeping that error ahead of rho's."""
     if q == 1.0:
-        averaged = apply_channel(LOG_LOGISTIC, model.sigma_v_eig, r_v)
+        averaged = apply_channel(LOG_LOGISTIC, sigma_v_eig, r_v)
     elif q == 2.0:
         averaged = r_v  # the power-weight density degenerates to a point mass
     else:
-        averaged = apply_channel(power_beta(1.0 - q), model.sigma_v_eig, r_v)
-    side = model.sigma_v_eig.power(-q / 2.0)
-    core = hermitize(side @ averaged @ side)
-    return _tent_of_anticommutator(model.g_eig, core, model.dims.d_h)
+        averaged = apply_channel(power_beta(1.0 - q), sigma_v_eig, r_v)
+    side = sigma_v_eig.power(-q / 2.0)
+    return hermitize(side @ averaged @ side)
 
 
 def gradient(model: ThermalModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
@@ -225,14 +232,7 @@ def gradient_qc(qc: QCModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
     sig_v_es = qc.visible_eig
     _check_support(sig_v_es.vals, "visible marginal")
     q = 1.0 if obj.kind == "umegaki" else obj.q
-    if q == 1.0:
-        averaged = apply_channel(LOG_LOGISTIC, sig_v_es, rho)
-    elif q == 2.0:
-        averaged = psd_power(rho, q)
-    else:
-        averaged = apply_channel(power_beta(1.0 - q), sig_v_es, psd_power(rho, q))
-    side = sig_v_es.power(-q / 2.0)
-    core = hermitize(side @ averaged @ side)
+    core = _visible_core(sig_v_es, rho if q == 1.0 else psd_power(rho, q), q)
 
     n_x = qc.dims.d_h
     first = np.zeros(qc.n_params)

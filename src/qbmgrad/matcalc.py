@@ -9,11 +9,9 @@ path is spectral and exact; time-domain quadrature exists as a cross-check.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import densities
 from .errors import SpecError
@@ -152,7 +150,7 @@ def frechet_exp(b, h, mode: str = "fourier") -> np.ndarray:
     es = eigh(b)
     h = as_hermitian(h)
     if mode == "duhamel":
-        x, w = _gl64()
+        x, w = densities._gl(64)
         t = 0.5 * (x + 1.0)
         acc = np.zeros_like(h)
         for t_i, w_i in zip(t, 0.5 * w):
@@ -215,7 +213,7 @@ def thermal_derivative(g_spec: Eigensystem, dg) -> np.ndarray:
 def _resolvent_integral(es: Eigensystem, h: np.ndarray, power: float) -> np.ndarray:
     """int_0^inf s^power (A+sI)^{-1} H (A+sI)^{-1} ds via s = c z/(1-z)."""
     c = float(np.sqrt(es.vals[0] * es.vals[-1]))
-    x, w = _gl(400)
+    x, w = densities._gl(400)
     z = 0.5 * (x + 1.0)
     acc = np.zeros_like(h, dtype=complex)
     ht = es.vecs.conj().T @ h @ es.vecs
@@ -226,12 +224,3 @@ def _resolvent_integral(es: Eigensystem, h: np.ndarray, power: float) -> np.ndar
         acc = acc + (w_i * jac * s**power) * (res[:, None] * ht * res[None, :])
     return hermitize(es.vecs @ acc @ es.vecs.conj().T)
 
-
-@functools.lru_cache(maxsize=1)
-def _gl64() -> tuple[np.ndarray, np.ndarray]:
-    return leggauss(64)
-
-
-@functools.lru_cache(maxsize=8)
-def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return leggauss(n)

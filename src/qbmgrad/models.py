@@ -99,7 +99,6 @@ class ThermalModel:
     sigma_vh: np.ndarray
     sigma_v: np.ndarray
     g_eig: Eigensystem
-    sigma_vh_eig: Eigensystem
     sigma_v_eig: Eigensystem
     kappa: float
 
@@ -119,8 +118,6 @@ def thermalize(h: ParamHamiltonian) -> ThermalModel:
     z = z_shifted * float(np.exp(-np.min(g_eig.vals)))
     sigma_vh = hermitize((g_eig.vecs * weights) @ g_eig.vecs.conj().T)
     sigma_v = hermitize(partial_trace(sigma_vh, h.dims, keep="visible"))
-    order = np.argsort(weights)
-    sigma_vh_eig = Eigensystem(weights[order], g_eig.vecs[:, order])
     sigma_v_eig = eigh(sigma_v)
     lam_min = float(sigma_v_eig.vals[0])
     if lam_min <= 0.0:
@@ -132,7 +129,6 @@ def thermalize(h: ParamHamiltonian) -> ThermalModel:
         sigma_vh=sigma_vh,
         sigma_v=sigma_v,
         g_eig=g_eig,
-        sigma_vh_eig=sigma_vh_eig,
         sigma_v_eig=sigma_v_eig,
         kappa=1.0 / lam_min,
     )

@@ -9,7 +9,7 @@ cleanly separating estimator noise from optimization behavior.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +40,8 @@ MAX_HALVINGS = 20
 DIVERGENCE_CAP = 1e6
 
 
-def _check_mode(mode: str) -> str:
+def check_mode(mode: str) -> str:
+    """The gradient mode, "exact" or "shot"; anything else is a SpecError."""
     if mode not in ("exact", "shot"):
         raise SpecError(f"unknown gradient mode {mode!r}")
     return mode
@@ -48,12 +49,11 @@ def _check_mode(mode: str) -> str:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The descent's own settings; the ``Problem`` given to ``train`` owns how
+    its gradients are computed (mode, estimator, seed, objective)."""
+
     learning_rate: float = 0.1
     iterations: int = 500
-    gradient_mode: str = "exact"  # "exact" | "shot"
-    estimator: EstimatorConfig | None = None
-    objective: Objective = UMEGAKI
-    seed: int = 0
     log_every: int = 1
 
     def __post_init__(self):
@@ -61,9 +61,6 @@ class TrainConfig:
             raise SpecError("learning rate must be positive")
         if self.iterations < 1 or self.log_every < 1:
             raise SpecError("iterations and log_every must be >= 1")
-        _check_mode(self.gradient_mode)
-        if self.gradient_mode == "shot" and self.estimator is None:
-            object.__setattr__(self, "estimator", EstimatorConfig(seed=self.seed))
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,9 @@ class Problem:
     """Objective/gradient pair over a parameter vector.
 
     Each model kind has one subclass, which alone knows that kind's
-    objective, its exact gradient and its start point ``theta0``.
+    objective, its exact gradient and its start point ``theta0``, and owns
+    how ``gradient_vector`` computes: ``mode`` is "exact" unless a subclass
+    takes "shot", and a shot-mode subclass holds its own sampling settings.
 
     ``train`` evaluates the objective at the accepted theta just before it
     asks for the gradient there, so a subclass whose objective builds a
@@ -108,6 +107,7 @@ class Problem:
     """
 
     theta0: np.ndarray
+    mode: str = "exact"
     _last: tuple | None = None
 
     def objective(self, theta) -> float:
@@ -149,14 +149,18 @@ class Problem:
 
 
 class QuantumProblem(Problem):
-    """Fully quantum model: match the visible marginal to a target state."""
+    """Fully quantum model: match the visible marginal to a target state.
+
+    Shot mode estimates both gradient terms under ``estimator`` (default
+    ``EstimatorConfig()``), whose seed roots every iteration's streams.
+    """
 
     def __init__(self, hamiltonian: ParamHamiltonian, rho, obj: Objective = UMEGAKI,
                  mode: str = "exact", estimator: EstimatorConfig | None = None):
         self.hamiltonian = hamiltonian
         self.rho = rho
         self.obj = obj
-        self.mode = _check_mode(mode)
+        self.mode = check_mode(mode)
         self.estimator = estimator
         self.theta0 = np.asarray(hamiltonian.theta, dtype=float)
 
@@ -180,11 +184,8 @@ class QuantumProblem(Problem):
         for j, term in enumerate(self.hamiltonian.terms):
             seq = np.random.SeedSequence(cfg.seed, spawn_key=(SHOT_GRADIENT_STREAM, iteration, j))
             seed_first, seed_model = (int(x) for x in seq.generate_state(2, np.uint64))
-            cfg_j = EstimatorConfig(
-                epsilon=cfg.epsilon, delta_fail=cfg.delta_fail, shots=cfg.shots,
-                seed=seed_first, chunk=cfg.chunk, threads=cfg.threads,
-            )
-            first, _, shots = estimate_first_term(model, self.rho, term, cfg_j)
+            first, _, shots = estimate_first_term(
+                model, self.rho, term, replace(cfg, seed=seed_first))
             second, _ = estimate_model_term(model, term, shots, seed_model)
             out[j] = first - second
         return out
@@ -249,7 +250,7 @@ class ClassicalProblem(Problem):
         self.tables = np.asarray(tables, dtype=float)
         self.target = np.asarray(target_q, dtype=float)
         self.theta0 = np.asarray(theta0, dtype=float)
-        self.mode = _check_mode(mode)
+        self.mode = check_mode(mode)
         if samples < 1 or seed < 0:
             raise SpecError("samples must be >= 1 and seed nonnegative")
         self.samples = samples
@@ -303,8 +304,10 @@ def train(problem: Problem, cfg: TrainConfig) -> Trajectory:
     """Gradient descent theta <- theta - eta * grad with step halving.
 
     The exact objective is evaluated every iteration to steer the halving
-    and logged every ``log_every`` iterations.  Diverging objectives
-    (> 1e6 or non-finite) abort with a diagnostic.
+    and logged every ``log_every`` iterations.  Gradients come from
+    ``problem.gradient_vector`` in the problem's own ``mode``; in exact mode
+    a fully rejected step ends the run.  Diverging objectives (> 1e6 or
+    non-finite) abort with a diagnostic.
     """
     theta = problem.theta0.copy()
     traj = Trajectory()
@@ -334,7 +337,7 @@ def train(problem: Problem, cfg: TrainConfig) -> Trajectory:
                 break
             eta *= 0.5
         _check_finite(obj, it)
-        converged = not accepted and cfg.gradient_mode == "exact"
+        converged = not accepted and problem.mode == "exact"
         grad_vec = problem.gradient_vector(theta, it)
         if it % cfg.log_every == 0 or it == cfg.iterations or converged:
             traj.rows.append(

@@ -232,6 +232,17 @@ def test_zero_flag_is_input_error(tmp_path, capsys, command, flags):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("name", ["grad_qc", "grad_cq", "grad_classical", "train_qubit"])
+def test_unknown_spec_mode_is_input_error(tmp_path, capsys, name):
+    raw = json.loads((DEMOS / f"{name}.json").read_text())
+    raw["train"] = {**raw.get("train", {}), "mode": "exatc"}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))
+    assert run(["train", "--spec", spec, "--out", tmp_path]) == 2
+    assert "input error: unknown gradient mode 'exatc'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_negative_seed_flag_is_input_error(tmp_path, capsys):
     assert run(["estimate", "--spec", DEMOS / "estimate.json", "--seed", "-1",
                 "--out", tmp_path]) == 2

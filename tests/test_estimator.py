@@ -589,13 +589,13 @@ def test_thread_pool_only_for_several_chunks(rng, monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(est, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(est, "_CHUNK", 100)
     model = rand_model(rng, 2, 2)
     rho = rand_state(rng, 2)
     g_j = model.hamiltonian.terms[0]
     for shots in (100, 250):
-        inline = estimate_first_term(model, rho, g_j, EstimatorConfig(shots=shots, chunk=100, seed=4))
-        pooled = estimate_first_term(model, rho, g_j,
-                                     EstimatorConfig(shots=shots, chunk=100, seed=4, threads=8))
+        inline = estimate_first_term(model, rho, g_j, EstimatorConfig(shots=shots, seed=4))
+        pooled = estimate_first_term(model, rho, g_j, EstimatorConfig(shots=shots, seed=4, threads=8))
         assert pooled == inline
     assert workers == [3]  # one chunk runs inline; three chunks get three workers
 

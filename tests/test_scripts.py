@@ -28,3 +28,10 @@ def test_make_demos_reproduces_committed_demos(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in committed]
     for path in committed:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_train_benchmark_runs(monkeypatch, capsys):
+    module = _load(ROOT / "scripts" / "train_benchmark.py")
+    monkeypatch.setattr("sys.argv", ["train_benchmark.py", "--iterations", "3"])
+    module.main()
+    assert "shot  terminal" in capsys.readouterr().out

@@ -63,7 +63,7 @@ def test_objective_monotone_under_step_halving():
 
 def test_trajectory_reproducible():
     problem, _ = _qubit_problem()
-    cfg = TrainConfig(learning_rate=0.1, iterations=50, log_every=5, seed=4)
+    cfg = TrainConfig(learning_rate=0.1, iterations=50, log_every=5)
     a = train(problem, cfg)
     b = train(problem, cfg)
     assert np.array_equal(np.stack([r.theta for r in a.rows]),
@@ -74,13 +74,32 @@ def test_trajectory_reproducible():
 def test_shot_mode_trajectory_reproducible():
     problem, _ = _qubit_problem()
     est = EstimatorConfig(epsilon=0.2, delta_fail=0.2, shots=2000, seed=11)
-    cfg = TrainConfig(learning_rate=0.3, iterations=8, gradient_mode="shot", seed=11)
+    cfg = TrainConfig(learning_rate=0.3, iterations=8)
     runs = []
     for _ in range(2):
         p = QuantumProblem(problem.hamiltonian, problem.rho, mode="shot", estimator=est)
         runs.append(train(p, cfg))
     assert runs[0].objectives().tolist() == runs[1].objectives().tolist()
     assert np.array_equal(runs[0].final_theta, runs[1].final_theta)
+
+
+@pytest.mark.parametrize("kind", ["quantum", "classical"])
+def test_shot_mode_training_runs_every_iteration(kind):
+    # a rejected noisy step is no convergence: train reads the mode from the
+    # problem, so a shot run logs all its rows under a plain TrainConfig
+    if kind == "quantum":
+        problem, _ = _qubit_problem()
+        make = lambda seed: QuantumProblem(problem.hamiltonian, problem.rho, mode="shot",
+                                           estimator=EstimatorConfig(shots=300, seed=seed))
+        learning_rate, iterations = 0.3, 60
+    else:
+        spec = load_runspec(Path(__file__).resolve().parents[1] / "demos" / "grad_classical.json")
+        make = lambda seed: ClassicalProblem(spec.model.tables, spec.target_probs, spec.model.theta,
+                                             mode="shot", samples=50, seed=seed)
+        learning_rate, iterations = 0.2, 200
+    for seed in range(6):
+        traj = train(make(seed), TrainConfig(learning_rate=learning_rate, iterations=iterations))
+        assert [r.iteration for r in traj.rows] == list(range(iterations + 1))
 
 
 def test_shot_gradient_streams_differ_across_seed_and_iteration(rng):
@@ -279,8 +298,7 @@ def test_shot_mode_training_reaches_exact_neighborhood():
     est = EstimatorConfig(epsilon=eps, delta_fail=0.1, seed=5)
     shot_problem = QuantumProblem(problem.hamiltonian, problem.rho,
                                   mode="shot", estimator=est)
-    traj = train(shot_problem, TrainConfig(learning_rate=0.3, iterations=60,
-                                           gradient_mode="shot", seed=5))
+    traj = train(shot_problem, TrainConfig(learning_rate=0.3, iterations=60))
     assert traj.final_objective <= exact.final_objective + 5 * eps
 
 
@@ -377,5 +395,3 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(SpecError):
         TrainConfig(iterations=0)
-    with pytest.raises(SpecError):
-        TrainConfig(gradient_mode="bogus")

@@ -30,6 +30,7 @@ from .gradients import (
     GradientReport,
     Objective,
     POVM,
+    Target,
     UMEGAKI,
     classical_gradient,
     classical_objective,

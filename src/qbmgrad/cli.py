@@ -211,12 +211,29 @@ def cmd_grad(args) -> int:
     return EXIT_OK
 
 
+def _reject_unused_shot_flags(args, spec: RunSpec, mode: str) -> None:
+    """Exit 2 on a shot flag that ``train`` in this mode would not read:
+    exact mode reads none of them, and classical tables in shot mode draw
+    ``--shots`` samples with no (epsilon, delta) target."""
+    flags = {"--epsilon": args.epsilon, "--delta": args.delta, "--shots": args.shots}
+    if mode == "exact":
+        unused, why = list(flags), "apply to --mode shot only"
+    elif spec.model.kind == "classical":
+        unused, why = ["--epsilon", "--delta"], "do not apply to classical tables, which draw --shots samples"
+    else:
+        return
+    given = [f for f in unused if flags[f] is not None]
+    if given:
+        raise SpecError(f"{', '.join(given)} {why}")
+
+
 def cmd_train(args) -> int:
     spec = _need_spec(args)
     obj = _resolve_objective(args, spec)
     seed = _resolve_seed(args, spec)
     opts = spec.train
     mode = args.mode or opts.get("mode", "exact")
+    _reject_unused_shot_flags(args, spec, mode)
     est = _estimator_config(args, opts, seed) if mode == "shot" else None
     cfg = TrainConfig(
         learning_rate=_option(args.learning_rate, opts, "learning_rate", 0.1, float),

@@ -52,7 +52,7 @@ from .densities import (
     quantile,
 )
 from .errors import ScaleError, SpecError
-from .linalg import as_density, eigh, gibbs_weights, partial_trace, spectral_norm
+from .linalg import as_density, eigh, partial_trace, spectral_norm
 from .models import ThermalModel
 
 MAX_CIRCUIT_DIM = 256
@@ -265,7 +265,7 @@ class _BatchContext:
 
 
 def _batch_context(
-    model: ThermalModel, rho, g_j, *, modular_noise=None, inv_sqrt=None
+    model: ThermalModel, rho, g_j, *, groups=None, modular_noise=None, inv_sqrt=None
 ) -> _BatchContext:
     d_v, d_h = model.dims.d_v, model.dims.d_h
     if 2 * 2 * d_v * d_v * d_h > MAX_CIRCUIT_DIM:
@@ -278,12 +278,12 @@ def _batch_context(
     hit_miss = inv.unitary[:, :d_v]
     if modular_noise is not None:
         hit_miss = hit_miss @ BlockEncoding(modular_noise, 1.0, 0).unitary
-    values, projs = eigen_groups(g_j)
+    values, projs = eigen_groups(g_j) if groups is None else groups
     g_vecs = model.g_eig.vecs
     g_vecs_h = g_vecs.conj().T
     dim = d_v * d_h
     proj_rot = np.stack([g_vecs_h @ pk @ g_vecs for pk in projs])
-    d_weights, _ = gibbs_weights(model.g_eig.vals)
+    d_weights = model.weights
     sigma_h = partial_trace(model.sigma_vh, model.dims, keep="hidden")
 
     rho_tilde = sv.vecs.conj().T @ rho @ sv.vecs
@@ -430,8 +430,13 @@ def _run_chunk(ctx: _BatchContext, seed: int, chunk: int, n: int) -> np.ndarray:
     return out
 
 
-def estimate_first_term(model: ThermalModel, rho, g_j, config: EstimatorConfig) -> tuple[float, float, int]:
+def estimate_first_term(
+    model: ThermalModel, rho, g_j, config: EstimatorConfig, *, groups=None
+) -> tuple[float, float, int]:
     """Shot estimate (mean, stderr, shots) of the lifted-state term.
+
+    ``groups`` is ``eigen_groups(g_j)`` when the caller already holds it;
+    by default it is formed here.
 
     Shot count defaults to the Hoeffding bound for the configured
     (epsilon, delta_fail).  Work is split into fixed-size chunks; chunk i
@@ -442,7 +447,7 @@ def estimate_first_term(model: ThermalModel, rho, g_j, config: EstimatorConfig) 
     """
     g_norm = spectral_norm(g_j)
     shots = config.shots or hoeffding_shots(model.kappa, g_norm, config.epsilon, config.delta_fail)
-    ctx = _batch_context(model, rho, g_j)
+    ctx = _batch_context(model, rho, g_j, groups=groups)
     sizes = [_CHUNK] * (shots // _CHUNK)
     if shots % _CHUNK:
         sizes.append(shots % _CHUNK)
@@ -459,9 +464,12 @@ def estimate_first_term(model: ThermalModel, rho, g_j, config: EstimatorConfig) 
     return mean, stderr, shots
 
 
-def estimate_model_term(model: ThermalModel, g_j, shots: int, seed: int) -> tuple[float, float]:
-    """Shot estimate of <G_j>_{sigma_vh} by direct thermal sampling."""
-    values, projs = eigen_groups(g_j)
+def estimate_model_term(
+    model: ThermalModel, g_j, shots: int, seed: int, *, groups=None
+) -> tuple[float, float]:
+    """Shot estimate of <G_j>_{sigma_vh} by direct thermal sampling;
+    ``groups`` as in ``estimate_first_term``."""
+    values, projs = eigen_groups(g_j) if groups is None else groups
     p = np.array([np.einsum("ij,ji->", pk, model.sigma_vh).real for pk in projs])
     p = _clean_probs(p[None, :])[0]
     rng = np.random.default_rng(seed)

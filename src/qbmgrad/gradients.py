@@ -20,7 +20,7 @@ per-block formulas that avoid the joint register entirely.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,10 +115,10 @@ class POVM:
 
 
 def _check_support(vals: np.ndarray, what: str) -> None:
-    if float(np.min(vals)) < SUPPORT_FLOOR:
+    low = float(vals.min())
+    if low < SUPPORT_FLOOR:
         raise SupportError(
-            f"{what} has eigenvalue {float(np.min(vals)):.3e} below the "
-            f"support floor {SUPPORT_FLOOR:.0e}"
+            f"{what} has eigenvalue {low:.3e} below the support floor {SUPPORT_FLOOR:.0e}"
         )
 
 
@@ -131,48 +131,96 @@ def psd_power(rho, q: float) -> np.ndarray:
     return hermitize((es.vecs * np.power(w, q)) @ es.vecs.conj().T)
 
 
+@dataclass(frozen=True)
+class Target:
+    """A target density matrix validated once, with its rho-only constant.
+
+    Construction runs ``as_density`` on ``rho`` and forms ``constant``: the
+    entropy term Tr[rho ln rho] for the umegaki objective, rho^q for
+    tsallis order q.  ``relative_entropy`` and ``gradient_qc`` take a Target
+    in place of rho, so a training run against one target validates and
+    decomposes it once instead of at every step; its ``obj`` must be the
+    objective they are asked for.
+    """
+
+    rho: np.ndarray
+    obj: Objective = UMEGAKI
+    constant: float | np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rho = as_density(self.rho)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "constant", _rho_constant(rho, self.obj))
+
+
+def _unpack_target(rho, obj: Objective) -> tuple[np.ndarray, Target | None]:
+    """(validated rho, its Target or None) of a Target or a raw state."""
+    if isinstance(rho, Target):
+        if rho.obj != obj:
+            raise SpecError(f"target was prepared for {rho.obj}, not for {obj}")
+        return rho.rho, rho
+    return as_density(rho), None
+
+
+def _rho_constant(rho: np.ndarray, obj: Objective, target: Target | None = None):
+    """Tr[rho ln rho] (umegaki) or rho^q (tsallis): the target's, if prepared."""
+    if target is not None:
+        return target.constant
+    if obj.kind == "umegaki":
+        p = np.maximum(np.linalg.eigvalsh(rho), 0.0)
+        return float(np.sum(p[p > 0.0] * np.log(p[p > 0.0])))
+    return psd_power(rho, obj.q)
+
+
+def _overlap(sigma_es: Eigensystem, rho_q: np.ndarray, q: float) -> float:
+    """Tr[rho^q sigma^{1-q}] from rho^q and sigma's eigensystem."""
+    return expectation(sigma_es.power(1.0 - q), rho_q)
+
+
 def relative_entropy(rho, sigma, obj: Objective = UMEGAKI) -> float:
     """D(rho || sigma): umegaki Tr[rho(ln rho - ln sigma)], or the tsallis
     quasi-entropy (Tr[rho^q sigma^{1-q}] - 1)/(q - 1).
 
+    ``rho`` is a density matrix or a ``Target`` prepared for ``obj``.
     ``sigma`` is a density matrix or, as in q_overlap, its already
     decomposed Eigensystem (e.g. ``model.sigma_v_eig``); either way the
     support check runs on its eigenvalues.
     """
-    rho = as_density(rho)
+    rho, target = _unpack_target(rho, obj)
     sig_es = sigma if isinstance(sigma, Eigensystem) else eigh(as_density(sigma))
     _check_support(sig_es.vals, "second argument")
+    constant = _rho_constant(rho, obj, target)
     if obj.kind == "umegaki":
-        p = np.maximum(np.linalg.eigvalsh(rho), 0.0)
-        ent = float(np.sum(p[p > 0.0] * np.log(p[p > 0.0])))
         log_sigma = sig_es.apply(np.log)
-        return ent - expectation(log_sigma, rho)
+        return constant - expectation(log_sigma, rho)
     q = obj.q
-    qq = expectation(sig_es.power(1.0 - q), psd_power(rho, q))
-    return (qq - 1.0) / (q - 1.0)
+    return (_overlap(sig_es, constant, q) - 1.0) / (q - 1.0)
 
 
 def q_overlap(rho, sigma_es, q: float) -> float:
     """Tr[rho^q sigma^{1-q}] for a pre-decomposed positive sigma."""
-    return expectation(sigma_es.power(1.0 - q), psd_power(rho, q))
+    return _overlap(sigma_es, psd_power(rho, q), q)
 
 
-def _tent_of_anticommutator(g_eig: Eigensystem, core: np.ndarray, d_h: int = 1) -> np.ndarray:
+def _tent_of_anticommutator(
+    g_eig: Eigensystem, weights: np.ndarray, core: np.ndarray, d_h: int = 1
+) -> np.ndarray:
     """Tent channel of G applied to (1/2){sigma, core (x) I_h}.
 
     sigma = e^{-G}/Z shares the eigenvectors V of G, so with
     X~ = V^dag (core (x) I_h) V the result is
     V [X~ * (w_a + w_b)/2 * tanh-factor(l_a - l_b)] V^dag, w the Gibbs
-    weights and l the eigenvalues of G.  (core (x) I_h) V contracts core
-    with V viewed as (d_v, d_h, D), at d_v D^2 cost.
+    weights (``weights``, as ``thermalize`` computed them) and l the
+    eigenvalues of G.  (core (x) I_h) V contracts core with V viewed as
+    (d_v, d_h D), at d_v D^2 cost.
     """
     vecs = g_eig.vecs
     d = g_eig.dim
-    core_v = np.tensordot(core, vecs.reshape(core.shape[0], d_h, d), axes=1).reshape(d, d)
+    core_v = np.dot(core, vecs.reshape(core.shape[0], d_h * d)).reshape(d, d)
     xt = vecs.conj().T @ core_v
-    w = gibbs_weights(g_eig.vals)[0]
     lam = g_eig.vals
-    xt *= 0.5 * (w[:, None] + w[None, :]) * channel_factor(EXP_TENT, lam[:, None] - lam[None, :])
+    xt *= 0.5 * (weights[:, None] + weights[None, :]) * channel_factor(
+        EXP_TENT, lam[:, None] - lam[None, :])
     return hermitize(vecs @ xt @ vecs.conj().T)
 
 
@@ -188,7 +236,7 @@ def lift_to_joint(model: ThermalModel, r_v, q: float = 1.0) -> np.ndarray:
         raise SpecError("input must live on the visible register")
     _check_support(model.sigma_v_eig.vals, "visible marginal")
     core = _visible_core(model.sigma_v_eig, r_v, q)
-    return _tent_of_anticommutator(model.g_eig, core, model.dims.d_h)
+    return _tent_of_anticommutator(model.g_eig, model.weights, core, model.dims.d_h)
 
 
 def _visible_core(sigma_v_eig: Eigensystem, r_v, q: float) -> np.ndarray:
@@ -214,8 +262,9 @@ def gradient(model: ThermalModel, rho, obj: Objective = UMEGAKI) -> GradientRepo
         lifted = lift_to_joint(model, rho, q=1.0)
         qq = None
     else:
-        lifted = lift_to_joint(model, psd_power(rho, obj.q), q=obj.q)
-        qq = q_overlap(rho, model.sigma_v_eig, obj.q)
+        rho_q = psd_power(rho, obj.q)
+        lifted = lift_to_joint(model, rho_q, q=obj.q)
+        qq = _overlap(model.sigma_v_eig, rho_q, obj.q)
     first = expectation(terms, lifted)
     second = second_raw if qq is None else qq * second_raw
     return GradientReport(first - second, first, second, qq)
@@ -224,28 +273,29 @@ def gradient(model: ThermalModel, rho, obj: Objective = UMEGAKI) -> GradientRepo
 def gradient_qc(qc: QCModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
     """Exact gradient for a quantum-visible / classical-hidden model.
 
-    The target state is expressed in the same frame as the per-block
+    ``rho`` is a density matrix or a ``Target`` prepared for ``obj``.  The
+    target state is expressed in the same frame as the per-block
     Hamiltonians (the declared hidden basis does not touch the visible
     register, so no rotation of rho is needed).
     """
-    rho = as_density(rho)
+    rho, target = _unpack_target(rho, obj)
     sig_v_es = qc.visible_eig
     _check_support(sig_v_es.vals, "visible marginal")
     q = 1.0 if obj.kind == "umegaki" else obj.q
-    core = _visible_core(sig_v_es, rho if q == 1.0 else psd_power(rho, q), q)
+    r_q = rho if q == 1.0 else _rho_constant(rho, obj, target)
+    core = _visible_core(sig_v_es, r_q, q)
 
-    n_x = qc.dims.d_h
     first = np.zeros(qc.n_params)
     second_raw = np.zeros(qc.n_params)
-    for x in range(n_x):
+    for x in range(qc.dims.d_h):
         # sigma_x is the Gibbs state of this block's Hamiltonian
-        lifted_x = _tent_of_anticommutator(qc.block_eig[x], core)
-        for j in range(qc.n_params):
-            first[j] += qc.p[x] * expectation(qc.terms_x[j][x], lifted_x)
-            second_raw[j] += qc.p[x] * expectation(qc.terms_x[j][x], qc.sigma_x[x])
+        lifted_x = _tent_of_anticommutator(qc.block_eig[x], qc.block_weights[x], core)
+        terms = qc.stack[:, x]
+        first += qc.p[x] * expectation(terms, lifted_x)
+        second_raw += qc.p[x] * expectation(terms, qc.sigma_x[x])
     if obj.kind == "umegaki":
         return GradientReport(first - second_raw, first, second_raw)
-    qq = q_overlap(rho, sig_v_es, q)
+    qq = _overlap(sig_v_es, r_q, q)
     second = qq * second_raw
     return GradientReport(first - second, first, second, qq)
 
@@ -261,12 +311,9 @@ def gradient_cq(cq: CQModel, target_probs, obj: Objective = UMEGAKI) -> Gradient
     r = np.maximum(r, 0.0)
     if np.any((cq.p < SUPPORT_FLOOR) & (r > 0.0)):
         raise SupportError("target puts mass on a label with vanishing model weight")
-    means = np.array(
-        [
-            [expectation(cq.terms_x[j][x], cq.sigma_x[x]) for x in range(cq.dims.d_v)]
-            for j in range(cq.n_params)
-        ]
-    )
+    # means[j, x] = <G_h^{j,x}>_{sigma_x}, one stacked contraction per label x
+    means = np.stack(
+        [expectation(cq.stack[:, x], cq.sigma_x[x]) for x in range(cq.dims.d_v)], axis=1)
     if obj.kind == "umegaki":
         first = means @ r
         second = means @ cq.p

@@ -22,8 +22,9 @@ MAX_DIM = 256
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Average with the conjugate transpose (no validation)."""
-    return (a + a.conj().T) / 2
+    """Average with the conjugate transpose (no validation); a stack
+    (..., d, d) is averaged matrix by matrix."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def as_hermitian(a, *, atol: float = HERMITICITY_ATOL) -> np.ndarray:
@@ -38,7 +39,7 @@ def as_hermitian(a, *, atol: float = HERMITICITY_ATOL) -> np.ndarray:
         raise SpecError(f"expected a square matrix, got shape {a.shape}")
     if not 1 <= a.shape[0] <= MAX_DIM:
         raise SpecError(f"dimension {a.shape[0]} outside supported range [1, {MAX_DIM}]")
-    gap = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    gap = float(np.abs(a - a.conj().T).max())
     if gap >= atol:
         raise SpecError(f"matrix is not Hermitian: max asymmetry {gap:.3e} >= {atol:.0e}")
     return hermitize(a)
@@ -71,7 +72,7 @@ class Eigensystem:
         """Matrix function U diag(f(vals)) U^dag for a scalar function f."""
         with np.errstate(all="ignore"):
             fw = np.asarray(f(self.vals), dtype=float)
-        if not np.all(np.isfinite(fw)):
+        if not np.isfinite(fw).all():
             raise SpecError("matrix function undefined at an eigenvalue")
         return hermitize((self.vecs * fw) @ self.vecs.conj().T)
 
@@ -80,24 +81,37 @@ class Eigensystem:
 
 
 def eigh(x, *, residual_tol: float = EIGH_RESIDUAL_TOL) -> Eigensystem:
-    """Eigendecompose a Hermitian matrix, checking the reconstruction.
-
-    The check bounds the spectral norm of r = V diag(w) V^dag - x by
-    ``residual_tol * dim``.  A Frobenius-norm screen accepts first, which
-    is sound because |r|_2 <= |r|_F; only a residual that fails the screen
-    pays for the SVD behind ``spectral_norm``, which then decides.  The
-    screen keeps a 1e-12 relative margin so that rounding in either norm
-    cannot accept a residual the spectral norm would reject.
-    """
+    """Eigendecompose a Hermitian matrix, checking the reconstruction
+    with ``check_reconstruction``."""
     x = as_hermitian(x)
     w, v = np.linalg.eigh(x)
-    r = (v * w) @ v.conj().T - x
-    tol = residual_tol * x.shape[0]
-    if np.linalg.norm(r) > tol * (1.0 - 1e-12):
-        resid = spectral_norm(r)
+    check_reconstruction(x[None], w[None], v[None], residual_tol=residual_tol)
+    return Eigensystem(w, v)
+
+
+def check_reconstruction(x, w, v, *, residual_tol: float = EIGH_RESIDUAL_TOL) -> None:
+    """Raise GuardError unless each V diag(w) V^dag of a stack of
+    eigendecompositions (w: (n, d), v: (n, d, d)) reconstructs its matrix
+    of the stack x (n, d, d).
+
+    The check bounds the spectral norm of r = V diag(w) V^dag - x by
+    ``residual_tol * d``, matrix by matrix.  A Frobenius-norm screen
+    accepts first, which is sound because |r|_2 <= |r|_F; only a residual
+    that fails the screen pays for the SVD behind ``spectral_norm``, which
+    then decides.  The screen keeps a 1e-12 relative margin so that
+    rounding in either norm cannot accept a residual the spectral norm
+    would reject.
+    """
+    r = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2) - x
+    tol = residual_tol * x.shape[-1]
+    parts = r.reshape(r.shape[0], -1).view(float)  # (Re, Im) pairs of each residual
+    fails = np.sqrt(np.einsum("ij,ij->i", parts, parts)) > tol * (1.0 - 1e-12)
+    if not fails.any():
+        return
+    for k in np.flatnonzero(fails):
+        resid = spectral_norm(r[k])
         if resid > tol:
             raise GuardError(f"eigendecomposition residual {resid:.3e} too large")
-    return Eigensystem(w, v)
 
 
 def gibbs_weights(energies) -> tuple[np.ndarray, float]:
@@ -106,8 +120,9 @@ def gibbs_weights(energies) -> tuple[np.ndarray, float]:
     Shifting by the minimum keeps every exponent <= 0, so nothing overflows;
     the unshifted partition function is z * e^{-E_min}.
     """
-    boltz = np.exp(-(energies - np.min(energies)))
-    z = float(np.sum(boltz))
+    energies = np.asarray(energies)
+    boltz = np.exp(-(energies - energies.min()))
+    z = float(boltz.sum())
     return boltz / z, z
 
 
@@ -164,7 +179,7 @@ def expectation(obs, state, *, imag_atol: float = 1e-10):
     # Tr[A B] = sum_ij A_ij B_ji: one matrix-vector product over the stack
     vals = obs.reshape(-1, state.size) @ state.T.ravel()
     residue = np.abs(vals.imag) > imag_atol * np.maximum(1.0, np.abs(vals))
-    if np.any(residue):
+    if residue.any():
         raise GuardError(f"expectation has imaginary residue {vals.imag[residue][0]:.3e}")
     return vals.real if obs.ndim == 3 else float(vals[0].real)
 
@@ -177,7 +192,7 @@ def spectral_norm(x) -> float:
     about half an SVD; any other input pays for the SVD.
     """
     x = np.asarray(x)
-    if x.ndim == 2 and x.size and np.array_equal(x, x.conj().T):
+    if x.ndim == 2 and x.size and x.shape[0] == x.shape[1] and (x == x.conj().T).all():
         w = np.linalg.eigvalsh(x)
         return float(max(abs(w[0]), abs(w[-1])))
     return float(np.linalg.norm(x, ord=2))

@@ -88,12 +88,15 @@ def channel_factor(kind: ChannelKind, u) -> np.ndarray | float:
     All are even in u and equal 1 in the u -> 0 limit.
     """
     u = np.asarray(u, dtype=float)
-    small = np.abs(u) < DEGENERATE_GAP_RTOL * max(1.0, float(np.max(np.abs(u), initial=0.0)))
+    mag = np.abs(u)
+    small = mag < DEGENERATE_GAP_RTOL * max(1.0, float(mag.max(initial=0.0)))
     safe = np.where(small, 1.0, u)
     if kind.name == "exp_tent":
-        out = np.where(small, 1.0, np.tanh(safe / 2.0) / (safe / 2.0))
+        half = safe / 2.0
+        out = np.where(small, 1.0, np.tanh(half) / half)
     elif kind.name == "log_logistic":
-        out = np.where(small, 1.0, (safe / 2.0) / np.sinh(safe / 2.0))
+        half = safe / 2.0
+        out = np.where(small, 1.0, half / np.sinh(half))
     else:
         out = np.where(small, 1.0, np.sinh(kind.r * safe / 2.0) / (kind.r * np.sinh(safe / 2.0)))
     return out if out.ndim else float(out)

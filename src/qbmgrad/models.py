@@ -10,7 +10,7 @@ special cases (classical hidden or classical visible register).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .linalg import (
     BipartiteDims,
     Eigensystem,
     as_hermitian,
+    check_reconstruction,
     eigh,
     gibbs_weights,
     hermitize,
@@ -75,7 +76,9 @@ class ParamHamiltonian:
 
     def assemble(self, theta=None) -> np.ndarray:
         th = self.theta if theta is None else np.asarray(theta, dtype=float)
-        return hermitize(np.tensordot(th, self.stack, axes=1))
+        # the (1, n) x (n, D^2) product np.tensordot forms, without its set-up
+        g = np.dot(th.reshape(1, -1), self.stack.reshape(th.shape[0], -1))
+        return hermitize(g.reshape(self.stack.shape[1:]))
 
     def with_theta(self, theta) -> "ParamHamiltonian":
         """Same terms at a new theta; only theta is validated again.
@@ -91,7 +94,12 @@ class ParamHamiltonian:
 
 @dataclass(frozen=True)
 class ThermalModel:
-    """Gibbs data of one parameter point, with cached spectra."""
+    """Gibbs data of one parameter point, with cached spectra.
+
+    ``weights`` are the normalised Gibbs weights e^{-(g_k - g_min)}/z of the
+    eigenvalues g_k in ``g_eig``, as ``thermalize`` formed them for
+    ``sigma_vh``; the gradient's tent channel reads them from here.
+    """
 
     hamiltonian: ParamHamiltonian
     G: np.ndarray
@@ -99,6 +107,7 @@ class ThermalModel:
     sigma_vh: np.ndarray
     sigma_v: np.ndarray
     g_eig: Eigensystem
+    weights: np.ndarray
     sigma_v_eig: Eigensystem
     kappa: float
 
@@ -129,6 +138,7 @@ def thermalize(h: ParamHamiltonian) -> ThermalModel:
         sigma_vh=sigma_vh,
         sigma_v=sigma_v,
         g_eig=g_eig,
+        weights=weights,
         sigma_v_eig=sigma_v_eig,
         kappa=1.0 / lam_min,
     )
@@ -221,67 +231,125 @@ def _blocks(term: np.ndarray, dims: BipartiteDims, classical: str) -> list[np.nd
 
 
 def _thermal_blocks(
-    block_hams: list[np.ndarray],
-) -> tuple[np.ndarray, list[np.ndarray], list[Eigensystem]]:
-    """(p_x, sigma_x, eigensystem of each block) for per-label Hamiltonians.
+    block_hams: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, tuple[Eigensystem, ...], np.ndarray]:
+    """(p_x, sigma_x, eigensystems, Gibbs weights) of a stack (n, d, d) of
+    per-label Hamiltonians.
 
-    Each state uses its own eigenvalue shift; the weights p_x come from the
-    per-block log partition functions, so nothing underflows even when the
-    blocks sit at very different energies.
+    One stacked ``np.linalg.eigh`` decomposes every block; its
+    reconstruction is checked block by block as ``eigh`` checks one matrix,
+    so a single bad block raises the same GuardError.  The blocks are
+    Hermitian by construction (hermitized sums of validated terms), so
+    they skip ``as_hermitian``.  Each state uses its own eigenvalue shift;
+    the weights p_x come from the per-block log partition functions, so
+    nothing underflows even when the blocks sit at very different energies.
     """
-    log_zs, states, eigs = [], [], []
-    for g in block_hams:
-        es = eigh(g)
-        weights, zx = gibbs_weights(es.vals)
-        states.append(hermitize((es.vecs * weights) @ es.vecs.conj().T))
-        log_zs.append(np.log(zx) - float(es.vals[0]))
-        eigs.append(es)
-    log_zs = np.asarray(log_zs)
+    w, v = np.linalg.eigh(block_hams)
+    check_reconstruction(block_hams, w, v)
+    boltz = np.exp(-(w - w[:, :1]))  # eigh sorts ascending: column 0 is each block's minimum
+    z = np.sum(boltz, axis=1)
+    weights = boltz / z[:, None]
+    states = hermitize((v * weights[:, None, :]) @ v.conj().swapaxes(-1, -2))
+    log_zs = np.log(z) - w[:, 0]
     p = np.exp(log_zs - np.max(log_zs))
-    return p / p.sum(), states, eigs
+    eigs = tuple(Eigensystem(wx, vx) for wx, vx in zip(w, v))
+    return p / p.sum(), states, eigs, weights
+
+
+def _block_stack(terms_x, n_blocks: int, d: int) -> np.ndarray:
+    """terms_x[j][x] as one (n_params, n_blocks, d, d) array."""
+    try:
+        stack = np.array(terms_x, dtype=complex)
+    except ValueError as exc:
+        raise SpecError(f"block terms must all be {d}x{d}") from exc
+    if stack.ndim != 4 or len(stack) < 1 or stack.shape[1:] != (n_blocks, d, d):
+        raise SpecError(
+            f"block terms have shape {stack.shape}, expected (n_params, {n_blocks}, {d}, {d})")
+    return stack
+
+
+def _block_hams(stack: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """sum_j theta_j G^{j,x} for every block x at once, summed over j in order."""
+    g = np.zeros(stack.shape[1:], dtype=complex)
+    for c, t in zip(theta, stack):
+        g += c * t
+    return hermitize(g)
+
+
+class _BlockModel:
+    """What QCModel and CQModel share: the block term stack, built once and
+    shared by every ``with_theta`` copy, and the block Gibbs states.
+
+    ``stack`` is the (n_params, n_blocks, d, d) array of the blocks
+    G^{j,x}; ``terms_x[j][x]`` are views into it.
+    """
+
+    def _block_shape(self) -> tuple[int, int]:
+        """(number of blocks, block dimension)."""
+        raise NotImplementedError
+
+    def __post_init__(self):
+        stack = _block_stack(self.terms_x, *self._block_shape())
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "terms_x", tuple(tuple(t) for t in stack))
+        self._thermalize(self.theta)
+
+    def _thermalize(self, theta) -> tuple[tuple[Eigensystem, ...], np.ndarray]:
+        """Set theta, p and sigma_x; return the block eigensystems and weights."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.n_params,):
+            raise SpecError(f"theta length {theta.shape} != number of terms {self.n_params}")
+        p, states, eigs, weights = _thermal_blocks(_block_hams(self.stack, theta))
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "sigma_x", tuple(states))
+        return eigs, weights
+
+    @property
+    def n_params(self) -> int:
+        return self.stack.shape[0]
+
+    def block_ham(self, x: int, theta=None) -> np.ndarray:
+        th = self.theta if theta is None else theta
+        return _block_hams(self.stack, th)[x]
+
+    def with_theta(self, theta):
+        """Same block stack at a new theta; only theta is validated again."""
+        out = copy.copy(self)
+        out._thermalize(theta)
+        return out
 
 
 @dataclass(frozen=True)
-class QCModel:
+class QCModel(_BlockModel):
     """Quantum visible, classical hidden: G_j = sum_x G_v^{j,x} (x) |x><x|."""
 
     dims: BipartiteDims
     hidden_basis: np.ndarray
     terms_x: tuple[tuple[np.ndarray, ...], ...]  # [j][x] -> d_v x d_v
     theta: np.ndarray
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
     p: np.ndarray = field(init=False)
     sigma_x: tuple[np.ndarray, ...] = field(init=False)
     block_eig: tuple[Eigensystem, ...] = field(init=False)  # of each block_ham(x)
+    block_weights: np.ndarray = field(init=False)  # (d_h, d_v): Gibbs weights in block_eig
     visible_eig: Eigensystem = field(init=False)  # of visible_state()
 
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        object.__setattr__(self, "theta", theta)
-        p, states, eigs = _thermal_blocks([self.block_ham(x) for x in range(self.dims.d_h)])
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "sigma_x", tuple(states))
-        object.__setattr__(self, "block_eig", tuple(eigs))
+    def _block_shape(self) -> tuple[int, int]:
+        return self.dims.d_h, self.dims.d_v
+
+    def _thermalize(self, theta):
+        eigs, weights = super()._thermalize(theta)
+        object.__setattr__(self, "block_eig", eigs)
+        object.__setattr__(self, "block_weights", weights)
         object.__setattr__(self, "visible_eig", eigh(self.visible_state()))
-
-    @property
-    def n_params(self) -> int:
-        return len(self.terms_x)
-
-    def block_ham(self, x: int, theta=None) -> np.ndarray:
-        th = self.theta if theta is None else theta
-        g = np.zeros((self.dims.d_v, self.dims.d_v), dtype=complex)
-        for c, tj in zip(th, self.terms_x):
-            g += c * tj[x]
-        return hermitize(g)
+        return eigs, weights
 
     def visible_state(self) -> np.ndarray:
         out = np.zeros((self.dims.d_v, self.dims.d_v), dtype=complex)
         for px, sx in zip(self.p, self.sigma_x):
             out += px * sx
         return hermitize(out)
-
-    def with_theta(self, theta) -> "QCModel":
-        return replace(self, theta=np.asarray(theta, dtype=float))
 
     def assemble_state(self) -> np.ndarray:
         """sum_x p_x sigma_x (x) |x><x| back on the joint register."""
@@ -294,36 +362,19 @@ class QCModel:
 
 
 @dataclass(frozen=True)
-class CQModel:
+class CQModel(_BlockModel):
     """Classical visible, quantum hidden: G_j = sum_x |x><x| (x) G_h^{j,x}."""
 
     dims: BipartiteDims
     visible_basis: np.ndarray
     terms_x: tuple[tuple[np.ndarray, ...], ...]  # [j][x] -> d_h x d_h
     theta: np.ndarray
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
     p: np.ndarray = field(init=False)
     sigma_x: tuple[np.ndarray, ...] = field(init=False)
 
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        object.__setattr__(self, "theta", theta)
-        p, states, _ = _thermal_blocks([self.block_ham(x) for x in range(self.dims.d_v)])
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "sigma_x", tuple(states))
-
-    @property
-    def n_params(self) -> int:
-        return len(self.terms_x)
-
-    def block_ham(self, x: int, theta=None) -> np.ndarray:
-        th = self.theta if theta is None else theta
-        g = np.zeros((self.dims.d_h, self.dims.d_h), dtype=complex)
-        for c, tj in zip(th, self.terms_x):
-            g += c * tj[x]
-        return hermitize(g)
-
-    def with_theta(self, theta) -> "CQModel":
-        return replace(self, theta=np.asarray(theta, dtype=float))
+    def _block_shape(self) -> tuple[int, int]:
+        return self.dims.d_v, self.dims.d_h
 
 
 def qc_decompose(h: ParamHamiltonian, hidden_basis=None) -> QCModel:

@@ -18,12 +18,14 @@ from .estimator import (
     CLASSICAL_STREAM,
     SHOT_GRADIENT_STREAM,
     EstimatorConfig,
+    eigen_groups,
     estimate_first_term,
     estimate_model_term,
 )
 from .gradients import (
     GradientReport,
     Objective,
+    Target,
     UMEGAKI,
     classical_distribution,
     classical_gradient,
@@ -151,24 +153,33 @@ class Problem:
 class QuantumProblem(Problem):
     """Fully quantum model: match the visible marginal to a target state.
 
-    Shot mode estimates both gradient terms under ``estimator`` (default
-    ``EstimatorConfig()``), whose seed roots every iteration's streams.
+    The target is validated once, at construction, as a ``Target``.  Shot
+    mode estimates both gradient terms under ``estimator`` (default
+    ``EstimatorConfig()``), whose seed roots every iteration's streams; the
+    eigenvalue groups of each term, which both estimates need, are formed
+    once per problem.
     """
 
     def __init__(self, hamiltonian: ParamHamiltonian, rho, obj: Objective = UMEGAKI,
                  mode: str = "exact", estimator: EstimatorConfig | None = None):
         self.hamiltonian = hamiltonian
-        self.rho = rho
+        self.target = Target(rho, obj)
         self.obj = obj
         self.mode = check_mode(mode)
         self.estimator = estimator
         self.theta0 = np.asarray(hamiltonian.theta, dtype=float)
+        self._groups = None
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.target.rho
 
     def _model(self, theta) -> ThermalModel:
         return thermalize(self.hamiltonian.with_theta(theta))
 
     def objective(self, theta) -> float:
-        return self._evaluate(theta, lambda m: relative_entropy(self.rho, m.sigma_v_eig, self.obj))
+        return self._evaluate(
+            theta, lambda m: relative_entropy(self.target, m.sigma_v_eig, self.obj))
 
     def report(self, theta) -> GradientReport:
         return gradient(self._take_model(theta), self.rho, self.obj)
@@ -180,35 +191,42 @@ class QuantumProblem(Problem):
         if self.obj.kind != "umegaki":
             raise SpecError("shot-mode gradients cover the umegaki objective only")
         cfg = self.estimator or EstimatorConfig()
+        if self._groups is None:
+            self._groups = [eigen_groups(term) for term in self.hamiltonian.terms]
         out = np.zeros(self.hamiltonian.n_params)
-        for j, term in enumerate(self.hamiltonian.terms):
+        for j, (term, groups) in enumerate(zip(self.hamiltonian.terms, self._groups)):
             seq = np.random.SeedSequence(cfg.seed, spawn_key=(SHOT_GRADIENT_STREAM, iteration, j))
             seed_first, seed_model = (int(x) for x in seq.generate_state(2, np.uint64))
             first, _, shots = estimate_first_term(
-                model, self.rho, term, replace(cfg, seed=seed_first))
-            second, _ = estimate_model_term(model, term, shots, seed_model)
+                model, self.rho, term, replace(cfg, seed=seed_first), groups=groups)
+            second, _ = estimate_model_term(model, term, shots, seed_model, groups=groups)
             out[j] = first - second
         return out
 
 
 class QCProblem(Problem):
-    """Quantum-visible / classical-hidden model against a target state."""
+    """Quantum-visible / classical-hidden model against a target state,
+    validated once at construction as a ``Target``."""
 
     def __init__(self, qc: QCModel, rho, obj: Objective = UMEGAKI):
         self.qc = qc
-        self.rho = rho
+        self.target = Target(rho, obj)
         self.obj = obj
         self.theta0 = np.asarray(qc.theta, dtype=float)
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.target.rho
 
     def _model(self, theta) -> QCModel:
         return self.qc.with_theta(theta)
 
     def objective(self, theta) -> float:
         return self._evaluate(
-            theta, lambda m: relative_entropy(self.rho, m.visible_eig, self.obj))
+            theta, lambda m: relative_entropy(self.target, m.visible_eig, self.obj))
 
     def report(self, theta) -> GradientReport:
-        return gradient_qc(self._take_model(theta), self.rho, self.obj)
+        return gradient_qc(self._take_model(theta), self.target, self.obj)
 
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
         return self.report(theta).values

@@ -232,6 +232,35 @@ def test_zero_flag_is_input_error(tmp_path, capsys, command, flags):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("spec, flags", [
+    ("train_qubit.json", ["--epsilon", "0.1"]),
+    ("train_qubit.json", ["--delta", "0.1"]),
+    ("train_qubit.json", ["--shots", "100"]),
+    ("grad_classical.json", ["--mode", "shot", "--epsilon", "0.1"]),
+    ("grad_classical.json", ["--mode", "shot", "--delta", "0.1"]),
+])
+def test_unread_shot_flag_is_input_error(tmp_path, capsys, spec, flags):
+    # exact mode reads no shot flag; classical shot mode reads --shots only
+    assert run(["train", "--spec", DEMOS / spec, "--iterations", "3", "--out", tmp_path,
+                *flags]) == 2
+    assert f"input error: {flags[-2]} " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["grad_qubit", "grad_qc"])
+@pytest.mark.parametrize("command", ["grad", "train"])
+def test_non_density_target_is_input_error(tmp_path, capsys, name, command):
+    from qbmgrad.runspec import matrix_to_json
+
+    raw = json.loads((DEMOS / f"{name}.json").read_text())
+    raw["target"] = {"state": matrix_to_json(np.diag([1.5, -0.5]).astype(complex))}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))
+    assert run([command, "--spec", spec, "--out", tmp_path]) == 2
+    assert "input error: state not positive semidefinite" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("name", ["grad_qc", "grad_cq", "grad_classical", "train_qubit"])
 def test_unknown_spec_mode_is_input_error(tmp_path, capsys, name):
     raw = json.loads((DEMOS / f"{name}.json").read_text())

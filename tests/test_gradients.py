@@ -32,7 +32,7 @@ from qbmgrad import (
     thermalize,
     tsallis,
 )
-from qbmgrad.gradients import cq_objective, psd_power
+from qbmgrad.gradients import Target, cq_objective, psd_power
 from qbmgrad.linalg import hermitize
 from qbmgrad.training import finite_difference_gradient
 from conftest import (
@@ -421,3 +421,39 @@ def test_objective_validation():
         tsallis(2.5)
     with pytest.raises(SpecError):
         tsallis(0.0)
+
+
+@pytest.mark.parametrize("obj", [UMEGAKI, tsallis(0.5), tsallis(1.5), tsallis(2.0)],
+                         ids=["umegaki", "q0.5", "q1.5", "q2"])
+def test_prepared_target_matches_raw_state_bit_for_bit(rng, obj):
+    rho = rand_state(rng, 3)
+    sigma = rand_state(rng, 3)
+    target = Target(rho, obj)
+    for sig in (sigma, eigh(sigma)):
+        assert relative_entropy(target, sig, obj) == relative_entropy(rho, sig, obj)
+    # a rank-deficient target: the entropy term skips the zero eigenvalue
+    pure = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    assert relative_entropy(Target(pure, obj), sigma, obj) == relative_entropy(pure, sigma, obj)
+
+
+def test_prepared_target_matches_raw_state_in_qc_gradient(rng):
+    basis = rand_unitary(rng, 2)
+    terms = block_hidden_terms(rng, 2, 2, 3, basis)
+    ham = ParamHamiltonian(dims=BipartiteDims(2, 2), terms=terms,
+                           theta=rng.uniform(-0.5, 0.5, 3))
+    qc = qc_decompose(ham, basis)
+    rho = rand_state(rng, 2)
+    for obj in (UMEGAKI, tsallis(0.5), tsallis(1.5), tsallis(2.0)):
+        got, want = gradient_qc(qc, Target(rho, obj), obj), gradient_qc(qc, rho, obj)
+        for field in ("values", "first_terms", "second_terms", "q_overlap"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_target_validates_once_and_keeps_its_objective(rng):
+    with pytest.raises(SpecError, match="positive semidefinite"):
+        Target(np.diag([1.5, -0.5]))
+    with pytest.raises(SpecError, match="trace"):
+        Target(np.eye(2) / 4)
+    target = Target(rand_state(rng, 2), tsallis(1.5))
+    with pytest.raises(SpecError, match="prepared for"):
+        relative_entropy(target, rand_state(rng, 2))

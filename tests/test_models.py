@@ -3,6 +3,7 @@ import pytest
 
 from qbmgrad import (
     BipartiteDims,
+    GuardError,
     ParamHamiltonian,
     RestrictedSpec,
     ScaleError,
@@ -16,6 +17,8 @@ from qbmgrad import (
     tensor,
     thermalize,
 )
+from qbmgrad.linalg import eigh, gibbs_weights
+from qbmgrad.models import _thermal_blocks
 from conftest import (
     PAULI_Z,
     block_hidden_terms,
@@ -262,3 +265,62 @@ def test_assemble_matches_term_sum(rng):
     assert np.max(np.abs(ham.assemble() - want)) < 1e-14
     g = ham.assemble()
     assert np.array_equal(g, g.conj().T)
+
+
+def _per_block_reference(block_hams):
+    """(p_x, sigma_x) block by block through the checked eigh."""
+    log_zs, states = [], []
+    for g in block_hams:
+        es = eigh(g)
+        weights, zx = gibbs_weights(es.vals)
+        states.append((es.vecs * weights) @ es.vecs.conj().T)
+        log_zs.append(np.log(zx) - es.vals[0])
+    p = np.exp(np.array(log_zs) - max(log_zs))
+    return p / p.sum(), states
+
+
+def test_stacked_thermal_blocks_match_per_block_eigh(rng):
+    # blocks at very different energies, as in a qc model with a large shift
+    blocks = np.stack([rand_herm(rng, 3) + shift * np.eye(3) for shift in (0.0, 7.5, -3.0, 40.0)])
+    p, states, eigs, weights = _thermal_blocks(blocks)
+    want_p, want_states = _per_block_reference(blocks)
+    assert np.max(np.abs(p - want_p)) < 1e-12
+    for x, (es, want) in enumerate(zip(eigs, want_states)):
+        assert np.max(np.abs(states[x] - want)) < 1e-12
+        assert np.max(np.abs((es.vecs * es.vals) @ es.vecs.conj().T - blocks[x])) < 1e-12
+        assert np.array_equal(weights[x], gibbs_weights(es.vals)[0])
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_stacked_thermal_blocks_guard_each_block(monkeypatch, rng, bad):
+    blocks = np.stack([rand_herm(rng, 3) for _ in range(3)])
+    raw = np.linalg.eigh
+
+    def perturbed(x, *args, **kw):
+        w, v = raw(x, *args, **kw)
+        w = w.copy()
+        w[bad] += 1e-6  # only this block's reconstruction misses its matrix
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(GuardError, match="eigendecomposition residual"):
+        _thermal_blocks(blocks)
+
+
+@pytest.mark.parametrize("decompose", [qc_decompose, cq_decompose])
+def test_block_model_with_theta_shares_stack_and_checks_theta(rng, decompose):
+    basis = np.eye(2, dtype=complex)
+    make = block_hidden_terms if decompose is qc_decompose else block_visible_terms
+    terms = make(rng, 2, 2, 3, basis)
+    ham = ParamHamiltonian(dims=BipartiteDims(2, 2), terms=terms, theta=np.zeros(3))
+    model = decompose(ham)
+    theta = rng.uniform(-0.5, 0.5, 3)
+    moved = model.with_theta(theta)
+    fresh = decompose(ham.with_theta(theta))
+    assert moved.stack is model.stack
+    assert np.array_equal(moved.p, fresh.p)
+    for got, want in zip(moved.sigma_x, fresh.sigma_x):
+        assert np.array_equal(got, want)
+    for bad in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+        with pytest.raises(SpecError, match="theta length"):
+            model.with_theta(bad)

@@ -3,6 +3,7 @@ import pytest
 
 from pathlib import Path
 
+import qbmgrad.estimator
 import qbmgrad.gradients
 import qbmgrad.models
 import qbmgrad.training
@@ -249,14 +250,25 @@ def _count_eigh(monkeypatch, module) -> list[int]:
 def test_qc_training_decomposes_each_block_once_per_step(monkeypatch):
     problem = _block_problem("grad_qc")()
     d_h = problem.qc.dims.d_h
-    in_models = _count_eigh(monkeypatch, qbmgrad.models)
+    decomposed, stacked = [0], [0]
+    raw_eigh = np.linalg.eigh
+
+    def counted(x, *args, **kw):
+        x = np.asarray(x)
+        decomposed[0] += 1 if x.ndim == 2 else x.shape[0]
+        stacked[0] += x.ndim == 3
+        return raw_eigh(x, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     in_gradients = _count_eigh(monkeypatch, qbmgrad.gradients)
     iterations = 12
     train(problem, TrainConfig(learning_rate=0.1, iterations=iterations))
     steps = iterations + 1
-    # one eigh per block and one of the visible marginal per accepted step,
-    # made when the step's model is built
-    assert in_models[0] == (d_h + 1) * steps
+    # one decomposition per block and one of the visible marginal per
+    # accepted step, made when the step's model is built; the blocks go
+    # through one stacked call
+    assert decomposed[0] == (d_h + 1) * steps
+    assert stacked[0] == steps
     # the objective and gradient_qc reuse the model's eigensystems
     assert in_gradients[0] == 0
 
@@ -395,3 +407,71 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(SpecError):
         TrainConfig(iterations=0)
+
+
+@pytest.mark.parametrize("bad", [np.diag([1.5, -0.5]), np.eye(2) / 4, np.array([[0.5, 0.1], [0.0, 0.5]])],
+                         ids=["not-psd", "trace", "not-hermitian"])
+def test_non_density_target_fails_at_problem_construction(bad):
+    ham = ParamHamiltonian(dims=BipartiteDims(2, 1), terms=(PAULI_Z,), theta=np.zeros(1))
+    with pytest.raises(SpecError):
+        QuantumProblem(ham, bad)
+    qc = qc_decompose(ham)
+    with pytest.raises(SpecError):
+        QCProblem(qc, bad)
+
+
+def test_exact_step_validates_the_target_once_per_gradient(monkeypatch):
+    problem, _ = _qubit_problem()
+    calls = [0]
+    raw = qbmgrad.gradients.as_density
+
+    def counted(x, **kw):
+        calls[0] += 1
+        return raw(x, **kw)
+
+    monkeypatch.setattr(qbmgrad.gradients, "as_density", counted)
+    grads = [0]
+    inner = problem.gradient_vector
+
+    def counted_gradient(theta, iteration):
+        grads[0] += 1
+        return inner(theta, iteration)
+
+    problem.gradient_vector = counted_gradient
+    train(problem, TrainConfig(learning_rate=0.1, iterations=30))
+    assert grads[0] == 31
+    assert calls[0] <= grads[0]  # the objective reads the prepared Target
+
+
+def test_shot_problem_forms_each_terms_groups_once(monkeypatch, rng):
+    dims = BipartiteDims(2, 2)
+    terms = tuple(rand_herm(rng, 4, 0.4) for _ in range(2))
+    ham = ParamHamiltonian(dims=dims, terms=terms, theta=np.array([0.3, -0.2]))
+    rho = rand_state(rng, 2)
+    est = EstimatorConfig(shots=256, seed=3, threads=1)
+    calls = [0]
+    raw = qbmgrad.estimator.eigen_groups
+
+    def counted(g_j, **kw):
+        calls[0] += 1
+        return raw(g_j, **kw)
+
+    for module in (qbmgrad.estimator, qbmgrad.training):
+        monkeypatch.setattr(module, "eigen_groups", counted)
+    problem = QuantumProblem(ham, rho, mode="shot", estimator=est)
+    for it in range(3):
+        problem.objective(ham.theta)
+        problem.gradient_vector(ham.theta, it)
+    assert calls[0] == len(terms)  # not 2 per estimate
+    monkeypatch.undo()
+    fresh = QuantumProblem(ham, rho, mode="shot", estimator=est)
+    model = thermalize(ham)
+    # the groups change nothing but the work: same numbers as a fresh problem
+    assert np.array_equal(problem.gradient_vector(ham.theta, 5),
+                          fresh.gradient_vector(ham.theta, 5))
+    cfg = EstimatorConfig(shots=256, seed=11, threads=1)
+    groups = qbmgrad.estimator.eigen_groups(terms[0])
+    assert (qbmgrad.estimator.estimate_first_term(model, rho, terms[0], cfg, groups=groups)
+            == qbmgrad.estimator.estimate_first_term(model, rho, terms[0], cfg))
+    assert (qbmgrad.estimator.estimate_model_term(model, terms[0], 256, 4, groups=groups)
+            == qbmgrad.estimator.estimate_model_term(model, terms[0], 256, 4))

@@ -219,7 +219,8 @@ def _reject_unused_shot_flags(args, spec: RunSpec, mode: str) -> None:
     if mode == "exact":
         unused, why = list(flags), "apply to --mode shot only"
     elif spec.model.kind == "classical":
-        unused, why = ["--epsilon", "--delta"], "do not apply to classical tables, which draw --shots samples"
+        unused = ["--epsilon", "--delta"]
+        why = "do not apply to classical tables, which draw --shots samples"
     else:
         return
     given = [f for f in unused if flags[f] is not None]

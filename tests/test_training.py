@@ -409,8 +409,9 @@ def test_train_config_validation():
         TrainConfig(iterations=0)
 
 
-@pytest.mark.parametrize("bad", [np.diag([1.5, -0.5]), np.eye(2) / 4, np.array([[0.5, 0.1], [0.0, 0.5]])],
-                         ids=["not-psd", "trace", "not-hermitian"])
+@pytest.mark.parametrize(
+    "bad", [np.diag([1.5, -0.5]), np.eye(2) / 4, np.array([[0.5, 0.1], [0.0, 0.5]])],
+    ids=["not-psd", "trace", "not-hermitian"])
 def test_non_density_target_fails_at_problem_construction(bad):
     ham = ParamHamiltonian(dims=BipartiteDims(2, 1), terms=(PAULI_Z,), theta=np.zeros(1))
     with pytest.raises(SpecError):

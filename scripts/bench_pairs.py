@@ -13,7 +13,13 @@ alike.  The output holds, per workload and end-to-end metric, the medians
 and quartiles of both sides, the after/before ratio of the medians and the
 number of pairs the after side won (direction from ``BENCHMARK.json``), plus
 every pair's raw values, fingerprints, failure counts and the environment
-stamps of both sides.
+stamps of both sides.  Each metric also carries two verdicts:
+
+- ``claim_met``: the after side won at least 9 of every 10 pairs, and its
+  median is better than the before median by more than the before side's
+  interquartile range;
+- ``within_bound``: the after median is worse than the before median by
+  no more than the metric's relative ``bound`` in ``BENCHMARK.json``.
 """
 from __future__ import annotations
 
@@ -54,19 +60,24 @@ def _quartiles(xs: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
+def _summary(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     out = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
+        sign = -1.0 if metric["better"] == "lower" else 1.0  # sign * (after - before) > 0 is a gain
         before = [p["before"]["metrics"][name] for p in pairs]
         after = [p["after"]["metrics"][name] for p in pairs]
-        wins = sum((a < b) if direction == "lower" else (a > b) for a, b in zip(after, before))
+        wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
+        qb, qa = _quartiles(before), _quartiles(after)
+        gain = sign * (qa["median"] - qb["median"])
         out[name] = {
-            "better": direction,
-            "before": _quartiles(before),
-            "after": _quartiles(after),
-            "ratio_of_medians": statistics.median(after) / statistics.median(before),
+            "better": metric["better"],
+            "before": qb,
+            "after": qa,
+            "ratio_of_medians": qa["median"] / qb["median"],
             "after_wins": wins,
             "pairs": len(pairs),
+            "claim_met": 10 * wins >= 9 * len(pairs) and gain > qb["q3"] - qb["q1"],
+            "within_bound": -gain <= metric["bound"] * abs(qb["median"]),
         }
     return out
 
@@ -84,7 +95,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     report = {"command": ["python3", "perfbench/run.py", "--seconds", str(seconds), "--trace", "0"],
               "workloads": {}}
@@ -98,7 +109,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: {pair[side]['metrics']}", file=sys.stderr)
             pairs.append(pair)
         report["workloads"][workload] = {
-            "summary": _summary(pairs, better),
+            "summary": _summary(pairs, metrics),
             "fingerprints_equal": sum(p["before"]["fingerprint"] == p["after"]["fingerprint"]
                                       for p in pairs),
             "failed_ops": {side: sum(p[side]["failed"] for p in pairs) for side in sides},

@@ -185,12 +185,21 @@ def expectation(obs, state, *, imag_atol: float = 1e-10):
 
 
 def spectral_norm(x) -> float:
-    """Largest singular value.
+    """Largest singular value of a matrix, or of the Hermitian matrix an
+    ``Eigensystem`` decomposes.
 
-    For exactly Hermitian input (every ``hermitize`` output is) this is
-    max(|lambda_min|, |lambda_max|), read from ``eigvalsh``, which costs
-    about half an SVD; any other input pays for the SVD.
+    An ``Eigensystem`` gives max(|lambda_min|, |lambda_max|) from its
+    ascending eigenvalues at no further cost.  A NaN eigenvalue means the
+    decomposition did not converge (LAPACK returns NaN for some sizes
+    instead of failing), so it raises ``LinAlgError``, as the matrix path
+    does for a matrix holding NaN.  For exactly Hermitian matrix input
+    (every ``hermitize`` output is) the norm is read from ``eigvalsh``,
+    which costs about half an SVD; any other input pays for the SVD.
     """
+    if isinstance(x, Eigensystem):
+        if np.isnan(x.vals).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return float(max(abs(x.vals[0]), abs(x.vals[-1])))
     x = np.asarray(x)
     if x.ndim == 2 and x.size and x.shape[0] == x.shape[1] and (x == x.conj().T).all():
         w = np.linalg.eigvalsh(x)

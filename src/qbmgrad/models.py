@@ -117,12 +117,22 @@ class ThermalModel:
 
 
 def thermalize(h: ParamHamiltonian) -> ThermalModel:
-    """Build the thermal model e^{-G(theta)}/Z with all cached fields."""
+    """Build the thermal model e^{-G(theta)}/Z with all cached fields.
+
+    G is decomposed once, in three steps: ``np.linalg.eigh`` of the
+    assembled G (already hermitized, so it skips ``as_hermitian``); the
+    exponent guard, |G|_2 <= ``EXP_NORM_GUARD``, read by ``spectral_norm``
+    from that eigensystem; then the reconstruction check ``eigh`` applies.
+    The exponent guard answers first, so a G too large to exponentiate
+    raises ScaleError even where its residual would also fail.
+    """
     g = h.assemble()
-    norm = spectral_norm(g)
-    if norm > EXP_NORM_GUARD:
+    vals, vecs = np.linalg.eigh(g)
+    g_eig = Eigensystem(vals, vecs)
+    norm = spectral_norm(g_eig)
+    if not norm <= EXP_NORM_GUARD:
         raise ScaleError(f"|G| = {norm:.1f} exceeds the exponent guard {EXP_NORM_GUARD}")
-    g_eig = eigh(g)
+    check_reconstruction(g[None], vals[None], vecs[None])
     weights, z_shifted = gibbs_weights(g_eig.vals)
     z = z_shifted * float(np.exp(-np.min(g_eig.vals)))
     sigma_vh = hermitize((g_eig.vecs * weights) @ g_eig.vecs.conj().T)

@@ -2,7 +2,8 @@
 
 Complex matrices are serialized as row-major nested arrays of [re, im]
 pairs; probability vectors as plain arrays.  Restricted models pack theta
-in the order (a, b, row-major w).
+in the order (a, b, row-major w).  Python's ``json`` accepts the ``NaN``
+and ``Infinity`` literals, so every parsed number is checked to be finite.
 """
 from __future__ import annotations
 
@@ -23,11 +24,20 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+def _real_array(obj, what: str, expected: str = "an array of real numbers") -> np.ndarray:
+    """``obj`` as a float array; SpecError naming ``what`` unless every
+    entry is a finite number."""
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise SpecError(f"{what}: expected nested [re, im] arrays") from exc
+        raise SpecError(f"{what}: expected {expected}") from exc
+    if not np.isfinite(arr).all():
+        raise SpecError(f"{what}: non-finite value (NaN or Infinity)")
+    return arr
+
+
+def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+    arr = _real_array(obj, what, "nested [re, im] arrays")
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise SpecError(f"{what}: expected a square matrix of [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -79,20 +89,20 @@ def _parse_model(raw: dict) -> ModelSpec:
         raise SpecError(f"unknown model kind {kind!r}")
     spec = ModelSpec(kind=kind)
     if kind == "classical":
-        tables = np.asarray(_require(raw, "tables", "classical model"), dtype=float)
+        tables = _real_array(_require(raw, "tables", "classical model"), "classical tables")
         if tables.ndim != 3:
             raise SpecError("classical tables must be J x d_v x d_h")
         spec.tables = tables
-        spec.theta = np.asarray(_require(raw, "theta", "classical model"), dtype=float)
+        spec.theta = _real_array(_require(raw, "theta", "classical model"), "classical theta")
         spec.dims = BipartiteDims(tables.shape[1], tables.shape[2])
         return spec
     if kind == "restricted":
         v_ops = [matrix_from_json(m, "V operator") for m in _require(raw, "V", "restricted model")]
         h_ops = [matrix_from_json(m, "H operator") for m in _require(raw, "H", "restricted model")]
         spec.restricted = RestrictedSpec(
-            a=np.asarray(_require(raw, "a", "restricted model"), dtype=float),
-            b=np.asarray(_require(raw, "b", "restricted model"), dtype=float),
-            w=np.asarray(_require(raw, "w", "restricted model"), dtype=float),
+            a=_real_array(_require(raw, "a", "restricted model"), "restricted a"),
+            b=_real_array(_require(raw, "b", "restricted model"), "restricted b"),
+            w=_real_array(_require(raw, "w", "restricted model"), "restricted w"),
             V=tuple(v_ops),
             H=tuple(h_ops),
         )
@@ -104,7 +114,7 @@ def _parse_model(raw: dict) -> ModelSpec:
     if spec.dims.total > MAX_DIM:
         raise SpecError(f"total dimension {spec.dims.total} exceeds {MAX_DIM}")
     spec.terms = [matrix_from_json(m, "term") for m in _require(raw, "terms", "model")]
-    spec.theta = np.asarray(_require(raw, "theta", "model"), dtype=float)
+    spec.theta = _real_array(_require(raw, "theta", "model"), "model theta")
     if kind == "qc" and "hidden_basis" in raw:
         spec.hidden_basis = matrix_from_json(raw["hidden_basis"], "hidden basis")
     if kind == "cq" and "visible_basis" in raw:
@@ -142,7 +152,7 @@ def parse_runspec(raw: dict) -> RunSpec:
     if "state" in target_raw:
         target_state = matrix_from_json(target_raw["state"], "target state")
     elif "probs" in target_raw:
-        target_probs = np.asarray(target_raw["probs"], dtype=float)
+        target_probs = _real_array(target_raw["probs"], "target probs")
         if target_probs.ndim != 1 or np.any(target_probs < 0) or abs(target_probs.sum() - 1.0) > 1e-9:
             raise SpecError("target probs must be a normalized nonnegative vector")
     else:

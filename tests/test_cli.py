@@ -282,3 +282,22 @@ def test_negative_seed_env_is_input_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QBMGRAD_SEED", "-1")
     assert run(["estimate", "--spec", DEMOS / "estimate.json", "--out", tmp_path]) == 2
     assert "input error: QBMGRAD_SEED must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, field", [
+    (("model", "theta", 0), "model theta"),
+    (("model", "terms", 0, 1, 1, 0), "term"),
+    (("target", "state", 0, 0, 0), "target state"),
+], ids=["nan-theta", "infinite-term", "nan-target"])
+@pytest.mark.parametrize("command", ["grad", "train"])
+def test_non_finite_spec_number_is_input_error(tmp_path, capsys, path, field, command):
+    raw = json.loads((DEMOS / "grad_qubit.json").read_text())
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = float("inf") if field == "term" else float("nan")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))  # writes the NaN / Infinity literals
+    assert run([command, "--spec", spec, "--out", tmp_path]) == 2
+    assert f"input error: {field}: non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

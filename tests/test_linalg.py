@@ -214,6 +214,26 @@ def test_spectral_norm_non_hermitian_is_largest_singular_value(rng):
     assert spectral_norm(nilpotent) == pytest.approx(2.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("d", [4, 64, 256])
+def test_spectral_norm_of_eigensystem_matches_matrix(rng, d):
+    x = rand_herm(rng, d)
+    es = eigh(x)
+    want = spectral_norm(x)
+    assert abs(spectral_norm(es) - want) <= 1e-12 * want
+    assert abs(spectral_norm(eigh(-x)) - want) <= 1e-12 * want  # lambda_min carries the norm
+
+
+def test_spectral_norm_of_unconverged_eigensystem_raises():
+    # for a NaN matrix, LAPACK's eigh returns NaN eigenvalues at some sizes
+    # instead of failing; the norm then fails as the matrix path does
+    x = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral_norm(x)
+    nan_eig = qbmgrad.linalg.Eigensystem(np.array([np.nan, np.nan]), np.eye(2, dtype=complex))
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral_norm(nan_eig)
+
+
 def test_expectation_stack_matches_single_terms(rng):
     state = rand_state(rng, 6)
     stack = np.stack([rand_herm(rng, 6) for _ in range(4)])

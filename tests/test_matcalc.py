@@ -210,3 +210,50 @@ def test_eval_mode_validation():
         EvalMode("quadrature", nodes=32)
     with pytest.raises(SpecError):
         power_beta(0.0)
+
+
+# Independent oracles: scipy's matrix functions share no code with the
+# package's eigh-based derivatives (test-only; the runtime is numpy-only).
+
+@pytest.fixture
+def scipy_linalg():
+    return pytest.importorskip("scipy.linalg")
+
+
+def _relative(x, ref):
+    return spectral_norm(x - ref) / spectral_norm(ref)
+
+
+@pytest.mark.parametrize("mode", ["duhamel", "fourier"])
+def test_frechet_exp_matches_scipy_expm_frechet(rng, scipy_linalg, mode):
+    b, h = rand_herm(rng, 16, 0.5), rand_herm(rng, 16)
+    want = scipy_linalg.expm_frechet(b, h, compute_expm=False)
+    assert _relative(frechet_exp(b, h, mode), want) < 1e-12
+
+
+def _central_difference(f, a, h, eps=1e-5):
+    return (f(a + eps * h) - f(a - eps * h)) / (2 * eps)
+
+
+@pytest.mark.parametrize("mode", ["fourier", "resolvent"])
+def test_frechet_log_matches_scipy_logm(rng, scipy_linalg, mode):
+    a, h = rand_pd(rng, 16), rand_herm(rng, 16)
+    fd = _central_difference(scipy_linalg.logm, a, h)
+    assert _relative(frechet_log(a, h, mode), fd) < 1e-6
+
+
+@pytest.mark.parametrize("r", [-0.5, 0.3, 0.9])
+def test_frechet_power_matches_scipy_fractional_power(rng, scipy_linalg, r):
+    a, h = rand_pd(rng, 16), rand_herm(rng, 16)
+    fd = _central_difference(lambda x: scipy_linalg.fractional_matrix_power(x, r), a, h)
+    assert _relative(frechet_power(a, h, r), fd) < 1e-6
+
+
+def test_thermal_derivative_matches_scipy_expm_frechet(rng, scipy_linalg):
+    # d(e^{-G}/Z) = E'/Z - e^{-G} Tr(E')/Z^2 with E' = L_exp(-G, -dG), Z = Tr e^{-G}
+    g, dg = rand_herm(rng, 16, 0.5), rand_herm(rng, 16)
+    e = scipy_linalg.expm(-g)
+    z = np.trace(e).real
+    de = scipy_linalg.expm_frechet(-g, -dg, compute_expm=False)
+    want = de / z - e * np.trace(de).real / z**2
+    assert _relative(thermal_derivative(eigh(g), dg), want) < 1e-12

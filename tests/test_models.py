@@ -18,7 +18,7 @@ from qbmgrad import (
     thermalize,
 )
 from qbmgrad.linalg import eigh, gibbs_weights
-from qbmgrad.models import _thermal_blocks
+from qbmgrad.models import EXP_NORM_GUARD, _thermal_blocks
 from conftest import (
     PAULI_Z,
     block_hidden_terms,
@@ -75,6 +75,66 @@ def test_exponent_guard_precedes_eigh_guard(rng, theta):
     term = term / spectral_norm(term)
     ham = ParamHamiltonian(dims=BipartiteDims(4, 4), terms=(term,), theta=np.array([theta]))
     with pytest.raises(ScaleError, match="exponent guard"):
+        thermalize(ham)
+
+
+def _guard_edge_hamiltonian(rng, theta):
+    # eigenvalues in [0.99, 1] in a random basis: |term|_2 = 1, so |G|_2 = theta,
+    # and the narrow spectrum keeps the visible marginal positive at theta ~ 700
+    u = rand_unitary(rng, 16)
+    term = (u * np.linspace(0.99, 1.0, 16)) @ u.conj().T
+    return ParamHamiltonian(dims=BipartiteDims(4, 4), terms=(term,), theta=np.array([theta]))
+
+
+def test_exponent_guard_edge(rng):
+    below = _guard_edge_hamiltonian(rng, EXP_NORM_GUARD * (1 - 1e-9))
+    assert spectral_norm(thermalize(below).G) <= EXP_NORM_GUARD
+    with pytest.raises(ScaleError, match="exceeds the exponent guard 700.0"):
+        thermalize(below.with_theta([EXP_NORM_GUARD * (1 + 1e-9)]))
+
+
+def test_thermalize_decomposes_g_once(rng, monkeypatch):
+    ham = ParamHamiltonian(dims=BipartiteDims(4, 4), terms=(rand_herm(rng, 16),),
+                           theta=np.array([0.5]))
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    thermalize(ham)
+    assert calls == {"eigh": 2, "eigvalsh": 0}  # G and sigma_v; the guard reads G's
+
+
+def test_thermalize_checks_g_reconstruction(rng, monkeypatch):
+    ham = ParamHamiltonian(dims=BipartiteDims(4, 4), terms=(rand_herm(rng, 16),),
+                           theta=np.array([0.5]))
+    raw = np.linalg.eigh
+    shifts = [1e-6]  # G's decomposition only: |r|_2 = 1e-6 exceeds the tolerance 1.6e-9
+
+    def shifted(x, *args, **kw):
+        w, v = raw(x, *args, **kw)
+        return w + (shifts.pop() if shifts else 0.0), v
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    with pytest.raises(GuardError, match="eigendecomposition residual"):
+        thermalize(ham)
+    assert not shifts
+
+
+@pytest.mark.parametrize("d_v, d_h", [(2, 1), (4, 4), (8, 8)])
+def test_non_finite_theta_raises_linalg_error(rng, d_v, d_h):
+    d = d_v * d_h
+    ham = ParamHamiltonian(dims=BipartiteDims(d_v, d_h),
+                           terms=(rand_herm(rng, d), rand_herm(rng, d)),
+                           theta=np.array([np.nan, 0.5]))
+    with pytest.raises(np.linalg.LinAlgError):
         thermalize(ham)
 
 

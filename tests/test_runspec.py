@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,33 @@ def test_parse_rejects_bad_probs():
     raw["model"]["dims"] = {"visible": 2, "hidden": 1}
     raw["target"] = {"probs": [0.9, 0.3]}
     with pytest.raises(SpecError):
+        parse_runspec(raw)
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("demo, path, field", [
+    ("grad_qubit", ("model", "theta", 0), "model theta"),
+    ("grad_qubit", ("model", "terms", 0, 0, 0, 0), "term"),
+    ("grad_qubit", ("target", "state", 1, 1, 1), "target state"),
+    ("grad_restricted", ("model", "a", 0), "restricted a"),
+    ("grad_restricted", ("model", "b", 0), "restricted b"),
+    ("grad_restricted", ("model", "w", 0, 0), "restricted w"),
+    ("grad_restricted", ("model", "V", 0, 0, 0, 0), "V operator"),
+    ("grad_classical", ("model", "tables", 0, 0, 0), "classical tables"),
+    ("grad_classical", ("model", "theta", 0), "classical theta"),
+    ("grad_classical", ("target", "probs", 0), "target probs"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_parse_rejects_non_finite_numbers(demo, path, field, value):
+    raw = json.loads((DEMOS / f"{demo}.json").read_text())
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    raw = json.loads(json.dumps(raw))  # through the NaN/Infinity literals json accepts
+    with pytest.raises(SpecError, match=f"^{field}: non-finite value"):
         parse_runspec(raw)
 
 

@@ -35,3 +35,37 @@ def test_train_benchmark_runs(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["train_benchmark.py", "--iterations", "3"])
     module.main()
     assert "shot  terminal" in capsys.readouterr().out
+
+
+def _pairs(before, after, name="work_per_s"):
+    return [{"before": {"metrics": {name: b}}, "after": {"metrics": {name: a}}}
+            for b, a in zip(before, after)]
+
+
+def test_bench_pairs_verdicts():
+    module = _load(ROOT / "scripts" / "bench_pairs.py")
+    higher = {"work_per_s": {"name": "work_per_s", "better": "higher", "bound": 0.25}}
+    lower = {"op_s.p50": {"name": "op_s.p50", "better": "lower", "bound": 0.25}}
+    before = [20.0, 20.5, 19.5, 21.0, 19.0, 20.2, 19.8, 20.1, 19.9, 20.4]
+
+    clear = module._summary(_pairs(before, [b * 1.5 for b in before]), higher)["work_per_s"]
+    assert clear["after_wins"] == 10 and clear["claim_met"] and clear["within_bound"]
+
+    # 8 of 10 wins is short of 9 of 10, however large the gain
+    after = [b * 1.5 for b in before[:8]] + [b * 0.9 for b in before[8:]]
+    eight = module._summary(_pairs(before, after), higher)["work_per_s"]
+    assert eight["after_wins"] == 8 and not eight["claim_met"]
+
+    # every pair won, but by less than the before side's interquartile range
+    small = module._summary(_pairs(before, [b + 0.01 for b in before]), higher)["work_per_s"]
+    assert small["after_wins"] == 10 and not small["claim_met"] and small["within_bound"]
+
+    # lower is better: a 20% slower median is inside the 0.25 bound, 30% is not
+    times = [1.0 + 0.01 * k for k in range(10)]
+    slower = module._summary(_pairs(times, [t * 1.2 for t in times], "op_s.p50"), lower)
+    assert slower["op_s.p50"]["within_bound"] and not slower["op_s.p50"]["claim_met"]
+    slowest = module._summary(_pairs(times, [t * 1.3 for t in times], "op_s.p50"), lower)
+    assert not slowest["op_s.p50"]["within_bound"]
+    faster = module._summary(_pairs(times, [t * 0.5 for t in times], "op_s.p50"), lower)
+    assert faster["op_s.p50"]["claim_met"]
+    assert faster["op_s.p50"]["ratio_of_medians"] == pytest.approx(0.5)

@@ -20,7 +20,7 @@ from .estimator import EstimatorConfig, estimate_first_term, hoeffding_shots
 from .gradients import Objective, UMEGAKI, gradient, tsallis
 from .linalg import spectral_norm
 from .models import cq_decompose, qc_decompose, thermalize
-from .runspec import RunSpec, fmt17, load_runspec
+from .runspec import RunSpec, fmt17, load_runspec, spec_number
 from .training import (
     CQProblem,
     ClassicalProblem,
@@ -51,20 +51,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="qbmgrad", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", type=Path, help="JSON run-spec file")
-    common.add_argument("--objective", choices=["umegaki", "tsallis"])
-    common.add_argument("--q", type=float, help="tsallis order in (0,1) u (1,2]")
-    common.add_argument("--seed", type=int, help="override the spec seed")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    common.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    # each command takes only the flag groups it reads
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--spec", type=Path, help="JSON run-spec file")
+    spec.add_argument("--seed", type=int, help="override the spec seed")
+    objective = argparse.ArgumentParser(add_help=False)
+    objective.add_argument("--objective", choices=["umegaki", "tsallis"])
+    objective.add_argument("--q", type=float, help="tsallis order in (0,1) u (1,2]")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
-    pv = sub.add_parser("verify", parents=[common], help="run property-check suites")
+    pv = sub.add_parser("verify", parents=[out], help="run property-check suites")
     pv.add_argument("--suite", default="all", help=f"one of {', '.join(SUITES)} or 'all'")
 
-    sub.add_parser("grad", parents=[common], help="exact gradient with oracle residuals")
+    sub.add_parser("grad", parents=[spec, objective, out],
+                   help="exact gradient with oracle residuals")
 
-    pt = sub.add_parser("train", parents=[common], help="gradient-descent training")
+    pt = sub.add_parser("train", parents=[spec, objective, threads, out],
+                        help="gradient-descent training")
     pt.add_argument("--mode", choices=["exact", "shot"], help="gradient mode")
     pt.add_argument("--learning-rate", type=float)
     pt.add_argument("--iterations", type=int)
@@ -73,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--delta", type=float, help="shot-mode failure probability")
     pt.add_argument("--shots", type=int, help="fixed shots per estimate (0 = auto)")
 
-    pe = sub.add_parser("estimate", parents=[common], help="shot-estimate one gradient term")
+    pe = sub.add_parser("estimate", parents=[spec, threads, out],
+                        help="shot-estimate one gradient term")
     pe.add_argument("--term", type=int, help="parameter index (default from spec)")
     pe.add_argument("--epsilon", type=float)
     pe.add_argument("--delta", type=float)
@@ -98,17 +105,17 @@ def _resolve_seed(args, spec: RunSpec | None) -> int:
     return seed
 
 
-def _option(flag, opts: dict, key: str, default, cast):
+def _option(flag, opts: dict, key: str, default, *, integer: bool = False):
     """The flag when given (zero included), else the spec option, else the default."""
-    return flag if flag is not None else cast(opts.get(key, default))
+    return flag if flag is not None else spec_number(opts.get(key, default), key, integer=integer)
 
 
 def _estimator_config(args, opts: dict, seed: int) -> EstimatorConfig:
     """Shot settings of a train or estimate run: flags over spec options."""
     return EstimatorConfig(
-        epsilon=_option(args.epsilon, opts, "epsilon", 0.05, float),
-        delta_fail=_option(args.delta, opts, "delta", 0.05, float),
-        shots=_option(args.shots, opts, "shots", 0, int),
+        epsilon=_option(args.epsilon, opts, "epsilon", 0.05),
+        delta_fail=_option(args.delta, opts, "delta", 0.05),
+        shots=_option(args.shots, opts, "shots", 0, integer=True),
         seed=seed,
         threads=args.threads,
     )
@@ -237,9 +244,9 @@ def cmd_train(args) -> int:
     _reject_unused_shot_flags(args, spec, mode)
     est = _estimator_config(args, opts, seed) if mode == "shot" else None
     cfg = TrainConfig(
-        learning_rate=_option(args.learning_rate, opts, "learning_rate", 0.1, float),
-        iterations=_option(args.iterations, opts, "iterations", 500, int),
-        log_every=_option(args.log_every, opts, "log_every", 1, int),
+        learning_rate=_option(args.learning_rate, opts, "learning_rate", 0.1),
+        iterations=_option(args.iterations, opts, "iterations", 500, integer=True),
+        log_every=_option(args.log_every, opts, "log_every", 1, integer=True),
     )
     traj = train(_problem(spec, obj, mode, est), cfg)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -274,7 +281,7 @@ def cmd_estimate(args) -> int:
         raise SpecError("estimate covers generic/restricted models")
     seed = _resolve_seed(args, spec)
     opts = spec.estimate
-    term = _option(args.term, opts, "term_index", 0, int)
+    term = _option(args.term, opts, "term_index", 0, integer=True)
     model = thermalize(spec.model.param_hamiltonian())
     terms = model.hamiltonian.terms
     if not 0 <= term < len(terms):

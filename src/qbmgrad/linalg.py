@@ -31,8 +31,8 @@ def as_hermitian(a, *, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     """Validate a square matrix as Hermitian and symmetrize away noise.
 
     Asymmetry up to ``atol`` (max-abs entrywise) is treated as float noise
-    and removed by averaging; larger asymmetry is rejected so genuine bugs
-    are not masked.
+    and removed by averaging; larger asymmetry, and any NaN or infinite
+    entry, is rejected so genuine bugs are not masked.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -40,7 +40,9 @@ def as_hermitian(a, *, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     if not 1 <= a.shape[0] <= MAX_DIM:
         raise SpecError(f"dimension {a.shape[0]} outside supported range [1, {MAX_DIM}]")
     gap = float(np.abs(a - a.conj().T).max())
-    if gap >= atol:
+    if not gap < atol:  # a NaN or infinite entry makes the gap non-finite
+        if not np.isfinite(gap):
+            raise SpecError("matrix has a non-finite entry")
         raise SpecError(f"matrix is not Hermitian: max asymmetry {gap:.3e} >= {atol:.0e}")
     return hermitize(a)
 

@@ -8,6 +8,8 @@ and ``Infinity`` literals, so every parsed number is checked to be finite.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +36,21 @@ def _real_array(obj, what: str, expected: str = "an array of real numbers") -> n
     if not np.isfinite(arr).all():
         raise SpecError(f"{what}: non-finite value (NaN or Infinity)")
     return arr
+
+
+def spec_number(value, what: str, *, integer: bool = False):
+    """``value`` as a finite float, or as an int when ``integer``; SpecError
+    naming ``what`` for anything else, a fractional number included."""
+    if integer and isinstance(value, numbers.Integral):
+        return int(value)
+    try:
+        num = float(value)
+    except (TypeError, ValueError):
+        num = math.nan
+    if not math.isfinite(num) or (integer and not num.is_integer()):
+        kind = "an integer" if integer else "a finite number"
+        raise SpecError(f"{what}: expected {kind}, got {value!r}")
+    return int(num) if integer else num
 
 
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
@@ -72,13 +89,15 @@ class RunSpec:
     train: dict
     estimate: dict
 
-    @property
-    def target(self):
-        return self.target_state if self.target_state is not None else self.target_probs
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"{what}: expected a JSON object, got {value!r}")
+    return value
 
 
 def _require(d: dict, key: str, what: str):
-    if key not in d:
+    if key not in _object(d, what):
         raise SpecError(f"{what}: missing required field {key!r}")
     return d[key]
 
@@ -110,7 +129,9 @@ def _parse_model(raw: dict) -> ModelSpec:
         spec.theta = spec.restricted.pack_theta()
         return spec
     dims_raw = _require(raw, "dims", "model")
-    spec.dims = BipartiteDims(int(dims_raw["visible"]), int(dims_raw["hidden"]))
+    spec.dims = BipartiteDims(*(
+        spec_number(_require(dims_raw, k, "model dims"), f"model dims {k}", integer=True)
+        for k in ("visible", "hidden")))
     if spec.dims.total > MAX_DIM:
         raise SpecError(f"total dimension {spec.dims.total} exceeds {MAX_DIM}")
     spec.terms = [matrix_from_json(m, "term") for m in _require(raw, "terms", "model")]
@@ -129,7 +150,7 @@ def _parse_objective(raw) -> Objective:
     if kind == "umegaki":
         return UMEGAKI
     if kind == "tsallis":
-        return tsallis(float(_require(raw, "q", "objective")))
+        return tsallis(spec_number(_require(raw, "q", "objective"), "objective q"))
     raise SpecError(f"unknown objective kind {kind!r}")
 
 
@@ -166,9 +187,9 @@ def parse_runspec(raw: dict) -> RunSpec:
         target_state=target_state,
         target_probs=target_probs,
         objective=_parse_objective(raw.get("objective")),
-        seed=int(raw.get("seed", 0)),
-        train=dict(raw.get("train", {})),
-        estimate=dict(raw.get("estimate", {})),
+        seed=spec_number(raw.get("seed", 0), "seed", integer=True),
+        train=dict(_object(raw.get("train", {}), "train")),
+        estimate=dict(_object(raw.get("estimate", {}), "estimate")),
     )
 
 

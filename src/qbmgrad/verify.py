@@ -2,10 +2,13 @@
 
 Each check returns its worst residual against a fixed tolerance; suites are
 deterministic (fixed seeds) so a regression is a hard failure, not noise.
+The random-instance generators and oracles below are public because the
+test suite draws its instances from the same ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import product
 
 import numpy as np
 
@@ -29,40 +32,55 @@ class CheckResult:
         return bool(self.residual < self.tol)
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "residual": float(self.residual),
-            "tol": float(self.tol),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "residual": float(self.residual), "tol": float(self.tol),
+                "passed": self.passed}
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def _rand_herm(rng, d, scale=1.0):
+def rand_herm(rng, d, scale=1.0):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return as_hermitian((a + a.conj().T) / 2 * scale)
 
 
-def _rand_state(rng, d):
+def rand_state(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = a @ a.conj().T
     return m / np.trace(m).real
 
 
 def _rand_pd(rng, d, floor=0.2):
-    es = eigh(_rand_herm(rng, d))
+    es = eigh(rand_herm(rng, d))
     return es.apply(lambda w: np.exp(w / 4) + floor)
 
 
-def _model(rng, d_v, d_h, n_terms=3, scale=0.4):
+def rand_model(rng, d_v, d_h, n_terms=3, term_scale=0.4, theta_scale=0.6):
     dims = BipartiteDims(d_v, d_h)
-    terms = tuple(_rand_herm(rng, dims.total, scale) for _ in range(n_terms))
-    theta = rng.uniform(-0.6, 0.6, size=n_terms)
+    terms = tuple(rand_herm(rng, dims.total, term_scale) for _ in range(n_terms))
+    theta = rng.uniform(-theta_scale, theta_scale, size=n_terms)
     return models.thermalize(models.ParamHamiltonian(dims=dims, terms=terms, theta=theta))
+
+
+def rand_unitary(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q_mat, r = np.linalg.qr(a)
+    return q_mat * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def block_hidden_terms(rng, d_v, d_h, n_terms, basis):
+    """Terms of the form sum_x A_{j,x} (x) |x><x|_h over the given basis."""
+    terms = []
+    for _ in range(n_terms):
+        t = np.zeros((d_v * d_h, d_v * d_h), dtype=complex)
+        for x in range(d_h):
+            t += tensor(rand_herm(rng, d_v, 0.5), np.outer(basis[:, x], basis[:, x].conj()))
+        terms.append(as_hermitian(t))
+    return tuple(terms)
+
+
+def gibbs(g):
+    """The Gibbs state e^{-g} / Tr e^{-g}."""
+    e = eigh(g)
+    w = np.exp(-(e.vals - e.vals.min()))
+    return (e.vecs * (w / w.sum())) @ e.vecs.conj().T
 
 
 def suite_densities(seed: int = 20_240_501) -> list[CheckResult]:
@@ -73,11 +91,8 @@ def suite_densities(seed: int = 20_240_501) -> list[CheckResult]:
         out.append(CheckResult("densities", f"unit mass [{_dname(d)}]",
                                abs(densities.numeric_mass(d) - 1.0), 1e-8))
     for d in kinds:
-        worst = 0.0
-        for T in (1.0, 2.0, 5.0, 10.0):
-            tail = densities.numeric_tail_mass(d, T)
-            bound = densities.tail_mass_bound(d, T)
-            worst = max(worst, tail - bound)
+        worst = max(0.0, *(densities.numeric_tail_mass(d, T) - densities.tail_mass_bound(d, T)
+                           for T in (1.0, 2.0, 5.0, 10.0)))
         out.append(CheckResult("densities", f"tail below bound [{_dname(d)}]", worst, 0.0 + 1e-30))
     # Fourier transforms match the channel factors
     for d, kind in [
@@ -112,16 +127,17 @@ def suite_densities(seed: int = 20_240_501) -> list[CheckResult]:
 
 
 def suite_matcalc(seed: int = 77_001) -> list[CheckResult]:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     out = []
+    eps = 1e-5  # central-difference step
     kinds = [matcalc.EXP_TENT, matcalc.LOG_LOGISTIC, matcalc.power_beta(0.5)]
     trace_worst = {k.name: 0.0 for k in kinds}
     herm_worst = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 5))
-        y = _rand_herm(rng, d)
+        y = rand_herm(rng, d)
         for kind in kinds:
-            anchor = eigh(_rand_herm(rng, d)) if kind.name == "exp_tent" else eigh(_rand_pd(rng, d))
+            anchor = eigh(rand_herm(rng, d)) if kind.name == "exp_tent" else eigh(_rand_pd(rng, d))
             z = matcalc.apply_channel(kind, anchor, y)
             trace_worst[kind.name] = max(trace_worst[kind.name],
                                          abs(np.trace(z).real - np.trace(y).real))
@@ -135,8 +151,8 @@ def suite_matcalc(seed: int = 77_001) -> list[CheckResult]:
     worst = 0.0
     for kind in kinds:
         for _ in range(3):
-            y = _rand_herm(rng, 4)
-            anchor = eigh(_rand_herm(rng, 4)) if kind.name == "exp_tent" else eigh(_rand_pd(rng, 4))
+            y = rand_herm(rng, 4)
+            anchor = eigh(rand_herm(rng, 4)) if kind.name == "exp_tent" else eigh(_rand_pd(rng, 4))
             worst = max(worst, spectral_norm(
                 matcalc.apply_channel(kind, anchor, y)
                 - matcalc.apply_channel(kind, anchor, y, quad)))
@@ -144,20 +160,18 @@ def suite_matcalc(seed: int = 77_001) -> list[CheckResult]:
     # dual-path and finite-difference checks for the three derivatives
     worst_dual = worst_fd_exp = 0.0
     for _ in range(5):
-        b, h = _rand_herm(rng, 4), _rand_herm(rng, 4)
+        b, h = rand_herm(rng, 4), rand_herm(rng, 4)
         duh = matcalc.frechet_exp(b, h, "duhamel")
         four = matcalc.frechet_exp(b, h, "fourier")
         worst_dual = max(worst_dual, spectral_norm(duh - four))
-        eps = 1e-5
         fd = (eigh(b + eps * h).apply(np.exp) - eigh(b - eps * h).apply(np.exp)) / (2 * eps)
         worst_fd_exp = max(worst_fd_exp, spectral_norm(four - fd))
     out.append(CheckResult("matcalc", "exp derivative duhamel vs fourier", worst_dual, 1e-8))
     out.append(CheckResult("matcalc", "exp derivative finite difference", worst_fd_exp, 1e-6))
     worst_fd_log = worst_res = 0.0
     for _ in range(5):
-        a, h = _rand_pd(rng, 3), _rand_herm(rng, 3)
+        a, h = _rand_pd(rng, 3), rand_herm(rng, 3)
         four = matcalc.frechet_log(a, h)
-        eps = 1e-5
         fd = (eigh(a + eps * h).apply(np.log) - eigh(a - eps * h).apply(np.log)) / (2 * eps)
         worst_fd_log = max(worst_fd_log, spectral_norm(four - fd))
         worst_res = max(worst_res, spectral_norm(four - matcalc.frechet_log(a, h, "resolvent")))
@@ -165,52 +179,42 @@ def suite_matcalc(seed: int = 77_001) -> list[CheckResult]:
     out.append(CheckResult("matcalc", "log derivative fourier vs resolvent", worst_res, 1e-8))
     worst_fd_pow = 0.0
     for r in (-0.5, 0.3, 0.8):
-        a, h = _rand_pd(rng, 3), _rand_herm(rng, 3)
+        a, h = _rand_pd(rng, 3), rand_herm(rng, 3)
         four = matcalc.frechet_power(a, h, r)
-        eps = 1e-5
         fd = (eigh(a + eps * h).power(r) - eigh(a - eps * h).power(r)) / (2 * eps)
         worst_fd_pow = max(worst_fd_pow, spectral_norm(four - fd))
     out.append(CheckResult("matcalc", "power derivative finite difference", worst_fd_pow, 1e-6))
-    a, h = _rand_pd(rng, 3), _rand_herm(rng, 3)
+    a, h = _rand_pd(rng, 3), rand_herm(rng, 3)
     out.append(CheckResult(
         "matcalc", "power derivative r->0 approaches log derivative",
         spectral_norm(matcalc.frechet_power(a, h, 1e-6) / 1e-6 - matcalc.frechet_log(a, h)), 1e-4))
     worst = 0.0
-    for u in (0.1, 1.0, 3.0):
-        for r in (-0.6, 0.4):
-            k = matcalc.power_beta(r)
-            worst = max(worst, abs(matcalc.channel_factor(k, u) - matcalc.channel_factor(k, -u)))
+    for u, r in product((0.1, 1.0, 3.0), (-0.6, 0.4)):
+        k = matcalc.power_beta(r)
+        worst = max(worst, abs(matcalc.channel_factor(k, u) - matcalc.channel_factor(k, -u)))
     out.append(CheckResult("matcalc", "power factor even in the gap", worst, 1e-14))
     worst_tr = worst_fd = 0.0
     for _ in range(5):
-        g, dg = _rand_herm(rng, 4), _rand_herm(rng, 4)
-        es = eigh(g)
-        deriv = matcalc.thermal_derivative(es, dg)
+        g, dg = rand_herm(rng, 4), rand_herm(rng, 4)
+        deriv = matcalc.thermal_derivative(eigh(g), dg)
         worst_tr = max(worst_tr, abs(np.trace(deriv).real))
-        eps = 1e-5
-
-        def sig(gm):
-            e = eigh(gm)
-            w = np.exp(-(e.vals - e.vals.min()))
-            return (e.vecs * (w / w.sum())) @ e.vecs.conj().T
-
-        fd = (sig(g + eps * dg) - sig(g - eps * dg)) / (2 * eps)
+        fd = (gibbs(g + eps * dg) - gibbs(g - eps * dg)) / (2 * eps)
         worst_fd = max(worst_fd, spectral_norm(deriv - fd))
     out.append(CheckResult("matcalc", "thermal derivative traceless", worst_tr, 1e-10))
     out.append(CheckResult("matcalc", "thermal derivative finite difference", worst_fd, 1e-6))
-    g = _rand_herm(rng, 3)
+    g = rand_herm(rng, 3)
     out.append(CheckResult("matcalc", "thermal derivative gauge invariance",
                            spectral_norm(matcalc.thermal_derivative(eigh(g), 0.7 * np.eye(3))), 1e-12))
     return out
 
 
 def suite_gradients(seed: int = 55_007) -> list[CheckResult]:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     out = []
     worst = {"umegaki": 0.0, "tsallis": 0.0}
     for i in range(6):
-        model = _model(rng, 3, 2)
-        rho = _rand_state(rng, 3)
+        model = rand_model(rng, 3, 2)
+        rho = rand_state(rng, 3)
         for obj in (gradients.UMEGAKI, gradients.tsallis(0.5), gradients.tsallis(1.5)):
             rep = gradients.gradient(model, rho, obj)
             fd = finite_difference_gradient(
@@ -219,28 +223,26 @@ def suite_gradients(seed: int = 55_007) -> list[CheckResult]:
                 model.hamiltonian.theta)
             err = float(np.max(np.abs(rep.values - fd) / np.maximum(np.abs(fd), 1e-3)))
             worst[obj.kind] = max(worst[obj.kind], err)
-    out.append(CheckResult("gradients", "finite-difference agreement [umegaki]",
-                           worst["umegaki"], 1e-6))
-    out.append(CheckResult("gradients", "finite-difference agreement [tsallis]",
-                           worst["tsallis"], 1e-6))
-    model = _model(rng, 3, 2)
+    for kind, err in worst.items():
+        out.append(CheckResult("gradients", f"finite-difference agreement [{kind}]", err, 1e-6))
+    model = rand_model(rng, 3, 2)
     rep = gradients.gradient(model, model.sigma_v)
     out.append(CheckResult("gradients", "zero gradient at the fixed point",
                            float(np.max(np.abs(rep.values))), 1e-9))
-    lifted = gradients.lift_to_joint(model, _rand_state(rng, 3))
+    lifted = gradients.lift_to_joint(model, rand_state(rng, 3))
     out.append(CheckResult("gradients", "lifted quasi-state has unit trace",
                            abs(np.trace(lifted).real - 1.0), 1e-10))
     out.append(CheckResult("gradients", "lifted quasi-state hermitian",
                            float(np.max(np.abs(lifted - lifted.conj().T))), 1e-12))
-    m1 = _model(rng, 4, 1)
-    rho1 = _rand_state(rng, 4)
+    m1 = rand_model(rng, 4, 1)
+    rho1 = rand_state(rng, 4)
     rep1 = gradients.gradient(m1, rho1)
     direct = np.array([expectation(t, rho1) for t in m1.hamiltonian.terms])
     out.append(CheckResult("gradients", "no-hidden-units first term is <G_j>_rho",
                            float(np.max(np.abs(rep1.first_terms - direct))), 1e-8))
     # continuity in the tsallis order near q = 1
-    model = _model(rng, 2, 2)
-    rho = _rand_state(rng, 2)
+    model = rand_model(rng, 2, 2)
+    rho = rand_state(rng, 2)
     base = gradients.gradient(model, rho).values
     dev = max(
         float(np.max(np.abs(gradients.gradient(model, rho, gradients.tsallis(1 + s)).values - base)))
@@ -260,9 +262,12 @@ def suite_gradients(seed: int = 55_007) -> list[CheckResult]:
     out.append(CheckResult("gradients", "diagonal model reduces to classical gradient",
                            float(np.max(np.abs(rep.values - cls))), 1e-10))
     # block-model consistency and the sorting POVM
-    basis = _rand_basis(rng, 2)
-    qc = models.qc_decompose(_qc_ham(rng, 3, 2, 3, basis), basis)
-    rho = _rand_state(rng, 3)
+    basis = rand_unitary(rng, 2)
+    terms = block_hidden_terms(rng, 3, 2, 3, basis)
+    ham = models.ParamHamiltonian(dims=BipartiteDims(3, 2), terms=terms,
+                                  theta=rng.uniform(-0.5, 0.5, 3))
+    qc = models.qc_decompose(ham, basis)
+    rho = rand_state(rng, 3)
     full = models.thermalize(models.ParamHamiltonian(
         dims=qc.dims, terms=_qc_terms_full(qc), theta=qc.theta))
     out.append(CheckResult("gradients", "block-hidden gradient matches generic",
@@ -280,7 +285,7 @@ def suite_gradients(seed: int = 55_007) -> list[CheckResult]:
 
 
 def suite_estimator(seed: int = 99_003) -> list[CheckResult]:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     out = []
     # dilation extraction
     worst = 0.0
@@ -290,7 +295,7 @@ def suite_estimator(seed: int = 99_003) -> list[CheckResult]:
         be = estimator.dilate(c, 1.0)
         worst = max(worst, spectral_norm(be.extract() - c))
     out.append(CheckResult("estimator", "dilation extracts the contraction", worst, 1e-12))
-    model = _model(rng, 2, 2)
+    model = rand_model(rng, 2, 2)
     u1 = estimator.modular_unitary(model, 0.7).unitary
     u2 = estimator.modular_unitary(model, -1.9).unitary
     u12 = estimator.modular_unitary(model, 0.7 - 1.9).unitary
@@ -301,13 +306,13 @@ def suite_estimator(seed: int = 99_003) -> list[CheckResult]:
                            spectral_norm(inv.extract() - model.sigma_v_eig.power(-0.5)), 1e-10))
     out.append(CheckResult("estimator", "inverse-root normalization alpha^2 = kappa",
                            abs(inv.alpha**2 - model.kappa), 1e-10 * model.kappa))
-    rho = _rand_state(rng, 2)
+    rho = rand_state(rng, 2)
     g_j = model.hamiltonian.terms[0]
     s, t = 0.9, -0.4
     y, probs = estimator._batch_outcomes(
         estimator._batch_context(model, rho, g_j), np.array([s]), np.array([t]))
     val = model.kappa * float(probs[0] @ y)
-    direct = _direct_trace_formula(model, rho, g_j, s, t)
+    direct = direct_trace_formula(model, rho, g_j, s, t)
     out.append(CheckResult("estimator", "shot kernel mean matches the trace formula",
                            abs(val - direct), 1e-8))
     exact = gradients.gradient(model, rho).first_terms[0]
@@ -321,19 +326,14 @@ def suite_estimator(seed: int = 99_003) -> list[CheckResult]:
     out.append(CheckResult("estimator", "hoeffding count example",
                            abs(estimator.hoeffding_shots(1, 1, 0.1, 0.05) - 738), 0.5))
     # composed block-encoding bound (20 perturbation trials)
-    worst = -1.0
-    for _ in range(20):
-        gap = _be_bound_gap(rng)
-        worst = max(worst, gap)
+    worst = max(-1.0, *(be_bound_gap(rng) for _ in range(20)))
     out.append(CheckResult("estimator", "composed encoding error within bound",
                            worst, 0.0 + 1e-30))
     # budget split inequality on a grid
     worst = -1.0
-    for kappa in (1.0, 2.0, 10.0, 100.0):
-        for g_norm in (0.5, 1.0, 4.0):
-            for eps in (0.01, 0.1, 0.5):
-                e1, e2 = estimator.budget_split(eps, kappa, g_norm)
-                worst = max(worst, estimator.error_budget(e1, e2, kappa, g_norm) - eps / 2)
+    for kappa, g_norm, eps in product((1.0, 2.0, 10.0, 100.0), (0.5, 1.0, 4.0), (0.01, 0.1, 0.5)):
+        e1, e2 = estimator.budget_split(eps, kappa, g_norm)
+        worst = max(worst, estimator.error_budget(e1, e2, kappa, g_norm) - eps / 2)
     out.append(CheckResult("estimator", "budget split keeps bias below eps/2",
                            worst, 0.0 + 1e-30))
     cost2 = estimator.query_cost("full_algorithm", 2.0, epsilon=1e-3)
@@ -348,12 +348,7 @@ def suite_estimator(seed: int = 99_003) -> list[CheckResult]:
 
 
 def run_suites(names: list[str]) -> list[CheckResult]:
-    table = {
-        "matcalc": suite_matcalc,
-        "densities": suite_densities,
-        "gradients": suite_gradients,
-        "estimator": suite_estimator,
-    }
+    table = dict(zip(SUITES, (suite_matcalc, suite_densities, suite_gradients, suite_estimator)))
     out: list[CheckResult] = []
     for name in names:
         if name not in table:
@@ -364,24 +359,6 @@ def run_suites(names: list[str]) -> list[CheckResult]:
 
 def _dname(d: densities.Density) -> str:
     return d.kind if d.r is None else f"{d.kind}({d.r})"
-
-
-def _rand_basis(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q_mat, r = np.linalg.qr(a)
-    return q_mat * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def _qc_ham(rng, d_v, d_h, n_terms, basis=None):
-    basis = np.eye(d_h, dtype=complex) if basis is None else basis
-    terms = []
-    for _ in range(n_terms):
-        t = np.zeros((d_v * d_h, d_v * d_h), dtype=complex)
-        for x in range(d_h):
-            t += tensor(_rand_herm(rng, d_v, 0.5), np.outer(basis[:, x], basis[:, x].conj()))
-        terms.append(as_hermitian(t))
-    theta = rng.uniform(-0.5, 0.5, n_terms)
-    return models.ParamHamiltonian(dims=BipartiteDims(d_v, d_h), terms=tuple(terms), theta=theta)
 
 
 def _qc_terms_full(qc: models.QCModel):
@@ -395,7 +372,8 @@ def _qc_terms_full(qc: models.QCModel):
     return tuple(terms)
 
 
-def _direct_trace_formula(model, rho, g_j, s, t):
+def direct_trace_formula(model, rho, g_j, s, t):
+    """The shot kernel's mean at (s, t), from dense matrices."""
     sv = model.sigma_v_eig
     u_s = (sv.vecs * np.exp(-0.5j * s * np.log(sv.vals))) @ sv.vecs.conj().T
     inv_sqrt = sv.power(-0.5)
@@ -413,7 +391,7 @@ def perturb_encoding(be: estimator.BlockEncoding, rng, *, scale: float = 0.05):
     The declared delta is the exactly measured extraction error, so the
     perturbed object remains an honest (alpha, delta)-encoding.
     """
-    n = eigh(_rand_herm(rng, be.unitary.shape[0], rng.random() * scale))
+    n = eigh(rand_herm(rng, be.unitary.shape[0], rng.random() * scale))
     rot = (n.vecs * np.exp(1j * n.vals)) @ n.vecs.conj().T
     target = be.extract()
     pert = estimator.BlockEncoding(rot @ be.unitary, be.alpha, be.ancillas, 0.0)
@@ -421,7 +399,7 @@ def perturb_encoding(be: estimator.BlockEncoding, rng, *, scale: float = 0.05):
     return estimator.BlockEncoding(pert.unitary, be.alpha, be.ancillas, delta), target
 
 
-def _be_bound_gap(rng) -> float:
+def be_bound_gap(rng) -> float:
     """Measured composition error minus the declared bound (must be <= 0)."""
     d = 3
     a_mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -431,31 +409,22 @@ def _be_bound_gap(rng) -> float:
     up, a_target = perturb_encoding(estimator.dilate(a_mat / alpha, alpha), rng)
     vp, b_target = perturb_encoding(estimator.dilate(b_mat / beta, beta), rng)
     # compose on registers (anc_u, anc_v, system); apply V first, then U
-    w = _embed_first(up.unitary, d) @ _embed_second(vp.unitary, d)
+    w = _embed(up.unitary, d, first=True) @ _embed(vp.unitary, d, first=False)
     extracted = (up.alpha * vp.alpha) * w[:d, :d]
     meta = estimator.be_product(up.meta, vp.meta)
     measured = spectral_norm(a_target @ b_target - extracted)
     return measured - meta.delta
 
 
-def _embed_first(u, d):
-    """Lift a (2d x 2d) one-ancilla unitary to (anc_u, anc_v, sys) registers."""
+def _embed(u, d, *, first: bool):
+    """Lift a (2d x 2d) one-ancilla unitary to (anc_u, anc_v, sys) registers,
+    acting on anc_u when ``first``, else on anc_v."""
     blocks = u.reshape(2, d, 2, d)
     out = np.zeros((4 * d, 4 * d), dtype=complex)
     big = out.reshape(2, 2, d, 2, 2, d)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                big[i, k, :, j, k, :] = blocks[i, :, j, :]
-    return out
-
-
-def _embed_second(u, d):
-    blocks = u.reshape(2, d, 2, d)
-    out = np.zeros((4 * d, 4 * d), dtype=complex)
-    big = out.reshape(2, 2, d, 2, 2, d)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                big[k, i, :, k, j, :] = blocks[i, :, j, :]
+    for k in range(2):
+        if first:
+            big[:, k, :, :, k, :] = blocks
+        else:
+            big[k, :, :, k, :, :] = blocks
     return out

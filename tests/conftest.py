@@ -1,18 +1,22 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
-from qbmgrad import BipartiteDims, ParamHamiltonian, as_hermitian, tensor, thermalize
+from qbmgrad import as_hermitian, spectral_norm, tensor
+from qbmgrad.verify import (  # the generators are re-exported to the tests
+    SUITES,
+    block_hidden_terms,
+    rand_herm,
+    rand_model,
+    rand_state,
+    rand_unitary,
+    run_suites,
+)
 
-
-def rand_herm(rng, d, scale=1.0):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return as_hermitian((a + a.conj().T) / 2 * scale)
-
-
-def rand_state(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = a @ a.conj().T
-    return m / np.trace(m).real
+# the tests draw theta from [-0.5, 0.5]; the verify suites from [-0.6, 0.6]
+rand_model = functools.partial(rand_model, theta_scale=0.5)
 
 
 def rand_pd(rng, d, spread=0.5):
@@ -22,40 +26,40 @@ def rand_pd(rng, d, spread=0.5):
     return as_hermitian((v * np.exp(w)) @ v.conj().T)
 
 
-def rand_unitary(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(a)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def rand_model(rng, d_v, d_h, n_terms=3, term_scale=0.4, theta_scale=0.5):
-    dims = BipartiteDims(d_v, d_h)
-    terms = tuple(rand_herm(rng, dims.total, term_scale) for _ in range(n_terms))
-    theta = rng.uniform(-theta_scale, theta_scale, size=n_terms)
-    return thermalize(ParamHamiltonian(dims=dims, terms=terms, theta=theta))
-
-
-def block_hidden_terms(rng, d_v, d_h, n_terms, basis, scale=0.5):
-    """Terms of the form sum_x A_{j,x} (x) |x><x|_h over the given basis."""
-    terms = []
-    for _ in range(n_terms):
-        t = np.zeros((d_v * d_h, d_v * d_h), dtype=complex)
-        for x in range(d_h):
-            proj = np.outer(basis[:, x], basis[:, x].conj())
-            t += tensor(rand_herm(rng, d_v, scale), proj)
-        terms.append(as_hermitian(t))
-    return tuple(terms)
-
-
-def block_visible_terms(rng, d_v, d_h, n_terms, basis, scale=0.5):
+def block_visible_terms(rng, d_v, d_h, n_terms, basis):
+    """Terms of the form sum_x |x><x|_v (x) B_{j,x} over the given basis."""
     terms = []
     for _ in range(n_terms):
         t = np.zeros((d_v * d_h, d_v * d_h), dtype=complex)
         for x in range(d_v):
             proj = np.outer(basis[:, x], basis[:, x].conj())
-            t += tensor(proj, rand_herm(rng, d_h, scale))
+            t += tensor(proj, rand_herm(rng, d_h, 0.5))
         terms.append(as_hermitian(t))
     return tuple(terms)
+
+
+def unitary_noise(rng, d, target_norm):
+    """Unitary with |U - I| exactly target_norm (rotation angle control)."""
+    h = rand_herm(rng, d)
+    h = h / spectral_norm(h)
+    angle = 2.0 * math.asin(min(target_norm, 2.0) / 2.0)
+    w, v = np.linalg.eigh(h * angle)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def check_id(check) -> str:
+    return f"{check.suite}/{check.name}"
+
+
+@functools.cache
+def verify_checks() -> tuple:
+    """Every check of the ``verify`` suites, run once per session."""
+    return tuple(run_suites(list(SUITES)))
+
+
+def verify_check(name: str):
+    """The ``verify`` check with id ``suite/name``."""
+    return next(c for c in verify_checks() if check_id(c) == name)
 
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

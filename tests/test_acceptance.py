@@ -13,7 +13,7 @@ import numpy as np
 
 import qbmgrad as q
 from qbmgrad.cli import main as cli_main
-from qbmgrad.verify import perturb_encoding
+from qbmgrad.verify import be_bound_gap, perturb_encoding
 from conftest import (
     PAULI_Z,
     block_hidden_terms,
@@ -21,6 +21,8 @@ from conftest import (
     rand_herm,
     rand_state,
     rand_unitary,
+    unitary_noise,
+    verify_check,
 )
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -167,36 +169,15 @@ def test_criterion_06_tail_bound_numerics():
 
 
 def test_criterion_07_power_kernel_identity():
-    worst = 0.0
-    for r in (-0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 0.9):
-        for u in (0.0, 0.5, 1.0, 2.0, 5.0):
-            worst = max(worst, q.verify_power_kernel_identity(r, u))
+    worst = verify_check("densities/power-kernel fourier identity grid").residual
     _verdict(7, worst < 1e-8,
              "power-kernel Fourier identity holds on the (r, u) grid",
              f"worst residual {worst:.2e}")
 
 
 def test_criterion_08_dual_evaluation_paths():
-    rng = np.random.default_rng(8000)
-    quad = q.EvalMode("quadrature", T=10.0, nodes=4096)
-    worst_chan = 0.0
-    from conftest import rand_pd
-
-    for kind, anchor_gen in (
-        (q.EXP_TENT, lambda: rand_herm(rng, 4)),
-        (q.LOG_LOGISTIC, lambda: rand_pd(rng, 4)),
-        (q.power_beta(0.5), lambda: rand_pd(rng, 4)),
-    ):
-        for _ in range(3):
-            anchor = q.eigh(anchor_gen())
-            y = rand_herm(rng, 4)
-            worst_chan = max(worst_chan, q.spectral_norm(
-                q.apply_channel(kind, anchor, y) - q.apply_channel(kind, anchor, y, quad)))
-    worst_exp = 0.0
-    for _ in range(5):
-        b, h = rand_herm(rng, 4), rand_herm(rng, 4)
-        worst_exp = max(worst_exp, q.spectral_norm(
-            q.frechet_exp(b, h, "duhamel") - q.frechet_exp(b, h, "fourier")))
+    worst_chan = verify_check("matcalc/spectral vs quadrature channel").residual
+    worst_exp = verify_check("matcalc/exp derivative duhamel vs fourier").residual
     _verdict(8, worst_chan < 1e-8 and worst_exp < 1e-8,
              "spectral and quadrature channels agree; Duhamel and Fourier "
              "exponential derivatives agree",
@@ -236,9 +217,7 @@ def test_criterion_09_estimator_soundness():
 
 def test_criterion_10_error_budget():
     rng = np.random.default_rng(10_000)
-    from qbmgrad.verify import _be_bound_gap
-
-    worst_gap = max(_be_bound_gap(rng) for _ in range(100))
+    worst_gap = max(be_bound_gap(rng) for _ in range(100))
     worst_bias = -1.0
     for seed in range(3):
         model, rho = _instance(10_100 + seed, d_v=2, d_h=2, n_terms=2)
@@ -246,11 +225,7 @@ def test_criterion_10_error_budget():
         g_norm = q.spectral_norm(g_j)
         eps = 0.2
         e1, e2 = q.budget_split(eps, model.kappa, g_norm)
-        h = rand_herm(rng, 2)
-        h /= q.spectral_norm(h)
-        angle = 2.0 * np.arcsin(e1 / 2.0)
-        w, v = np.linalg.eigh(h * angle)
-        noise1 = (v * np.exp(1j * w)) @ v.conj().T
+        noise1 = unitary_noise(rng, 2, e1)
         inv = q.inv_sqrt_encoding(model)
         inv_p, _ = perturb_encoding(inv, rng, scale=0.5 * e2 / inv.alpha)
         assert inv_p.delta <= e2

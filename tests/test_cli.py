@@ -301,3 +301,54 @@ def test_non_finite_spec_number_is_input_error(tmp_path, capsys, path, field, co
     assert run([command, "--spec", spec, "--out", tmp_path]) == 2
     assert f"input error: {field}: non-finite value" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify", ["--spec", "spec.json"]),
+    ("verify", ["--objective", "tsallis"]),
+    ("verify", ["--q", "0.5"]),
+    ("verify", ["--seed", "3"]),
+    ("verify", ["--threads", "7"]),
+    ("grad", ["--threads", "1"]),
+    ("estimate", ["--objective", "umegaki"]),
+    ("estimate", ["--q", "0.5"]),
+])
+def test_unread_flag_is_usage_error(tmp_path, capsys, command, flags):
+    spec = {"verify": [], "grad": ["--spec", DEMOS / "grad_qubit.json"],
+            "estimate": ["--spec", DEMOS / "estimate.json"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *spec, "--out", tmp_path, *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qbmgrad ")
+    assert f"error: unrecognized arguments: {' '.join(flags)}" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, demo, path, value, field", [
+    ("train", "train_qubit", ("seed",), float("inf"), "seed"),
+    ("train", "train_qubit", ("seed",), 1.7, "seed"),
+    ("train", "train_qubit", ("train", "learning_rate"), float("nan"), "learning_rate"),
+    ("train", "train_qubit", ("train", "iterations"), 3.9, "iterations"),
+    ("train", "train_qubit", ("train",), [1, 2], "train"),
+    ("estimate", "estimate", ("estimate", "epsilon"), float("nan"), "epsilon"),
+    ("estimate", "estimate", ("estimate", "shots"), 300.9, "shots"),
+    ("estimate", "estimate", ("estimate", "term_index"), 0.7, "term_index"),
+    ("estimate", "estimate", ("estimate",), [1, 2], "estimate"),
+    ("grad", "grad_qubit", ("model", "dims", "visible"), "two", "model dims visible"),
+    ("grad", "grad_qubit", ("model", "dims", "visible"), float("inf"), "model dims visible"),
+    ("grad", "grad_tsallis", ("objective", "q"), "x", "objective q"),
+], ids=["infinite-seed", "fractional-seed", "nan-learning-rate", "fractional-iterations",
+        "train-list", "nan-epsilon", "fractional-shots", "fractional-term", "estimate-list",
+        "string-dims", "infinite-dims", "string-q"])
+def test_bad_spec_scalar_is_input_error(tmp_path, capsys, command, demo, path, value, field):
+    raw = json.loads((DEMOS / f"{demo}.json").read_text())
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))  # writes the NaN / Infinity literals
+    assert run([command, "--spec", spec, "--out", tmp_path]) == 2
+    assert f"input error: {field}: expected " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

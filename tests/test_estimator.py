@@ -45,8 +45,8 @@ from qbmgrad.estimator import (
 )
 from qbmgrad.densities import expectation_nodes, quantile
 from qbmgrad.linalg import as_density, as_hermitian, hermitize, partial_trace, tensor
-from qbmgrad.verify import perturb_encoding
-from conftest import PAULI_Z, rand_herm, rand_model, rand_state, rand_unitary
+from qbmgrad.verify import be_bound_gap, direct_trace_formula, perturb_encoding
+from conftest import PAULI_Z, rand_herm, rand_model, rand_state, rand_unitary, unitary_noise
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +184,8 @@ def test_circuit_matches_trace_formula(rng):
     model = rand_model(rng, 2, 2)
     rho = rand_state(rng, 2)
     g_j = model.hamiltonian.terms[0]
-    sv = model.sigma_v_eig
     for s, t in [(0.9, -0.4), (-2.2, 1.7)]:
-        u_s = (sv.vecs * np.exp(-0.5j * s * np.log(sv.vals))) @ sv.vecs.conj().T
-        inv = sv.power(-0.5)
-        a = inv @ u_s @ rho @ u_s.conj().T @ inv
-        ge = model.g_eig
-        u_t = (ge.vecs * np.exp(1j * ge.vals * t)) @ ge.vecs.conj().T
-        o_t = u_t @ g_j @ u_t.conj().T
-        ai = np.kron(a, np.eye(2))
-        want = 0.5 * np.trace(o_t @ (model.sigma_vh @ ai + ai @ model.sigma_vh)).real
+        want = direct_trace_formula(model, rho, g_j, s, t)
         assert abs(circuit_expectation(model, rho, g_j, s, t) - want) < 1e-8
 
 
@@ -263,7 +255,7 @@ def test_quadrature_equals_double_grid_average(rng):
         injected = {}
         if noisy:
             inv = inv_sqrt_encoding(model)
-            injected = dict(modular_noise=_unitary_noise(rng, d_v, 0.05),
+            injected = dict(modular_noise=unitary_noise(rng, d_v, 0.05),
                             inv_sqrt=perturb_encoding(inv, rng, scale=0.05)[0])
             assert injected["inv_sqrt"].delta > 1e-4
         brute = _double_grid_average(model, rho, g_j, **grid, **injected)
@@ -632,10 +624,8 @@ def test_be_product_specific_bound():
 
 
 def test_be_product_bound_never_violated(rng):
-    from qbmgrad.verify import _be_bound_gap
-
     for _ in range(100):
-        assert _be_bound_gap(rng) <= 0.0
+        assert be_bound_gap(rng) <= 0.0
 
 
 def test_error_budget_and_split():
@@ -655,21 +645,12 @@ def test_budget_split_bounds_measured_bias(rng):
     eps = 0.2
     e1, e2 = budget_split(eps, model.kappa, g_norm)
     exact = gradient(model, rho).first_terms[0]
-    noise1 = _unitary_noise(rng, model.dims.d_v, e1)
+    noise1 = unitary_noise(rng, model.dims.d_v, e1)
     inv = inv_sqrt_encoding(model)
     inv_p, _ = perturb_encoding(inv, rng, scale=0.5 * e2 / inv.alpha)
     assert inv_p.delta <= e2
     biased = quadrature_first_term(model, rho, g_j, modular_noise=noise1, inv_sqrt=inv_p)
     assert abs(biased - exact) <= eps / 2
-
-
-def _unitary_noise(rng, d, target_norm):
-    """Unitary with |U - I| exactly target_norm (rotation angle control)."""
-    h = rand_herm(rng, d)
-    h = h / spectral_norm(h)
-    angle = 2.0 * math.asin(min(target_norm, 2.0) / 2.0)
-    w, v = np.linalg.eigh(h * angle)
-    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def test_query_cost_scalings():

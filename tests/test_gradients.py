@@ -101,13 +101,6 @@ def test_lift_fixed_point_returns_thermal_state(rng):
     assert spectral_norm(out - model.sigma_vh) < 1e-12
 
 
-def test_lift_trace_and_hermiticity(rng):
-    model = rand_model(rng, 3, 2)
-    out = lift_to_joint(model, rand_state(rng, 3))
-    assert abs(np.trace(out).real - 1.0) < 1e-10
-    assert np.max(np.abs(out - out.conj().T)) < 1e-12
-
-
 def _visible_core(sig_v_es, r_v, q):
     """sigma_v^{-q/2} Upsilon(r_v) sigma_v^{-q/2}: the visible-side steps."""
     if q == 1.0:
@@ -178,22 +171,6 @@ def test_gradient_matches_finite_difference(rng, obj):
             model.hamiltonian.theta,
         )
         assert np.all(np.abs(rep.values - fd) <= 1e-6 * np.abs(fd) + 1e-8)
-
-
-def test_no_hidden_units_first_term(rng):
-    model = rand_model(rng, 4, 1)
-    rho = rand_state(rng, 4)
-    rep = gradient(model, rho)
-    direct = np.array([expectation(t, rho) for t in model.hamiltonian.terms])
-    assert np.max(np.abs(rep.first_terms - direct)) < 1e-8
-
-
-def test_tsallis_gradient_continuity_at_one(rng):
-    model = rand_model(rng, 2, 2)
-    rho = rand_state(rng, 2)
-    base = gradient(model, rho).values
-    for q in (1 + 1e-4, 1 - 1e-4):
-        assert np.max(np.abs(gradient(model, rho, tsallis(q)).values - base)) < 1e-3
 
 
 def test_gradient_support_guard():

@@ -19,6 +19,7 @@ from qbmgrad import (
     thermal_derivative,
 )
 from qbmgrad.densities import HIGH_PEAK_TENT, expectation_nodes
+from qbmgrad.verify import gibbs
 from conftest import rand_herm, rand_pd
 
 QUAD = EvalMode("quadrature", T=10.0, nodes=4096)
@@ -79,12 +80,11 @@ def test_channel_trace_preservation(rng):
                    - np.trace(y).real) < 1e-10
 
 
-@pytest.mark.parametrize("kind_name", ["exp_tent", "log_logistic", "power_beta"])
-def test_spectral_vs_quadrature(rng, kind_name):
-    kind = {"exp_tent": EXP_TENT, "log_logistic": LOG_LOGISTIC,
-            "power_beta": power_beta(0.5)}[kind_name]
+@pytest.mark.parametrize("kind", [LOG_LOGISTIC, power_beta(0.5)], ids=["log_logistic", "power_beta"])
+def test_spectral_vs_quadrature(rng, kind):
+    # rand_pd anchors spread wider than those of the verify check
     y = rand_herm(rng, 4)
-    anchor = eigh(rand_herm(rng, 4)) if kind_name == "exp_tent" else eigh(rand_pd(rng, 4))
+    anchor = eigh(rand_pd(rng, 4))
     a = apply_channel(kind, anchor, y)
     b = apply_channel(kind, anchor, y, QUAD)
     assert spectral_norm(a - b) < 1e-8
@@ -115,12 +115,6 @@ def test_frechet_exp_finite_difference(rng):
     fd = (eigh(b + eps * h).apply(np.exp) - eigh(b - eps * h).apply(np.exp)) / (2 * eps)
     for mode in ("duhamel", "fourier"):
         assert spectral_norm(frechet_exp(b, h, mode) - fd) < 1e-6
-
-
-def test_frechet_exp_modes_agree(rng):
-    for _ in range(5):
-        b, h = rand_herm(rng, 4), rand_herm(rng, 4)
-        assert spectral_norm(frechet_exp(b, h, "duhamel") - frechet_exp(b, h, "fourier")) < 1e-8
 
 
 def test_frechet_log_commuting_reduction():
@@ -173,34 +167,13 @@ def test_frechet_power_rejects_bad_r(rng):
         frechet_power(rand_pd(rng, 2), np.eye(2), 1.5)
 
 
-def _gibbs(g):
-    es = eigh(g)
-    w = np.exp(-(es.vals - es.vals.min()))
-    return (es.vecs * (w / w.sum())) @ es.vecs.conj().T
-
-
-def test_thermal_derivative_gauge_invariance(rng):
-    g = rand_herm(rng, 3)
-    out = thermal_derivative(eigh(g), 0.37 * np.eye(3))
-    assert spectral_norm(out) < 1e-12
-
-
 def test_thermal_derivative_diagonal_closed_form():
     g = np.diag([0.4, -0.2, 1.0]).astype(complex)
     dg = np.diag([1.0, 2.0, -0.5]).astype(complex)
-    sigma = _gibbs(g)
+    sigma = gibbs(g)
     mean = np.trace(dg @ sigma).real
     want = -sigma @ (dg - mean * np.eye(3))
     assert spectral_norm(thermal_derivative(eigh(g), dg) - want) < 1e-12
-
-
-def test_thermal_derivative_finite_difference(rng):
-    g, dg = rand_herm(rng, 4), rand_herm(rng, 4)
-    eps = 1e-5
-    fd = (_gibbs(g + eps * dg) - _gibbs(g - eps * dg)) / (2 * eps)
-    out = thermal_derivative(eigh(g), dg)
-    assert spectral_norm(out - fd) < 1e-6
-    assert abs(np.trace(out).real) < 1e-10
 
 
 def test_eval_mode_validation():

@@ -133,3 +133,12 @@ def test_demo_specs_all_parse():
     for path in demos:
         spec = load_runspec(path)
         assert spec.model.kind in ("generic", "restricted", "qc", "cq", "classical")
+
+
+def test_integral_spec_numbers_still_parse():
+    raw = _minimal_spec()
+    raw["seed"] = 3.0
+    raw["model"]["dims"] = {"visible": 2.0, "hidden": 1}
+    spec = parse_runspec(raw)
+    assert spec.seed == 3 and isinstance(spec.seed, int)
+    assert spec.model.dims.total == 2

@@ -16,6 +16,7 @@ from qbmgrad.densities import (
     cdf,
     expectation_nodes,
     numeric_fourier,
+    numeric_tail_mass,
     pdf,
     quantile,
 )
@@ -81,11 +82,27 @@ def test_tail_bound_values_at_T10():
     assert abs(tail_mass_bound(LOGISTIC, 10.0) - 2 * np.exp(-10 * np.pi)) < 1e-25
 
 
+@pytest.mark.parametrize("d", ALL_KINDS, ids=lambda d: d.kind + str(d.r or ""))
+@pytest.mark.parametrize("T", [1.0, 2.0, 5.0, 10.0])
+def test_numeric_tail_below_bound(d, T):
+    assert numeric_tail_mass(d, T) <= tail_mass_bound(d, T)
+
+
 def test_tail_bound_domain_errors():
     with pytest.raises(SpecError):
         tail_mass_bound(HIGH_PEAK_TENT, 0.1)
     with pytest.raises(SpecError):
         tail_mass_bound(power_density(0.5), 0.2)
+
+
+def test_power_kernel_identity_at_zero_gap():
+    # the integral of the kernel itself is r
+    assert verify_power_kernel_identity(0.5, 0.0) < 1e-8
+    assert verify_power_kernel_identity(-0.25, 0.0) < 1e-8
+
+
+def test_power_kernel_identity_midpoint():
+    assert verify_power_kernel_identity(0.5, 2.0) < 1e-8
 
 
 def test_power_kernel_identity_even_in_gap():

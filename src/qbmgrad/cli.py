@@ -85,6 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--epsilon", type=float)
     pe.add_argument("--delta", type=float)
     pe.add_argument("--shots", type=int, help="0 = auto from the Hoeffding bound")
+    for command in sub.choices.values():  # unknown flags get the command's own usage line
+        command.set_defaults(usage_parser=command)
     return p
 
 
@@ -316,7 +318,9 @@ def cmd_estimate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.usage_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     handlers = {
         "verify": cmd_verify,
         "grad": cmd_grad,

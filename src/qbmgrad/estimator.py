@@ -23,8 +23,10 @@ of G the evolved blocks and the observable's projectors are Hermitian, so
 the evolution time enters only through the D(D - 1)/2 phases
 e^{it(g_p - g_q)}, p < q.  Each kernel pass is then two real GEMMs against
 maps built once per (model, target, observable); see ``_BatchContext``.
-A chunk draws all its random numbers and times first and runs the kernel
-over sub-blocks of ``_SUB_BLOCK`` shots, small enough that a sub-block's
+A chunk draws all its random numbers and times, builds the modular
+features, cleans the probabilities and samples the outcomes once for all
+its shots.  Only the evolution phases and the outcome table run over
+sub-blocks of ``_SUB_BLOCK`` shots, small enough that a sub-block's
 temporaries stay in a core's L2 cache instead of being freshly paged in
 for every chunk; the outcomes are those of one pass over the whole chunk.
 
@@ -216,13 +218,16 @@ def eigen_groups(g_j, *, tol: float = 1e-9) -> tuple[np.ndarray, list[np.ndarray
 
 
 def _clean_probs(p: np.ndarray) -> np.ndarray:
-    if float(p.min(initial=0.0)) < PROB_CLAMP:
-        raise SpecError(f"negative outcome probability {float(p.min()):.3e}")
-    p = np.maximum(p, 0.0)
+    """Clamp and normalize outcome probabilities along the last axis, in place."""
+    low = float(p.min(initial=0.0))
+    if low < PROB_CLAMP:
+        raise SpecError(f"negative outcome probability {low:.3e}")
+    np.maximum(p, 0.0, out=p)
     total = p.sum(axis=-1, keepdims=True)
     if np.any(np.abs(total - 1.0) > PROB_DEFECT):
         raise SpecError("outcome probabilities defect exceeds 1e-8")
-    return p / total
+    p /= total
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +267,7 @@ class _BatchContext:
     lift_map: np.ndarray  # (n_f, 4P): features -> (Re, Im) X_qp, block-major
     pair_map: np.ndarray  # (4P, 2K+2): (Re, Im) X_qp e^{it(g_p-g_q)} -> table
     y_values: np.ndarray  # distinct eigenvalues of the observable
+    outcome_values: np.ndarray  # (2K+2,): Y of each table column, y_k, -y_k, 0, 0
 
 
 def _batch_context(
@@ -335,6 +341,7 @@ def _batch_context(
         lift_map=lift_map,
         pair_map=pair_map.reshape(-1, 2 * k + 2),
         y_values=values,
+        outcome_values=np.concatenate([values, -values, [0.0, 0.0]]),
     )
 
 
@@ -368,38 +375,20 @@ def _modular_features(ctx: _BatchContext, s: np.ndarray) -> np.ndarray:
     return feats
 
 
-def _outcome_table(ctx: _BatchContext, feats: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """(m, 2K+2) outcome table from (n_f, m) features and (P, m) pair phases.
-
-    Linear in the features for fixed phases and in the phases for fixed
-    features.
+def _outcome_table(ctx: _BatchContext, feats: np.ndarray, phases: np.ndarray, out=None):
+    """(m, 2K+2) outcome table from (n_f, m) features and (P, m) pair phases,
+    written into ``out`` when given: f @ static_map plus (X e) @ pair_map,
+    where X = f @ lift_map holds the pair entries X_qp and is multiplied by
+    e_pq = e^{it(g_p - g_q)} in place.  Linear in the features for fixed
+    phases and in the phases for fixed features.
     """
     m = feats.shape[1]
     lifted = feats.T @ ctx.lift_map
     evolved = lifted.view(complex).reshape(m, 2, phases.shape[0])
     evolved *= phases.T[:, None, :]
-    probs = feats.T @ ctx.static_map
+    probs = np.matmul(feats.T, ctx.static_map, out=out)
     probs += lifted @ ctx.pair_map
     return probs
-
-
-def _batch_outcomes(ctx: _BatchContext, s: np.ndarray, t: np.ndarray):
-    """Outcome values and per-shot probabilities for vectors of (s, t).
-
-    Traces against the swap factorize into visible-register contractions.
-    A chunk of m shots builds the n_f real modular features f and the P
-    evolution phases e_pq = e^{it(g_p - g_q)}, p < q, from cos/sin of real
-    angles.  Two real GEMMs follow.  The first maps f to the t-independent
-    table part and to the pair entries X_qp of both ancilla-hit blocks
-    (taken as f @ static_map and f @ lift_map, so the pair block stays
-    contiguous); X_qp is multiplied by e_pq in place through a complex view.
-    The second, (X e) @ pair_map, adds the t-dependent part.  Both maps
-    carry the table's assembly, so the products sum straight to the
-    (m, 2K+2) probabilities.
-    """
-    probs = _outcome_table(ctx, _modular_features(ctx, s), _pair_phases(np.outer(ctx.g_vals, t)))
-    y = np.concatenate([ctx.y_values, -ctx.y_values, [0.0, 0.0]])
-    return y, _clean_probs(probs)
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
@@ -410,24 +399,28 @@ def _run_chunk(ctx: _BatchContext, seed: int, chunk: int, n: int) -> np.ndarray:
     """Signed outcomes Y of one chunk of n shots.
 
     The chunk's random numbers (u_s, u_t, then the outcome draws) come from
-    its own stream, ``_chunk_rng(seed, chunk)``; they and the times s and t
-    are computed for the whole chunk up front.  The outcome tables, which
-    use no randomness, and the sampling then run in sub-blocks of
-    ``_SUB_BLOCK`` shots, so each sub-block's temporaries stay cache-sized,
-    and every shot gets the value one pass over the whole chunk would give.
+    its own stream, ``_chunk_rng(seed, chunk)``.  The times s and t, the
+    modular features of s, the cleaning of the probabilities and the
+    cumulative-sum sampling run once over the whole chunk.  Only the pair
+    phases of t and the outcome table run in sub-blocks of ``_SUB_BLOCK``
+    shots, so their temporaries stay cache-sized; each sub-block writes its
+    rows into the chunk's one probability array, and every shot gets the
+    value one pass over the whole chunk would give.
     """
     rng = _chunk_rng(seed, chunk)
     s = np.asarray(quantile(LOGISTIC, np.clip(rng.random(n), 1e-16, 1 - 1e-16)))
     t = np.asarray(quantile(HIGH_PEAK_TENT, np.clip(rng.random(n), 1e-16, 1 - 1e-16)))
     draws = rng.random(n)
-    out = np.empty(n)
+    feats = _modular_features(ctx, s)
+    probs = np.empty((n, ctx.static_map.shape[1]))
     for lo in range(0, n, _SUB_BLOCK):
         block = slice(lo, lo + _SUB_BLOCK)
-        y, probs = _batch_outcomes(ctx, s[block], t[block])
-        cum = np.cumsum(probs, axis=1)
-        idx = np.sum(draws[block, None] > cum, axis=1)
-        out[block] = y[np.minimum(idx, y.shape[0] - 1)]
-    return out
+        phases = _pair_phases(np.outer(ctx.g_vals, t[block]))
+        _outcome_table(ctx, feats[:, block], phases, out=probs[block])
+    cum = np.cumsum(_clean_probs(probs), axis=1, out=probs)
+    idx = np.sum(draws[:, None] > cum, axis=1)
+    y = ctx.outcome_values
+    return y[np.minimum(idx, y.shape[0] - 1)]
 
 
 def estimate_first_term(

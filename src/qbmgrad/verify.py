@@ -309,9 +309,10 @@ def suite_estimator(seed: int = 99_003) -> list[CheckResult]:
     rho = rand_state(rng, 2)
     g_j = model.hamiltonian.terms[0]
     s, t = 0.9, -0.4
-    y, probs = estimator._batch_outcomes(
-        estimator._batch_context(model, rho, g_j), np.array([s]), np.array([t]))
-    val = model.kappa * float(probs[0] @ y)
+    ctx = estimator._batch_context(model, rho, g_j)
+    table = estimator._outcome_table(ctx, estimator._modular_features(ctx, np.array([s])),
+                                     estimator._pair_phases(np.outer(ctx.g_vals, [t])))
+    val = model.kappa * float(estimator._clean_probs(table)[0] @ ctx.outcome_values)
     direct = direct_trace_formula(model, rho, g_j, s, t)
     out.append(CheckResult("estimator", "shot kernel mean matches the trace formula",
                            abs(val - direct), 1e-8))

@@ -320,7 +320,7 @@ def test_unread_flag_is_usage_error(tmp_path, capsys, command, flags):
         run([command, *spec, "--out", tmp_path, *flags])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: qbmgrad ")
+    assert err.startswith(f"usage: qbmgrad {command} [-h]")
     assert f"error: unrecognized arguments: {' '.join(flags)}" in err
     assert not (tmp_path / "report.json").exists()
 

@@ -35,11 +35,14 @@ import qbmgrad.estimator as est
 from qbmgrad.estimator import (
     MAX_CIRCUIT_DIM,
     _SUB_BLOCK,
+    _CHUNK,
     _batch_context,
-    _batch_outcomes,
     _chunk_rng,
     _clean_probs,
     _logistic_panels,
+    _modular_features,
+    _outcome_table,
+    _pair_phases,
     _run_chunk,
     eigen_groups,
 )
@@ -324,6 +327,13 @@ def test_outcome_distribution_normalized_and_bounded(rng):
     assert np.all(np.abs(y) <= spectral_norm(g_j) + 1e-12)
 
 
+def _batch_outcomes(ctx, s, t):
+    """Outcome values and cleaned per-shot probabilities for vectors of (s, t),
+    from one kernel pass over all shots."""
+    probs = _outcome_table(ctx, _modular_features(ctx, s), _pair_phases(np.outer(ctx.g_vals, t)))
+    return ctx.outcome_values, _clean_probs(probs)
+
+
 def test_batch_outcomes_match_honest_path(rng):
     model = rand_model(rng, 3, 2)
     rho = rand_state(rng, 3)
@@ -465,11 +475,13 @@ def _reference_run_chunk(ctx, seed, chunk, n):
 
 @pytest.mark.parametrize("n", [1, _SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1, 8192, 8193])
 def test_blocked_chunk_matches_single_pass(rng, n):
-    model = rand_model(rng, 4, 2)
-    rho = rand_state(rng, 4)
-    ctx = _batch_context(model, rho, model.hamiltonian.terms[0])
-    for seed, chunk in [(0, 0), (11, 3)]:
-        assert np.array_equal(_run_chunk(ctx, seed, chunk, n), _reference_run_chunk(ctx, seed, chunk, n))
+    for d_h in (1, 2, 4):
+        model = rand_model(rng, 4, d_h)
+        rho = rand_state(rng, 4)
+        ctx = _batch_context(model, rho, model.hamiltonian.terms[0])
+        for seed, chunk in [(0, 0), (11, 3)]:
+            assert np.array_equal(
+                _run_chunk(ctx, seed, chunk, n), _reference_run_chunk(ctx, seed, chunk, n))
 
 
 def test_chunk_streams_pairwise_distinct():
@@ -496,14 +508,15 @@ def test_guards_fire_in_a_later_sub_block(rng, monkeypatch, shift, message):
     broken = replace(ctx, static_map=static_map)
     calls = []
 
-    def second_block_broken(c, s, t):
-        calls.append(s.shape[0])
-        return _batch_outcomes(broken if len(calls) == 2 else c, s, t)
+    def second_block_broken(c, feats, phases, out=None):
+        calls.append(feats.shape[1])
+        return _outcome_table(broken if len(calls) == 2 else c, feats, phases, out=out)
 
-    monkeypatch.setattr(est, "_batch_outcomes", second_block_broken)
+    monkeypatch.setattr(est, "_outcome_table", second_block_broken)
     with pytest.raises(SpecError, match=message):
         _run_chunk(ctx, 5, 0, 2 * _SUB_BLOCK + 3)
-    assert calls == [_SUB_BLOCK, _SUB_BLOCK]
+    # the tables of all sub-blocks are built before the chunk's one cleaning
+    assert calls == [_SUB_BLOCK, _SUB_BLOCK, 3]
 
 
 def test_shot_sample_deterministic_and_bounded(rng):
@@ -566,6 +579,17 @@ def test_estimate_reproducible_across_threads(rng):
     for threads in (2, 4):
         assert estimate_first_term(
             model, rho, g_j, EstimatorConfig(shots=shots, seed=9, threads=threads)) == a
+
+
+@pytest.mark.parametrize("d_h", [1, 2, 4])
+def test_estimate_same_at_one_and_two_threads(rng, d_h):
+    model = rand_model(rng, 2, d_h)
+    rho = rand_state(rng, 2)
+    g_j = model.hamiltonian.terms[0]
+    for shots in (1, _SUB_BLOCK + 1, _CHUNK + 1, 2 * _CHUNK + 3 * _SUB_BLOCK + 5):
+        serial = estimate_first_term(model, rho, g_j, EstimatorConfig(shots=shots, seed=6))
+        assert estimate_first_term(
+            model, rho, g_j, EstimatorConfig(shots=shots, seed=6, threads=2)) == serial
 
 
 def test_thread_pool_only_for_several_chunks(rng, monkeypatch):

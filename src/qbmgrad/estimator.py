@@ -401,11 +401,12 @@ def _run_chunk(ctx: _BatchContext, seed: int, chunk: int, n: int) -> np.ndarray:
     The chunk's random numbers (u_s, u_t, then the outcome draws) come from
     its own stream, ``_chunk_rng(seed, chunk)``.  The times s and t, the
     modular features of s, the cleaning of the probabilities and the
-    cumulative-sum sampling run once over the whole chunk.  Only the pair
-    phases of t and the outcome table run in sub-blocks of ``_SUB_BLOCK``
-    shots, so their temporaries stay cache-sized; each sub-block writes its
-    rows into the chunk's one probability array, and every shot gets the
-    value one pass over the whole chunk would give.
+    cumulative-sum sampling run once over the whole chunk, the sampling as
+    one sweep over the 2K+2 outcome columns.  Only the pair phases of t and
+    the outcome table run in sub-blocks of ``_SUB_BLOCK`` shots, so their
+    temporaries stay cache-sized; each sub-block writes its rows into the
+    chunk's one probability array, and every shot gets the value one pass
+    over the whole chunk would give.
     """
     rng = _chunk_rng(seed, chunk)
     s = np.asarray(quantile(LOGISTIC, np.clip(rng.random(n), 1e-16, 1 - 1e-16)))
@@ -417,10 +418,11 @@ def _run_chunk(ctx: _BatchContext, seed: int, chunk: int, n: int) -> np.ndarray:
         block = slice(lo, lo + _SUB_BLOCK)
         phases = _pair_phases(np.outer(ctx.g_vals, t[block]))
         _outcome_table(ctx, feats[:, block], phases, out=probs[block])
-    cum = np.cumsum(_clean_probs(probs), axis=1, out=probs)
-    idx = np.sum(draws[:, None] > cum, axis=1)
-    y = ctx.outcome_values
-    return y[np.minimum(idx, y.shape[0] - 1)]
+    cum, idx = np.zeros(n), np.zeros(n, dtype=np.intp)
+    for column in _clean_probs(probs).T:  # np.cumsum's order, one vector pass per outcome
+        cum += column
+        idx += draws > cum  # the outcome index counts the running sums below the draw
+    return ctx.outcome_values[np.minimum(idx, probs.shape[1] - 1)]
 
 
 def estimate_first_term(

@@ -34,8 +34,8 @@ from qbmgrad import (
 import qbmgrad.estimator as est
 from qbmgrad.estimator import (
     MAX_CIRCUIT_DIM,
-    _SUB_BLOCK,
     _CHUNK,
+    _SUB_BLOCK,
     _batch_context,
     _chunk_rng,
     _clean_probs,

@@ -84,14 +84,18 @@ def cdf(d: Density, t) -> np.ndarray | float:
         )
     else:
         grid_t, grid_f = _tent_half_cdf_table()
-        out = 0.5 + np.sign(t) * np.interp(np.abs(t), grid_t, grid_f)
+        out = 0.5 + np.sign(t) * _sorted_interp(np.abs(t), grid_t, grid_f)
     return out if out.ndim else float(out)
 
 
 def quantile(d: Density, u) -> np.ndarray | float:
-    """Inverse CDF on (0, 1); closed form except for the tent kind."""
+    """Inverse CDF on (0, 1); closed form except for the tent kind.
+
+    The tent kind inverts a 10,000-point table, looked up with its queries
+    sorted (see ``_sorted_interp``) so a draw costs no binary search.
+    """
     u = np.asarray(u, dtype=float)
-    if np.any((u <= 0.0) | (u >= 1.0)):
+    if not np.all((u > 0.0) & (u < 1.0)):  # a NaN fails both comparisons
         raise SpecError("quantile argument must lie strictly inside (0, 1)")
     if d.kind == "logistic":
         out = (2.0 / np.pi) * np.arctanh(2.0 * u - 1.0)
@@ -101,7 +105,7 @@ def quantile(d: Density, u) -> np.ndarray | float:
         )
     else:
         grid_t, grid_f = _tent_half_cdf_table()
-        mag = np.interp(np.abs(u - 0.5), grid_f, grid_t)
+        mag = _sorted_interp(np.abs(u - 0.5), grid_f, grid_t)
         out = np.where(u >= 0.5, mag, -mag)
     return out if out.ndim else float(out)
 
@@ -236,6 +240,20 @@ def verify_power_kernel_identity(r: float, u: float, *, T: float = 12.0, nodes: 
 @functools.lru_cache(maxsize=8)
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return leggauss(n)
+
+
+def _sorted_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, fp)`` bit for bit, evaluated on the sorted queries.
+
+    np.interp brackets and interpolates each query on its own, but starts
+    its search at the previous query's bracket; sorted queries land in or
+    next to that bracket and skip the ~14-step binary search of a random one.
+    """
+    flat = x.ravel()
+    order = np.argsort(flat)
+    out = np.empty_like(flat)
+    out[order] = np.interp(flat[order], xp, fp)
+    return out.reshape(x.shape)
 
 
 @functools.lru_cache(maxsize=1)

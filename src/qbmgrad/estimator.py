@@ -224,7 +224,7 @@ def _clean_probs(p: np.ndarray) -> np.ndarray:
         raise SpecError(f"negative outcome probability {low:.3e}")
     np.maximum(p, 0.0, out=p)
     total = p.sum(axis=-1, keepdims=True)
-    if np.any(np.abs(total - 1.0) > PROB_DEFECT):
+    if not np.all(np.abs(total - 1.0) <= PROB_DEFECT):  # a NaN fails the comparison
         raise SpecError("outcome probabilities defect exceeds 1e-8")
     p /= total
     return p
@@ -462,14 +462,21 @@ def estimate_first_term(
 def estimate_model_term(
     model: ThermalModel, g_j, shots: int, seed: int, *, groups=None
 ) -> tuple[float, float]:
-    """Shot estimate of <G_j>_{sigma_vh} by direct thermal sampling;
-    ``groups`` as in ``estimate_first_term``."""
+    """Shot estimate (mean, stderr) of <G_j>_{sigma_vh} by direct thermal
+    sampling; ``groups`` as in ``estimate_first_term``."""
     values, projs = eigen_groups(g_j) if groups is None else groups
     p = np.array([np.einsum("ij,ji->", pk, model.sigma_vh).real for pk in projs])
-    p = _clean_probs(p[None, :])[0]
-    rng = np.random.default_rng(seed)
-    draws = values[rng.choice(len(values), size=shots, p=p)]
-    return float(np.mean(draws)), float(np.std(draws, ddof=1)) / math.sqrt(shots)
+    # Generator.choice(len(values), size=shots, p=p)'s arithmetic and stream:
+    # the outcome counts the cdf entries at or below the draw, swept per group
+    cdf = _clean_probs(p[None, :])[0].cumsum()
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random(shots)
+    idx = np.zeros(shots, dtype=np.intp)
+    for c in cdf:
+        idx += u >= c
+    draws = values[idx]
+    stderr = float(np.std(draws, ddof=1)) / math.sqrt(shots) if shots > 1 else float("inf")
+    return float(np.mean(draws)), stderr
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,10 @@ def as_hermitian(a, *, atol: float = HERMITICITY_ATOL) -> np.ndarray:
         raise SpecError(f"expected a square matrix, got shape {a.shape}")
     if not 1 <= a.shape[0] <= MAX_DIM:
         raise SpecError(f"dimension {a.shape[0]} outside supported range [1, {MAX_DIM}]")
+    if not np.isfinite(a).all():  # before the subtraction: inf - inf would warn
+        raise SpecError("matrix has a non-finite entry")
     gap = float(np.abs(a - a.conj().T).max())
-    if not gap < atol:  # a NaN or infinite entry makes the gap non-finite
-        if not np.isfinite(gap):
-            raise SpecError("matrix has a non-finite entry")
+    if not gap < atol:
         raise SpecError(f"matrix is not Hermitian: max asymmetry {gap:.3e} >= {atol:.0e}")
     return hermitize(a)
 

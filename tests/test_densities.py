@@ -19,6 +19,7 @@ from qbmgrad.densities import (
     numeric_tail_mass,
     pdf,
     quantile,
+    _tent_half_cdf_table,
 )
 
 ALL_KINDS = [HIGH_PEAK_TENT, LOGISTIC, power_density(0.5), power_density(-0.25)]
@@ -73,6 +74,55 @@ def test_quantile_roundtrip_closed_forms():
     u = np.linspace(0.01, 0.99, 41)
     for d in (LOGISTIC, power_density(0.7), power_density(-0.4)):
         assert np.allclose(cdf(d, quantile(d, u)), u, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", ALL_KINDS, ids=lambda d: d.kind + str(d.r or ""))
+def test_quantile_rejects_points_outside_open_interval(d):
+    for u in (0.0, 1.0, -0.2, 1.5, np.nan, [0.3, np.nan, 0.7], [[0.5], [1.0]]):
+        with pytest.raises(SpecError, match="strictly inside"):
+            quantile(d, u)
+
+
+def _plain_tent_quantile(u):
+    """The tent quantile as one plain np.interp over the table (the oracle)."""
+    grid_t, grid_f = _tent_half_cdf_table()
+    u = np.asarray(u, dtype=float)
+    mag = np.interp(np.abs(u - 0.5), grid_f, grid_t)
+    out = np.where(u >= 0.5, mag, -mag)
+    return out if out.ndim else float(out)
+
+
+def _plain_tent_cdf(t):
+    grid_t, grid_f = _tent_half_cdf_table()
+    t = np.asarray(t, dtype=float)
+    out = 0.5 + np.sign(t) * np.interp(np.abs(t), grid_t, grid_f)
+    return out if out.ndim else float(out)
+
+
+def test_sorted_tent_lookup_is_bit_identical_to_plain_interp():
+    rng = np.random.default_rng(1717)
+    edges = [0.5, 1e-16, 5e-17, 1e-300, 5e-324, 1 - 1e-16, np.nextafter(1.0, 0.0)]
+    inputs = [
+        rng.random(8192),  # fewer queries than table points
+        rng.random((120, 100)),  # more queries than table points
+        rng.random((3, 4, 5)),
+        np.array(0.5),
+        np.array(rng.random()),
+        np.repeat(rng.random(7), 5),  # repeated values
+        np.array(edges + edges[::-1]),
+        rng.choice(np.array(edges), size=(30, 3)),
+    ]
+    for u in inputs:
+        got, want = quantile(HIGH_PEAK_TENT, u), _plain_tent_quantile(u)
+        assert np.shape(got) == np.shape(want) and type(got) is type(want)
+        assert np.array_equal(got, want)
+        t = 30.0 * (u - 0.5)  # inside and beyond the table's 14, both signs, and 0
+        got, want = cdf(HIGH_PEAK_TENT, t), _plain_tent_cdf(t)
+        assert np.shape(got) == np.shape(want) and type(got) is type(want)
+        assert np.array_equal(got, want)
+    for scalar in (0.5, 1e-16, 1 - 1e-16, 0.25):
+        assert quantile(HIGH_PEAK_TENT, scalar) == _plain_tent_quantile(scalar)
+        assert cdf(HIGH_PEAK_TENT, scalar) == _plain_tent_cdf(scalar)
 
 
 def test_tail_bound_values_at_T10():

@@ -626,6 +626,40 @@ def test_estimate_model_term(rng):
     assert abs(mean - exact) < 5 * stderr
 
 
+def _choice_model_term(model, g_j, shots, seed):
+    """estimate_model_term with Generator.choice drawing the outcomes (the oracle)."""
+    values, projs = eigen_groups(g_j)
+    p = np.array([np.einsum("ij,ji->", pk, model.sigma_vh).real for pk in projs])
+    p = _clean_probs(p[None, :])[0]
+    draws = values[np.random.default_rng(seed).choice(len(values), size=shots, p=p)]
+    return float(np.mean(draws)), float(np.std(draws, ddof=1)) / math.sqrt(shots)
+
+
+def test_model_term_draws_match_generator_choice(rng):
+    model = rand_model(rng, 2, 3)
+    degenerate = tensor(PAULI_Z, np.diag([0.5, 0.5, -1.0]).astype(complex))
+    assert len(eigen_groups(degenerate)[0]) == 4 < model.dims.d_v * model.dims.d_h
+    for g_j in (model.hamiltonian.terms[0], degenerate):
+        for seed in (0, 7, 2**40 + 3):
+            for shots in (2, 3, 1000, 8193):
+                assert estimate_model_term(model, g_j, shots, seed) == _choice_model_term(
+                    model, g_j, shots, seed)
+
+
+@pytest.mark.filterwarnings("error")
+def test_model_term_single_shot_has_infinite_stderr(rng):
+    model = rand_model(rng, 2, 2)
+    g_j = model.hamiltonian.terms[0]
+    mean, stderr = estimate_model_term(model, g_j, 1, seed=3)
+    assert stderr == math.inf
+    assert mean in eigen_groups(g_j)[0]
+
+
+def test_clean_probs_rejects_nan():
+    with pytest.raises(SpecError, match="defect exceeds"):
+        _clean_probs(np.array([[0.5, np.nan, 0.5]]))
+
+
 def test_hoeffding_example_and_scaling():
     assert hoeffding_shots(1.0, 1.0, 0.1, 0.05) == 738
     m1 = hoeffding_shots(1.0, 1.0, 0.05, 0.05)

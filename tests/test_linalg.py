@@ -277,12 +277,13 @@ def test_as_density_validations(rng):
     as_density(rand_state(rng, 3))
 
 
+@pytest.mark.filterwarnings("error")  # rejected before any arithmetic could warn
 @pytest.mark.parametrize("check", [as_hermitian, as_density], ids=["as_hermitian", "as_density"])
 @pytest.mark.parametrize("d", [2, 4, 64])
 def test_non_finite_entry_is_rejected(check, d):
-    for entry, value in [((0, 0), np.nan), ((0, d - 1), np.nan), ((d - 1, 0), np.inf)]:
+    for entry, value in [((0, 0), np.nan), ((0, d - 1), np.nan), ((d - 1, 0), np.inf),
+                         ((0, 0), np.inf), ((d - 1, d - 1), -np.inf)]:
         m = np.eye(d, dtype=complex) / d
         m[entry] = value
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(SpecError, match="^matrix has a non-finite entry$"):
-                check(m)
+        with pytest.raises(SpecError, match="^matrix has a non-finite entry$"):
+            check(m)

@@ -498,6 +498,7 @@ def test_chunk_streams_pairwise_distinct():
 @pytest.mark.parametrize("shift, message", [
     (-0.6, "negative outcome probability"),
     (0.01, "defect exceeds"),
+    (np.nan, "defect exceeds"),
 ])
 def test_guards_fire_in_a_later_sub_block(rng, monkeypatch, shift, message):
     model = rand_model(rng, 3, 2)
@@ -653,11 +654,6 @@ def test_model_term_single_shot_has_infinite_stderr(rng):
     mean, stderr = estimate_model_term(model, g_j, 1, seed=3)
     assert stderr == math.inf
     assert mean in eigen_groups(g_j)[0]
-
-
-def test_clean_probs_rejects_nan():
-    with pytest.raises(SpecError, match="defect exceeds"):
-        _clean_probs(np.array([[0.5, np.nan, 0.5]]))
 
 
 def test_hoeffding_example_and_scaling():

@@ -15,17 +15,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from qbmgrad import (  # noqa: E402
-    BipartiteDims,
-    EstimatorConfig,
-    ParamHamiltonian,
-    as_hermitian,
-    estimate_first_term,
-    gradient,
-    query_cost,
-    spectral_norm,
-    thermalize,
-)
+from qbmgrad.estimator import EstimatorConfig, estimate_first_term, query_cost  # noqa: E402
+from qbmgrad.gradients import gradient  # noqa: E402
+from qbmgrad.linalg import BipartiteDims, as_hermitian, spectral_norm  # noqa: E402
+from qbmgrad.models import ParamHamiltonian, thermalize  # noqa: E402
 
 
 def main() -> None:

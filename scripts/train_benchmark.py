@@ -14,14 +14,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from qbmgrad import (  # noqa: E402
-    BipartiteDims,
-    EstimatorConfig,
-    ParamHamiltonian,
-    QuantumProblem,
-    TrainConfig,
-    train,
-)
+from qbmgrad.estimator import EstimatorConfig  # noqa: E402
+from qbmgrad.linalg import BipartiteDims  # noqa: E402
+from qbmgrad.models import ParamHamiltonian  # noqa: E402
+from qbmgrad.training import QuantumProblem, TrainConfig, train  # noqa: E402
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 

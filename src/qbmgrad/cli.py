@@ -125,6 +125,8 @@ def _estimator_config(args, opts: dict, seed: int) -> EstimatorConfig:
 
 def _resolve_objective(args, spec: RunSpec | None) -> Objective:
     if args.objective == "umegaki":
+        if args.q is not None:
+            raise SpecError("--q applies to --objective tsallis only")
         return UMEGAKI
     if args.objective == "tsallis":
         if args.q is None:

@@ -60,6 +60,7 @@ from .models import ThermalModel
 MAX_CIRCUIT_DIM = 256
 PROB_CLAMP = -1e-10
 PROB_DEFECT = 1e-8
+GROUP_RTOL = 1e-9  # eigenvalues this close (relative to the largest) form one group
 _CHUNK = 8192  # shots per chunk, the unit of seeding and of threading
 _SUB_BLOCK = 1024  # shots per kernel pass inside a chunk
 
@@ -200,7 +201,7 @@ def hoeffding_shots(kappa: float, g_norm: float, epsilon: float, delta_fail: flo
     return int(math.ceil(2.0 * (kappa * g_norm / epsilon) ** 2 * math.log(2.0 / delta_fail)))
 
 
-def eigen_groups(g_j, *, tol: float = 1e-9) -> tuple[np.ndarray, list[np.ndarray]]:
+def eigen_groups(g_j) -> tuple[np.ndarray, list[np.ndarray]]:
     """Distinct eigenvalues of an observable with their summed projectors."""
     es = eigh(g_j)
     scale = max(1.0, float(np.max(np.abs(es.vals))))
@@ -208,7 +209,7 @@ def eigen_groups(g_j, *, tol: float = 1e-9) -> tuple[np.ndarray, list[np.ndarray
     i = 0
     while i < es.dim:
         j = i
-        while j + 1 < es.dim and es.vals[j + 1] - es.vals[i] <= tol * scale:
+        while j + 1 < es.dim and es.vals[j + 1] - es.vals[i] <= GROUP_RTOL * scale:
             j += 1
         block = es.vecs[:, i : j + 1]
         values.append(float(np.mean(es.vals[i : j + 1])))

@@ -35,7 +35,8 @@ from .linalg import (
     hermitize,
     spectral_norm,
 )
-from .matcalc import EXP_TENT, LOG_LOGISTIC, apply_channel, channel_factor, power_beta
+from .densities import HIGH_PEAK_TENT, LOGISTIC, power_density
+from .matcalc import apply_channel, channel_factor
 from .models import (
     CQModel,
     QCModel,
@@ -182,9 +183,9 @@ def relative_entropy(rho, sigma, obj: Objective = UMEGAKI) -> float:
     quasi-entropy (Tr[rho^q sigma^{1-q}] - 1)/(q - 1).
 
     ``rho`` is a density matrix or a ``Target`` prepared for ``obj``.
-    ``sigma`` is a density matrix or, as in q_overlap, its already
-    decomposed Eigensystem (e.g. ``model.sigma_v_eig``); either way the
-    support check runs on its eigenvalues.
+    ``sigma`` is a density matrix or its already decomposed Eigensystem
+    (e.g. ``model.sigma_v_eig``); either way the support check runs on
+    its eigenvalues.
     """
     rho, target = _unpack_target(rho, obj)
     sig_es = sigma if isinstance(sigma, Eigensystem) else eigh(as_density(sigma))
@@ -195,11 +196,6 @@ def relative_entropy(rho, sigma, obj: Objective = UMEGAKI) -> float:
         return constant - expectation(log_sigma, rho)
     q = obj.q
     return (_overlap(sig_es, constant, q) - 1.0) / (q - 1.0)
-
-
-def q_overlap(rho, sigma_es, q: float) -> float:
-    """Tr[rho^q sigma^{1-q}] for a pre-decomposed positive sigma."""
-    return _overlap(sigma_es, psd_power(rho, q), q)
 
 
 def _tent_of_anticommutator(
@@ -220,7 +216,7 @@ def _tent_of_anticommutator(
     xt = vecs.conj().T @ core_v
     lam = g_eig.vals
     xt *= 0.5 * (weights[:, None] + weights[None, :]) * channel_factor(
-        EXP_TENT, lam[:, None] - lam[None, :])
+        HIGH_PEAK_TENT, lam[:, None] - lam[None, :])
     return hermitize(vecs @ xt @ vecs.conj().T)
 
 
@@ -244,11 +240,11 @@ def _visible_core(sigma_v_eig: Eigensystem, r_v, q: float) -> np.ndarray:
     visible side of the lift.  Callers check sigma_v's support; gradient_qc
     does so before it forms rho^q, keeping that error ahead of rho's."""
     if q == 1.0:
-        averaged = apply_channel(LOG_LOGISTIC, sigma_v_eig, r_v)
+        averaged = apply_channel(LOGISTIC, sigma_v_eig, r_v)
     elif q == 2.0:
         averaged = r_v  # the power-weight density degenerates to a point mass
     else:
-        averaged = apply_channel(power_beta(1.0 - q), sigma_v_eig, r_v)
+        averaged = apply_channel(power_density(1.0 - q), sigma_v_eig, r_v)
     side = sigma_v_eig.power(-q / 2.0)
     return hermitize(side @ averaged @ side)
 
@@ -348,7 +344,7 @@ def pgm_povm(qc: QCModel) -> POVM:
     elems = []
     for x in range(qc.dims.d_h):
         core = hermitize(inv_sqrt @ (qc.p[x] * qc.sigma_x[x]) @ inv_sqrt)
-        elems.append(apply_channel(LOG_LOGISTIC, sig_v_es, core))
+        elems.append(apply_channel(LOGISTIC, sig_v_es, core))
     return POVM(tuple(elems))
 
 

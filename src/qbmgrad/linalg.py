@@ -27,12 +27,12 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
-def as_hermitian(a, *, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def as_hermitian(a) -> np.ndarray:
     """Validate a square matrix as Hermitian and symmetrize away noise.
 
-    Asymmetry up to ``atol`` (max-abs entrywise) is treated as float noise
-    and removed by averaging; larger asymmetry, and any NaN or infinite
-    entry, is rejected so genuine bugs are not masked.
+    Asymmetry below ``HERMITICITY_ATOL`` (max-abs entrywise) is treated as
+    float noise and removed by averaging; larger asymmetry, and any NaN or
+    infinite entry, is rejected so genuine bugs are not masked.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -42,20 +42,20 @@ def as_hermitian(a, *, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     if not np.isfinite(a).all():  # before the subtraction: inf - inf would warn
         raise SpecError("matrix has a non-finite entry")
     gap = float(np.abs(a - a.conj().T).max())
-    if not gap < atol:
-        raise SpecError(f"matrix is not Hermitian: max asymmetry {gap:.3e} >= {atol:.0e}")
+    if not gap < HERMITICITY_ATOL:
+        raise SpecError(f"matrix is not Hermitian: max asymmetry {gap:.3e} >= {HERMITICITY_ATOL:.0e}")
     return hermitize(a)
 
 
-def as_density(a, *, psd_floor: float = PSD_FLOOR, trace_atol: float = TRACE_ATOL) -> np.ndarray:
+def as_density(a) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD within floor, unit trace."""
     rho = as_hermitian(a)
     w = np.linalg.eigvalsh(rho)
-    if w[0] < psd_floor:
+    if w[0] < PSD_FLOOR:
         raise SpecError(f"state not positive semidefinite: min eigenvalue {w[0]:.3e}")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_atol:
-        raise SpecError(f"state trace {tr!r} differs from 1 by more than {trace_atol:.0e}")
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise SpecError(f"state trace {tr!r} differs from 1 by more than {TRACE_ATOL:.0e}")
     return rho
 
 
@@ -82,22 +82,22 @@ class Eigensystem:
         return self.apply(lambda w: np.power(w, p))
 
 
-def eigh(x, *, residual_tol: float = EIGH_RESIDUAL_TOL) -> Eigensystem:
+def eigh(x) -> Eigensystem:
     """Eigendecompose a Hermitian matrix, checking the reconstruction
     with ``check_reconstruction``."""
     x = as_hermitian(x)
     w, v = np.linalg.eigh(x)
-    check_reconstruction(x[None], w[None], v[None], residual_tol=residual_tol)
+    check_reconstruction(x[None], w[None], v[None])
     return Eigensystem(w, v)
 
 
-def check_reconstruction(x, w, v, *, residual_tol: float = EIGH_RESIDUAL_TOL) -> None:
+def check_reconstruction(x, w, v) -> None:
     """Raise GuardError unless each V diag(w) V^dag of a stack of
     eigendecompositions (w: (n, d), v: (n, d, d)) reconstructs its matrix
     of the stack x (n, d, d).
 
     The check bounds the spectral norm of r = V diag(w) V^dag - x by
-    ``residual_tol * d``, matrix by matrix.  A Frobenius-norm screen
+    ``EIGH_RESIDUAL_TOL * d``, matrix by matrix.  A Frobenius-norm screen
     accepts first, which is sound because |r|_2 <= |r|_F; only a residual
     that fails the screen pays for the SVD behind ``spectral_norm``, which
     then decides.  The screen keeps a 1e-12 relative margin so that
@@ -105,7 +105,7 @@ def check_reconstruction(x, w, v, *, residual_tol: float = EIGH_RESIDUAL_TOL) ->
     would reject.
     """
     r = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2) - x
-    tol = residual_tol * x.shape[-1]
+    tol = EIGH_RESIDUAL_TOL * x.shape[-1]
     parts = r.reshape(r.shape[0], -1).view(float)  # (Re, Im) pairs of each residual
     fails = np.sqrt(np.einsum("ij,ij->i", parts, parts)) > tol * (1.0 - 1e-12)
     if not fails.any():
@@ -167,8 +167,9 @@ def partial_trace(x, dims: BipartiteDims, keep: str) -> np.ndarray:
     raise SpecError(f"keep must be 'visible' or 'hidden', got {keep!r}")
 
 
-def expectation(obs, state, *, imag_atol: float = 1e-10):
-    """Tr[obs @ state], checked to be real up to a small residue.
+def expectation(obs, state):
+    """Tr[obs @ state], checked to be real up to a residue of 1e-10
+    (relative to the trace where that exceeds 1).
 
     ``obs`` is one d x d matrix, giving a float, or a stack (n, d, d) of
     them, giving the n traces as an array from a single contraction; the
@@ -180,7 +181,7 @@ def expectation(obs, state, *, imag_atol: float = 1e-10):
         raise SpecError(f"shape mismatch {obs.shape} vs {state.shape}")
     # Tr[A B] = sum_ij A_ij B_ji: one matrix-vector product over the stack
     vals = obs.reshape(-1, state.size) @ state.T.ravel()
-    residue = np.abs(vals.imag) > imag_atol * np.maximum(1.0, np.abs(vals))
+    residue = np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals))
     if residue.any():
         raise GuardError(f"expectation has imaginary residue {vals.imag[residue][0]:.3e}")
     return vals.real if obs.ndim == 3 else float(vals[0].real)

@@ -9,81 +9,22 @@ path is spectral and exact; time-domain quadrature exists as a cross-check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import densities
+from .densities import HIGH_PEAK_TENT, LOGISTIC, Density, power_density
 from .errors import SpecError
 from .linalg import Eigensystem, as_hermitian, eigh, gibbs_weights, hermitize
 
 DEGENERATE_GAP_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ChannelKind:
-    """Which density weights the random evolution, and what the gap means.
-
-    * ``exp_tent``:      anchor is a Hermitian generator B; gap = lambda_k - lambda_l.
-    * ``log_logistic``:  anchor is positive definite A; gap = ln lambda_k - ln lambda_l.
-    * ``power_beta``:    like log_logistic, with exponent r in (-1,0) u (0,1).
-    """
-
-    name: str
-    r: float | None = None
-
-    def __post_init__(self):
-        if self.name not in ("exp_tent", "log_logistic", "power_beta"):
-            raise SpecError(f"unknown channel kind {self.name!r}")
-        if self.name == "power_beta":
-            if self.r is None or not (-1.0 < self.r < 1.0) or self.r == 0.0:
-                raise SpecError(f"power_beta needs r in (-1,0) u (0,1), got {self.r}")
-        elif self.r is not None:
-            raise SpecError(f"{self.name} takes no r parameter")
-
-    @property
-    def density(self) -> densities.Density:
-        if self.name == "exp_tent":
-            return densities.HIGH_PEAK_TENT
-        if self.name == "log_logistic":
-            return densities.LOGISTIC
-        return densities.power_density(self.r)
-
-
-EXP_TENT = ChannelKind("exp_tent")
-LOG_LOGISTIC = ChannelKind("log_logistic")
-
-
-def power_beta(r: float) -> ChannelKind:
-    return ChannelKind("power_beta", float(r))
-
-
-@dataclass(frozen=True)
-class EvalMode:
-    """Spectral (exact, default) or truncated time-quadrature evaluation."""
-
-    name: str = "spectral"
-    T: float = 10.0
-    nodes: int = 4096
-
-    def __post_init__(self):
-        if self.name not in ("spectral", "quadrature"):
-            raise SpecError(f"unknown eval mode {self.name!r}")
-        if self.T <= 0.0:
-            raise SpecError("truncation T must be positive")
-        if self.nodes < 64:
-            raise SpecError("need at least 64 quadrature nodes")
-
-
-SPECTRAL = EvalMode("spectral")
-
-
-def channel_factor(kind: ChannelKind, u) -> np.ndarray | float:
+def channel_factor(d: Density, u) -> np.ndarray | float:
     """Fourier transform of the channel's density at spectral gap u.
 
-    exp_tent   -> tanh(u/2) / (u/2)
-    log_logistic -> (u/2) / sinh(u/2)
-    power_beta(r) -> sinh(r u / 2) / (r sinh(u / 2))
+    high_peak_tent -> tanh(u/2) / (u/2)
+    logistic       -> (u/2) / sinh(u/2)
+    power(r)       -> sinh(r u / 2) / (r sinh(u / 2))
 
     All are even in u and equal 1 in the u -> 0 limit.
     """
@@ -91,51 +32,56 @@ def channel_factor(kind: ChannelKind, u) -> np.ndarray | float:
     mag = np.abs(u)
     small = mag < DEGENERATE_GAP_RTOL * max(1.0, float(mag.max(initial=0.0)))
     safe = np.where(small, 1.0, u)
-    if kind.name == "exp_tent":
+    if d.kind == "high_peak_tent":
         half = safe / 2.0
         out = np.where(small, 1.0, np.tanh(half) / half)
-    elif kind.name == "log_logistic":
+    elif d.kind == "logistic":
         half = safe / 2.0
         out = np.where(small, 1.0, half / np.sinh(half))
     else:
-        out = np.where(small, 1.0, np.sinh(kind.r * safe / 2.0) / (kind.r * np.sinh(safe / 2.0)))
+        out = np.where(small, 1.0, np.sinh(d.r * safe / 2.0) / (d.r * np.sinh(safe / 2.0)))
     return out if out.ndim else float(out)
 
 
-def _gaps(kind: ChannelKind, anchor: Eigensystem) -> np.ndarray:
-    if kind.name == "exp_tent":
+def _gaps(d: Density, anchor: Eigensystem) -> np.ndarray:
+    if d.kind == "high_peak_tent":
         lam = anchor.vals
         return lam[:, None] - lam[None, :]
     if np.any(anchor.vals <= 0.0):
-        raise SpecError(f"{kind.name} channel needs a positive definite anchor")
+        raise SpecError(f"{d.kind} channel needs a positive definite anchor")
     loglam = np.log(anchor.vals)
     return loglam[:, None] - loglam[None, :]
 
 
-def apply_channel(
-    kind: ChannelKind, anchor: Eigensystem, y, mode: EvalMode = SPECTRAL
-) -> np.ndarray:
-    """Average of U(t) y U(t)^dag over the channel's density.
+def apply_channel(d: Density, anchor: Eigensystem, y, mode: str = "spectral") -> np.ndarray:
+    """Average of U(t) y U(t)^dag over the density d.
 
-    U(t) = e^{-iBt} for exp_tent (anchor B) and A^{-it/2} for the logistic
-    and power kinds (anchor A > 0).  Trace-preserving and Hermiticity-
-    preserving; leaves y fixed when it commutes with the anchor.
+    U(t) = e^{-iBt} for the high-peak tent (anchor B) and A^{-it/2} for the
+    logistic and power densities (anchor A > 0).  Trace-preserving and
+    Hermiticity-preserving; leaves y fixed when it commutes with the anchor.
+
+    ``spectral``:   exact, entry (k, l) times the density's Fourier
+                    transform at the gap.
+    ``quadrature``: time quadrature on [-10, 10] with 4096 nodes, the
+                    cross-check of the spectral form.
     """
+    if mode not in ("spectral", "quadrature"):
+        raise SpecError(f"unknown eval mode {mode!r}")
     y = as_hermitian(y)
     if y.shape[0] != anchor.dim:
         raise SpecError(f"dim mismatch: channel anchor {anchor.dim}, input {y.shape[0]}")
-    if mode.name == "spectral":
+    if mode == "spectral":
         yt = anchor.vecs.conj().T @ y @ anchor.vecs
-        yt *= channel_factor(kind, _gaps(kind, anchor))
+        yt *= channel_factor(d, _gaps(d, anchor))
         return hermitize(anchor.vecs @ yt @ anchor.vecs.conj().T)
 
-    if kind.name == "exp_tent":
+    if d.kind == "high_peak_tent":
         freq = anchor.vals
     else:
         if np.any(anchor.vals <= 0.0):
-            raise SpecError(f"{kind.name} channel needs a positive definite anchor")
+            raise SpecError(f"{d.kind} channel needs a positive definite anchor")
         freq = np.log(anchor.vals) / 2.0
-    t_nodes, w, w0 = densities.expectation_nodes(kind.density, T=mode.T, nodes=mode.nodes)
+    t_nodes, w, w0 = densities.expectation_nodes(d, T=10.0, nodes=4096)
     yt = anchor.vecs.conj().T @ y @ anchor.vecs
     acc = w0 * yt
     for t_i, w_i in zip(t_nodes, w):
@@ -162,7 +108,7 @@ def frechet_exp(b, h, mode: str = "fourier") -> np.ndarray:
         return hermitize(acc)
     if mode == "fourier":
         eb = es.apply(np.exp)
-        ph = apply_channel(EXP_TENT, es, h)
+        ph = apply_channel(HIGH_PEAK_TENT, es, h)
         return hermitize(0.5 * (ph @ eb + eb @ ph))
     raise SpecError(f"unknown frechet_exp mode {mode!r}")
 
@@ -179,7 +125,7 @@ def frechet_log(a, h, mode: str = "fourier") -> np.ndarray:
     h = as_hermitian(h)
     if mode == "fourier":
         inv_sqrt = es.power(-0.5)
-        return hermitize(inv_sqrt @ apply_channel(LOG_LOGISTIC, es, h) @ inv_sqrt)
+        return hermitize(inv_sqrt @ apply_channel(LOGISTIC, es, h) @ inv_sqrt)
     if mode == "resolvent":
         return _resolvent_integral(es, h, power=0.0)
     raise SpecError(f"unknown frechet_log mode {mode!r}")
@@ -190,13 +136,13 @@ def frechet_power(a, h, r: float) -> np.ndarray:
 
     r A^{(r-1)/2} Upsilon^r_A(H) A^{(r-1)/2} with the power-weighted channel.
     """
-    kind = power_beta(r)
+    d = power_density(r)
     es = eigh(a)
     if np.any(es.vals <= 0.0):
         raise SpecError("frechet_power needs a positive definite base point")
     h = as_hermitian(h)
     side = es.power((r - 1.0) / 2.0)
-    return hermitize(r * side @ apply_channel(kind, es, h) @ side)
+    return hermitize(r * side @ apply_channel(d, es, h) @ side)
 
 
 def thermal_derivative(g_spec: Eigensystem, dg) -> np.ndarray:
@@ -208,7 +154,7 @@ def thermal_derivative(g_spec: Eigensystem, dg) -> np.ndarray:
     dg = as_hermitian(dg)
     weights, _ = gibbs_weights(g_spec.vals)
     sigma = hermitize((g_spec.vecs * weights) @ g_spec.vecs.conj().T)
-    phi = apply_channel(EXP_TENT, g_spec, dg)
+    phi = apply_channel(HIGH_PEAK_TENT, g_spec, dg)
     mean = float(np.trace(dg @ sigma).real)
     return hermitize(-0.5 * (phi @ sigma + sigma @ phi) + sigma * mean)
 

@@ -74,10 +74,10 @@ class ParamHamiltonian:
     def n_params(self) -> int:
         return len(self.terms)
 
-    def assemble(self, theta=None) -> np.ndarray:
-        th = self.theta if theta is None else np.asarray(theta, dtype=float)
+    def assemble(self) -> np.ndarray:
+        """G(theta) = sum_j theta_j G_j at the current theta."""
         # the (1, n) x (n, D^2) product np.tensordot forms, without its set-up
-        g = np.dot(th.reshape(1, -1), self.stack.reshape(th.shape[0], -1))
+        g = np.dot(self.theta.reshape(1, -1), self.stack.reshape(self.n_params, -1))
         return hermitize(g.reshape(self.stack.shape[1:]))
 
     def with_theta(self, theta) -> "ParamHamiltonian":
@@ -319,10 +319,6 @@ class _BlockModel:
     def n_params(self) -> int:
         return self.stack.shape[0]
 
-    def block_ham(self, x: int, theta=None) -> np.ndarray:
-        th = self.theta if theta is None else theta
-        return _block_hams(self.stack, th)[x]
-
     def with_theta(self, theta):
         """Same block stack at a new theta; only theta is validated again."""
         out = copy.copy(self)
@@ -341,7 +337,7 @@ class QCModel(_BlockModel):
     stack: np.ndarray = field(init=False, repr=False, compare=False)
     p: np.ndarray = field(init=False)
     sigma_x: tuple[np.ndarray, ...] = field(init=False)
-    block_eig: tuple[Eigensystem, ...] = field(init=False)  # of each block_ham(x)
+    block_eig: tuple[Eigensystem, ...] = field(init=False)  # of each block Hamiltonian
     block_weights: np.ndarray = field(init=False)  # (d_h, d_v): Gibbs weights in block_eig
     visible_eig: Eigensystem = field(init=False)  # of visible_state()
 
@@ -359,15 +355,6 @@ class QCModel(_BlockModel):
         out = np.zeros((self.dims.d_v, self.dims.d_v), dtype=complex)
         for px, sx in zip(self.p, self.sigma_x):
             out += px * sx
-        return hermitize(out)
-
-    def assemble_state(self) -> np.ndarray:
-        """sum_x p_x sigma_x (x) |x><x| back on the joint register."""
-        w = self.hidden_basis
-        out = np.zeros((self.dims.total, self.dims.total), dtype=complex)
-        for x in range(self.dims.d_h):
-            proj = np.outer(w[:, x], w[:, x].conj())
-            out += self.p[x] * tensor(self.sigma_x[x], proj)
         return hermitize(out)
 
 

@@ -182,6 +182,13 @@ def parse_runspec(raw: dict) -> RunSpec:
         raise SpecError(f"model kind {model.kind!r} needs a density-matrix target")
     if model.kind in ("cq", "classical") and target_probs is None:
         raise SpecError(f"model kind {model.kind!r} needs a probability-vector target")
+    d_v = model.dims.d_v
+    if target_state is not None and target_state.shape != (d_v, d_v):
+        raise SpecError(f"target state: expected a {d_v}x{d_v} matrix (the visible "
+                        f"dimension), got {target_state.shape[0]}x{target_state.shape[1]}")
+    if target_probs is not None and target_probs.shape != (d_v,):
+        raise SpecError(f"target probs: expected {d_v} entries (the visible dimension), "
+                        f"got {target_probs.size}")
     return RunSpec(
         model=model,
         target_state=target_state,

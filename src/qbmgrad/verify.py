@@ -47,9 +47,11 @@ def rand_state(rng, d):
     return m / np.trace(m).real
 
 
-def _rand_pd(rng, d, floor=0.2):
-    es = eigh(rand_herm(rng, d))
-    return es.apply(lambda w: np.exp(w / 4) + floor)
+def rand_pd(rng, d, spread=0.5):
+    """Random positive definite matrix with eigenvalues in ~[e^-spread, e^spread]."""
+    h = rand_herm(rng, d, spread)
+    w, v = np.linalg.eigh(h)
+    return as_hermitian((v * np.exp(w)) @ v.conj().T)
 
 
 def rand_model(rng, d_v, d_h, n_terms=3, term_scale=0.4, theta_scale=0.6):
@@ -83,7 +85,8 @@ def gibbs(g):
     return (e.vecs * (w / w.sum())) @ e.vecs.conj().T
 
 
-def suite_densities(seed: int = 20_240_501) -> list[CheckResult]:
+def suite_densities() -> list[CheckResult]:
+    seed = 20_240_501
     out = []
     kinds = [densities.HIGH_PEAK_TENT, densities.LOGISTIC, densities.power_density(0.5),
              densities.power_density(-0.25)]
@@ -95,16 +98,12 @@ def suite_densities(seed: int = 20_240_501) -> list[CheckResult]:
                            for T in (1.0, 2.0, 5.0, 10.0)))
         out.append(CheckResult("densities", f"tail below bound [{_dname(d)}]", worst, 0.0 + 1e-30))
     # Fourier transforms match the channel factors
-    for d, kind in [
-        (densities.HIGH_PEAK_TENT, matcalc.EXP_TENT),
-        (densities.LOGISTIC, matcalc.LOG_LOGISTIC),
-        (densities.power_density(0.5), matcalc.power_beta(0.5)),
-    ]:
+    for d in kinds[:3]:
         worst = 0.0
         for u in (0.0, 0.3, 1.0, 2.0, 5.0):
             omega = u if d.kind == "high_peak_tent" else u / 2.0
             worst = max(worst, abs(densities.numeric_fourier(d, omega)
-                                   - matcalc.channel_factor(kind, u)))
+                                   - matcalc.channel_factor(d, u)))
         out.append(CheckResult("densities", f"fourier matches factor [{_dname(d)}]", worst, 1e-8))
     worst = 0.0
     for r in (-0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 0.9):
@@ -126,36 +125,36 @@ def suite_densities(seed: int = 20_240_501) -> list[CheckResult]:
     return out
 
 
-def suite_matcalc(seed: int = 77_001) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def suite_matcalc() -> list[CheckResult]:
+    rng = np.random.default_rng(77_001)
     out = []
     eps = 1e-5  # central-difference step
-    kinds = [matcalc.EXP_TENT, matcalc.LOG_LOGISTIC, matcalc.power_beta(0.5)]
-    trace_worst = {k.name: 0.0 for k in kinds}
+    kinds = [densities.HIGH_PEAK_TENT, densities.LOGISTIC, densities.power_density(0.5)]
+
+    def anchor(d, dim):  # the tent averages a Hamiltonian flow, the others A^{-it/2}
+        return eigh(rand_herm(rng, dim) if d.kind == "high_peak_tent" else rand_pd(rng, dim))
+
+    trace_worst = dict.fromkeys(kinds, 0.0)
     herm_worst = 0.0
     for _ in range(100):
-        d = int(rng.integers(2, 5))
-        y = rand_herm(rng, d)
-        for kind in kinds:
-            anchor = eigh(rand_herm(rng, d)) if kind.name == "exp_tent" else eigh(_rand_pd(rng, d))
-            z = matcalc.apply_channel(kind, anchor, y)
-            trace_worst[kind.name] = max(trace_worst[kind.name],
-                                         abs(np.trace(z).real - np.trace(y).real))
+        dim = int(rng.integers(2, 5))
+        y = rand_herm(rng, dim)
+        for d in kinds:
+            z = matcalc.apply_channel(d, anchor(d, dim), y)
+            trace_worst[d] = max(trace_worst[d], abs(np.trace(z).real - np.trace(y).real))
             herm_worst = max(herm_worst, float(np.max(np.abs(z - z.conj().T))))
-    for kind in kinds:
-        out.append(CheckResult("matcalc", f"channel trace preservation [{kind.name}]",
-                               trace_worst[kind.name], 1e-10))
+    for d in kinds:
+        out.append(CheckResult("matcalc", f"channel trace preservation [{_dname(d)}]",
+                               trace_worst[d], 1e-10))
     out.append(CheckResult("matcalc", "channel hermiticity", herm_worst, 1e-12))
     # spectral vs quadrature cross-check
-    quad = matcalc.EvalMode("quadrature", T=10.0, nodes=4096)
     worst = 0.0
-    for kind in kinds:
+    for d in kinds:
         for _ in range(3):
             y = rand_herm(rng, 4)
-            anchor = eigh(rand_herm(rng, 4)) if kind.name == "exp_tent" else eigh(_rand_pd(rng, 4))
+            a = anchor(d, 4)
             worst = max(worst, spectral_norm(
-                matcalc.apply_channel(kind, anchor, y)
-                - matcalc.apply_channel(kind, anchor, y, quad)))
+                matcalc.apply_channel(d, a, y) - matcalc.apply_channel(d, a, y, "quadrature")))
     out.append(CheckResult("matcalc", "spectral vs quadrature channel", worst, 1e-8))
     # dual-path and finite-difference checks for the three derivatives
     worst_dual = worst_fd_exp = 0.0
@@ -170,7 +169,7 @@ def suite_matcalc(seed: int = 77_001) -> list[CheckResult]:
     out.append(CheckResult("matcalc", "exp derivative finite difference", worst_fd_exp, 1e-6))
     worst_fd_log = worst_res = 0.0
     for _ in range(5):
-        a, h = _rand_pd(rng, 3), rand_herm(rng, 3)
+        a, h = rand_pd(rng, 3), rand_herm(rng, 3)
         four = matcalc.frechet_log(a, h)
         fd = (eigh(a + eps * h).apply(np.log) - eigh(a - eps * h).apply(np.log)) / (2 * eps)
         worst_fd_log = max(worst_fd_log, spectral_norm(four - fd))
@@ -179,18 +178,18 @@ def suite_matcalc(seed: int = 77_001) -> list[CheckResult]:
     out.append(CheckResult("matcalc", "log derivative fourier vs resolvent", worst_res, 1e-8))
     worst_fd_pow = 0.0
     for r in (-0.5, 0.3, 0.8):
-        a, h = _rand_pd(rng, 3), rand_herm(rng, 3)
+        a, h = rand_pd(rng, 3), rand_herm(rng, 3)
         four = matcalc.frechet_power(a, h, r)
         fd = (eigh(a + eps * h).power(r) - eigh(a - eps * h).power(r)) / (2 * eps)
         worst_fd_pow = max(worst_fd_pow, spectral_norm(four - fd))
     out.append(CheckResult("matcalc", "power derivative finite difference", worst_fd_pow, 1e-6))
-    a, h = _rand_pd(rng, 3), rand_herm(rng, 3)
+    a, h = rand_pd(rng, 3), rand_herm(rng, 3)
     out.append(CheckResult(
         "matcalc", "power derivative r->0 approaches log derivative",
         spectral_norm(matcalc.frechet_power(a, h, 1e-6) / 1e-6 - matcalc.frechet_log(a, h)), 1e-4))
     worst = 0.0
     for u, r in product((0.1, 1.0, 3.0), (-0.6, 0.4)):
-        k = matcalc.power_beta(r)
+        k = densities.power_density(r)
         worst = max(worst, abs(matcalc.channel_factor(k, u) - matcalc.channel_factor(k, -u)))
     out.append(CheckResult("matcalc", "power factor even in the gap", worst, 1e-14))
     worst_tr = worst_fd = 0.0
@@ -208,8 +207,8 @@ def suite_matcalc(seed: int = 77_001) -> list[CheckResult]:
     return out
 
 
-def suite_gradients(seed: int = 55_007) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def suite_gradients() -> list[CheckResult]:
+    rng = np.random.default_rng(55_007)
     out = []
     worst = {"umegaki": 0.0, "tsallis": 0.0}
     for i in range(6):
@@ -284,7 +283,8 @@ def suite_gradients(seed: int = 55_007) -> list[CheckResult]:
     return out
 
 
-def suite_estimator(seed: int = 99_003) -> list[CheckResult]:
+def suite_estimator() -> list[CheckResult]:
+    seed = 99_003
     rng = np.random.default_rng(seed)
     out = []
     # dilation extraction

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from qbmgrad import as_hermitian, spectral_norm, tensor
+from qbmgrad.linalg import as_hermitian, spectral_norm, tensor
 from qbmgrad.verify import (  # the generators are re-exported to the tests
     SUITES,
     block_hidden_terms,
     rand_herm,
     rand_model,
+    rand_pd,
     rand_state,
     rand_unitary,
     run_suites,
@@ -17,13 +18,6 @@ from qbmgrad.verify import (  # the generators are re-exported to the tests
 
 # the tests draw theta from [-0.5, 0.5]; the verify suites from [-0.6, 0.6]
 rand_model = functools.partial(rand_model, theta_scale=0.5)
-
-
-def rand_pd(rng, d, spread=0.5):
-    """Random positive definite matrix with eigenvalues in ~[e^-spread, e^spread]."""
-    h = rand_herm(rng, d, spread)
-    w, v = np.linalg.eigh(h)
-    return as_hermitian((v * np.exp(w)) @ v.conj().T)
 
 
 def block_visible_terms(rng, d_v, d_h, n_terms, basis):

@@ -11,8 +11,27 @@ from pathlib import Path
 
 import numpy as np
 
-import qbmgrad as q
 from qbmgrad.cli import main as cli_main
+from qbmgrad.densities import HIGH_PEAK_TENT, LOGISTIC, numeric_tail_mass, tail_mass_bound
+from qbmgrad.estimator import (
+    EstimatorConfig,
+    budget_split,
+    estimate_first_term,
+    inv_sqrt_encoding,
+    quadrature_first_term,
+)
+from qbmgrad.gradients import (
+    UMEGAKI,
+    classical_gradient,
+    gradient,
+    gradient_cq,
+    gradient_qc,
+    relative_entropy,
+    tsallis,
+)
+from qbmgrad.linalg import BipartiteDims, expectation, spectral_norm
+from qbmgrad.models import ParamHamiltonian, cq_decompose, qc_decompose, thermalize
+from qbmgrad.training import QuantumProblem, TrainConfig, finite_difference_gradient, train
 from qbmgrad.verify import be_bound_gap, perturb_encoding
 from conftest import (
     PAULI_Z,
@@ -38,16 +57,16 @@ def _verdict(num, ok, desc, detail=""):
 
 def _instance(seed, d_v=4, d_h=2, n_terms=4, term_scale=0.4, theta_scale=0.5):
     rng = np.random.default_rng(seed)
-    dims = q.BipartiteDims(d_v, d_h)
+    dims = BipartiteDims(d_v, d_h)
     terms = tuple(rand_herm(rng, dims.total, term_scale) for _ in range(n_terms))
     theta = rng.uniform(-theta_scale, theta_scale, n_terms)
-    ham = q.ParamHamiltonian(dims=dims, terms=terms, theta=theta)
-    return q.thermalize(ham), rand_state(rng, d_v)
+    ham = ParamHamiltonian(dims=dims, terms=terms, theta=theta)
+    return thermalize(ham), rand_state(rng, d_v)
 
 
 def _fd_for(ham, rho, obj):
-    return q.finite_difference_gradient(
-        lambda th: q.relative_entropy(rho, q.thermalize(ham.with_theta(th)).sigma_v, obj),
+    return finite_difference_gradient(
+        lambda th: relative_entropy(rho, thermalize(ham.with_theta(th)).sigma_v, obj),
         ham.theta, step=1e-5)
 
 
@@ -56,8 +75,8 @@ def test_criterion_01_gradient_vs_finite_difference():
     worst = 0.0
     for seed in range(20):
         model, rho = _instance(1000 + seed)
-        rep = q.gradient(model, rho)
-        fd = _fd_for(model.hamiltonian, rho, q.UMEGAKI)
+        rep = gradient(model, rho)
+        fd = _fd_for(model.hamiltonian, rho, UMEGAKI)
         excess = np.abs(rep.values - fd) - (1e-6 * np.abs(fd) + 1e-9)
         worst = max(worst, float(np.max(excess)))
     elapsed = time.perf_counter() - start
@@ -73,23 +92,23 @@ def test_criterion_02_model_class_consistency():
         rng = np.random.default_rng(2000 + seed)
         basis = rand_unitary(rng, 2)
         terms = block_hidden_terms(rng, 3, 2, 3, basis)
-        ham = q.ParamHamiltonian(dims=q.BipartiteDims(3, 2), terms=terms,
+        ham = ParamHamiltonian(dims=BipartiteDims(3, 2), terms=terms,
                                  theta=rng.uniform(-0.5, 0.5, 3))
         rho = rand_state(rng, 3)
-        a = q.gradient(q.thermalize(ham), rho).values
-        b = q.gradient_qc(q.qc_decompose(ham, basis), rho).values
+        a = gradient(thermalize(ham), rho).values
+        b = gradient_qc(qc_decompose(ham, basis), rho).values
         worst_qc = max(worst_qc, float(np.max(np.abs(a - b))))
     for seed in range(10):
         rng = np.random.default_rng(2100 + seed)
         basis = rand_unitary(rng, 2)
         terms = block_visible_terms(rng, 2, 3, 3, basis)
-        ham = q.ParamHamiltonian(dims=q.BipartiteDims(2, 3), terms=terms,
+        ham = ParamHamiltonian(dims=BipartiteDims(2, 3), terms=terms,
                                  theta=rng.uniform(-0.5, 0.5, 3))
         r = rng.random(2)
         r /= r.sum()
         rho = basis @ np.diag(r).astype(complex) @ basis.conj().T
-        a = q.gradient(q.thermalize(ham), rho).values
-        b = q.gradient_cq(q.cq_decompose(ham, basis), r).values
+        a = gradient(thermalize(ham), rho).values
+        b = gradient_cq(cq_decompose(ham, basis), r).values
         worst_cq = max(worst_cq, float(np.max(np.abs(a - b))))
     _verdict(2, worst_qc < 1e-8 and worst_cq < 1e-8,
              "block-hidden and block-visible gradients match the generic path "
@@ -101,8 +120,8 @@ def test_criterion_03_no_hidden_units():
     worst = 0.0
     for seed in range(10):
         model, rho = _instance(3000 + seed, d_v=4, d_h=1)
-        rep = q.gradient(model, rho)
-        direct = np.array([q.expectation(t, rho) for t in model.hamiltonian.terms])
+        rep = gradient(model, rho)
+        direct = np.array([expectation(t, rho) for t in model.hamiltonian.terms])
         worst = max(worst, float(np.max(np.abs(rep.first_terms - direct))))
     _verdict(3, worst < 1e-8,
              "with a trivial hidden register the target term equals <G_j>_rho "
@@ -116,11 +135,11 @@ def test_criterion_04_classical_reduction():
         tables = rng.normal(size=(3, 3, 2))
         theta = rng.uniform(-0.5, 0.5, 3)
         terms = tuple(np.diag(tables[j].ravel()).astype(complex) for j in range(3))
-        ham = q.ParamHamiltonian(dims=q.BipartiteDims(3, 2), terms=terms, theta=theta)
+        ham = ParamHamiltonian(dims=BipartiteDims(3, 2), terms=terms, theta=theta)
         target = rng.random(3)
         target /= target.sum()
-        rep = q.gradient(q.thermalize(ham), np.diag(target).astype(complex))
-        cls = q.classical_gradient(tables, theta, target)
+        rep = gradient(thermalize(ham), np.diag(target).astype(complex))
+        cls = classical_gradient(tables, theta, target)
         worst = max(worst, float(np.max(np.abs(rep.values - cls))))
     _verdict(4, worst < 1e-10,
              "fully diagonal instances reproduce the exact-enumeration "
@@ -130,17 +149,17 @@ def test_criterion_04_classical_reduction():
 def test_criterion_05_tsallis_gradients():
     worst = 0.0
     for qq in (0.5, 1.5, 2.0):
-        obj = q.tsallis(qq)
+        obj = tsallis(qq)
         for seed in range(5):
             model, rho = _instance(5000 + seed, d_v=3, d_h=2, n_terms=3)
-            rep = q.gradient(model, rho, obj)
+            rep = gradient(model, rho, obj)
             fd = _fd_for(model.hamiltonian, rho, obj)
             excess = np.abs(rep.values - fd) - (1e-6 * np.abs(fd) + 1e-9)
             worst = max(worst, float(np.max(excess)))
     model, rho = _instance(5600, d_v=2, d_h=2, n_terms=3)
-    base = q.gradient(model, rho).values
+    base = gradient(model, rho).values
     cont = max(
-        float(np.max(np.abs(q.gradient(model, rho, q.tsallis(1 + s)).values - base)))
+        float(np.max(np.abs(gradient(model, rho, tsallis(1 + s)).values - base)))
         for s in (1e-4, -1e-4))
     _verdict(5, worst <= 0.0 and cont < 1e-3,
              "order-q gradients match finite differences for q in {0.5, 1.5, 2.0} "
@@ -149,15 +168,13 @@ def test_criterion_05_tsallis_gradients():
 
 
 def test_criterion_06_tail_bound_numerics():
-    gamma_bound = q.tail_mass_bound(q.HIGH_PEAK_TENT, 10.0)
-    beta_bound = q.tail_mass_bound(q.LOGISTIC, 10.0)
+    gamma_bound = tail_mass_bound(HIGH_PEAK_TENT, 10.0)
+    beta_bound = tail_mass_bound(LOGISTIC, 10.0)
     gamma_rel = abs(gamma_bound / 3.9e-14 - 1.0)
     beta_rel = abs(beta_bound / 4.5e-14 - 1.0)
-    from qbmgrad.densities import numeric_tail_mass
-
     tails_ok = all(
-        numeric_tail_mass(d, T) <= q.tail_mass_bound(d, T)
-        for d in (q.HIGH_PEAK_TENT, q.LOGISTIC)
+        numeric_tail_mass(d, T) <= tail_mass_bound(d, T)
+        for d in (HIGH_PEAK_TENT, LOGISTIC)
         for T in (1.0, 2.0, 5.0, 10.0))
     ok = gamma_rel <= 0.03 and beta_rel <= 0.03 and tails_ok
     _verdict(6, ok,
@@ -191,20 +208,20 @@ def test_criterion_09_estimator_soundness():
     for seed, d_v in ((9000, 3), (9001, 3), (9002, 4)):
         model, rho = _instance(seed, d_v=d_v, d_h=2, n_terms=3)
         g_j = model.hamiltonian.terms[0]
-        exact = q.gradient(model, rho).first_terms[0]
-        worst_quad = max(worst_quad, abs(q.quadrature_first_term(model, rho, g_j) - exact))
+        exact = gradient(model, rho).first_terms[0]
+        worst_quad = max(worst_quad, abs(quadrature_first_term(model, rho, g_j) - exact))
     # statistical part: 50 seeded shot runs on a 2-visible-qubit/1-hidden-qubit
     # instance with (eps, delta) = (0.05, 0.05)
     model, rho = _instance(9900, d_v=4, d_h=2, n_terms=3,
                            term_scale=0.2, theta_scale=0.2)
     g_j = model.hamiltonian.terms[0]
-    exact = q.gradient(model, rho).first_terms[0]
+    exact = gradient(model, rho).first_terms[0]
     eps = 0.05
     hits = 0
     shots_used = 0
     for seed in range(50):
-        mean, _, shots = q.estimate_first_term(
-            model, rho, g_j, q.EstimatorConfig(epsilon=eps, delta_fail=0.05, seed=seed))
+        mean, _, shots = estimate_first_term(
+            model, rho, g_j, EstimatorConfig(epsilon=eps, delta_fail=0.05, seed=seed))
         shots_used = shots
         hits += abs(mean - exact) <= eps
     elapsed = time.perf_counter() - start
@@ -222,15 +239,15 @@ def test_criterion_10_error_budget():
     for seed in range(3):
         model, rho = _instance(10_100 + seed, d_v=2, d_h=2, n_terms=2)
         g_j = model.hamiltonian.terms[0]
-        g_norm = q.spectral_norm(g_j)
+        g_norm = spectral_norm(g_j)
         eps = 0.2
-        e1, e2 = q.budget_split(eps, model.kappa, g_norm)
+        e1, e2 = budget_split(eps, model.kappa, g_norm)
         noise1 = unitary_noise(rng, 2, e1)
-        inv = q.inv_sqrt_encoding(model)
+        inv = inv_sqrt_encoding(model)
         inv_p, _ = perturb_encoding(inv, rng, scale=0.5 * e2 / inv.alpha)
         assert inv_p.delta <= e2
-        exact = q.gradient(model, rho).first_terms[0]
-        biased = q.quadrature_first_term(model, rho, g_j,
+        exact = gradient(model, rho).first_terms[0]
+        biased = quadrature_first_term(model, rho, g_j,
                                          modular_noise=noise1, inv_sqrt=inv_p)
         worst_bias = max(worst_bias, abs(biased - exact) - eps / 2)
     _verdict(10, worst_gap <= 0.0 and worst_bias <= 0.0,
@@ -240,11 +257,11 @@ def test_criterion_10_error_budget():
 
 
 def test_criterion_11_training_benchmark(tmp_path):
-    ham = q.ParamHamiltonian(dims=q.BipartiteDims(2, 1), terms=(PAULI_Z,),
+    ham = ParamHamiltonian(dims=BipartiteDims(2, 1), terms=(PAULI_Z,),
                              theta=np.zeros(1))
     rho = np.diag([0.8, 0.2]).astype(complex)
-    traj = q.train(q.QuantumProblem(ham, rho),
-                   q.TrainConfig(learning_rate=0.1, iterations=2000, log_every=100))
+    traj = train(QuantumProblem(ham, rho),
+                   TrainConfig(learning_rate=0.1, iterations=2000, log_every=100))
     theta_star = 0.5 * np.log(0.2 / 0.8)
     bench_ok = (traj.final_objective < 1e-8
                 and abs(traj.final_theta[0] - theta_star) < 1e-4)

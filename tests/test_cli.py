@@ -14,13 +14,13 @@ from qbmgrad.gradients import (
     gradient,
     gradient_cq,
     gradient_qc,
-    q_overlap,
+    psd_power,
     relative_entropy,
     tsallis,
 )
-from qbmgrad.linalg import eigh
+from qbmgrad.linalg import eigh, expectation
 from qbmgrad.models import cq_decompose, qc_decompose, thermalize
-from qbmgrad.runspec import load_runspec
+from qbmgrad.runspec import load_runspec, matrix_to_json
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -58,6 +58,11 @@ def test_grad_requires_q_with_tsallis(tmp_path):
                 "--out", tmp_path]) == 2
 
 
+def _q_overlap(rho, sigma_es, q):
+    """Tr[rho^q sigma^{1-q}] for a pre-decomposed positive sigma."""
+    return expectation(sigma_es.power(1.0 - q), psd_power(rho, q))
+
+
 def _direct_gradient(spec, obj):
     """(report, objective value, q overlap or None) from the library call for the kind."""
     m, rho, probs = spec.model, spec.target_state, spec.target_probs
@@ -65,11 +70,11 @@ def _direct_gradient(spec, obj):
     if m.kind in ("generic", "restricted"):
         model = thermalize(m.param_hamiltonian())
         return (gradient(model, rho, obj), relative_entropy(rho, model.sigma_v, obj),
-                q_overlap(rho, model.sigma_v_eig, obj.q) if tsal else None)
+                _q_overlap(rho, model.sigma_v_eig, obj.q) if tsal else None)
     if m.kind == "qc":
         qc = qc_decompose(m.param_hamiltonian(), m.hidden_basis)
         return (gradient_qc(qc, rho, obj), relative_entropy(rho, qc.visible_state(), obj),
-                q_overlap(rho, eigh(qc.visible_state()), obj.q) if tsal else None)
+                _q_overlap(rho, eigh(qc.visible_state()), obj.q) if tsal else None)
     if m.kind == "cq":
         cq = cq_decompose(m.param_hamiltonian(), m.visible_basis)
         return gradient_cq(cq, probs, obj), cq_objective(cq, probs, obj), None
@@ -197,8 +202,6 @@ def test_schema_violation_is_input_error(tmp_path):
 
 
 def test_numerical_guard_is_exit_three(tmp_path):
-    from qbmgrad.runspec import matrix_to_json
-
     z = matrix_to_json(np.diag([1.0, -1.0]).astype(complex))
     spec = {
         "model": {"kind": "generic", "dims": {"visible": 2, "hidden": 1},
@@ -250,8 +253,6 @@ def test_unread_shot_flag_is_input_error(tmp_path, capsys, spec, flags):
 @pytest.mark.parametrize("name", ["grad_qubit", "grad_qc"])
 @pytest.mark.parametrize("command", ["grad", "train"])
 def test_non_density_target_is_input_error(tmp_path, capsys, name, command):
-    from qbmgrad.runspec import matrix_to_json
-
     raw = json.loads((DEMOS / f"{name}.json").read_text())
     raw["target"] = {"state": matrix_to_json(np.diag([1.5, -0.5]).astype(complex))}
     spec = tmp_path / "spec.json"
@@ -351,4 +352,40 @@ def test_bad_spec_scalar_is_input_error(tmp_path, capsys, command, demo, path, v
     spec.write_text(json.dumps(raw))  # writes the NaN / Infinity literals
     assert run([command, "--spec", spec, "--out", tmp_path]) == 2
     assert f"input error: {field}: expected " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, demo", [
+    ("grad", "grad_fixed_point"), ("train", "grad_fixed_point"), ("estimate", "estimate"),
+])
+def test_wrong_size_target_state_is_input_error(tmp_path, capsys, command, demo):
+    raw = json.loads((DEMOS / f"{demo}.json").read_text())
+    raw["target"] = {"state": matrix_to_json(np.eye(3) / 3)}  # the model has d_v = 2
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))
+    assert run([command, "--spec", spec, "--out", tmp_path]) == 2
+    assert ("input error: target state: expected a 2x2 matrix (the visible dimension), got 3x3"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("demo", ["grad_classical", "grad_cq"])
+@pytest.mark.parametrize("command", ["grad", "train"])
+def test_wrong_length_target_probs_is_input_error(tmp_path, capsys, command, demo):
+    raw = json.loads((DEMOS / f"{demo}.json").read_text())
+    probs = raw["target"]["probs"]
+    raw["target"]["probs"] = probs[:-1] + [probs[-1] / 2, probs[-1] / 2]  # still normalized
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))
+    assert run([command, "--spec", spec, "--out", tmp_path]) == 2
+    d_v = len(probs)
+    assert (f"input error: target probs: expected {d_v} entries (the visible dimension), "
+            f"got {d_v + 1}") in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_q_with_umegaki_objective_is_input_error(tmp_path, capsys):
+    assert run(["grad", "--spec", DEMOS / "grad_qubit.json", "--objective", "umegaki",
+                "--q", "0.5", "--out", tmp_path]) == 2
+    assert "input error: --q applies to --objective tsallis only" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()

@@ -3,22 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbmgrad import (
+from qbmgrad.errors import SpecError
+from qbmgrad.densities import (
     HIGH_PEAK_TENT,
     LOGISTIC,
     SeededSampler,
-    SpecError,
-    power_density,
-    tail_mass_bound,
-    verify_power_kernel_identity,
-)
-from qbmgrad.densities import (
     cdf,
     expectation_nodes,
     numeric_fourier,
     numeric_tail_mass,
     pdf,
+    power_density,
     quantile,
+    tail_mass_bound,
+    verify_power_kernel_identity,
     _tent_half_cdf_table,
 )
 

@@ -5,35 +5,27 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from qbmgrad import (
+import qbmgrad.estimator as est
+from qbmgrad.errors import ScaleError, SpecError
+from qbmgrad.gradients import gradient
+from qbmgrad.models import ParamHamiltonian, thermalize
+from qbmgrad.estimator import (
     BEMeta,
-    BipartiteDims,
     BlockEncoding,
     EstimatorConfig,
-    HIGH_PEAK_TENT,
-    LOGISTIC,
-    ParamHamiltonian,
-    ScaleError,
-    SeededSampler,
-    SpecError,
+    MAX_CIRCUIT_DIM,
     be_product,
     budget_split,
     dilate,
+    eigen_groups,
     error_budget,
     estimate_first_term,
     estimate_model_term,
-    gradient,
     hoeffding_shots,
     inv_sqrt_encoding,
     modular_unitary,
     quadrature_first_term,
     query_cost,
-    spectral_norm,
-    thermalize,
-)
-import qbmgrad.estimator as est
-from qbmgrad.estimator import (
-    MAX_CIRCUIT_DIM,
     _CHUNK,
     _SUB_BLOCK,
     _batch_context,
@@ -44,10 +36,17 @@ from qbmgrad.estimator import (
     _outcome_table,
     _pair_phases,
     _run_chunk,
-    eigen_groups,
 )
-from qbmgrad.densities import expectation_nodes, quantile
-from qbmgrad.linalg import as_density, as_hermitian, hermitize, partial_trace, tensor
+from qbmgrad.densities import HIGH_PEAK_TENT, LOGISTIC, SeededSampler, expectation_nodes, quantile
+from qbmgrad.linalg import (
+    BipartiteDims,
+    as_density,
+    as_hermitian,
+    hermitize,
+    partial_trace,
+    spectral_norm,
+    tensor,
+)
 from qbmgrad.verify import be_bound_gap, direct_trace_formula, perturb_encoding
 from conftest import PAULI_Z, rand_herm, rand_model, rand_state, rand_unitary, unitary_noise
 
@@ -178,7 +177,7 @@ def test_circuit_fixed_point_no_hidden(rng):
                            terms=(PAULI_Z,), theta=np.array([0.6]))
     model = thermalize(ham)
     val = circuit_expectation(model, model.sigma_v, PAULI_Z, 0.0, 0.0)
-    from qbmgrad import expectation
+    from qbmgrad.linalg import expectation
 
     assert abs(val - expectation(PAULI_Z, model.sigma_v)) < 1e-10
 
@@ -541,7 +540,7 @@ def test_estimate_fixed_point_no_hidden(rng):
     ham = ParamHamiltonian(dims=BipartiteDims(2, 1), terms=(PAULI_Z,),
                            theta=np.array([0.5]))
     model = thermalize(ham)
-    from qbmgrad import expectation
+    from qbmgrad.linalg import expectation
 
     want = expectation(PAULI_Z, model.sigma_v)
     mean, stderr, _ = estimate_first_term(
@@ -596,8 +595,6 @@ def test_estimate_same_at_one_and_two_threads(rng, d_h):
 def test_thread_pool_only_for_several_chunks(rng, monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 
-    import qbmgrad.estimator as est
-
     workers = []
 
     class Recording(ThreadPoolExecutor):
@@ -620,7 +617,7 @@ def test_thread_pool_only_for_several_chunks(rng, monkeypatch):
 def test_estimate_model_term(rng):
     model = rand_model(rng, 2, 2)
     g_j = model.hamiltonian.terms[0]
-    from qbmgrad import expectation
+    from qbmgrad.linalg import expectation
 
     exact = expectation(g_j, model.sigma_vh)
     mean, stderr = estimate_model_term(model, g_j, 200_000, seed=5)

@@ -1,39 +1,35 @@
 import numpy as np
 import pytest
 
-from qbmgrad import (
-    EXP_TENT,
-    LOG_LOGISTIC,
-    BipartiteDims,
+from qbmgrad.densities import HIGH_PEAK_TENT, LOGISTIC, power_density
+from qbmgrad.errors import SpecError, SupportError
+from qbmgrad.matcalc import apply_channel
+from qbmgrad.models import (
     ParamHamiltonian,
     RestrictedSpec,
-    SpecError,
-    SupportError,
+    cq_decompose,
+    qc_decompose,
+    restricted_to_param,
+    thermalize,
+)
+from qbmgrad.gradients import (
+    Target,
     UMEGAKI,
-    apply_channel,
     classical_gradient,
     classical_objective,
-    cq_decompose,
-    eigh,
-    expectation,
+    cq_objective,
     gradient,
     gradient_cq,
     gradient_qc,
     lift_to_joint,
     pgm_povm,
-    power_beta,
     povm_probs,
-    qc_decompose,
+    psd_power,
     relative_entropy,
     restricted_gradients,
-    restricted_to_param,
-    spectral_norm,
-    tensor,
-    thermalize,
     tsallis,
 )
-from qbmgrad.gradients import Target, cq_objective, psd_power
-from qbmgrad.linalg import hermitize
+from qbmgrad.linalg import BipartiteDims, eigh, expectation, hermitize, spectral_norm, tensor
 from qbmgrad.training import finite_difference_gradient
 from conftest import (
     PAULI_Z,
@@ -104,11 +100,11 @@ def test_lift_fixed_point_returns_thermal_state(rng):
 def _visible_core(sig_v_es, r_v, q):
     """sigma_v^{-q/2} Upsilon(r_v) sigma_v^{-q/2}: the visible-side steps."""
     if q == 1.0:
-        averaged = apply_channel(LOG_LOGISTIC, sig_v_es, r_v)
+        averaged = apply_channel(LOGISTIC, sig_v_es, r_v)
     elif q == 2.0:
         averaged = r_v
     else:
-        averaged = apply_channel(power_beta(1.0 - q), sig_v_es, r_v)
+        averaged = apply_channel(power_density(1.0 - q), sig_v_es, r_v)
     side = sig_v_es.power(-q / 2.0)
     return side @ averaged @ side
 
@@ -118,7 +114,7 @@ def _four_step_lift(model, r_v, q):
     the tent channel of G, each as a dense step."""
     sandwiched = tensor(_visible_core(model.sigma_v_eig, r_v, q), np.eye(model.dims.d_h))
     anti = 0.5 * (model.sigma_vh @ sandwiched + sandwiched @ model.sigma_vh)
-    return apply_channel(EXP_TENT, model.g_eig, hermitize(anti))
+    return apply_channel(HIGH_PEAK_TENT, model.g_eig, hermitize(anti))
 
 
 def _degenerate_model(rng, d_v, d_h):

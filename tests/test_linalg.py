@@ -4,19 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbmgrad.linalg
-from qbmgrad import (
+from qbmgrad.errors import GuardError, SpecError
+from qbmgrad.linalg import (
     BipartiteDims,
-    GuardError,
-    SpecError,
     as_density,
     as_hermitian,
     eigh,
     expectation,
+    gibbs_weights,
     partial_trace,
     spectral_norm,
     tensor,
 )
-from qbmgrad.linalg import gibbs_weights
 from conftest import PAULI_Z, rand_herm, rand_state
 
 

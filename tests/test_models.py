@@ -1,24 +1,18 @@
 import numpy as np
 import pytest
 
-from qbmgrad import (
-    BipartiteDims,
-    GuardError,
+from qbmgrad.errors import GuardError, ScaleError, SpecError, StructureError
+from qbmgrad.linalg import BipartiteDims, eigh, expectation, gibbs_weights, spectral_norm, tensor
+from qbmgrad.models import (
+    EXP_NORM_GUARD,
     ParamHamiltonian,
     RestrictedSpec,
-    ScaleError,
-    SpecError,
-    StructureError,
     cq_decompose,
-    expectation,
     qc_decompose,
     restricted_to_param,
-    spectral_norm,
-    tensor,
     thermalize,
+    _thermal_blocks,
 )
-from qbmgrad.linalg import eigh, gibbs_weights
-from qbmgrad.models import EXP_NORM_GUARD, _thermal_blocks
 from conftest import (
     PAULI_Z,
     block_hidden_terms,
@@ -170,8 +164,8 @@ def test_theta_linearity(rng):
     terms = tuple(rand_herm(rng, 4) for _ in range(3))
     ham = ParamHamiltonian(dims=dims, terms=terms, theta=np.zeros(3))
     t1, t2 = rng.normal(size=3), rng.normal(size=3)
-    lhs = ham.assemble(t1 + t2)
-    rhs = ham.assemble(t1) + ham.assemble(t2) - ham.assemble(np.zeros(3))
+    lhs = ham.with_theta(t1 + t2).assemble()
+    rhs = ham.with_theta(t1).assemble() + ham.with_theta(t2).assemble() - ham.assemble()
     assert spectral_norm(lhs - rhs) < 1e-12
 
 
@@ -193,7 +187,10 @@ def test_qc_decompose_blocks_and_weights(rng):
     qc = qc_decompose(ham, basis)
     assert abs(qc.p.sum() - 1.0) < 1e-10
     model = thermalize(ham)
-    assert spectral_norm(qc.assemble_state() - model.sigma_vh) < 1e-10
+    # sum_x p_x sigma_x (x) |x><x| back on the joint register is the Gibbs state
+    joint = sum(qc.p[x] * tensor(qc.sigma_x[x], np.outer(basis[:, x], basis[:, x].conj()))
+                for x in range(2))
+    assert spectral_norm(joint - model.sigma_vh) < 1e-10
     # reassembled terms reproduce the originals
     for j, t in enumerate(terms):
         back = sum(
@@ -218,6 +215,11 @@ def test_qc_decompose_rejects_bad_basis(rng):
         qc_decompose(ham, basis)
 
 
+def _block_ham(model, x):
+    """sum_j theta_j G^{j,x}: the Hamiltonian of block x."""
+    return sum(c * terms[x] for c, terms in zip(model.theta, model.terms_x))
+
+
 def test_restricted_qc_blocks_match_commuting_formula(rng):
     # commuting hidden operators H_j = sum_x h_{j,x} |x><x| make every block
     # b-independent up to an identity shift with known coefficients
@@ -233,7 +235,7 @@ def test_restricted_qc_blocks_match_commuting_formula(rng):
         shift = float(np.sum(b * h_diag[:, x]))
         coupled = sum((a[i] + float(np.sum(w[i] * h_diag[:, x]))) * V[i] for i in range(m))
         want = shift * np.eye(d_v) + coupled
-        assert spectral_norm(qc.block_ham(x) - want) < 1e-12
+        assert spectral_norm(_block_ham(qc, x) - want) < 1e-12
 
 
 def test_cq_trivial_visible_is_single_block(rng):
@@ -270,7 +272,7 @@ def test_restricted_cq_blocks_match_commuting_formula(rng):
         shift = float(np.sum(a * v_diag[:, x]))
         coupled = sum((b[j] + float(np.sum(w[:, j] * v_diag[:, x]))) * H[j] for j in range(n))
         want = shift * np.eye(d_h) + coupled
-        assert spectral_norm(cq.block_ham(x) - want) < 1e-12
+        assert spectral_norm(_block_ham(cq, x) - want) < 1e-12
 
 
 def test_param_hamiltonian_validation(rng):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbmgrad import SpecError
+from qbmgrad.errors import SpecError
 from qbmgrad.runspec import (
     fmt17,
     load_runspec,

@@ -7,24 +7,18 @@ import qbmgrad.estimator
 import qbmgrad.gradients
 import qbmgrad.models
 import qbmgrad.training
-from qbmgrad import (
-    BipartiteDims,
+from qbmgrad.errors import GuardError, SpecError
+from qbmgrad.estimator import EstimatorConfig
+from qbmgrad.gradients import classical_gradient, gradient, relative_entropy
+from qbmgrad.linalg import BipartiteDims
+from qbmgrad.models import ParamHamiltonian, cq_decompose, qc_decompose, thermalize
+from qbmgrad.training import (
     CQProblem,
     ClassicalProblem,
-    EstimatorConfig,
-    GuardError,
-    ParamHamiltonian,
     QCProblem,
     QuantumProblem,
-    SpecError,
     TrainConfig,
-    classical_gradient,
-    cq_decompose,
     finite_difference_gradient,
-    qc_decompose,
-    gradient,
-    relative_entropy,
-    thermalize,
     train,
 )
 from qbmgrad.runspec import load_runspec

@@ -17,8 +17,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qbmgrad.estimator import EstimatorConfig, estimate_first_term, query_cost  # noqa: E402
 from qbmgrad.gradients import gradient  # noqa: E402
-from qbmgrad.linalg import BipartiteDims, as_hermitian, spectral_norm  # noqa: E402
+from qbmgrad.linalg import BipartiteDims, spectral_norm  # noqa: E402
 from qbmgrad.models import ParamHamiltonian, thermalize  # noqa: E402
+from qbmgrad.verify import rand_herm, rand_state  # noqa: E402
 
 
 def main() -> None:
@@ -28,18 +29,11 @@ def main() -> None:
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
-
-    def herm(d, scale):
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        return as_hermitian((a + a.conj().T) / 2 * scale)
-
     dims = BipartiteDims(2, 2)
-    terms = tuple(herm(4, 0.4) for _ in range(2))
+    terms = tuple(rand_herm(rng, 4, 0.4) for _ in range(2))
     model = thermalize(ParamHamiltonian(dims=dims, terms=terms,
                                         theta=rng.uniform(-0.4, 0.4, 2)))
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
+    rho = rand_state(rng, 2)
     g_j = terms[0]
     exact = gradient(model, rho).first_terms[0]
     print(f"kappa = {model.kappa:.3f}, |G_j| = {spectral_norm(g_j):.3f}, "

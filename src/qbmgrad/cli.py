@@ -107,20 +107,25 @@ def _resolve_seed(args, spec: RunSpec | None) -> int:
     return seed
 
 
-def _option(flag, opts: dict, key: str, default, *, integer: bool = False):
-    """The flag when given (zero included), else the spec option, else the default."""
-    return flag if flag is not None else spec_number(opts.get(key, default), key, integer=integer)
+def _option(flag, opts: dict, key: str, *, integer: bool = False):
+    """The flag when given (zero included), else the spec option, else None."""
+    if flag is not None:
+        return flag
+    return spec_number(opts[key], key, integer=integer) if key in opts else None
+
+
+def _given(**settings) -> dict:
+    """The settings a flag or the spec gave; the rest keep their config defaults."""
+    return {name: value for name, value in settings.items() if value is not None}
 
 
 def _estimator_config(args, opts: dict, seed: int) -> EstimatorConfig:
     """Shot settings of a train or estimate run: flags over spec options."""
-    return EstimatorConfig(
-        epsilon=_option(args.epsilon, opts, "epsilon", 0.05),
-        delta_fail=_option(args.delta, opts, "delta", 0.05),
-        shots=_option(args.shots, opts, "shots", 0, integer=True),
-        seed=seed,
-        threads=args.threads,
-    )
+    return EstimatorConfig(seed=seed, threads=args.threads, **_given(
+        epsilon=_option(args.epsilon, opts, "epsilon"),
+        delta_fail=_option(args.delta, opts, "delta"),
+        shots=_option(args.shots, opts, "shots", integer=True),
+    ))
 
 
 def _resolve_objective(args, spec: RunSpec | None) -> Objective:
@@ -222,19 +227,21 @@ def cmd_grad(args) -> int:
     return EXIT_OK
 
 
-def _reject_unused_shot_flags(args, spec: RunSpec, mode: str) -> None:
-    """Exit 2 on a shot flag that ``train`` in this mode would not read:
-    exact mode reads none of them, and classical tables in shot mode draw
-    ``--shots`` samples with no (epsilon, delta) target."""
-    flags = {"--epsilon": args.epsilon, "--delta": args.delta, "--shots": args.shots}
+def _reject_unused_shot_settings(args, spec: RunSpec, mode: str) -> None:
+    """Exit 2 on a shot setting, flag or ``train`` spec field, that ``train``
+    in this mode would not read: exact mode reads none of them, and
+    classical tables in shot mode draw ``--shots`` samples with no
+    (epsilon, delta) target."""
+    flags = {"epsilon": args.epsilon, "delta": args.delta, "shots": args.shots}
     if mode == "exact":
         unused, why = list(flags), "apply to --mode shot only"
     elif spec.model.kind == "classical":
-        unused = ["--epsilon", "--delta"]
+        unused = ["epsilon", "delta"]
         why = "do not apply to classical tables, which draw --shots samples"
     else:
         return
-    given = [f for f in unused if flags[f] is not None]
+    given = [f"--{k}" for k in unused if flags[k] is not None]
+    given += [f"train.{k}" for k in unused if k in spec.train]
     if given:
         raise SpecError(f"{', '.join(given)} {why}")
 
@@ -245,13 +252,13 @@ def cmd_train(args) -> int:
     seed = _resolve_seed(args, spec)
     opts = spec.train
     mode = args.mode or opts.get("mode", "exact")
-    _reject_unused_shot_flags(args, spec, mode)
+    _reject_unused_shot_settings(args, spec, mode)
     est = _estimator_config(args, opts, seed) if mode == "shot" else None
-    cfg = TrainConfig(
-        learning_rate=_option(args.learning_rate, opts, "learning_rate", 0.1),
-        iterations=_option(args.iterations, opts, "iterations", 500, integer=True),
-        log_every=_option(args.log_every, opts, "log_every", 1, integer=True),
-    )
+    cfg = TrainConfig(**_given(
+        learning_rate=_option(args.learning_rate, opts, "learning_rate"),
+        iterations=_option(args.iterations, opts, "iterations", integer=True),
+        log_every=_option(args.log_every, opts, "log_every", integer=True),
+    ))
     traj = train(_problem(spec, obj, mode, est), cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / "trajectory.csv"
@@ -285,7 +292,7 @@ def cmd_estimate(args) -> int:
         raise SpecError("estimate covers generic/restricted models")
     seed = _resolve_seed(args, spec)
     opts = spec.estimate
-    term = _option(args.term, opts, "term_index", 0, integer=True)
+    term = _option(args.term, opts, "term_index", integer=True) or 0  # None: the first term
     model = thermalize(spec.model.param_hamiltonian())
     terms = model.hamiltonian.terms
     if not 0 <= term < len(terms):

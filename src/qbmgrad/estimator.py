@@ -63,6 +63,13 @@ PROB_DEFECT = 1e-8
 GROUP_RTOL = 1e-9  # eigenvalues this close (relative to the largest) form one group
 _CHUNK = 8192  # shots per chunk, the unit of seeding and of threading
 _SUB_BLOCK = 1024  # shots per kernel pass inside a chunk
+# quadrature_first_term's grid: QUAD_S_PANELS panels of QUAD_S_NODES logistic
+# s-nodes on |s| <= QUAD_S_MAX, and QUAD_T_NODES tent t-nodes on |t| <= QUAD_T_MAX
+QUAD_S_MAX = 10.0
+QUAD_S_PANELS = 8
+QUAD_S_NODES = 24
+QUAD_T_MAX = 10.0
+QUAD_T_NODES = 1600
 
 # First word of the spawn key of every random stream the package derives from
 # a user seed, one per consumer: np.random.SeedSequence(seed, spawn_key=(tag,
@@ -501,11 +508,6 @@ def quadrature_first_term(
     rho,
     g_j,
     *,
-    s_max: float = 10.0,
-    t_max: float = 10.0,
-    s_panels: int = 8,
-    s_nodes: int = 24,
-    t_nodes: int = 1600,
     modular_noise=None,
     inv_sqrt=None,
 ) -> float:
@@ -522,8 +524,8 @@ def quadrature_first_term(
     """
     inv = inv_sqrt if inv_sqrt is not None else inv_sqrt_encoding(model)
     ctx = _batch_context(model, rho, g_j, modular_noise=modular_noise, inv_sqrt=inv)
-    s_pts, s_wts = _logistic_panels(s_max, s_panels, s_nodes)
-    t_pts, t_wts, t_w0 = expectation_nodes(HIGH_PEAK_TENT, T=t_max, nodes=t_nodes)
+    s_pts, s_wts = _logistic_panels(QUAD_S_MAX, QUAD_S_PANELS, QUAD_S_NODES)
+    t_pts, t_wts, t_w0 = expectation_nodes(HIGH_PEAK_TENT, T=QUAD_T_MAX, nodes=QUAD_T_NODES)
     t_mass = t_w0 + float(np.sum(t_wts))
     f_bar = _modular_features(ctx, s_pts) @ s_wts
     e_bar = (t_w0 + _pair_phases(np.outer(ctx.g_vals, t_pts)) @ t_wts) / t_mass

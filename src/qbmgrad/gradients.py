@@ -37,16 +37,7 @@ from .linalg import (
 )
 from .densities import HIGH_PEAK_TENT, LOGISTIC, power_density
 from .matcalc import apply_channel, channel_factor
-from .models import (
-    CQModel,
-    QCModel,
-    RestrictedSpec,
-    ThermalModel,
-    cq_decompose,
-    qc_decompose,
-    restricted_to_param,
-    thermalize,
-)
+from .models import CQModel, QCModel, ThermalModel
 
 SUPPORT_FLOOR = 1e-12
 PSD_CLAMP = -1e-12
@@ -128,8 +119,7 @@ def psd_power(rho, q: float) -> np.ndarray:
     es = eigh(rho)
     if float(es.vals[0]) < PSD_CLAMP:
         raise SpecError(f"state eigenvalue {float(es.vals[0]):.3e} below PSD clamp")
-    w = np.maximum(es.vals, 0.0)
-    return hermitize((es.vecs * np.power(w, q)) @ es.vecs.conj().T)
+    return es.apply(lambda w: np.power(np.maximum(w, 0.0), q))
 
 
 @dataclass(frozen=True)
@@ -354,37 +344,10 @@ def povm_probs(povm: POVM, rho) -> np.ndarray:
     return np.array([expectation(e, rho) for e in povm.elements])
 
 
-def restricted_gradients(
-    kind: str,
-    spec: RestrictedSpec,
-    target,
-    obj: Objective = UMEGAKI,
-    basis=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient of a restricted model, repacked into (a, b, w) shapes.
-
-    kind selects the model class: "fully_quantum" (target is a visible
-    density matrix), "qc" (commuting hidden operators over ``basis``,
-    target a density matrix) or "cq" (commuting visible operators over
-    ``basis``, target a probability vector).
-    """
-    param = restricted_to_param(spec)
-    if kind == "fully_quantum":
-        rep = gradient(thermalize(param), target, obj)
-    elif kind == "qc":
-        rep = gradient_qc(qc_decompose(param, basis), target, obj)
-    elif kind == "cq":
-        rep = gradient_cq(cq_decompose(param, basis), target, obj)
-    else:
-        raise SpecError(f"unknown restricted kind {kind!r}")
-    return spec.unpack(rep.values)
-
-
 def classical_distribution(tables: np.ndarray, theta) -> np.ndarray:
     """Joint Boltzmann table p(v, h) for energy tables G_j(v, h)."""
-    tables = np.asarray(tables, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    return gibbs_weights(np.tensordot(theta, tables, axes=1))[0]
+    energies = np.tensordot(np.asarray(theta, dtype=float), np.asarray(tables, dtype=float), axes=1)
+    return gibbs_weights(energies.ravel())[0].reshape(energies.shape)
 
 
 def classical_objective(tables, theta, target_q) -> float:

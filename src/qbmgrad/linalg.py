@@ -116,16 +116,17 @@ def check_reconstruction(x, w, v) -> None:
             raise GuardError(f"eigendecomposition residual {resid:.3e} too large")
 
 
-def gibbs_weights(energies) -> tuple[np.ndarray, float]:
-    """Normalised Boltzmann weights e^{-(E - E_min)} / z and the shifted sum z.
+def gibbs_weights(energies) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised Boltzmann weights e^{-(E - E_min)} / z along the last axis,
+    and the shifted sums z (one per row; a scalar for one row).
 
-    Shifting by the minimum keeps every exponent <= 0, so nothing overflows;
-    the unshifted partition function is z * e^{-E_min}.
+    Shifting each row by its minimum keeps every exponent <= 0, so nothing
+    overflows; the unshifted partition function is z * e^{-E_min}.
     """
     energies = np.asarray(energies)
-    boltz = np.exp(-(energies - energies.min()))
-    z = float(boltz.sum())
-    return boltz / z, z
+    boltz = np.exp(-(energies - energies.min(axis=-1, keepdims=True)))
+    z = boltz.sum(axis=-1)
+    return boltz / z[..., None], z
 
 
 def tensor(a, b) -> np.ndarray:

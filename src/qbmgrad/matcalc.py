@@ -152,8 +152,7 @@ def thermal_derivative(g_spec: Eigensystem, dg) -> np.ndarray:
     whenever dG is a multiple of the identity.
     """
     dg = as_hermitian(dg)
-    weights, _ = gibbs_weights(g_spec.vals)
-    sigma = hermitize((g_spec.vecs * weights) @ g_spec.vecs.conj().T)
+    sigma = g_spec.apply(lambda w: gibbs_weights(w)[0])
     phi = apply_channel(HIGH_PEAK_TENT, g_spec, dg)
     mean = float(np.trace(dg @ sigma).real)
     return hermitize(-0.5 * (phi @ sigma + sigma @ phi) + sigma * mean)

@@ -5,7 +5,8 @@ fixed Hermitian terms on a visible (x) hidden register pair.  Thermalizing
 produces the Gibbs state e^{-G}/Z, its visible marginal, cached spectra, and
 the conditioning number kappa = 1/lambda_min(sigma_v) that controls every
 downstream amplification.  Block decompositions cover the two commuting
-special cases (classical hidden or classical visible register).
+special cases (classical hidden or classical visible register), whose
+blocks are Gibbs states formed by the joint model's kernel.
 """
 from __future__ import annotations
 
@@ -30,6 +31,13 @@ from .linalg import (
 
 EXP_NORM_GUARD = 700.0
 BLOCK_ATOL = 1e-10
+
+
+def _checked_theta(theta, n_params: int) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (n_params,):
+        raise SpecError(f"theta length {theta.shape} != number of terms {n_params}")
+    return theta
 
 
 @dataclass(frozen=True)
@@ -60,15 +68,7 @@ class ParamHamiltonian:
             stack[k] = t
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "terms", tuple(stack))
-        object.__setattr__(self, "theta", self._checked_theta(self.theta))
-
-    def _checked_theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (len(self.terms),):
-            raise SpecError(
-                f"theta length {theta.shape} != number of terms {len(self.terms)}"
-            )
-        return theta
+        object.__setattr__(self, "theta", _checked_theta(self.theta, len(self.terms)))
 
     @property
     def n_params(self) -> int:
@@ -86,7 +86,7 @@ class ParamHamiltonian:
         The terms were validated and hermitized at construction, so the
         copy shares them instead of re-running ``as_hermitian`` on each.
         """
-        theta = self._checked_theta(theta)
+        theta = _checked_theta(theta, self.n_params)
         out = copy.copy(self)
         object.__setattr__(out, "theta", theta)
         return out
@@ -116,15 +116,28 @@ class ThermalModel:
         return self.hamiltonian.dims
 
 
+def _gibbs(hams, w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weights, states, shifted sums) of the Gibbs states e^{-H}/Z of a
+    stack (n, d, d) of Hermitian matrices from their eigendecompositions
+    (w: (n, d) ascending, v: (n, d, d)), each checked as ``eigh`` checks one.
+    Matrix k's partition function is its shifted sum z_k times e^{-w[k, 0]}.
+    """
+    check_reconstruction(hams, w, v)
+    weights, z = gibbs_weights(w)
+    states = hermitize((v * weights[:, None, :]) @ v.conj().swapaxes(-1, -2))
+    return weights, states, z
+
+
 def thermalize(h: ParamHamiltonian) -> ThermalModel:
     """Build the thermal model e^{-G(theta)}/Z with all cached fields.
 
     G is decomposed once, in three steps: ``np.linalg.eigh`` of the
     assembled G (already hermitized, so it skips ``as_hermitian``); the
     exponent guard, |G|_2 <= ``EXP_NORM_GUARD``, read by ``spectral_norm``
-    from that eigensystem; then the reconstruction check ``eigh`` applies.
-    The exponent guard answers first, so a G too large to exponentiate
-    raises ScaleError even where its residual would also fail.
+    from that eigensystem; then the Gibbs kernel, which checks the
+    reconstruction as ``eigh`` does.  The exponent guard answers first, so
+    a G too large to exponentiate raises ScaleError even where its residual
+    would also fail.
     """
     g = h.assemble()
     vals, vecs = np.linalg.eigh(g)
@@ -132,10 +145,8 @@ def thermalize(h: ParamHamiltonian) -> ThermalModel:
     norm = spectral_norm(g_eig)
     if not norm <= EXP_NORM_GUARD:
         raise ScaleError(f"|G| = {norm:.1f} exceeds the exponent guard {EXP_NORM_GUARD}")
-    check_reconstruction(g[None], vals[None], vecs[None])
-    weights, z_shifted = gibbs_weights(g_eig.vals)
-    z = z_shifted * float(np.exp(-np.min(g_eig.vals)))
-    sigma_vh = hermitize((g_eig.vecs * weights) @ g_eig.vecs.conj().T)
+    weights, states, z_shifted = _gibbs(g[None], vals[None], vecs[None])
+    sigma_vh = states[0]
     sigma_v = hermitize(partial_trace(sigma_vh, h.dims, keep="visible"))
     sigma_v_eig = eigh(sigma_v)
     lam_min = float(sigma_v_eig.vals[0])
@@ -144,11 +155,11 @@ def thermalize(h: ParamHamiltonian) -> ThermalModel:
     return ThermalModel(
         hamiltonian=h,
         G=g,
-        Z=z,
+        Z=float(z_shifted[0]) * float(np.exp(-vals[0])),
         sigma_vh=sigma_vh,
         sigma_v=sigma_v,
         g_eig=g_eig,
-        weights=weights,
+        weights=weights[0],
         sigma_v_eig=sigma_v_eig,
         kappa=1.0 / lam_min,
     )
@@ -192,13 +203,6 @@ class RestrictedSpec:
     def pack_theta(self) -> np.ndarray:
         return np.concatenate([self.a, self.b, self.w.ravel()])
 
-    def unpack(self, vec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        vec = np.asarray(vec, dtype=float)
-        m, n = len(self.V), len(self.H)
-        if vec.shape != (m + n + m * n,):
-            raise SpecError("packed vector has wrong length")
-        return vec[:m], vec[m : m + n], vec[m + n :].reshape(m, n)
-
 
 def restricted_to_param(spec: RestrictedSpec) -> ParamHamiltonian:
     """Expand an (a, b, w) spec into generic terms with packed theta."""
@@ -220,24 +224,38 @@ def _validate_unitary(u: np.ndarray, d: int, what: str) -> np.ndarray:
     return u
 
 
-def _blocks(term: np.ndarray, dims: BipartiteDims, classical: str) -> list[np.ndarray]:
-    """Diagonal blocks of a term over the classical register's basis states."""
-    t = term.reshape(dims.d_v, dims.d_h, dims.d_v, dims.d_h)
-    scale = max(1.0, float(np.max(np.abs(term))))
-    if classical == "hidden":
-        n, mat = dims.d_h, (lambda x, y: t[:, x, :, y])
-    else:
-        n, mat = dims.d_v, (lambda x, y: t[x, :, y, :])
-    off = max(
-        (float(np.max(np.abs(mat(x, y)))) for x in range(n) for y in range(n) if x != y),
-        default=0.0,
-    )
-    if off > BLOCK_ATOL * scale:
-        raise StructureError(
-            f"term is not block-diagonal over the declared {classical} basis "
-            f"(off-block magnitude {off:.3e})"
+def _block_decompose(h: ParamHamiltonian, basis, classical: str) -> tuple[np.ndarray, np.ndarray]:
+    """(validated basis, block stack) of h over a declared classical basis.
+
+    ``classical`` names the classical register, "hidden" or "visible".
+    Each term is rotated into the basis and split into its diagonal blocks
+    over the basis states, giving the (n_params, n_blocks, d, d) stack of
+    the blocks G^{j,x}.  The basis is validated, never searched for: a
+    rotated term with an off-block entry above ``BLOCK_ATOL`` (relative to
+    its largest entry, when that exceeds 1) raises StructureError.
+    """
+    dims = h.dims
+    hidden = classical == "hidden"
+    n = dims.d_h if hidden else dims.d_v
+    w = np.eye(n, dtype=complex) if basis is None else _validate_unitary(
+        basis, n, f"{classical} basis")
+    rot = tensor(np.eye(dims.d_v), w) if hidden else tensor(w, np.eye(dims.d_h))
+    stack = []
+    for term in h.terms:
+        term = hermitize(rot.conj().T @ term @ rot)
+        t = term.reshape(dims.d_v, dims.d_h, dims.d_v, dims.d_h)
+        block = (lambda x, y: t[:, x, :, y]) if hidden else (lambda x, y: t[x, :, y, :])
+        off = max(
+            (float(np.max(np.abs(block(x, y)))) for x in range(n) for y in range(n) if x != y),
+            default=0.0,
         )
-    return [as_hermitian(mat(x, x)) for x in range(n)]
+        if off > BLOCK_ATOL * max(1.0, float(np.max(np.abs(term)))):
+            raise StructureError(
+                f"term is not block-diagonal over the declared {classical} basis "
+                f"(off-block magnitude {off:.3e})"
+            )
+        stack.append([as_hermitian(block(x, x)) for x in range(n)])
+    return w, np.array(stack, dtype=complex)
 
 
 def _thermal_blocks(
@@ -246,36 +264,18 @@ def _thermal_blocks(
     """(p_x, sigma_x, eigensystems, Gibbs weights) of a stack (n, d, d) of
     per-label Hamiltonians.
 
-    One stacked ``np.linalg.eigh`` decomposes every block; its
-    reconstruction is checked block by block as ``eigh`` checks one matrix,
-    so a single bad block raises the same GuardError.  The blocks are
-    Hermitian by construction (hermitized sums of validated terms), so
-    they skip ``as_hermitian``.  Each state uses its own eigenvalue shift;
-    the weights p_x come from the per-block log partition functions, so
-    nothing underflows even when the blocks sit at very different energies.
+    One stacked ``np.linalg.eigh`` decomposes every block; the blocks are
+    Hermitian by construction (hermitized sums of validated terms), so they
+    skip ``as_hermitian``.  The weights p_x come from the per-block log
+    partition functions, so nothing underflows even when the blocks sit at
+    very different energies.
     """
     w, v = np.linalg.eigh(block_hams)
-    check_reconstruction(block_hams, w, v)
-    boltz = np.exp(-(w - w[:, :1]))  # eigh sorts ascending: column 0 is each block's minimum
-    z = np.sum(boltz, axis=1)
-    weights = boltz / z[:, None]
-    states = hermitize((v * weights[:, None, :]) @ v.conj().swapaxes(-1, -2))
-    log_zs = np.log(z) - w[:, 0]
+    weights, states, z = _gibbs(block_hams, w, v)
+    log_zs = np.log(z) - w[:, 0]  # eigh sorts ascending: column 0 is each block's minimum
     p = np.exp(log_zs - np.max(log_zs))
     eigs = tuple(Eigensystem(wx, vx) for wx, vx in zip(w, v))
     return p / p.sum(), states, eigs, weights
-
-
-def _block_stack(terms_x, n_blocks: int, d: int) -> np.ndarray:
-    """terms_x[j][x] as one (n_params, n_blocks, d, d) array."""
-    try:
-        stack = np.array(terms_x, dtype=complex)
-    except ValueError as exc:
-        raise SpecError(f"block terms must all be {d}x{d}") from exc
-    if stack.ndim != 4 or len(stack) < 1 or stack.shape[1:] != (n_blocks, d, d):
-        raise SpecError(
-            f"block terms have shape {stack.shape}, expected (n_params, {n_blocks}, {d}, {d})")
-    return stack
 
 
 def _block_hams(stack: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -286,34 +286,35 @@ def _block_hams(stack: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return hermitize(g)
 
 
+@dataclass(frozen=True)
 class _BlockModel:
     """What QCModel and CQModel share: the block term stack, built once and
     shared by every ``with_theta`` copy, and the block Gibbs states.
 
-    ``stack`` is the (n_params, n_blocks, d, d) array of the blocks
-    G^{j,x}; ``terms_x[j][x]`` are views into it.
+    ``stack`` is the (n_params, n_blocks, d, d) array of the blocks G^{j,x}
+    that ``qc_decompose`` or ``cq_decompose`` split the terms into.
     """
 
-    def _block_shape(self) -> tuple[int, int]:
-        """(number of blocks, block dimension)."""
-        raise NotImplementedError
+    dims: BipartiteDims
+    stack: np.ndarray = field(repr=False, compare=False)
+    theta: np.ndarray
+    p: np.ndarray = field(init=False)
+    sigma_x: tuple[np.ndarray, ...] = field(init=False)
+    block_eig: tuple[Eigensystem, ...] = field(init=False)  # of each block Hamiltonian
+    block_weights: np.ndarray = field(init=False)  # (n_blocks, d): Gibbs weights in block_eig
 
     def __post_init__(self):
-        stack = _block_stack(self.terms_x, *self._block_shape())
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "terms_x", tuple(tuple(t) for t in stack))
         self._thermalize(self.theta)
 
-    def _thermalize(self, theta) -> tuple[tuple[Eigensystem, ...], np.ndarray]:
-        """Set theta, p and sigma_x; return the block eigensystems and weights."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_params,):
-            raise SpecError(f"theta length {theta.shape} != number of terms {self.n_params}")
+    def _thermalize(self, theta) -> None:
+        """Set theta, p, sigma_x and the block eigensystems and weights."""
+        theta = _checked_theta(theta, self.n_params)
         p, states, eigs, weights = _thermal_blocks(_block_hams(self.stack, theta))
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "sigma_x", tuple(states))
-        return eigs, weights
+        object.__setattr__(self, "block_eig", eigs)
+        object.__setattr__(self, "block_weights", weights)
 
     @property
     def n_params(self) -> int:
@@ -330,26 +331,12 @@ class _BlockModel:
 class QCModel(_BlockModel):
     """Quantum visible, classical hidden: G_j = sum_x G_v^{j,x} (x) |x><x|."""
 
-    dims: BipartiteDims
     hidden_basis: np.ndarray
-    terms_x: tuple[tuple[np.ndarray, ...], ...]  # [j][x] -> d_v x d_v
-    theta: np.ndarray
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
-    p: np.ndarray = field(init=False)
-    sigma_x: tuple[np.ndarray, ...] = field(init=False)
-    block_eig: tuple[Eigensystem, ...] = field(init=False)  # of each block Hamiltonian
-    block_weights: np.ndarray = field(init=False)  # (d_h, d_v): Gibbs weights in block_eig
     visible_eig: Eigensystem = field(init=False)  # of visible_state()
 
-    def _block_shape(self) -> tuple[int, int]:
-        return self.dims.d_h, self.dims.d_v
-
-    def _thermalize(self, theta):
-        eigs, weights = super()._thermalize(theta)
-        object.__setattr__(self, "block_eig", eigs)
-        object.__setattr__(self, "block_weights", weights)
+    def _thermalize(self, theta) -> None:
+        super()._thermalize(theta)
         object.__setattr__(self, "visible_eig", eigh(self.visible_state()))
-        return eigs, weights
 
     def visible_state(self) -> np.ndarray:
         out = np.zeros((self.dims.d_v, self.dims.d_v), dtype=complex)
@@ -362,49 +349,17 @@ class QCModel(_BlockModel):
 class CQModel(_BlockModel):
     """Classical visible, quantum hidden: G_j = sum_x |x><x| (x) G_h^{j,x}."""
 
-    dims: BipartiteDims
     visible_basis: np.ndarray
-    terms_x: tuple[tuple[np.ndarray, ...], ...]  # [j][x] -> d_h x d_h
-    theta: np.ndarray
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
-    p: np.ndarray = field(init=False)
-    sigma_x: tuple[np.ndarray, ...] = field(init=False)
-
-    def _block_shape(self) -> tuple[int, int]:
-        return self.dims.d_v, self.dims.d_h
 
 
 def qc_decompose(h: ParamHamiltonian, hidden_basis=None) -> QCModel:
-    """Split every term over a declared classical hidden basis.
-
-    The basis is validated, never searched for: each rotated term must be
-    block-diagonal over the basis projectors or a StructureError is raised.
-    """
-    dims = h.dims
-    w = (
-        np.eye(dims.d_h, dtype=complex)
-        if hidden_basis is None
-        else _validate_unitary(hidden_basis, dims.d_h, "hidden basis")
-    )
-    rot = tensor(np.eye(dims.d_v), w)
-    terms_x = tuple(
-        tuple(_blocks(hermitize(rot.conj().T @ t @ rot), dims, "hidden"))
-        for t in h.terms
-    )
-    return QCModel(dims=dims, hidden_basis=w, terms_x=terms_x, theta=h.theta)
+    """Split every term over a declared classical hidden basis (see
+    ``_block_decompose``)."""
+    w, stack = _block_decompose(h, hidden_basis, "hidden")
+    return QCModel(dims=h.dims, stack=stack, theta=h.theta, hidden_basis=w)
 
 
 def cq_decompose(h: ParamHamiltonian, visible_basis=None) -> CQModel:
     """Mirror of qc_decompose with the classical register on the visible side."""
-    dims = h.dims
-    w = (
-        np.eye(dims.d_v, dtype=complex)
-        if visible_basis is None
-        else _validate_unitary(visible_basis, dims.d_v, "visible basis")
-    )
-    rot = tensor(w, np.eye(dims.d_h))
-    terms_x = tuple(
-        tuple(_blocks(hermitize(rot.conj().T @ t @ rot), dims, "visible"))
-        for t in h.terms
-    )
-    return CQModel(dims=dims, visible_basis=w, terms_x=terms_x, theta=h.theta)
+    w, stack = _block_decompose(h, visible_basis, "visible")
+    return CQModel(dims=h.dims, stack=stack, theta=h.theta, visible_basis=w)

@@ -90,9 +90,32 @@ class RunSpec:
     estimate: dict
 
 
-def _object(value, what: str) -> dict:
+# the fields each JSON object of a run spec may hold; any other key is an
+# input error, so a misspelt option never falls back to its default
+SPEC_FIELDS = ("model", "target", "objective", "seed", "train", "estimate")
+MODEL_FIELDS = {
+    "generic": ("kind", "dims", "terms", "theta"),
+    "qc": ("kind", "dims", "terms", "theta", "hidden_basis"),
+    "cq": ("kind", "dims", "terms", "theta", "visible_basis"),
+    "restricted": ("kind", "V", "H", "a", "b", "w"),
+    "classical": ("kind", "tables", "theta"),
+}
+DIMS_FIELDS = ("visible", "hidden")
+TARGET_FIELDS = ("state", "probs")
+OBJECTIVE_FIELDS = ("kind", "q")
+TRAIN_FIELDS = ("mode", "learning_rate", "iterations", "log_every", "epsilon", "delta", "shots")
+ESTIMATE_FIELDS = ("term_index", "epsilon", "delta", "shots")
+
+
+def _object(value, what: str, fields: tuple[str, ...] | None = None) -> dict:
+    """``value`` as a JSON object; SpecError naming the first key outside
+    ``fields``, when given."""
     if not isinstance(value, dict):
         raise SpecError(f"{what}: expected a JSON object, got {value!r}")
+    unknown = [key for key in value if key not in fields] if fields is not None else []
+    if unknown:
+        raise SpecError(f"{what}: unknown field {unknown[0]!r} "
+                        f"(expected one of {', '.join(fields)})")
     return value
 
 
@@ -104,8 +127,9 @@ def _require(d: dict, key: str, what: str):
 
 def _parse_model(raw: dict) -> ModelSpec:
     kind = _require(raw, "kind", "model")
-    if kind not in ("generic", "restricted", "qc", "cq", "classical"):
+    if kind not in MODEL_FIELDS:
         raise SpecError(f"unknown model kind {kind!r}")
+    _object(raw, f"{kind} model", MODEL_FIELDS[kind])
     spec = ModelSpec(kind=kind)
     if kind == "classical":
         tables = _real_array(_require(raw, "tables", "classical model"), "classical tables")
@@ -128,7 +152,7 @@ def _parse_model(raw: dict) -> ModelSpec:
         spec.dims = spec.restricted.dims
         spec.theta = spec.restricted.pack_theta()
         return spec
-    dims_raw = _require(raw, "dims", "model")
+    dims_raw = _object(_require(raw, "dims", "model"), "model dims", DIMS_FIELDS)
     spec.dims = BipartiteDims(*(
         spec_number(_require(dims_raw, k, "model dims"), f"model dims {k}", integer=True)
         for k in ("visible", "hidden")))
@@ -136,9 +160,9 @@ def _parse_model(raw: dict) -> ModelSpec:
         raise SpecError(f"total dimension {spec.dims.total} exceeds {MAX_DIM}")
     spec.terms = [matrix_from_json(m, "term") for m in _require(raw, "terms", "model")]
     spec.theta = _real_array(_require(raw, "theta", "model"), "model theta")
-    if kind == "qc" and "hidden_basis" in raw:
+    if "hidden_basis" in raw:
         spec.hidden_basis = matrix_from_json(raw["hidden_basis"], "hidden basis")
-    if kind == "cq" and "visible_basis" in raw:
+    if "visible_basis" in raw:
         spec.visible_basis = matrix_from_json(raw["visible_basis"], "visible basis")
     return spec
 
@@ -146,8 +170,10 @@ def _parse_model(raw: dict) -> ModelSpec:
 def _parse_objective(raw) -> Objective:
     if raw is None:
         return UMEGAKI
-    kind = _require(raw, "kind", "objective")
+    kind = _require(_object(raw, "objective", OBJECTIVE_FIELDS), "kind", "objective")
     if kind == "umegaki":
+        if "q" in raw:
+            raise SpecError("objective: q applies to the tsallis objective only")
         return UMEGAKI
     if kind == "tsallis":
         return tsallis(spec_number(_require(raw, "q", "objective"), "objective q"))
@@ -167,9 +193,12 @@ def load_runspec(path: str | Path) -> RunSpec:
 def parse_runspec(raw: dict) -> RunSpec:
     if not isinstance(raw, dict):
         raise SpecError("run spec must be a JSON object")
+    _object(raw, "run spec", SPEC_FIELDS)
     model = _parse_model(_require(raw, "model", "run spec"))
-    target_raw = _require(raw, "target", "run spec")
+    target_raw = _object(_require(raw, "target", "run spec"), "target", TARGET_FIELDS)
     target_state = target_probs = None
+    if len(target_raw) > 1:
+        raise SpecError("target must provide 'state' or 'probs', not both")
     if "state" in target_raw:
         target_state = matrix_from_json(target_raw["state"], "target state")
     elif "probs" in target_raw:
@@ -195,8 +224,8 @@ def parse_runspec(raw: dict) -> RunSpec:
         target_probs=target_probs,
         objective=_parse_objective(raw.get("objective")),
         seed=spec_number(raw.get("seed", 0), "seed", integer=True),
-        train=dict(_object(raw.get("train", {}), "train")),
-        estimate=dict(_object(raw.get("estimate", {}), "estimate")),
+        train=dict(_object(raw.get("train", {}), "train", TRAIN_FIELDS)),
+        estimate=dict(_object(raw.get("estimate", {}), "estimate", ESTIMATE_FIELDS)),
     )
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qbmgrad.cli import main
+from qbmgrad.estimator import EstimatorConfig
 from qbmgrad.gradients import (
     GradientReport,
     classical_gradient,
@@ -21,6 +22,7 @@ from qbmgrad.gradients import (
 from qbmgrad.linalg import eigh, expectation
 from qbmgrad.models import cq_decompose, qc_decompose, thermalize
 from qbmgrad.runspec import load_runspec, matrix_to_json
+from qbmgrad.training import TrainConfig
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -389,3 +391,77 @@ def test_q_with_umegaki_objective_is_input_error(tmp_path, capsys):
                 "--q", "0.5", "--out", tmp_path]) == 2
     assert "input error: --q applies to --objective tsallis only" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def _edited_spec(tmp_path, demo, edit) -> Path:
+    raw = json.loads((DEMOS / f"{demo}.json").read_text())
+    edit(raw)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))
+    return spec
+
+
+@pytest.mark.parametrize("command, demo, path, key, what", [
+    ("train", "train_qubit", ("train",), "learning_rat", "train"),
+    ("estimate", "estimate", ("estimate",), "epsilonn", "estimate"),
+    ("grad", "grad_tsallis", (), "objectve", "run spec"),
+    ("grad", "grad_tsallis", ("objective",), "order", "objective"),
+    ("grad", "grad_qubit", ("target",), "sate", "target"),
+    ("grad", "grad_qubit", ("model", "dims"), "visble", "model dims"),
+    ("grad", "grad_qubit", ("model",), "hidden_basis", "generic model"),
+    ("grad", "grad_qc", ("model",), "visible_basis", "qc model"),
+    ("grad", "grad_cq", ("model",), "hidden_basis", "cq model"),
+    ("grad", "grad_restricted", ("model",), "theta", "restricted model"),
+    ("grad", "grad_classical", ("model",), "dims", "classical model"),
+], ids=["train", "estimate", "top-level", "objective", "target", "dims", "generic", "qc", "cq",
+        "restricted", "classical"])
+def test_unknown_spec_field_is_input_error(tmp_path, capsys, command, demo, path, key, what):
+    def edit(raw):
+        node = raw
+        for step in path:
+            node = node[step]
+        node[key] = 5.0
+    spec = _edited_spec(tmp_path, demo, edit)
+    assert run([command, "--spec", spec, "--out", tmp_path]) == 2
+    assert f"input error: {what}: unknown field {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_target_with_state_and_probs_is_input_error(tmp_path, capsys):
+    spec = _edited_spec(tmp_path, "grad_qubit",
+                        lambda raw: raw["target"].update(probs=[0.5, 0.5]))
+    assert run(["grad", "--spec", spec, "--out", tmp_path]) == 2
+    assert "input error: target must provide 'state' or 'probs', not both" in capsys.readouterr().err
+
+
+def test_q_with_umegaki_spec_objective_is_input_error(tmp_path, capsys):
+    spec = _edited_spec(tmp_path, "grad_qubit", lambda raw: raw["objective"].update(q=0.5))
+    assert run(["grad", "--spec", spec, "--out", tmp_path]) == 2
+    assert "input error: objective: q applies to the tsallis objective only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("demo, train", [
+    ("train_qubit", {"epsilon": 0.1}),
+    ("train_qubit", {"delta": 0.1}),
+    ("train_qubit", {"shots": 100}),
+    ("grad_classical", {"mode": "shot", "epsilon": 0.1}),
+    ("grad_classical", {"mode": "shot", "delta": 0.1}),
+], ids=["exact-epsilon", "exact-delta", "exact-shots", "classical-epsilon", "classical-delta"])
+def test_unread_shot_spec_field_is_input_error(tmp_path, capsys, demo, train):
+    spec = _edited_spec(tmp_path, demo, lambda raw: raw["train"].update(train))
+    assert run(["train", "--spec", spec, "--iterations", "3", "--out", tmp_path]) == 2
+    assert f"input error: train.{list(train)[-1]} " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_unset_settings_keep_config_defaults(tmp_path):
+    spec = _edited_spec(tmp_path, "train_qubit", lambda raw: raw.pop("train"))
+    assert run(["train", "--spec", spec, "--out", tmp_path / "train"]) == 0
+    rep = json.loads((tmp_path / "train" / "report.json").read_text())
+    assert rep["iterations"] == TrainConfig().iterations
+    spec = _edited_spec(tmp_path, "estimate", lambda raw: raw.pop("estimate"))
+    assert run(["estimate", "--spec", spec, "--shots", "500", "--out", tmp_path / "est"]) == 0
+    rep = json.loads((tmp_path / "est" / "report.json").read_text())
+    assert (rep["term_index"], rep["shots"]) == (0, 500)
+    assert (rep["epsilon"], rep["delta_fail"]) == (EstimatorConfig().epsilon,
+                                                   EstimatorConfig().delta_fail)

@@ -243,14 +243,17 @@ def _double_grid_average(model, rho, g_j, *, s_max, t_max, s_panels, s_nodes, t_
     return total
 
 
-def test_quadrature_equals_double_grid_average(rng):
+def test_quadrature_equals_double_grid_average(rng, monkeypatch):
     # the closed-form contraction equals the plain double loop over the
     # full-register circuit, with and without injected encoding errors; it
-    # is exact on any grid, so the added shapes use 4 s-nodes to save time
+    # is exact on any grid, so the test sets a small one, and the added
+    # shapes use 4 s-nodes to save time
     full = dict(s_max=4.0, t_max=4.0, s_panels=2, s_nodes=8, t_nodes=64)
     small = dict(full, s_panels=1, s_nodes=4)
     for d_v, d_h, noisy, grid in [(2, 2, False, full), (2, 2, True, small), (1, 4, False, small),
                                   (3, 1, False, small), (3, 1, True, small)]:
+        for key, value in grid.items():
+            monkeypatch.setattr(est, f"QUAD_{key.upper()}", value)
         model = rand_model(rng, d_v, d_h)
         rho = rand_state(rng, d_v)
         g_j = model.hamiltonian.terms[1]
@@ -261,7 +264,7 @@ def test_quadrature_equals_double_grid_average(rng):
                             inv_sqrt=perturb_encoding(inv, rng, scale=0.05)[0])
             assert injected["inv_sqrt"].delta > 1e-4
         brute = _double_grid_average(model, rho, g_j, **grid, **injected)
-        fast = quadrature_first_term(model, rho, g_j, **grid, **injected)
+        fast = quadrature_first_term(model, rho, g_j, **injected)
         assert abs(fast - brute) < 1e-10, (d_v, d_h, noisy)
 
 

@@ -26,7 +26,6 @@ from qbmgrad.gradients import (
     povm_probs,
     psd_power,
     relative_entropy,
-    restricted_gradients,
     tsallis,
 )
 from qbmgrad.linalg import BipartiteDims, eigh, expectation, hermitize, spectral_norm, tensor
@@ -89,12 +88,6 @@ def test_relative_entropy_takes_decomposed_sigma(rng):
     with pytest.raises(SupportError) as by_eig:
         relative_entropy(rho0, eigh(sig0))
     assert str(by_eig.value) == str(by_matrix.value)
-
-
-def test_lift_fixed_point_returns_thermal_state(rng):
-    model = rand_model(rng, 3, 2)
-    out = lift_to_joint(model, model.sigma_v)
-    assert spectral_norm(out - model.sigma_vh) < 1e-12
 
 
 def _visible_core(sig_v_es, r_v, q):
@@ -290,11 +283,30 @@ def test_cq_support_violation(rng):
 # --- restricted wrappers ------------------------------------------------------
 
 
+def _restricted_gradients(kind, spec, target):
+    """Gradient of a restricted model, repacked into (a, b, w) shapes.
+
+    kind selects the model class: "fully_quantum" (target is a visible
+    density matrix), "qc" (commuting hidden operators, target a density
+    matrix) or "cq" (commuting visible operators, target a probability
+    vector).
+    """
+    param = restricted_to_param(spec)
+    if kind == "fully_quantum":
+        rep = gradient(thermalize(param), target)
+    elif kind == "qc":
+        rep = gradient_qc(qc_decompose(param), target)
+    else:
+        rep = gradient_cq(cq_decompose(param), target)
+    m, n = len(spec.V), len(spec.H)
+    return rep.values[:m], rep.values[m:m + n], rep.values[m + n:].reshape(m, n)
+
+
 def test_restricted_zero_spec_has_zero_gradient(rng):
     spec = RestrictedSpec(a=[0.0], b=[0.0], w=[[0.0]],
                           V=(rand_herm(rng, 2),), H=(rand_herm(rng, 2),))
     rho = np.eye(2, dtype=complex) / 2
-    ga, gb, gw = restricted_gradients("fully_quantum", spec, rho)
+    ga, gb, gw = _restricted_gradients("fully_quantum", spec, rho)
     assert np.max(np.abs(np.concatenate([ga, gb, gw.ravel()]))) < 1e-9
 
 
@@ -306,7 +318,7 @@ def test_restricted_matches_generic_packing(rng):
         H=tuple(rand_herm(rng, 2) for _ in range(2)),
     )
     rho = rand_state(rng, 2)
-    ga, gb, gw = restricted_gradients("fully_quantum", spec, rho)
+    ga, gb, gw = _restricted_gradients("fully_quantum", spec, rho)
     rep = gradient(thermalize(restricted_to_param(spec)), rho)
     m, n = 2, 2
     assert np.max(np.abs(ga - rep.values[:m])) < 1e-10
@@ -324,7 +336,7 @@ def test_restricted_cq_first_term_uses_target_weights(rng):
                           w=rng.normal(size=(m, n)) * 0.3, V=V, H=H)
     r = rng.random(d_v)
     r /= r.sum()
-    ga, gb, gw = restricted_gradients("cq", spec, r)
+    ga, gb, gw = _restricted_gradients("cq", spec, r)
     cq = cq_decompose(restricted_to_param(spec))
     h_means = np.array([[expectation(H[j], cq.sigma_x[x]) for x in range(d_v)]
                         for j in range(n)])
@@ -347,7 +359,7 @@ def test_restricted_qc_matches_generic(rng):
         H=tuple(np.diag(h_diag[j]).astype(complex) for j in range(n)),
     )
     rho = rand_state(rng, 2)
-    ga, gb, gw = restricted_gradients("qc", spec, rho)
+    ga, gb, gw = _restricted_gradients("qc", spec, rho)
     rep = gradient(thermalize(restricted_to_param(spec)), rho)
     packed = np.concatenate([ga, gb, gw.ravel()])
     assert np.max(np.abs(packed - rep.values)) < 1e-8

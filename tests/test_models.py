@@ -4,6 +4,7 @@ import pytest
 from qbmgrad.errors import GuardError, ScaleError, SpecError, StructureError
 from qbmgrad.linalg import BipartiteDims, eigh, expectation, gibbs_weights, spectral_norm, tensor
 from qbmgrad.models import (
+    BLOCK_ATOL,
     EXP_NORM_GUARD,
     ParamHamiltonian,
     RestrictedSpec,
@@ -11,6 +12,7 @@ from qbmgrad.models import (
     qc_decompose,
     restricted_to_param,
     thermalize,
+    _gibbs,
     _thermal_blocks,
 )
 from conftest import (
@@ -106,6 +108,23 @@ def test_thermalize_decomposes_g_once(rng, monkeypatch):
     assert calls == {"eigh": 2, "eigvalsh": 0}  # G and sigma_v; the guard reads G's
 
 
+def test_thermalize_matches_gibbs_kernel_bit_for_bit(rng):
+    ham = ParamHamiltonian(dims=BipartiteDims(4, 4),
+                           terms=(rand_herm(rng, 16), rand_herm(rng, 16)),
+                           theta=rng.uniform(-1.0, 1.0, 2))
+    model = thermalize(ham)
+    g = ham.assemble()
+    vals, vecs = np.linalg.eigh(g)
+    weights, states, z = _gibbs(g[None], vals[None], vecs[None])
+    assert np.array_equal(model.sigma_vh, states[0])
+    assert np.array_equal(model.weights, weights[0])
+    # the stacked kernel's row agrees with the one-row gibbs_weights
+    one_row, z_one = gibbs_weights(vals)
+    assert np.array_equal(weights[0], one_row) and z[0] == z_one
+    assert model.Z == z_one * float(np.exp(-np.min(vals)))
+    assert np.array_equal(_thermal_blocks(g[None])[1][0], model.sigma_vh)
+
+
 def test_thermalize_checks_g_reconstruction(rng, monkeypatch):
     ham = ParamHamiltonian(dims=BipartiteDims(4, 4), terms=(rand_herm(rng, 16),),
                            theta=np.array([0.5]))
@@ -194,7 +213,7 @@ def test_qc_decompose_blocks_and_weights(rng):
     # reassembled terms reproduce the originals
     for j, t in enumerate(terms):
         back = sum(
-            tensor(qc.terms_x[j][x], np.outer(basis[:, x], basis[:, x].conj()))
+            tensor(qc.stack[j, x], np.outer(basis[:, x], basis[:, x].conj()))
             for x in range(2)
         )
         assert spectral_norm(back - t) < 1e-12
@@ -207,6 +226,27 @@ def test_qc_decompose_rejects_unstructured_terms(rng):
         qc_decompose(ham)
 
 
+@pytest.mark.parametrize("decompose", [qc_decompose, cq_decompose])
+def test_off_block_entry_above_block_atol_raises(rng, decompose):
+    d_v, d_h = 2, 3
+    hidden = decompose is qc_decompose
+    make = block_hidden_terms if hidden else block_visible_terms
+    (term,) = make(rng, d_v, d_h, 1, np.eye(d_h if hidden else d_v, dtype=complex))
+    k = 1 if hidden else d_h  # joint index (0, 1) or (1, 0): one classical label from index 0
+    scale = max(1.0, float(np.max(np.abs(term))))
+
+    def with_off_block(size):
+        bump = np.zeros_like(term)
+        bump[0, k] = bump[k, 0] = size
+        return ParamHamiltonian(dims=BipartiteDims(d_v, d_h), terms=(term + bump,),
+                                theta=np.ones(1))
+
+    decompose(with_off_block(0.9 * BLOCK_ATOL * scale))
+    register = "hidden" if hidden else "visible"
+    with pytest.raises(StructureError, match=f"declared {register} basis"):
+        decompose(with_off_block(1.1 * BLOCK_ATOL * scale))
+
+
 def test_qc_decompose_rejects_bad_basis(rng):
     basis = np.array([[1.0, 1.0], [0.0, 1.0]])
     terms = block_hidden_terms(rng, 2, 2, 1, np.eye(2, dtype=complex))
@@ -217,7 +257,7 @@ def test_qc_decompose_rejects_bad_basis(rng):
 
 def _block_ham(model, x):
     """sum_j theta_j G^{j,x}: the Hamiltonian of block x."""
-    return sum(c * terms[x] for c, terms in zip(model.theta, model.terms_x))
+    return sum(c * t for c, t in zip(model.theta, model.stack[:, x]))
 
 
 def test_restricted_qc_blocks_match_commuting_formula(rng):
@@ -381,6 +421,7 @@ def test_block_model_with_theta_shares_stack_and_checks_theta(rng, decompose):
     fresh = decompose(ham.with_theta(theta))
     assert moved.stack is model.stack
     assert np.array_equal(moved.p, fresh.p)
+    assert np.array_equal(moved.block_weights, fresh.block_weights)
     for got, want in zip(moved.sigma_x, fresh.sigma_x):
         assert np.array_equal(got, want)
     for bad in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):

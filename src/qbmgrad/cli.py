@@ -186,14 +186,11 @@ def _problem(spec: RunSpec, obj: Objective, mode: str = "exact",
     if mode == "shot" and kind in ("qc", "cq"):
         raise SpecError("shot-mode training covers generic, restricted and classical models only")
     if kind in ("generic", "restricted"):
-        return QuantumProblem(model.param_hamiltonian(), spec.target_state, obj,
-                              mode=mode, estimator=est)
+        return QuantumProblem(model.hamiltonian, spec.target_state, obj, mode=mode, estimator=est)
     if kind == "qc":
-        return QCProblem(qc_decompose(model.param_hamiltonian(), model.hidden_basis),
-                         spec.target_state, obj)
+        return QCProblem(qc_decompose(model.hamiltonian, model.basis), spec.target_state, obj)
     if kind == "cq":
-        return CQProblem(cq_decompose(model.param_hamiltonian(), model.visible_basis),
-                         spec.target_probs, obj)
+        return CQProblem(cq_decompose(model.hamiltonian, model.basis), spec.target_probs, obj)
     if obj.kind != "umegaki":
         raise SpecError("classical tables support the umegaki objective only")
     sampling = {} if est is None else {"samples": est.shots or 10_000, "seed": est.seed}
@@ -293,7 +290,7 @@ def cmd_estimate(args) -> int:
     seed = _resolve_seed(args, spec)
     opts = spec.estimate
     term = _option(args.term, opts, "term_index", integer=True) or 0  # None: the first term
-    model = thermalize(spec.model.param_hamiltonian())
+    model = thermalize(spec.model.hamiltonian)
     terms = model.hamiltonian.terms
     if not 0 <= term < len(terms):
         raise SpecError(f"term index {term} outside [0, {len(terms)})")

@@ -14,7 +14,7 @@ the tail mass beyond [-T, T] decays like e^{-pi T}.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -110,26 +110,10 @@ def quantile(d: Density, u) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-@dataclass
-class SeededSampler:
-    """Deterministic inverse-transform sampler for one density.
-
-    Single-owner stream: draws advance internal RNG state, so two samplers
-    built with the same density and seed draw the same sequence.
-    """
-
-    density: Density
-    seed: int
-    _rng: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._rng = np.random.default_rng(self.seed)
-
-    def sample(self, n: int | None = None) -> np.ndarray | float:
-        u = self._rng.random(n if n is not None else 1)
-        u = np.clip(u, 1e-16, 1.0 - 1e-16)
-        t = quantile(self.density, u)
-        return t if n is not None else float(t[0])
+def sample(d: Density, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n inverse-transform draws from d, from n uniforms of ``rng`` clipped
+    into ``quantile``'s open domain (``Generator.random`` can return 0)."""
+    return np.asarray(quantile(d, np.clip(rng.random(n), 1e-16, 1 - 1e-16)))
 
 
 def tail_mass_bound(d: Density, T: float) -> float:

@@ -51,7 +51,7 @@ from .densities import (
     LOGISTIC,
     expectation_nodes,
     pdf,
-    quantile,
+    sample,
 )
 from .errors import ScaleError, SpecError
 from .linalg import as_density, eigh, partial_trace, spectral_norm
@@ -77,7 +77,6 @@ QUAD_T_NODES = 1600
 CHUNK_STREAM = 1  # estimator chunk: (tag, chunk index)
 SHOT_GRADIENT_STREAM = 2  # shot-mode training: (tag, iteration, term)
 CLASSICAL_STREAM = 3  # classical sampled gradient: (tag, iteration)
-KS_CHECK_STREAM = 4  # verify's sampler fit check: (tag,)
 
 
 @dataclass(frozen=True)
@@ -417,8 +416,8 @@ def _run_chunk(ctx: _BatchContext, seed: int, chunk: int, n: int) -> np.ndarray:
     over the whole chunk would give.
     """
     rng = _chunk_rng(seed, chunk)
-    s = np.asarray(quantile(LOGISTIC, np.clip(rng.random(n), 1e-16, 1 - 1e-16)))
-    t = np.asarray(quantile(HIGH_PEAK_TENT, np.clip(rng.random(n), 1e-16, 1 - 1e-16)))
+    s = sample(LOGISTIC, rng, n)
+    t = sample(HIGH_PEAK_TENT, rng, n)
     draws = rng.random(n)
     feats = _modular_features(ctx, s)
     probs = np.empty((n, ctx.static_map.shape[1]))

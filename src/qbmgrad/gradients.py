@@ -33,7 +33,6 @@ from .linalg import (
     expectation,
     gibbs_weights,
     hermitize,
-    spectral_norm,
 )
 from .densities import HIGH_PEAK_TENT, LOGISTIC, power_density
 from .matcalc import apply_channel, channel_factor
@@ -71,8 +70,8 @@ def tsallis(q: float) -> Objective:
 class GradientReport:
     """Per-parameter gradient with its two-term breakdown.
 
-    values = first_terms - second_terms elementwise; for the tsallis
-    objective the second term already carries the Q_q prefactor.
+    values = first_terms - second_terms elementwise, up to rounding; for the
+    tsallis objective the second term already carries the Q_q prefactor.
     ``q_overlap`` is that prefactor Q_q = Tr[rho^q sigma_v^{1-q}] when the
     gradient formula forms it (tsallis objective, quantum visible register),
     else None.
@@ -86,24 +85,6 @@ class GradientReport:
     def __post_init__(self):
         for name in ("values", "first_terms", "second_terms"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-
-
-@dataclass(frozen=True)
-class POVM:
-    """Positive operator-valued measure: PSD elements summing to identity."""
-
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        elems = tuple(as_hermitian(e) for e in self.elements)
-        object.__setattr__(self, "elements", elems)
-        total = sum(elems)
-        d = elems[0].shape[0]
-        if spectral_norm(total - np.eye(d)) > 1e-10:
-            raise SpecError("POVM elements do not sum to the identity")
-        for e in elems:
-            if float(np.linalg.eigvalsh(e)[0]) < -1e-10:
-                raise SpecError("POVM element is not positive semidefinite")
 
 
 def _check_support(vals: np.ndarray, what: str) -> None:
@@ -286,15 +267,23 @@ def gradient_qc(qc: QCModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
     return GradientReport(first - second, first, second, qq)
 
 
+def label_probs(probs, d_v: int) -> np.ndarray:
+    """A target distribution over d_v visible labels, clamped at 0: entries
+    down to -1e-12 and a sum within 1e-10 of 1 are rounding, a NaN is not."""
+    r = np.asarray(probs, dtype=float)
+    if r.shape != (d_v,):
+        raise SpecError(f"target probs: expected {d_v} entries (the visible dimension), got {r.size}")
+    if not ((r >= -1e-12).all() and abs(r.sum() - 1.0) <= 1e-10):
+        raise SpecError("target probs must be a normalized nonnegative vector")
+    return np.maximum(r, 0.0)
+
+
 def gradient_cq(cq: CQModel, target_probs, obj: Objective = UMEGAKI) -> GradientReport:
     """Exact gradient for a classical-visible / quantum-hidden model.
 
     The target is a probability vector over the declared visible basis.
     """
-    r = np.asarray(target_probs, dtype=float)
-    if r.shape != (cq.dims.d_v,) or np.any(r < -1e-12) or abs(r.sum() - 1.0) > 1e-10:
-        raise SpecError("target must be a probability vector over the visible labels")
-    r = np.maximum(r, 0.0)
+    r = label_probs(target_probs, cq.dims.d_v)
     if np.any((cq.p < SUPPORT_FLOOR) & (r > 0.0)):
         raise SupportError("target puts mass on a label with vanishing model weight")
     # means[j, x] = <G_h^{j,x}>_{sigma_x}, one stacked contraction per label x
@@ -322,8 +311,9 @@ def cq_objective(cq: CQModel, target_probs, obj: Objective = UMEGAKI) -> float:
     return (float(np.sum(np.power(r, q) * np.power(cq.p, 1.0 - q))) - 1.0) / (q - 1.0)
 
 
-def pgm_povm(qc: QCModel) -> POVM:
-    """Modular-averaged pretty-good measurement sorting the model blocks.
+def pgm_povm(qc: QCModel) -> tuple[np.ndarray, ...]:
+    """Elements of the modular-averaged pretty-good measurement sorting the
+    model blocks.
 
     Lambda_x = Upsilon(sigma_v^{-1/2} p_x sigma_x sigma_v^{-1/2}); complete
     by construction because the weighted blocks average to sigma_v.
@@ -335,13 +325,13 @@ def pgm_povm(qc: QCModel) -> POVM:
     for x in range(qc.dims.d_h):
         core = hermitize(inv_sqrt @ (qc.p[x] * qc.sigma_x[x]) @ inv_sqrt)
         elems.append(apply_channel(LOGISTIC, sig_v_es, core))
-    return POVM(tuple(elems))
+    return tuple(elems)
 
 
-def povm_probs(povm: POVM, rho) -> np.ndarray:
-    """Outcome distribution q_x = Tr[Lambda_x rho]."""
+def povm_probs(elements, rho) -> np.ndarray:
+    """Outcome distribution q_x = Tr[Lambda_x rho] of POVM elements."""
     rho = as_density(rho)
-    return np.array([expectation(e, rho) for e in povm.elements])
+    return np.array([expectation(e, rho) for e in elements])
 
 
 def classical_distribution(tables: np.ndarray, theta) -> np.ndarray:
@@ -358,10 +348,11 @@ def classical_objective(tables, theta, target_q) -> float:
     return float(np.sum(q[mask] * np.log(q[mask] / p_v[mask])))
 
 
-def classical_gradient(tables, theta, target_q) -> np.ndarray:
+def classical_gradient(tables, theta, target_q) -> GradientReport:
     """Exact-enumeration gradient of D(q || p_theta) for energy tables.
 
-    grad_j = sum_{v,h} q(v) p_theta(h|v) G_j(v,h) - sum_{v,h} p_theta(v,h) G_j(v,h).
+    grad_j = sum_{v,h} q(v) p_theta(h|v) G_j(v,h) - sum_{v,h} p_theta(v,h) G_j(v,h),
+    the first and second terms; the values contract the difference of their tables.
     """
     tables = np.asarray(tables, dtype=float)
     q = np.asarray(target_q, dtype=float)
@@ -369,4 +360,6 @@ def classical_gradient(tables, theta, target_q) -> np.ndarray:
     p_v = p_vh.sum(axis=1)
     clamped = np.where(p_v > 0.0, p_v, 1.0)
     weights = p_vh * (q / clamped)[:, None]  # q(v) p(h|v)
-    return np.tensordot(tables, weights - p_vh, axes=((1, 2), (0, 1)))
+    # each term is the (J, vh) x (vh,) product np.tensordot forms, without its set-up
+    flat = tables.reshape(tables.shape[0], -1)
+    return GradientReport(flat @ (weights - p_vh).ravel(), flat @ weights.ravel(), flat @ p_vh.ravel())

@@ -102,17 +102,18 @@ def check_reconstruction(x, w, v) -> None:
     that fails the screen pays for the SVD behind ``spectral_norm``, which
     then decides.  The screen keeps a 1e-12 relative margin so that
     rounding in either norm cannot accept a residual the spectral norm
-    would reject.
+    would reject.  A non-finite residual fails without the SVD.
     """
     r = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2) - x
     tol = EIGH_RESIDUAL_TOL * x.shape[-1]
     parts = r.reshape(r.shape[0], -1).view(float)  # (Re, Im) pairs of each residual
-    fails = np.sqrt(np.einsum("ij,ij->i", parts, parts)) > tol * (1.0 - 1e-12)
+    frob = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    fails = ~(frob <= tol * (1.0 - 1e-12))  # a NaN residual fails the screen too
     if not fails.any():
         return
     for k in np.flatnonzero(fails):
-        resid = spectral_norm(r[k])
-        if resid > tol:
+        resid = spectral_norm(r[k]) if np.isfinite(frob[k]) else float(frob[k])
+        if not resid <= tol:
             raise GuardError(f"eigendecomposition residual {resid:.3e} too large")
 
 

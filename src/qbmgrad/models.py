@@ -165,54 +165,30 @@ def thermalize(h: ParamHamiltonian) -> ThermalModel:
     )
 
 
-@dataclass(frozen=True)
-class RestrictedSpec:
-    """Bias/bias/coupling parameterization (a, b, w) over operator lists.
+def restricted_hamiltonian(a, b, w, V, H) -> ParamHamiltonian:
+    """Expand the bias/bias/coupling parameterization (a, b, w) over
+    operator lists V and H,
 
     G(theta) = sum_i a_i V_i (x) I + I (x) sum_j b_j H_j
                + sum_ij w_ij V_i (x) H_j,
-    with theta packed in the order (a, b, row-major w).
+
+    into generic terms with theta packed in the order (a, b, row-major w).
     """
-
-    a: np.ndarray
-    b: np.ndarray
-    w: np.ndarray
-    V: tuple[np.ndarray, ...]
-    H: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        object.__setattr__(self, "V", tuple(as_hermitian(v) for v in self.V))
-        object.__setattr__(self, "H", tuple(as_hermitian(x) for x in self.H))
-        m, n = len(self.V), len(self.H)
-        if m < 1 or n < 1:
-            raise SpecError("need at least one visible and one hidden operator")
-        if self.a.shape != (m,) or self.b.shape != (n,) or self.w.shape != (m, n):
-            raise SpecError("restricted parameter shapes inconsistent with V/H lists")
-        dv = {v.shape[0] for v in self.V}
-        dh = {x.shape[0] for x in self.H}
-        if len(dv) != 1 or len(dh) != 1:
-            raise SpecError("operator lists mix dimensions")
-
-    @property
-    def dims(self) -> BipartiteDims:
-        return BipartiteDims(self.V[0].shape[0], self.H[0].shape[0])
-
-    def pack_theta(self) -> np.ndarray:
-        return np.concatenate([self.a, self.b, self.w.ravel()])
-
-
-def restricted_to_param(spec: RestrictedSpec) -> ParamHamiltonian:
-    """Expand an (a, b, w) spec into generic terms with packed theta."""
-    dims = spec.dims
-    iv = np.eye(dims.d_v)
-    ih = np.eye(dims.d_h)
-    terms = [tensor(v, ih) for v in spec.V]
-    terms += [tensor(iv, x) for x in spec.H]
-    terms += [tensor(v, x) for v in spec.V for x in spec.H]
-    return ParamHamiltonian(dims=dims, terms=tuple(terms), theta=spec.pack_theta())
+    a, b, w = (np.asarray(x, dtype=float) for x in (a, b, w))
+    V = [as_hermitian(v) for v in V]
+    H = [as_hermitian(x) for x in H]
+    m, n = len(V), len(H)
+    if m < 1 or n < 1:
+        raise SpecError("need at least one visible and one hidden operator")
+    if a.shape != (m,) or b.shape != (n,) or w.shape != (m, n):
+        raise SpecError("restricted parameter shapes inconsistent with V/H lists")
+    if len({v.shape[0] for v in V}) != 1 or len({x.shape[0] for x in H}) != 1:
+        raise SpecError("operator lists mix dimensions")
+    dims = BipartiteDims(V[0].shape[0], H[0].shape[0])
+    terms = [tensor(v, np.eye(dims.d_h)) for v in V]
+    terms += [tensor(np.eye(dims.d_v), x) for x in H]
+    terms += [tensor(v, x) for v in V for x in H]
+    return ParamHamiltonian(dims=dims, terms=tuple(terms), theta=np.concatenate([a, b, w.ravel()]))
 
 
 def _validate_unitary(u: np.ndarray, d: int, what: str) -> np.ndarray:
@@ -271,6 +247,8 @@ def _thermal_blocks(
     very different energies.
     """
     w, v = np.linalg.eigh(block_hams)
+    if np.isnan(w).any():  # LAPACK's NaN for no convergence, read as spectral_norm reads G's
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     weights, states, z = _gibbs(block_hams, w, v)
     log_zs = np.log(z) - w[:, 0]  # eigh sorts ascending: column 0 is each block's minimum
     p = np.exp(log_zs - np.max(log_zs))

@@ -10,15 +10,15 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SpecError
-from .gradients import Objective, UMEGAKI, tsallis
+from .gradients import Objective, UMEGAKI, label_probs, tsallis
 from .linalg import MAX_DIM, BipartiteDims
-from .models import ParamHamiltonian, RestrictedSpec, restricted_to_param
+from .models import ParamHamiltonian, restricted_hamiltonian
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -62,21 +62,15 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
 
 @dataclass
 class ModelSpec:
-    kind: str
-    dims: BipartiteDims | None = None
-    terms: list[np.ndarray] = field(default_factory=list)
-    theta: np.ndarray | None = None
-    hidden_basis: np.ndarray | None = None
-    visible_basis: np.ndarray | None = None
-    restricted: RestrictedSpec | None = None
-    tables: np.ndarray | None = None
+    """A parsed model: the ``hamiltonian`` built at parse time and any qc
+    hidden or cq visible ``basis``, or classical ``tables`` and ``theta``."""
 
-    def param_hamiltonian(self) -> ParamHamiltonian:
-        if self.kind == "restricted":
-            return restricted_to_param(self.restricted)
-        if self.kind in ("generic", "qc", "cq"):
-            return ParamHamiltonian(dims=self.dims, terms=tuple(self.terms), theta=self.theta)
-        raise SpecError(f"model kind {self.kind!r} has no Hamiltonian form")
+    kind: str
+    dims: BipartiteDims
+    hamiltonian: ParamHamiltonian | None = None
+    basis: np.ndarray | None = None
+    tables: np.ndarray | None = None
+    theta: np.ndarray | None = None
 
 
 @dataclass
@@ -130,41 +124,32 @@ def _parse_model(raw: dict) -> ModelSpec:
     if kind not in MODEL_FIELDS:
         raise SpecError(f"unknown model kind {kind!r}")
     _object(raw, f"{kind} model", MODEL_FIELDS[kind])
-    spec = ModelSpec(kind=kind)
     if kind == "classical":
         tables = _real_array(_require(raw, "tables", "classical model"), "classical tables")
         if tables.ndim != 3:
             raise SpecError("classical tables must be J x d_v x d_h")
-        spec.tables = tables
-        spec.theta = _real_array(_require(raw, "theta", "classical model"), "classical theta")
-        spec.dims = BipartiteDims(tables.shape[1], tables.shape[2])
-        return spec
+        theta = _real_array(_require(raw, "theta", "classical model"), "classical theta")
+        return ModelSpec(kind, BipartiteDims(tables.shape[1], tables.shape[2]),
+                         tables=tables, theta=theta)
     if kind == "restricted":
         v_ops = [matrix_from_json(m, "V operator") for m in _require(raw, "V", "restricted model")]
         h_ops = [matrix_from_json(m, "H operator") for m in _require(raw, "H", "restricted model")]
-        spec.restricted = RestrictedSpec(
-            a=_real_array(_require(raw, "a", "restricted model"), "restricted a"),
-            b=_real_array(_require(raw, "b", "restricted model"), "restricted b"),
-            w=_real_array(_require(raw, "w", "restricted model"), "restricted w"),
-            V=tuple(v_ops),
-            H=tuple(h_ops),
-        )
-        spec.dims = spec.restricted.dims
-        spec.theta = spec.restricted.pack_theta()
-        return spec
+        a, b, w = (_real_array(_require(raw, k, "restricted model"), f"restricted {k}")
+                   for k in ("a", "b", "w"))
+        ham = restricted_hamiltonian(a, b, w, v_ops, h_ops)
+        return ModelSpec(kind, ham.dims, ham)
     dims_raw = _object(_require(raw, "dims", "model"), "model dims", DIMS_FIELDS)
-    spec.dims = BipartiteDims(*(
+    dims = BipartiteDims(*(
         spec_number(_require(dims_raw, k, "model dims"), f"model dims {k}", integer=True)
         for k in ("visible", "hidden")))
-    if spec.dims.total > MAX_DIM:
-        raise SpecError(f"total dimension {spec.dims.total} exceeds {MAX_DIM}")
-    spec.terms = [matrix_from_json(m, "term") for m in _require(raw, "terms", "model")]
-    spec.theta = _real_array(_require(raw, "theta", "model"), "model theta")
-    if "hidden_basis" in raw:
-        spec.hidden_basis = matrix_from_json(raw["hidden_basis"], "hidden basis")
-    if "visible_basis" in raw:
-        spec.visible_basis = matrix_from_json(raw["visible_basis"], "visible basis")
-    return spec
+    if dims.total > MAX_DIM:
+        raise SpecError(f"total dimension {dims.total} exceeds {MAX_DIM}")
+    terms = [matrix_from_json(m, "term") for m in _require(raw, "terms", "model")]
+    theta = _real_array(_require(raw, "theta", "model"), "model theta")
+    basis_key = {"qc": "hidden_basis", "cq": "visible_basis"}.get(kind)
+    basis = matrix_from_json(raw[basis_key], basis_key.replace("_", " ")) if basis_key in raw else None
+    ham = ParamHamiltonian(dims=dims, terms=tuple(terms), theta=theta)
+    return ModelSpec(kind, dims, ham, basis)
 
 
 def _parse_objective(raw) -> Objective:
@@ -203,8 +188,6 @@ def parse_runspec(raw: dict) -> RunSpec:
         target_state = matrix_from_json(target_raw["state"], "target state")
     elif "probs" in target_raw:
         target_probs = _real_array(target_raw["probs"], "target probs")
-        if target_probs.ndim != 1 or np.any(target_probs < 0) or abs(target_probs.sum() - 1.0) > 1e-9:
-            raise SpecError("target probs must be a normalized nonnegative vector")
     else:
         raise SpecError("target must provide 'state' or 'probs'")
     if model.kind in ("generic", "restricted", "qc") and target_state is None:
@@ -215,9 +198,8 @@ def parse_runspec(raw: dict) -> RunSpec:
     if target_state is not None and target_state.shape != (d_v, d_v):
         raise SpecError(f"target state: expected a {d_v}x{d_v} matrix (the visible "
                         f"dimension), got {target_state.shape[0]}x{target_state.shape[1]}")
-    if target_probs is not None and target_probs.shape != (d_v,):
-        raise SpecError(f"target probs: expected {d_v} entries (the visible dimension), "
-                        f"got {target_probs.size}")
+    if target_probs is not None:
+        target_probs = label_probs(target_probs, d_v)
     return RunSpec(
         model=model,
         target_state=target_state,

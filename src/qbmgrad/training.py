@@ -34,6 +34,7 @@ from .gradients import (
     gradient,
     gradient_cq,
     gradient_qc,
+    label_probs,
     relative_entropy,
 )
 from .models import CQModel, ParamHamiltonian, QCModel, ThermalModel, thermalize
@@ -237,7 +238,7 @@ class CQProblem(Problem):
 
     def __init__(self, cq: CQModel, target_probs, obj: Objective = UMEGAKI):
         self.cq = cq
-        self.target = np.asarray(target_probs, dtype=float)
+        self.target = label_probs(target_probs, cq.dims.d_v)
         self.obj = obj
         self.theta0 = np.asarray(cq.theta, dtype=float)
 
@@ -266,7 +267,7 @@ class ClassicalProblem(Problem):
     def __init__(self, tables, target_q, theta0, mode: str = "exact",
                  samples: int = 10_000, seed: int = 0):
         self.tables = np.asarray(tables, dtype=float)
-        self.target = np.asarray(target_q, dtype=float)
+        self.target = label_probs(target_q, self.tables.shape[1])
         self.theta0 = np.asarray(theta0, dtype=float)
         self.mode = check_mode(mode)
         if samples < 1 or seed < 0:
@@ -278,8 +279,7 @@ class ClassicalProblem(Problem):
         return classical_objective(self.tables, theta, self.target)
 
     def report(self, theta) -> GradientReport:
-        g = classical_gradient(self.tables, theta, self.target)
-        return GradientReport(g, g, np.zeros_like(g))
+        return classical_gradient(self.tables, theta, self.target)
 
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
         if self.mode == "exact":

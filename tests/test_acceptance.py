@@ -139,7 +139,7 @@ def test_criterion_04_classical_reduction():
         target = rng.random(3)
         target /= target.sum()
         rep = gradient(thermalize(ham), np.diag(target).astype(complex))
-        cls = classical_gradient(tables, theta, target)
+        cls = classical_gradient(tables, theta, target).values
         worst = max(worst, float(np.max(np.abs(rep.values - cls))))
     _verdict(4, worst < 1e-10,
              "fully diagonal instances reproduce the exact-enumeration "

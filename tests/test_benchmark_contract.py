@@ -49,3 +49,13 @@ def test_package_root_exports_only_eigh():
     public = {name for name, value in vars(qbmgrad).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == {"eigh"}
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in BENCHMARK["workloads"]])
+def test_workload_smoke_step_ok(tmp_path, name):
+    # the calls each workload makes into src/, on tiny inputs
+    workload = workloads.WORKLOADS[name](seed=5, smoke=True, out_dir=tmp_path)
+    workload.setup()
+    ops = workload.step(0)
+    assert ops and all(op.ok for op in ops), [op.kind for op in ops if not op.ok]
+    assert workload.final_checks() == []

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from qbmgrad.cli import main
+from qbmgrad.errors import SpecError
 from qbmgrad.estimator import EstimatorConfig
 from qbmgrad.gradients import (
-    GradientReport,
+    classical_distribution,
     classical_gradient,
     classical_objective,
     cq_objective,
@@ -70,18 +71,18 @@ def _direct_gradient(spec, obj):
     m, rho, probs = spec.model, spec.target_state, spec.target_probs
     tsal = obj.kind == "tsallis"
     if m.kind in ("generic", "restricted"):
-        model = thermalize(m.param_hamiltonian())
+        model = thermalize(m.hamiltonian)
         return (gradient(model, rho, obj), relative_entropy(rho, model.sigma_v, obj),
                 _q_overlap(rho, model.sigma_v_eig, obj.q) if tsal else None)
     if m.kind == "qc":
-        qc = qc_decompose(m.param_hamiltonian(), m.hidden_basis)
+        qc = qc_decompose(m.hamiltonian, m.basis)
         return (gradient_qc(qc, rho, obj), relative_entropy(rho, qc.visible_state(), obj),
                 _q_overlap(rho, eigh(qc.visible_state()), obj.q) if tsal else None)
     if m.kind == "cq":
-        cq = cq_decompose(m.param_hamiltonian(), m.visible_basis)
+        cq = cq_decompose(m.hamiltonian, m.basis)
         return gradient_cq(cq, probs, obj), cq_objective(cq, probs, obj), None
-    g = classical_gradient(m.tables, m.theta, probs)
-    return GradientReport(g, g, np.zeros_like(g)), classical_objective(m.tables, m.theta, probs), None
+    return (classical_gradient(m.tables, m.theta, probs),
+            classical_objective(m.tables, m.theta, probs), None)
 
 
 def test_all_model_kinds_grad(tmp_path):
@@ -465,3 +466,57 @@ def test_unset_settings_keep_config_defaults(tmp_path):
     assert (rep["term_index"], rep["shots"]) == (0, 500)
     assert (rep["epsilon"], rep["delta_fail"]) == (EstimatorConfig().epsilon,
                                                    EstimatorConfig().delta_fail)
+
+
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.json")), ids=lambda p: p.stem)
+def test_grad_report_terms_add_up(tmp_path, path):
+    assert run(["grad", "--spec", path, "--out", tmp_path]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    terms = np.array(rep["first_terms"]) - np.array(rep["second_terms"])
+    assert np.max(np.abs(np.array(rep["values"]) - terms)) <= 1e-12
+
+
+def test_classical_grad_reports_both_terms(tmp_path):
+    # each term on its own, not the whole gradient as the target term
+    spec = load_runspec(DEMOS / "grad_classical.json")
+    assert run(["grad", "--spec", DEMOS / "grad_classical.json", "--out", tmp_path]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    p_vh = classical_distribution(spec.model.tables, spec.model.theta)
+    data = p_vh / p_vh.sum(axis=1, keepdims=True) * spec.target_probs[:, None]  # q(v) p(h|v)
+    first = [float(np.sum(data * t)) for t in spec.model.tables]
+    second = [float(np.sum(p_vh * t)) for t in spec.model.tables]
+    assert np.max(np.abs(np.array(rep["first_terms"]) - first)) < 1e-12
+    assert np.max(np.abs(np.array(rep["second_terms"]) - second)) < 1e-12
+    assert round(rep["first_terms"][0], 6) == 0.135263 and round(rep["second_terms"][0], 6) == -0.120417
+
+
+def _add_w_row(raw):
+    raw["model"]["w"].append([0.0] * len(raw["model"]["w"][0]))
+
+
+def _skew_first_term(raw):
+    raw["model"]["terms"][0][0][1] = [5.0, 0.0]  # entry (0, 1) no longer mirrors (1, 0)
+
+
+@pytest.mark.parametrize("demo, edit, message", [
+    ("grad_restricted", _add_w_row, "restricted parameter shapes inconsistent with V/H lists"),
+    ("grad_qubit", _skew_first_term, "matrix is not Hermitian: max asymmetry"),
+], ids=["restricted-w-shape", "generic-non-hermitian-term"])
+def test_bad_model_fails_at_load_and_exits_2(tmp_path, capsys, demo, edit, message):
+    spec = _edited_spec(tmp_path, demo, edit)
+    with pytest.raises(SpecError, match=message):
+        load_runspec(spec)
+    assert run(["grad", "--spec", spec, "--out", tmp_path]) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("demo", ["grad_classical", "grad_cq"])
+def test_probs_sum_error_above_1e_10_is_input_error(tmp_path, capsys, demo):
+    # the one label-target check, for classical tables as for cq models
+    def nudge(raw):
+        raw["target"]["probs"][0] += 5e-10
+
+    assert run(["grad", "--spec", _edited_spec(tmp_path, demo, nudge), "--out", tmp_path]) == 2
+    assert ("input error: target probs must be a normalized nonnegative vector"
+            in capsys.readouterr().err)

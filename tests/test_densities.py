@@ -7,7 +7,6 @@ from qbmgrad.errors import SpecError
 from qbmgrad.densities import (
     HIGH_PEAK_TENT,
     LOGISTIC,
-    SeededSampler,
     cdf,
     expectation_nodes,
     numeric_fourier,
@@ -15,6 +14,7 @@ from qbmgrad.densities import (
     pdf,
     power_density,
     quantile,
+    sample,
     tail_mass_bound,
     verify_power_kernel_identity,
     _tent_half_cdf_table,
@@ -52,19 +52,19 @@ def test_pdf_even_and_nonnegative(t, which):
 
 def test_sampler_mean_within_three_sigma():
     for d in ALL_KINDS[:3]:
-        x = SeededSampler(d, 101).sample(100_000)
+        x = sample(d, np.random.default_rng(101), 100_000)
         tt, ww, w0 = expectation_nodes(d, T=30.0, nodes=4096)
         var = float(np.sum(ww * tt**2))
         assert abs(np.mean(x)) < 3.0 * np.sqrt(var / x.size)
 
 
 def test_logistic_empirical_cdf_at_zero():
-    x = SeededSampler(LOGISTIC, 7).sample(100_000)
+    x = sample(LOGISTIC, np.random.default_rng(7), 100_000)
     assert abs(np.mean(x < 0) - 0.5) < 0.01
 
 
 def test_sampler_never_emits_zero():
-    x = SeededSampler(HIGH_PEAK_TENT, 3).sample(200_000)
+    x = sample(HIGH_PEAK_TENT, np.random.default_rng(3), 200_000)
     assert np.all(x != 0.0)
 
 

@@ -37,7 +37,7 @@ from qbmgrad.estimator import (
     _pair_phases,
     _run_chunk,
 )
-from qbmgrad.densities import HIGH_PEAK_TENT, LOGISTIC, SeededSampler, expectation_nodes, quantile
+from qbmgrad.densities import HIGH_PEAK_TENT, LOGISTIC, expectation_nodes, quantile, sample
 from qbmgrad.linalg import (
     BipartiteDims,
     as_density,
@@ -416,10 +416,11 @@ class ShotRecord:
     y: float
 
 
-def shot_sample(model, rho, g_j, sampler_s, sampler_t, rng) -> ShotRecord:
-    """One record of the honest estimation circuit with freshly drawn (s, t)."""
-    s = sampler_s.sample()
-    t = sampler_t.sample()
+def shot_sample(model, rho, g_j, rng_s, rng_t, rng) -> ShotRecord:
+    """One record of the honest estimation circuit with (s, t) drawn from
+    the streams rng_s and rng_t."""
+    s = float(sample(LOGISTIC, rng_s, 1)[0])
+    t = float(sample(HIGH_PEAK_TENT, rng_t, 1)[0])
     z, g, y, prob = outcome_distribution(model, rho, g_j, s, t)
     idx = int(rng.choice(len(prob), p=prob))
     return ShotRecord(s=s, t=t, z=int(z[idx]), g=float(g[idx]), y=float(y[idx]))
@@ -486,6 +487,25 @@ def test_blocked_chunk_matches_single_pass(rng, n):
                 _run_chunk(ctx, seed, chunk, n), _reference_run_chunk(ctx, seed, chunk, n))
 
 
+def test_sample_reproduces_run_chunk_draws(rng, monkeypatch):
+    model = rand_model(rng, 2, 2)
+    ctx = _batch_context(model, rand_state(rng, 2), model.hamiltonian.terms[0])
+    drawn = []
+
+    def spy(d, stream, n):
+        drawn.append(sample(d, stream, n))
+        return drawn[-1]
+
+    monkeypatch.setattr(est, "sample", spy)
+    n = _SUB_BLOCK + 5
+    _run_chunk(ctx, 7, 2, n)
+    stream = _chunk_rng(7, 2)
+    s = quantile(LOGISTIC, np.clip(stream.random(n), 1e-16, 1 - 1e-16))
+    t = quantile(HIGH_PEAK_TENT, np.clip(stream.random(n), 1e-16, 1 - 1e-16))
+    assert len(drawn) == 2
+    assert np.array_equal(drawn[0], s) and np.array_equal(drawn[1], t)
+
+
 def test_chunk_streams_pairwise_distinct():
     # seed ^ chunk gave (0, 1) and (1, 0) one stream; spawn keys keep every
     # (seed, chunk) pair apart, large seeds included
@@ -528,8 +548,8 @@ def test_shot_sample_deterministic_and_bounded(rng):
     g_j = model.hamiltonian.terms[0]
     recs = []
     for _ in range(2):
-        s_s = SeededSampler(LOGISTIC, 11)
-        s_t = SeededSampler(HIGH_PEAK_TENT, 12)
+        s_s = np.random.default_rng(11)
+        s_t = np.random.default_rng(12)
         r = np.random.default_rng(13)
         recs.append([shot_sample(model, rho, g_j, s_s, s_t, r) for _ in range(5)])
     assert recs[0] == recs[1]

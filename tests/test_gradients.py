@@ -6,10 +6,9 @@ from qbmgrad.errors import SpecError, SupportError
 from qbmgrad.matcalc import apply_channel
 from qbmgrad.models import (
     ParamHamiltonian,
-    RestrictedSpec,
     cq_decompose,
     qc_decompose,
-    restricted_to_param,
+    restricted_hamiltonian,
     thermalize,
 )
 from qbmgrad.gradients import (
@@ -21,6 +20,7 @@ from qbmgrad.gradients import (
     gradient,
     gradient_cq,
     gradient_qc,
+    label_probs,
     lift_to_joint,
     pgm_povm,
     povm_probs,
@@ -208,7 +208,7 @@ def test_qc_diagonal_terms_reduce_to_classical(rng):
     target = rng.random(2)
     target /= target.sum()
     rep = gradient_qc(qc_decompose(ham), np.diag(target).astype(complex))
-    want = classical_gradient(tables, theta, target)
+    want = classical_gradient(tables, theta, target).values
     assert np.max(np.abs(rep.values - want)) < 1e-10
 
 
@@ -217,15 +217,15 @@ def test_pgm_povm_single_block_is_identity(rng):
     terms = tuple(rand_herm(rng, 3) for _ in range(2))
     ham = ParamHamiltonian(dims=dims, terms=terms, theta=np.array([0.2, 0.1]))
     povm = pgm_povm(qc_decompose(ham))
-    assert spectral_norm(povm.elements[0] - np.eye(3)) < 1e-10
+    assert spectral_norm(povm[0] - np.eye(3)) < 1e-10
 
 
 def test_pgm_povm_complete_and_positive(rng):
     _, qc = _qc_pair(rng)
     povm = pgm_povm(qc)
-    total = sum(povm.elements)
+    total = sum(povm)
     assert spectral_norm(total - np.eye(3)) < 1e-10
-    for e in povm.elements:
+    for e in povm:
         assert np.linalg.eigvalsh(e)[0] > -1e-10
     probs = povm_probs(povm, rand_state(rng, 3))
     assert abs(probs.sum() - 1.0) < 1e-10
@@ -268,7 +268,7 @@ def test_cq_fully_classical_matches_enumeration(rng):
     target = rng.random(2)
     target /= target.sum()
     rep = gradient_cq(cq_decompose(ham), target)
-    want = classical_gradient(tables, theta, target)
+    want = classical_gradient(tables, theta, target).values
     assert np.max(np.abs(rep.values - want)) < 1e-10
     assert abs(cq_objective(cq_decompose(ham), target)
                - classical_objective(tables, theta, target)) < 1e-12
@@ -284,42 +284,41 @@ def test_cq_support_violation(rng):
 
 
 def _restricted_gradients(kind, spec, target):
-    """Gradient of a restricted model, repacked into (a, b, w) shapes.
+    """Gradient of the restricted model spec = (a, b, w, V, H), repacked
+    into (a, b, w) shapes.
 
     kind selects the model class: "fully_quantum" (target is a visible
     density matrix), "qc" (commuting hidden operators, target a density
     matrix) or "cq" (commuting visible operators, target a probability
     vector).
     """
-    param = restricted_to_param(spec)
+    param = restricted_hamiltonian(*spec)
     if kind == "fully_quantum":
         rep = gradient(thermalize(param), target)
     elif kind == "qc":
         rep = gradient_qc(qc_decompose(param), target)
     else:
         rep = gradient_cq(cq_decompose(param), target)
-    m, n = len(spec.V), len(spec.H)
+    m, n = len(spec[3]), len(spec[4])
     return rep.values[:m], rep.values[m:m + n], rep.values[m + n:].reshape(m, n)
 
 
 def test_restricted_zero_spec_has_zero_gradient(rng):
-    spec = RestrictedSpec(a=[0.0], b=[0.0], w=[[0.0]],
-                          V=(rand_herm(rng, 2),), H=(rand_herm(rng, 2),))
+    spec = ([0.0], [0.0], [[0.0]], (rand_herm(rng, 2),), (rand_herm(rng, 2),))
     rho = np.eye(2, dtype=complex) / 2
     ga, gb, gw = _restricted_gradients("fully_quantum", spec, rho)
     assert np.max(np.abs(np.concatenate([ga, gb, gw.ravel()]))) < 1e-9
 
 
 def test_restricted_matches_generic_packing(rng):
-    spec = RestrictedSpec(
-        a=rng.normal(size=2) * 0.3, b=rng.normal(size=2) * 0.3,
-        w=rng.normal(size=(2, 2)) * 0.3,
-        V=tuple(rand_herm(rng, 2) for _ in range(2)),
-        H=tuple(rand_herm(rng, 2) for _ in range(2)),
+    spec = (
+        rng.normal(size=2) * 0.3, rng.normal(size=2) * 0.3, rng.normal(size=(2, 2)) * 0.3,
+        tuple(rand_herm(rng, 2) for _ in range(2)),
+        tuple(rand_herm(rng, 2) for _ in range(2)),
     )
     rho = rand_state(rng, 2)
     ga, gb, gw = _restricted_gradients("fully_quantum", spec, rho)
-    rep = gradient(thermalize(restricted_to_param(spec)), rho)
+    rep = gradient(thermalize(restricted_hamiltonian(*spec)), rho)
     m, n = 2, 2
     assert np.max(np.abs(ga - rep.values[:m])) < 1e-10
     assert np.max(np.abs(gb - rep.values[m:m + n])) < 1e-10
@@ -332,12 +331,12 @@ def test_restricted_cq_first_term_uses_target_weights(rng):
     v_diag = rng.normal(size=(m, d_v))
     V = tuple(np.diag(v_diag[i]).astype(complex) for i in range(m))
     H = tuple(rand_herm(rng, d_h) for _ in range(n))
-    spec = RestrictedSpec(a=rng.normal(size=m) * 0.3, b=rng.normal(size=n) * 0.3,
-                          w=rng.normal(size=(m, n)) * 0.3, V=V, H=H)
+    spec = (rng.normal(size=m) * 0.3, rng.normal(size=n) * 0.3,
+            rng.normal(size=(m, n)) * 0.3, V, H)
     r = rng.random(d_v)
     r /= r.sum()
     ga, gb, gw = _restricted_gradients("cq", spec, r)
-    cq = cq_decompose(restricted_to_param(spec))
+    cq = cq_decompose(restricted_hamiltonian(*spec))
     h_means = np.array([[expectation(H[j], cq.sigma_x[x]) for x in range(d_v)]
                         for j in range(n)])
     want_a = v_diag @ (r - cq.p)
@@ -352,15 +351,14 @@ def test_restricted_cq_first_term_uses_target_weights(rng):
 def test_restricted_qc_matches_generic(rng):
     n, m = 2, 2
     h_diag = rng.normal(size=(n, 2))
-    spec = RestrictedSpec(
-        a=rng.normal(size=m) * 0.3, b=rng.normal(size=n) * 0.3,
-        w=rng.normal(size=(m, n)) * 0.3,
-        V=tuple(rand_herm(rng, 2) for _ in range(m)),
-        H=tuple(np.diag(h_diag[j]).astype(complex) for j in range(n)),
+    spec = (
+        rng.normal(size=m) * 0.3, rng.normal(size=n) * 0.3, rng.normal(size=(m, n)) * 0.3,
+        tuple(rand_herm(rng, 2) for _ in range(m)),
+        tuple(np.diag(h_diag[j]).astype(complex) for j in range(n)),
     )
     rho = rand_state(rng, 2)
     ga, gb, gw = _restricted_gradients("qc", spec, rho)
-    rep = gradient(thermalize(restricted_to_param(spec)), rho)
+    rep = gradient(thermalize(restricted_hamiltonian(*spec)), rho)
     packed = np.concatenate([ga, gb, gw.ravel()])
     assert np.max(np.abs(packed - rep.values)) < 1e-8
 
@@ -374,7 +372,7 @@ def test_classical_gradient_zero_at_marginal(rng):
     from qbmgrad.gradients import classical_distribution
 
     p_v = classical_distribution(tables, theta).sum(axis=1)
-    grad = classical_gradient(tables, theta, p_v)
+    grad = classical_gradient(tables, theta, p_v).values
     assert np.max(np.abs(grad)) < 1e-12
 
 
@@ -387,7 +385,7 @@ def test_classical_gradient_no_hidden_reduction(rng):
 
     p_v = classical_distribution(tables, theta).sum(axis=1)
     want = np.array([float(np.sum((q - p_v) * tables[j, :, 0])) for j in range(3)])
-    assert np.max(np.abs(classical_gradient(tables, theta, q) - want)) < 1e-12
+    assert np.max(np.abs(classical_gradient(tables, theta, q).values - want)) < 1e-12
 
 
 def test_classical_gradient_finite_difference(rng):
@@ -396,7 +394,7 @@ def test_classical_gradient_finite_difference(rng):
     q = rng.random(3)
     q /= q.sum()
     fd = finite_difference_gradient(lambda th: classical_objective(tables, th, q), theta)
-    assert np.max(np.abs(classical_gradient(tables, theta, q) - fd)) < 1e-8
+    assert np.max(np.abs(classical_gradient(tables, theta, q).values - fd)) < 1e-8
 
 
 def test_objective_validation():
@@ -442,3 +440,13 @@ def test_target_validates_once_and_keeps_its_objective(rng):
     target = Target(rand_state(rng, 2), tsallis(1.5))
     with pytest.raises(SpecError, match="prepared for"):
         relative_entropy(target, rand_state(rng, 2))
+
+
+def test_label_probs_clamps_rounding_and_rejects_the_rest():
+    r = label_probs([-5e-13, 1.0 + 5e-13], 2)  # within rounding: clamped at 0
+    assert r[0] == 0.0 and r[1] == 1.0 + 5e-13
+    for bad in ([-2e-12, 1.0 + 2e-12], [0.5, 0.5 + 5e-10], [0.5, np.nan], [0.5, 0.6], [1.2, -0.2]):
+        with pytest.raises(SpecError, match="target probs must be a normalized nonnegative vector"):
+            label_probs(bad, 2)
+    with pytest.raises(SpecError, match=r"target probs: expected 3 entries \(the visible dimension\), got 2"):
+        label_probs([0.5, 0.5], 3)

@@ -9,6 +9,7 @@ from qbmgrad.linalg import (
     BipartiteDims,
     as_density,
     as_hermitian,
+    check_reconstruction,
     eigh,
     expectation,
     gibbs_weights,
@@ -135,6 +136,14 @@ def test_eigh_guard_accepts_spectral_residual_below_frobenius(rng, monkeypatch):
     _shifted_eigh(monkeypatch, 1e-9)
     es = eigh(x)
     assert np.allclose(es.vals, np.linalg.eigvalsh(x) + 1e-9, rtol=0.0, atol=1e-12)
+
+
+def test_check_reconstruction_fails_on_non_finite_residual():
+    # NaN > tol is False, so a NaN residual needs its own test; the SVD cannot take it
+    x = np.eye(3, dtype=complex)[None]
+    w, v = np.full((1, 3), np.nan), np.full((1, 3, 3), np.nan, dtype=complex)
+    with pytest.raises(GuardError, match="eigendecomposition residual nan too large"):
+        check_reconstruction(x, w, v)
 
 
 def test_gibbs_weights_shift_invariant_and_normalised():

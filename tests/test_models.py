@@ -7,10 +7,9 @@ from qbmgrad.models import (
     BLOCK_ATOL,
     EXP_NORM_GUARD,
     ParamHamiltonian,
-    RestrictedSpec,
     cq_decompose,
     qc_decompose,
-    restricted_to_param,
+    restricted_hamiltonian,
     thermalize,
     _gibbs,
     _thermal_blocks,
@@ -151,15 +150,30 @@ def test_non_finite_theta_raises_linalg_error(rng, d_v, d_h):
         thermalize(ham)
 
 
+@pytest.mark.parametrize("d_v, d_h", [(2, 2), (3, 2), (8, 4)])
+@pytest.mark.parametrize("decompose", [qc_decompose, cq_decompose])
+def test_non_finite_theta_raises_linalg_error_in_block_models(rng, decompose, d_v, d_h):
+    # the joint model's error class at every size: not a NaN model, not a SpecError
+    if decompose is qc_decompose:
+        terms = block_hidden_terms(rng, d_v, d_h, 2, np.eye(d_h))
+    else:
+        terms = block_visible_terms(rng, d_v, d_h, 2, np.eye(d_v))
+    ham = ParamHamiltonian(dims=BipartiteDims(d_v, d_h), terms=terms, theta=np.array([0.1, 0.5]))
+    model = decompose(ham)
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        model.with_theta([np.nan, 0.5])
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        decompose(ham.with_theta([np.nan, 0.5]))
+
+
 def test_restricted_single_coupling_is_zz():
-    spec = RestrictedSpec(a=[0.0], b=[0.0], w=[[1.0]], V=(PAULI_Z,), H=(PAULI_Z,))
-    ham = restricted_to_param(spec)
+    ham = restricted_hamiltonian([0.0], [0.0], [[1.0]], (PAULI_Z,), (PAULI_Z,))
     assert spectral_norm(ham.assemble() - tensor(PAULI_Z, PAULI_Z)) < 1e-14
 
 
 def test_restricted_zero_parameters_give_zero_hamiltonian():
-    spec = RestrictedSpec(a=[0.0], b=[0.0], w=[[0.0]], V=(PAULI_Z,), H=(PAULI_Z,))
-    assert spectral_norm(restricted_to_param(spec).assemble()) == 0.0
+    ham = restricted_hamiltonian([0.0], [0.0], [[0.0]], (PAULI_Z,), (PAULI_Z,))
+    assert spectral_norm(ham.assemble()) == 0.0
 
 
 def test_restricted_matches_direct_sum_oracle(rng):
@@ -168,14 +182,25 @@ def test_restricted_matches_direct_sum_oracle(rng):
     H = tuple(rand_herm(rng, 2) for _ in range(n))
     a, b = rng.normal(size=m), rng.normal(size=n)
     w = rng.normal(size=(m, n))
-    spec = RestrictedSpec(a=a, b=b, w=w, V=V, H=H)
-    ham = restricted_to_param(spec)
+    ham = restricted_hamiltonian(a, b, w, V, H)
     want = sum(a[i] * tensor(V[i], np.eye(2)) for i in range(m))
     want = want + sum(b[j] * tensor(np.eye(2), H[j]) for j in range(n))
     want = want + sum(w[i, j] * tensor(V[i], H[j]) for i in range(m) for j in range(n))
     assert spectral_norm(ham.assemble() - want) < 1e-12
     # packing order (a, b, row-major w)
     assert np.array_equal(ham.theta, np.concatenate([a, b, w.ravel()]))
+
+
+@pytest.mark.parametrize("args, message", [
+    (([], [0.0], [], (), (PAULI_Z,)), "need at least one visible and one hidden operator"),
+    (([0.0], [0.0], [0.0], (PAULI_Z,), (PAULI_Z,)),
+     "restricted parameter shapes inconsistent with V/H lists"),
+    (([0.0, 0.0], [0.0], [[0.0], [0.0]], (PAULI_Z, np.eye(3)), (PAULI_Z,)),
+     "operator lists mix dimensions"),
+], ids=["no-operators", "w-shape", "mixed-dimensions"])
+def test_restricted_hamiltonian_spec_errors(args, message):
+    with pytest.raises(SpecError, match=message):
+        restricted_hamiltonian(*args)
 
 
 def test_theta_linearity(rng):
@@ -269,8 +294,7 @@ def test_restricted_qc_blocks_match_commuting_formula(rng):
     H = tuple(np.diag(h_diag[j]).astype(complex) for j in range(n))
     a, b = rng.normal(size=m), rng.normal(size=n)
     w = rng.normal(size=(m, n))
-    spec = RestrictedSpec(a=a, b=b, w=w, V=V, H=H)
-    qc = qc_decompose(restricted_to_param(spec))
+    qc = qc_decompose(restricted_hamiltonian(a, b, w, V, H))
     for x in range(d_h):
         shift = float(np.sum(b * h_diag[:, x]))
         coupled = sum((a[i] + float(np.sum(w[i] * h_diag[:, x]))) * V[i] for i in range(m))
@@ -306,8 +330,7 @@ def test_restricted_cq_blocks_match_commuting_formula(rng):
     H = tuple(rand_herm(rng, d_h) for _ in range(n))
     a, b = rng.normal(size=m), rng.normal(size=n)
     w = rng.normal(size=(m, n))
-    spec = RestrictedSpec(a=a, b=b, w=w, V=V, H=H)
-    cq = cq_decompose(restricted_to_param(spec))
+    cq = cq_decompose(restricted_hamiltonian(a, b, w, V, H))
     for x in range(d_v):
         shift = float(np.sum(a * v_diag[:, x]))
         coupled = sum((b[j] + float(np.sum(w[:, j] * v_diag[:, x]))) * H[j] for j in range(n))

@@ -44,8 +44,7 @@ def test_parse_minimal_spec():
     assert spec.model.kind == "generic"
     assert spec.seed == 3
     assert spec.objective.kind == "umegaki"
-    ham = spec.model.param_hamiltonian()
-    assert ham.dims.total == 2
+    assert spec.model.hamiltonian.dims.total == 2
 
 
 def test_parse_rejects_missing_fields():
@@ -73,6 +72,13 @@ def test_parse_rejects_bad_probs():
     raw["target"] = {"probs": [0.9, 0.3]}
     with pytest.raises(SpecError):
         parse_runspec(raw)
+
+
+def test_parse_clamps_probs_within_rounding():
+    raw = _minimal_spec()
+    raw["model"]["kind"] = "cq"
+    raw["target"] = {"probs": [-5e-13, 1.0 + 5e-13]}
+    assert parse_runspec(raw).target_probs[0] == 0.0
 
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"

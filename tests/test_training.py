@@ -198,10 +198,8 @@ def _block_problem(name):
     spec = load_runspec(Path(__file__).resolve().parents[1] / "demos" / f"{name}.json")
     model = spec.model
     if model.kind == "qc":
-        return lambda: QCProblem(
-            qc_decompose(model.param_hamiltonian(), model.hidden_basis), spec.target_state)
-    return lambda: CQProblem(
-        cq_decompose(model.param_hamiltonian(), model.visible_basis), spec.target_probs)
+        return lambda: QCProblem(qc_decompose(model.hamiltonian, model.basis), spec.target_state)
+    return lambda: CQProblem(cq_decompose(model.hamiltonian, model.basis), spec.target_probs)
 
 
 @pytest.mark.parametrize("name", ["grad_qc", "grad_cq"])
@@ -350,7 +348,7 @@ def test_classical_monte_carlo_gradient_matches_exact(rng):
     theta = rng.uniform(-0.4, 0.4, 3)
     target = rng.random(3)
     target /= target.sum()
-    exact = classical_gradient(tables, theta, target)
+    exact = classical_gradient(tables, theta, target).values
     problem = ClassicalProblem(tables, target, theta, mode="shot",
                                samples=200_000, seed=8)
     mc = problem.gradient_vector(theta, 0)
@@ -470,3 +468,13 @@ def test_shot_problem_forms_each_terms_groups_once(monkeypatch, rng):
             == qbmgrad.estimator.estimate_first_term(model, rho, terms[0], cfg))
     assert (qbmgrad.estimator.estimate_model_term(model, terms[0], 256, 4, groups=groups)
             == qbmgrad.estimator.estimate_model_term(model, terms[0], 256, 4))
+
+
+@pytest.mark.parametrize("probs", [[0.5, 0.6], [1.2, -0.2], [0.5, np.nan]])
+def test_label_problems_reject_invalid_targets_at_construction(rng, probs):
+    with pytest.raises(SpecError, match="target probs must be a normalized nonnegative vector"):
+        ClassicalProblem(np.zeros((1, 2, 1)), probs, np.zeros(1))
+    ham = ParamHamiltonian(dims=BipartiteDims(2, 2), terms=block_visible_terms(rng, 2, 2, 1, np.eye(2)),
+                           theta=np.array([0.3]))
+    with pytest.raises(SpecError, match="target probs must be a normalized nonnegative vector"):
+        CQProblem(cq_decompose(ham), probs)

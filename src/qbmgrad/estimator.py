@@ -54,7 +54,7 @@ from .densities import (
     sample,
 )
 from .errors import ScaleError, SpecError
-from .linalg import as_density, eigh, partial_trace, spectral_norm
+from .linalg import as_density, as_unitary, eigh, partial_trace, spectral_norm
 from .models import ThermalModel
 
 MAX_CIRCUIT_DIM = 256
@@ -89,11 +89,7 @@ class BlockEncoding:
     delta: float = 0.0
 
     def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex)
-        d = u.shape[0]
-        if spectral_norm(u.conj().T @ u - np.eye(d)) > 1e-10:
-            raise SpecError("block-encoding matrix is not unitary within 1e-10")
-        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "unitary", as_unitary(self.unitary, "block-encoding matrix"))
 
     @property
     def meta(self) -> "BEMeta":

@@ -305,8 +305,7 @@ def cq_objective(cq: CQModel, target_probs, obj: Objective = UMEGAKI) -> float:
     """Relative entropy between a label distribution and the model's p(theta)."""
     r = np.asarray(target_probs, dtype=float)
     if obj.kind == "umegaki":
-        mask = r > 0.0
-        return float(np.sum(r[mask] * np.log(r[mask] / cq.p[mask])))
+        return _label_relative_entropy(r, cq.p)
     q = obj.q
     return (float(np.sum(np.power(r, q) * np.power(cq.p, 1.0 - q))) - 1.0) / (q - 1.0)
 
@@ -343,9 +342,13 @@ def classical_distribution(tables: np.ndarray, theta) -> np.ndarray:
 def classical_objective(tables, theta, target_q) -> float:
     """Relative entropy D(q(v) || p_theta(v)) by exact enumeration."""
     p_v = classical_distribution(tables, theta).sum(axis=1)
-    q = np.asarray(target_q, dtype=float)
-    mask = q > 0.0
-    return float(np.sum(q[mask] * np.log(q[mask] / p_v[mask])))
+    return _label_relative_entropy(np.asarray(target_q, dtype=float), p_v)
+
+
+def _label_relative_entropy(r: np.ndarray, p: np.ndarray) -> float:
+    """sum_v r_v ln(r_v / p_v) over the labels with r_v > 0."""
+    mask = r > 0.0
+    return float(np.sum(r[mask] * np.log(r[mask] / p[mask])))
 
 
 def classical_gradient(tables, theta, target_q) -> GradientReport:

@@ -18,6 +18,7 @@ HERMITICITY_ATOL = 1e-12
 EIGH_RESIDUAL_TOL = 1e-10
 PSD_FLOOR = -1e-10
 TRACE_ATOL = 1e-10
+UNITARY_ATOL = 1e-10
 MAX_DIM = 256
 
 
@@ -115,6 +116,18 @@ def check_reconstruction(x, w, v) -> None:
         resid = spectral_norm(r[k]) if np.isfinite(frob[k]) else float(frob[k])
         if not resid <= tol:
             raise GuardError(f"eigendecomposition residual {resid:.3e} too large")
+
+
+def as_unitary(u, what: str, dim: int | None = None) -> np.ndarray:
+    """``u`` as a square complex matrix, ``dim`` x ``dim`` when given, with
+    |U^dag U - I|_2 <= ``UNITARY_ATOL``; SpecError naming ``what`` otherwise."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or dim not in (None, u.shape[0]):
+        raise SpecError(f"{what} must be {'square' if dim is None else f'{dim}x{dim}'}, "
+                        f"got {u.shape}")
+    if spectral_norm(u.conj().T @ u - np.eye(u.shape[0])) > UNITARY_ATOL:
+        raise SpecError(f"{what} is not unitary within {UNITARY_ATOL:.0e}")
+    return u
 
 
 def gibbs_weights(energies) -> tuple[np.ndarray, np.ndarray]:

@@ -1,17 +1,16 @@
 """Frechet derivatives of exp/log/power and their random-evolution channels.
 
-Each derivative has two interchangeable forms: an integral representation
-(Duhamel / resolvent) and a channel form, where the channel averages a
-unitary evolution over one of the densities in :mod:`qbmgrad.densities`.
-In the anchor eigenbasis a channel multiplies entry (k, l) by the Fourier
-transform of its density evaluated at the spectral gap, so the production
-path is spectral and exact; time-domain quadrature exists as a cross-check.
+Each derivative is computed in its channel form: the channel averages a
+unitary evolution over one of the densities in :mod:`qbmgrad.densities`,
+and in the anchor eigenbasis it multiplies entry (k, l) by the Fourier
+transform of its density at the spectral gap, so the one evaluation path
+is spectral and exact.  The Duhamel, resolvent and time-quadrature forms
+are oracles in :mod:`qbmgrad.verify` (quadrature on |t| <= 14, 4096 nodes).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import densities
 from .densities import HIGH_PEAK_TENT, LOGISTIC, Density, power_density
 from .errors import SpecError
 from .linalg import Eigensystem, as_hermitian, eigh, gibbs_weights, hermitize
@@ -53,82 +52,42 @@ def _gaps(d: Density, anchor: Eigensystem) -> np.ndarray:
     return loglam[:, None] - loglam[None, :]
 
 
-def apply_channel(d: Density, anchor: Eigensystem, y, mode: str = "spectral") -> np.ndarray:
+def apply_channel(d: Density, anchor: Eigensystem, y) -> np.ndarray:
     """Average of U(t) y U(t)^dag over the density d.
 
     U(t) = e^{-iBt} for the high-peak tent (anchor B) and A^{-it/2} for the
     logistic and power densities (anchor A > 0).  Trace-preserving and
     Hermiticity-preserving; leaves y fixed when it commutes with the anchor.
-
-    ``spectral``:   exact, entry (k, l) times the density's Fourier
-                    transform at the gap.
-    ``quadrature``: time quadrature on [-10, 10] with 4096 nodes, the
-                    cross-check of the spectral form.
+    Exact: entry (k, l) in the anchor eigenbasis times the density's Fourier
+    transform at the gap.
     """
-    if mode not in ("spectral", "quadrature"):
-        raise SpecError(f"unknown eval mode {mode!r}")
     y = as_hermitian(y)
     if y.shape[0] != anchor.dim:
         raise SpecError(f"dim mismatch: channel anchor {anchor.dim}, input {y.shape[0]}")
-    if mode == "spectral":
-        yt = anchor.vecs.conj().T @ y @ anchor.vecs
-        yt *= channel_factor(d, _gaps(d, anchor))
-        return hermitize(anchor.vecs @ yt @ anchor.vecs.conj().T)
-
-    if d.kind == "high_peak_tent":
-        freq = anchor.vals
-    else:
-        if np.any(anchor.vals <= 0.0):
-            raise SpecError(f"{d.kind} channel needs a positive definite anchor")
-        freq = np.log(anchor.vals) / 2.0
-    t_nodes, w, w0 = densities.expectation_nodes(d, T=10.0, nodes=4096)
     yt = anchor.vecs.conj().T @ y @ anchor.vecs
-    acc = w0 * yt
-    for t_i, w_i in zip(t_nodes, w):
-        phase = np.exp(-1j * freq * t_i)
-        acc = acc + w_i * (phase[:, None] * yt * phase[None, :].conj())
-    return hermitize(anchor.vecs @ acc @ anchor.vecs.conj().T)
+    yt *= channel_factor(d, _gaps(d, anchor))
+    return hermitize(anchor.vecs @ yt @ anchor.vecs.conj().T)
 
 
-def frechet_exp(b, h, mode: str = "fourier") -> np.ndarray:
-    """Derivative of the matrix exponential at b in direction h.
-
-    ``duhamel``: int_0^1 e^{tB} H e^{(1-t)B} dt by 64-node Gauss-Legendre.
-    ``fourier``: (1/2){Phi_B(H), e^B} with Phi_B the tent-weighted channel.
-    """
+def frechet_exp(b, h) -> np.ndarray:
+    """Derivative of the matrix exponential at b in direction h:
+    (1/2){Phi_B(H), e^B} with Phi_B the tent-weighted channel."""
     es = eigh(b)
     h = as_hermitian(h)
-    if mode == "duhamel":
-        x, w = densities._gl(64)
-        t = 0.5 * (x + 1.0)
-        acc = np.zeros_like(h)
-        for t_i, w_i in zip(t, 0.5 * w):
-            acc = acc + w_i * (es.apply(lambda v: np.exp(t_i * v)) @ h
-                               @ es.apply(lambda v: np.exp((1.0 - t_i) * v)))
-        return hermitize(acc)
-    if mode == "fourier":
-        eb = es.apply(np.exp)
-        ph = apply_channel(HIGH_PEAK_TENT, es, h)
-        return hermitize(0.5 * (ph @ eb + eb @ ph))
-    raise SpecError(f"unknown frechet_exp mode {mode!r}")
+    eb = es.apply(np.exp)
+    ph = apply_channel(HIGH_PEAK_TENT, es, h)
+    return hermitize(0.5 * (ph @ eb + eb @ ph))
 
 
-def frechet_log(a, h, mode: str = "fourier") -> np.ndarray:
-    """Derivative of the matrix logarithm at a > 0 in direction h.
-
-    ``fourier``:   A^{-1/2} Upsilon_A(H) A^{-1/2} (logistic channel).
-    ``resolvent``: int_0^inf (A+sI)^{-1} H (A+sI)^{-1} ds by quadrature.
-    """
+def frechet_log(a, h) -> np.ndarray:
+    """Derivative of the matrix logarithm at a > 0 in direction h:
+    A^{-1/2} Upsilon_A(H) A^{-1/2} with Upsilon_A the logistic channel."""
     es = eigh(a)
     if np.any(es.vals <= 0.0):
         raise SpecError("frechet_log needs a positive definite base point")
     h = as_hermitian(h)
-    if mode == "fourier":
-        inv_sqrt = es.power(-0.5)
-        return hermitize(inv_sqrt @ apply_channel(LOGISTIC, es, h) @ inv_sqrt)
-    if mode == "resolvent":
-        return _resolvent_integral(es, h, power=0.0)
-    raise SpecError(f"unknown frechet_log mode {mode!r}")
+    inv_sqrt = es.power(-0.5)
+    return hermitize(inv_sqrt @ apply_channel(LOGISTIC, es, h) @ inv_sqrt)
 
 
 def frechet_power(a, h, r: float) -> np.ndarray:
@@ -156,19 +115,4 @@ def thermal_derivative(g_spec: Eigensystem, dg) -> np.ndarray:
     phi = apply_channel(HIGH_PEAK_TENT, g_spec, dg)
     mean = float(np.trace(dg @ sigma).real)
     return hermitize(-0.5 * (phi @ sigma + sigma @ phi) + sigma * mean)
-
-
-def _resolvent_integral(es: Eigensystem, h: np.ndarray, power: float) -> np.ndarray:
-    """int_0^inf s^power (A+sI)^{-1} H (A+sI)^{-1} ds via s = c z/(1-z)."""
-    c = float(np.sqrt(es.vals[0] * es.vals[-1]))
-    x, w = densities._gl(400)
-    z = 0.5 * (x + 1.0)
-    acc = np.zeros_like(h, dtype=complex)
-    ht = es.vecs.conj().T @ h @ es.vecs
-    for z_i, w_i in zip(z, 0.5 * w):
-        s = c * z_i / (1.0 - z_i)
-        jac = c / (1.0 - z_i) ** 2
-        res = 1.0 / (es.vals + s)
-        acc = acc + (w_i * jac * s**power) * (res[:, None] * ht * res[None, :])
-    return hermitize(es.vecs @ acc @ es.vecs.conj().T)
 

@@ -20,6 +20,7 @@ from .linalg import (
     BipartiteDims,
     Eigensystem,
     as_hermitian,
+    as_unitary,
     check_reconstruction,
     eigh,
     gibbs_weights,
@@ -191,15 +192,6 @@ def restricted_hamiltonian(a, b, w, V, H) -> ParamHamiltonian:
     return ParamHamiltonian(dims=dims, terms=tuple(terms), theta=np.concatenate([a, b, w.ravel()]))
 
 
-def _validate_unitary(u: np.ndarray, d: int, what: str) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (d, d):
-        raise SpecError(f"{what} must be {d}x{d}, got {u.shape}")
-    if spectral_norm(u.conj().T @ u - np.eye(d)) > 1e-10:
-        raise SpecError(f"{what} is not unitary within 1e-10")
-    return u
-
-
 def _block_decompose(h: ParamHamiltonian, basis, classical: str) -> tuple[np.ndarray, np.ndarray]:
     """(validated basis, block stack) of h over a declared classical basis.
 
@@ -213,8 +205,8 @@ def _block_decompose(h: ParamHamiltonian, basis, classical: str) -> tuple[np.nda
     dims = h.dims
     hidden = classical == "hidden"
     n = dims.d_h if hidden else dims.d_v
-    w = np.eye(n, dtype=complex) if basis is None else _validate_unitary(
-        basis, n, f"{classical} basis")
+    w = np.eye(n, dtype=complex) if basis is None else as_unitary(
+        basis, f"{classical} basis", n)
     rot = tensor(np.eye(dims.d_v), w) if hidden else tensor(w, np.eye(dims.d_h))
     stack = []
     for term in h.terms:

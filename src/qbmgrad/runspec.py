@@ -18,7 +18,7 @@ import numpy as np
 from .errors import SpecError
 from .gradients import Objective, UMEGAKI, label_probs, tsallis
 from .linalg import MAX_DIM, BipartiteDims
-from .models import ParamHamiltonian, restricted_hamiltonian
+from .models import ParamHamiltonian, _checked_theta, restricted_hamiltonian
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -128,7 +128,9 @@ def _parse_model(raw: dict) -> ModelSpec:
         tables = _real_array(_require(raw, "tables", "classical model"), "classical tables")
         if tables.ndim != 3:
             raise SpecError("classical tables must be J x d_v x d_h")
-        theta = _real_array(_require(raw, "theta", "classical model"), "classical theta")
+        theta = _checked_theta(
+            _real_array(_require(raw, "theta", "classical model"), "classical theta"),
+            tables.shape[0])
         return ModelSpec(kind, BipartiteDims(tables.shape[1], tables.shape[2]),
                          tables=tables, theta=theta)
     if kind == "restricted":

@@ -3,7 +3,11 @@
 Each check returns its worst residual against a fixed tolerance; suites are
 deterministic (fixed seeds) so a regression is a hard failure, not noise.
 The random-instance generators and oracles below are public because the
-test suite draws its instances from the same ones.
+test suite draws its instances from the same ones.  The oracles include
+the reference forms of the matcalc derivatives, which production never
+evaluates: the Duhamel exp-derivative, the resolvent log-derivative and
+the time-quadrature channel (``densities.numeric_fourier``, |t| <= 14,
+4096 nodes).
 """
 from __future__ import annotations
 
@@ -16,7 +20,8 @@ from numpy.polynomial.legendre import leggauss
 from . import densities, estimator, gradients, matcalc, models
 from .errors import SpecError
 from .linalg import (
-    BipartiteDims, as_hermitian, eigh, expectation, gibbs_weights, spectral_norm, tensor)
+    BipartiteDims, as_hermitian, eigh, expectation, gibbs_weights, hermitize, spectral_norm,
+    tensor)
 from .training import finite_difference_gradient
 
 SUITES = ("matcalc", "densities", "gradients", "estimator")
@@ -86,6 +91,46 @@ def gibbs(g):
     return (e.vecs * gibbs_weights(e.vals)[0]) @ e.vecs.conj().T
 
 
+def quadrature_channel(d, anchor, y):
+    """``matcalc.apply_channel`` by time quadrature: eigenbasis entry (k, l)
+    times ``densities.numeric_fourier`` at the frequency gap f_k - f_l, with
+    f the anchor's eigenvalues (tent) or half their logarithms."""
+    freq = anchor.vals if d.kind == "high_peak_tent" else np.log(anchor.vals) / 2.0
+    yt = anchor.vecs.conj().T @ y @ anchor.vecs
+    yt *= densities.numeric_fourier(d, freq[:, None] - freq[None, :])
+    return hermitize(anchor.vecs @ yt @ anchor.vecs.conj().T)
+
+
+def duhamel_frechet_exp(b, h):
+    """``matcalc.frechet_exp`` as int_0^1 e^{tB} H e^{(1-t)B} dt, by 64-node
+    Gauss-Legendre."""
+    es = eigh(b)
+    h = as_hermitian(h)
+    x, w = leggauss(64)
+    acc = np.zeros_like(h)
+    for t_i, w_i in zip(0.5 * (x + 1.0), 0.5 * w):
+        acc = acc + w_i * (es.apply(lambda v: np.exp(t_i * v)) @ h
+                           @ es.apply(lambda v: np.exp((1.0 - t_i) * v)))
+    return hermitize(acc)
+
+
+def resolvent_frechet_log(a, h):
+    """``matcalc.frechet_log`` as int_0^inf (A+sI)^{-1} H (A+sI)^{-1} ds, by
+    400-node Gauss-Legendre in z with s = c z/(1-z), c = sqrt(l_min l_max)."""
+    es = eigh(a)
+    h = as_hermitian(h)
+    c = float(np.sqrt(es.vals[0] * es.vals[-1]))
+    x, w = leggauss(400)
+    acc = np.zeros_like(h, dtype=complex)
+    ht = es.vecs.conj().T @ h @ es.vecs
+    for z_i, w_i in zip(0.5 * (x + 1.0), 0.5 * w):
+        s = c * z_i / (1.0 - z_i)
+        jac = c / (1.0 - z_i) ** 2
+        res = 1.0 / (es.vals + s)
+        acc = acc + (w_i * jac) * (res[:, None] * ht * res[None, :])
+    return hermitize(es.vecs @ acc @ es.vecs.conj().T)
+
+
 def suite_densities() -> list[CheckResult]:
     out = []
     kinds = [densities.HIGH_PEAK_TENT, densities.LOGISTIC, densities.power_density(0.5),
@@ -105,10 +150,13 @@ def suite_densities() -> list[CheckResult]:
             worst = max(worst, abs(densities.numeric_fourier(d, omega)
                                    - matcalc.channel_factor(d, u)))
         out.append(CheckResult("densities", f"fourier matches factor [{_dname(d)}]", worst, 1e-8))
+    # r times the power density's transform at u/2 is sinh(r u/2)/sinh(u/2)
     worst = 0.0
     for r in (-0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 0.9):
         for u in (0.0, 0.5, 1.0, 2.0, 5.0):
-            worst = max(worst, densities.verify_power_kernel_identity(r, u))
+            want = r if u == 0.0 else np.sinh(r * u / 2.0) / np.sinh(u / 2.0)
+            worst = max(worst, abs(
+                r * densities.numeric_fourier(densities.power_density(r), u / 2.0) - want))
     out.append(CheckResult("densities", "power-kernel fourier identity grid", worst, 1e-8))
     # the sampler is quantile(uniform): the cdf integrates the pdf (64-node
     # Gauss-Legendre on each panel of [0.05, 8]) and quantile inverts the cdf
@@ -159,14 +207,14 @@ def suite_matcalc() -> list[CheckResult]:
             y = rand_herm(rng, 4)
             a = anchor(d, 4)
             worst = max(worst, spectral_norm(
-                matcalc.apply_channel(d, a, y) - matcalc.apply_channel(d, a, y, "quadrature")))
+                matcalc.apply_channel(d, a, y) - quadrature_channel(d, a, y)))
     out.append(CheckResult("matcalc", "spectral vs quadrature channel", worst, 1e-8))
     # dual-path and finite-difference checks for the three derivatives
     worst_dual = worst_fd_exp = 0.0
     for _ in range(5):
         b, h = rand_herm(rng, 4), rand_herm(rng, 4)
-        duh = matcalc.frechet_exp(b, h, "duhamel")
-        four = matcalc.frechet_exp(b, h, "fourier")
+        duh = duhamel_frechet_exp(b, h)
+        four = matcalc.frechet_exp(b, h)
         worst_dual = max(worst_dual, spectral_norm(duh - four))
         fd = (eigh(b + eps * h).apply(np.exp) - eigh(b - eps * h).apply(np.exp)) / (2 * eps)
         worst_fd_exp = max(worst_fd_exp, spectral_norm(four - fd))
@@ -178,7 +226,7 @@ def suite_matcalc() -> list[CheckResult]:
         four = matcalc.frechet_log(a, h)
         fd = (eigh(a + eps * h).apply(np.log) - eigh(a - eps * h).apply(np.log)) / (2 * eps)
         worst_fd_log = max(worst_fd_log, spectral_norm(four - fd))
-        worst_res = max(worst_res, spectral_norm(four - matcalc.frechet_log(a, h, "resolvent")))
+        worst_res = max(worst_res, spectral_norm(four - resolvent_frechet_log(a, h)))
     out.append(CheckResult("matcalc", "log derivative finite difference", worst_fd_log, 1e-6))
     out.append(CheckResult("matcalc", "log derivative fourier vs resolvent", worst_res, 1e-8))
     worst_fd_pow = 0.0

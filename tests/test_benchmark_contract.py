@@ -53,9 +53,12 @@ def test_package_root_exports_only_eigh():
 
 @pytest.mark.parametrize("name", [w["name"] for w in BENCHMARK["workloads"]])
 def test_workload_smoke_step_ok(tmp_path, name):
-    # the calls each workload makes into src/, on tiny inputs
+    # the calls each workload makes into src/, on tiny inputs, traced as the
+    # harness traces them: every layer the workload gates on must record a call
     workload = workloads.WORKLOADS[name](seed=5, smoke=True, out_dir=tmp_path)
     workload.setup()
-    ops = workload.step(0)
+    with tracer.Tracer() as tr:
+        ops = workload.step(0)
     assert ops and all(op.ok for op in ops), [op.kind for op in ops if not op.ok]
     assert workload.final_checks() == []
+    assert tr.zero_call_layers(workload.expected_layers) == []

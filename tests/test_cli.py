@@ -520,3 +520,22 @@ def test_probs_sum_error_above_1e_10_is_input_error(tmp_path, capsys, demo):
     assert run(["grad", "--spec", _edited_spec(tmp_path, demo, nudge), "--out", tmp_path]) == 2
     assert ("input error: target probs must be a normalized nonnegative vector"
             in capsys.readouterr().err)
+
+
+def _drop_classical_theta(raw):
+    raw["model"]["theta"].pop()
+
+
+def _nest_classical_theta(raw):
+    raw["model"]["theta"] = [raw["model"]["theta"]]
+
+
+@pytest.mark.parametrize("command", ["grad", "train"])
+@pytest.mark.parametrize("edit", [_drop_classical_theta, _nest_classical_theta],
+                         ids=["short", "nested"])
+def test_classical_theta_shape_is_input_error(tmp_path, capsys, command, edit):
+    # theta must be a vector with one entry per table, as for the generic kind
+    spec = _edited_spec(tmp_path, "grad_classical", edit)
+    assert run([command, "--spec", spec, "--out", tmp_path]) == 2
+    assert "input error: theta length (" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

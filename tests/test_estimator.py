@@ -218,6 +218,11 @@ def test_injected_encodings_are_checked(rng):
         quadrature_first_term(model, rho, g_j, inv_sqrt=BlockEncoding(np.eye(2), 1.0, 0))
 
 
+def test_non_square_encoding_is_spec_error():
+    with pytest.raises(SpecError, match=r"block-encoding matrix must be square, got \(2, 3\)"):
+        BlockEncoding(np.ones((2, 3)), 1.0, 0)
+
+
 def test_quadrature_average_matches_lifted_term(rng):
     for _ in range(2):
         model = rand_model(rng, 2, 2)

@@ -9,6 +9,7 @@ from qbmgrad.linalg import (
     BipartiteDims,
     as_density,
     as_hermitian,
+    as_unitary,
     check_reconstruction,
     eigh,
     expectation,
@@ -295,3 +296,13 @@ def test_non_finite_entry_is_rejected(check, d):
         m[entry] = value
         with pytest.raises(SpecError, match="^matrix has a non-finite entry$"):
             check(m)
+
+
+def test_as_unitary_checks_size_then_unitarity():
+    # a non-square matrix: tests/test_estimator.py::test_non_square_encoding_is_spec_error
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    assert as_unitary(h, "u", 2).dtype == complex
+    with pytest.raises(SpecError, match=r"u must be 3x3, got \(2, 2\)"):
+        as_unitary(h, "u", 3)
+    with pytest.raises(SpecError, match="u is not unitary within 1e-10"):
+        as_unitary(np.diag([1.0, 0.9]), "u")

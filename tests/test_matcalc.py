@@ -13,8 +13,8 @@ from qbmgrad.matcalc import (
     frechet_power,
     thermal_derivative,
 )
-from qbmgrad.densities import HIGH_PEAK_TENT, LOGISTIC, expectation_nodes, power_density
-from qbmgrad.verify import gibbs
+from qbmgrad.densities import HIGH_PEAK_TENT, LOGISTIC, numeric_fourier, power_density
+from qbmgrad.verify import duhamel_frechet_exp, gibbs, resolvent_frechet_log
 from conftest import rand_herm, rand_pd
 
 
@@ -32,8 +32,7 @@ def test_power_factor_approaches_logistic_factor():
 
 def test_exp_factor_matches_quadrature_oracle():
     # int gamma(t) e^{-2it} dt computed by density quadrature
-    t, w, w0 = expectation_nodes(HIGH_PEAK_TENT, T=12.0, nodes=4096)
-    oracle = float(np.sum(w * np.cos(2.0 * t))) + w0
+    oracle = numeric_fourier(HIGH_PEAK_TENT, 2.0)
     assert abs(channel_factor(HIGH_PEAK_TENT, 2.0) - np.tanh(1.0)) < 1e-12
     assert abs(channel_factor(HIGH_PEAK_TENT, 2.0) - oracle) < 1e-8
 
@@ -74,8 +73,8 @@ def test_frechet_exp_commuting_reduction():
     b = np.diag([0.2, -0.7]).astype(complex)
     h = np.diag([1.0, 2.0]).astype(complex)
     want = h @ np.diag(np.exp(np.diagonal(b).real))
-    for mode in ("duhamel", "fourier"):
-        assert spectral_norm(frechet_exp(b, h, mode) - want) < 1e-12
+    for deriv in (duhamel_frechet_exp, frechet_exp):
+        assert spectral_norm(deriv(b, h) - want) < 1e-12
 
 
 def test_frechet_exp_at_zero_base(rng):
@@ -87,8 +86,8 @@ def test_frechet_exp_finite_difference(rng):
     b, h = rand_herm(rng, 3), rand_herm(rng, 3)
     eps = 1e-5
     fd = (eigh(b + eps * h).apply(np.exp) - eigh(b - eps * h).apply(np.exp)) / (2 * eps)
-    for mode in ("duhamel", "fourier"):
-        assert spectral_norm(frechet_exp(b, h, mode) - fd) < 1e-6
+    for deriv in (duhamel_frechet_exp, frechet_exp):
+        assert spectral_norm(deriv(b, h) - fd) < 1e-6
 
 
 def test_frechet_log_commuting_reduction():
@@ -133,14 +132,6 @@ def test_thermal_derivative_diagonal_closed_form():
     assert spectral_norm(thermal_derivative(eigh(g), dg) - want) < 1e-12
 
 
-def test_eval_mode_validation():
-    anchor = eigh(np.diag([0.5, 2.0]))
-    with pytest.raises(SpecError, match="unknown eval mode 'exact'"):
-        apply_channel(LOGISTIC, anchor, np.eye(2), "exact")
-    with pytest.raises(SpecError):
-        power_density(0.0)
-
-
 # Independent oracles: scipy's matrix functions share no code with the
 # package's eigh-based derivatives (test-only; the runtime is numpy-only).
 
@@ -153,22 +144,27 @@ def _relative(x, ref):
     return spectral_norm(x - ref) / spectral_norm(ref)
 
 
-@pytest.mark.parametrize("mode", ["duhamel", "fourier"])
-def test_frechet_exp_matches_scipy_expm_frechet(rng, scipy_linalg, mode):
+# the production channel form and verify's reference form of each derivative
+EXP_FORMS = {"duhamel": duhamel_frechet_exp, "fourier": frechet_exp}
+LOG_FORMS = {"fourier": frechet_log, "resolvent": resolvent_frechet_log}
+
+
+@pytest.mark.parametrize("form", list(EXP_FORMS))
+def test_frechet_exp_matches_scipy_expm_frechet(rng, scipy_linalg, form):
     b, h = rand_herm(rng, 16, 0.5), rand_herm(rng, 16)
     want = scipy_linalg.expm_frechet(b, h, compute_expm=False)
-    assert _relative(frechet_exp(b, h, mode), want) < 1e-12
+    assert _relative(EXP_FORMS[form](b, h), want) < 1e-12
 
 
 def _central_difference(f, a, h, eps=1e-5):
     return (f(a + eps * h) - f(a - eps * h)) / (2 * eps)
 
 
-@pytest.mark.parametrize("mode", ["fourier", "resolvent"])
-def test_frechet_log_matches_scipy_logm(rng, scipy_linalg, mode):
+@pytest.mark.parametrize("form", list(LOG_FORMS))
+def test_frechet_log_matches_scipy_logm(rng, scipy_linalg, form):
     a, h = rand_pd(rng, 16), rand_herm(rng, 16)
     fd = _central_difference(scipy_linalg.logm, a, h)
-    assert _relative(frechet_log(a, h, mode), fd) < 1e-6
+    assert _relative(LOG_FORMS[form](a, h), fd) < 1e-6
 
 
 @pytest.mark.parametrize("r", [-0.5, 0.3, 0.9])

@@ -185,8 +185,8 @@ class EstimatorConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise SpecError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise SpecError("epsilon must be positive and finite")
         if not 0.0 < self.delta_fail < 1.0:
             raise SpecError("delta_fail must lie in (0, 1)")
         if self.shots < 0 or self.threads < 1:

@@ -11,12 +11,15 @@ a joint quasi-state through a composition of
   (2) a sigma_v^{-q/2} sandwich, extended by the identity on the hidden
       register,
   (3) an anticommutator with sigma_vh followed by the tent-weighted
-      averaging channel generated by G(theta), taken as one step: sigma_vh
-      is diagonal in the eigenbasis of G, where the channel acts, so there
-      the anticommutator is the Hadamard factor (w_a + w_b)/2 of the Gibbs
-      weights and folds into the channel's own factor.
+      averaging channel generated by G(theta), taken as one step
+      (``matcalc.tent_of_anticommutator``): sigma_vh is diagonal in the
+      eigenbasis of G, where the channel acts, so there the anticommutator
+      is the Hadamard factor (w_a + w_b)/2 of the Gibbs weights and folds
+      into the channel's own factor.
 Commuting special cases (classical hidden or visible register) collapse to
-per-block formulas that avoid the joint register entirely.
+per-block formulas that avoid the joint register entirely.  Their blocks
+are one stack: step (3) runs once on all of them, and each term average
+is one block-state ``expectation``.
 """
 from __future__ import annotations
 
@@ -34,8 +37,8 @@ from .linalg import (
     gibbs_weights,
     hermitize,
 )
-from .densities import HIGH_PEAK_TENT, LOGISTIC, power_density
-from .matcalc import apply_channel, channel_factor
+from .densities import LOGISTIC, power_density
+from .matcalc import apply_channel, tent_of_anticommutator
 from .models import CQModel, QCModel, ThermalModel
 
 SUPPORT_FLOOR = 1e-12
@@ -169,28 +172,6 @@ def relative_entropy(rho, sigma, obj: Objective = UMEGAKI) -> float:
     return (_overlap(sig_es, constant, q) - 1.0) / (q - 1.0)
 
 
-def _tent_of_anticommutator(
-    g_eig: Eigensystem, weights: np.ndarray, core: np.ndarray, d_h: int = 1
-) -> np.ndarray:
-    """Tent channel of G applied to (1/2){sigma, core (x) I_h}.
-
-    sigma = e^{-G}/Z shares the eigenvectors V of G, so with
-    X~ = V^dag (core (x) I_h) V the result is
-    V [X~ * (w_a + w_b)/2 * tanh-factor(l_a - l_b)] V^dag, w the Gibbs
-    weights (``weights``, as ``thermalize`` computed them) and l the
-    eigenvalues of G.  (core (x) I_h) V contracts core with V viewed as
-    (d_v, d_h D), at d_v D^2 cost.
-    """
-    vecs = g_eig.vecs
-    d = g_eig.dim
-    core_v = np.dot(core, vecs.reshape(core.shape[0], d_h * d)).reshape(d, d)
-    xt = vecs.conj().T @ core_v
-    lam = g_eig.vals
-    xt *= 0.5 * (weights[:, None] + weights[None, :]) * channel_factor(
-        HIGH_PEAK_TENT, lam[:, None] - lam[None, :])
-    return hermitize(vecs @ xt @ vecs.conj().T)
-
-
 def lift_to_joint(model: ThermalModel, r_v, q: float = 1.0) -> np.ndarray:
     """Lift a visible operator to the joint quasi-state driving the gradient.
 
@@ -203,7 +184,7 @@ def lift_to_joint(model: ThermalModel, r_v, q: float = 1.0) -> np.ndarray:
         raise SpecError("input must live on the visible register")
     _check_support(model.sigma_v_eig.vals, "visible marginal")
     core = _visible_core(model.sigma_v_eig, r_v, q)
-    return _tent_of_anticommutator(model.g_eig, model.weights, core, model.dims.d_h)
+    return tent_of_anticommutator(model.g_eig.vals, model.g_eig.vecs, model.weights, core)
 
 
 def _visible_core(sigma_v_eig: Eigensystem, r_v, q: float) -> np.ndarray:
@@ -251,15 +232,10 @@ def gradient_qc(qc: QCModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
     q = 1.0 if obj.kind == "umegaki" else obj.q
     r_q = rho if q == 1.0 else _rho_constant(rho, obj, target)
     core = _visible_core(sig_v_es, r_q, q)
-
-    first = np.zeros(qc.n_params)
-    second_raw = np.zeros(qc.n_params)
-    for x in range(qc.dims.d_h):
-        # sigma_x is the Gibbs state of this block's Hamiltonian
-        lifted_x = _tent_of_anticommutator(qc.block_eig[x], qc.block_weights[x], core)
-        terms = qc.stack[:, x]
-        first += qc.p[x] * expectation(terms, lifted_x)
-        second_raw += qc.p[x] * expectation(terms, qc.sigma_x[x])
+    # each sigma_x is the Gibbs state of its block's Hamiltonian
+    lifted = tent_of_anticommutator(qc.block_vals, qc.block_vecs, qc.block_weights, core)
+    first = expectation(qc.stack, lifted) @ qc.p
+    second_raw = expectation(qc.stack, qc.sigma_x) @ qc.p
     if obj.kind == "umegaki":
         return GradientReport(first - second_raw, first, second_raw)
     qq = _overlap(sig_v_es, r_q, q)
@@ -286,9 +262,7 @@ def gradient_cq(cq: CQModel, target_probs, obj: Objective = UMEGAKI) -> Gradient
     r = label_probs(target_probs, cq.dims.d_v)
     if np.any((cq.p < SUPPORT_FLOOR) & (r > 0.0)):
         raise SupportError("target puts mass on a label with vanishing model weight")
-    # means[j, x] = <G_h^{j,x}>_{sigma_x}, one stacked contraction per label x
-    means = np.stack(
-        [expectation(cq.stack[:, x], cq.sigma_x[x]) for x in range(cq.dims.d_v)], axis=1)
+    means = expectation(cq.stack, cq.sigma_x)  # means[j, x] = <G_h^{j,x}>_{sigma_x}
     if obj.kind == "umegaki":
         first = means @ r
         second = means @ cq.p
@@ -320,11 +294,8 @@ def pgm_povm(qc: QCModel) -> tuple[np.ndarray, ...]:
     sig_v_es = qc.visible_eig
     _check_support(sig_v_es.vals, "visible marginal")
     inv_sqrt = sig_v_es.power(-0.5)
-    elems = []
-    for x in range(qc.dims.d_h):
-        core = hermitize(inv_sqrt @ (qc.p[x] * qc.sigma_x[x]) @ inv_sqrt)
-        elems.append(apply_channel(LOGISTIC, sig_v_es, core))
-    return tuple(elems)
+    cores = hermitize(inv_sqrt @ (qc.p[:, None, None] * qc.sigma_x) @ inv_sqrt)
+    return tuple(apply_channel(LOGISTIC, sig_v_es, core) for core in cores)
 
 
 def povm_probs(elements, rho) -> np.ndarray:

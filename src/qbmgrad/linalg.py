@@ -187,19 +187,26 @@ def expectation(obs, state):
     (relative to the trace where that exceeds 1).
 
     ``obs`` is one d x d matrix, giving a float, or a stack (n, d, d) of
-    them, giving the n traces as an array from a single contraction; the
-    imaginary-residue check applies to each trace on its own.
+    them, giving the n traces as an array.  With one state per block,
+    ``obs`` of shape (n, X, d, d) against ``state`` of shape (X, d, d)
+    gives the (n, X) traces Tr[obs[j, x] state[x]].  Each shape is one
+    contraction, and the imaginary-residue check applies to each trace on
+    its own.
     """
     obs = np.asarray(obs, dtype=complex)
     state = np.asarray(state, dtype=complex)
-    if obs.ndim not in (2, 3) or obs.shape[-2:] != state.shape:
+    # Tr[A B] = sum_ij A_ij B_ji: the entries of A against those of B^T
+    if state.ndim == 2 and obs.ndim in (2, 3) and obs.shape[-2:] == state.shape:
+        vals = obs.reshape(-1, state.size) @ state.T.ravel()  # one matrix-vector product
+    elif state.ndim == 3 and obs.ndim == 4 and obs.shape[1:] == state.shape:
+        vals = np.einsum("jxk,xk->jx", obs.reshape(obs.shape[:2] + (-1,)),
+                         state.swapaxes(-1, -2).reshape(state.shape[0], -1))
+    else:
         raise SpecError(f"shape mismatch {obs.shape} vs {state.shape}")
-    # Tr[A B] = sum_ij A_ij B_ji: one matrix-vector product over the stack
-    vals = obs.reshape(-1, state.size) @ state.T.ravel()
     residue = np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals))
     if residue.any():
         raise GuardError(f"expectation has imaginary residue {vals.imag[residue][0]:.3e}")
-    return vals.real if obs.ndim == 3 else float(vals[0].real)
+    return vals.real if obs.ndim > 2 else float(vals[0].real)
 
 
 def spectral_norm(x) -> float:
@@ -207,16 +214,12 @@ def spectral_norm(x) -> float:
     ``Eigensystem`` decomposes.
 
     An ``Eigensystem`` gives max(|lambda_min|, |lambda_max|) from its
-    ascending eigenvalues at no further cost.  A NaN eigenvalue means the
-    decomposition did not converge (LAPACK returns NaN for some sizes
-    instead of failing), so it raises ``LinAlgError``, as the matrix path
-    does for a matrix holding NaN.  For exactly Hermitian matrix input
-    (every ``hermitize`` output is) the norm is read from ``eigvalsh``,
-    which costs about half an SVD; any other input pays for the SVD.
+    ascending eigenvalues at no further cost.  For exactly Hermitian matrix
+    input (every ``hermitize`` output is) the norm is read from
+    ``eigvalsh``, which costs about half an SVD; any other input pays for
+    the SVD.
     """
     if isinstance(x, Eigensystem):
-        if np.isnan(x.vals).any():
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return float(max(abs(x.vals[0]), abs(x.vals[-1])))
     x = np.asarray(x)
     if x.ndim == 2 and x.size and x.shape[0] == x.shape[1] and (x == x.conj().T).all():

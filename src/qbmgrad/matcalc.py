@@ -6,6 +6,8 @@ and in the anchor eigenbasis it multiplies entry (k, l) by the Fourier
 transform of its density at the spectral gap, so the one evaluation path
 is spectral and exact.  The Duhamel, resolvent and time-quadrature forms
 are oracles in :mod:`qbmgrad.verify` (quadrature on |t| <= 14, 4096 nodes).
+The tent channel of (1/2){sigma, X} for sigma = e^{-G}/Z, on one G or a
+stack of blocks, has one kernel, which the lift and thermal_derivative share.
 """
 from __future__ import annotations
 
@@ -69,6 +71,24 @@ def apply_channel(d: Density, anchor: Eigensystem, y) -> np.ndarray:
     return hermitize(anchor.vecs @ yt @ anchor.vecs.conj().T)
 
 
+def tent_of_anticommutator(vals, vecs, weights, x) -> np.ndarray:
+    """Tent channel of G applied to (1/2){sigma, X (x) I_h}, sigma = e^{-G}/Z,
+    for G given by its eigendata (``vals`` ascending, ``vecs``, the Gibbs
+    ``weights`` of sigma) as one matrix or as a stack of blocks that all
+    take the same d_v x d_v X; I_h fills the rest of G's dimension.
+
+    sigma shares the eigenvectors V of G, so with X~ = V^dag (X (x) I_h) V
+    the result is V [X~ * (w_a + w_b)/2 * tanh-factor(l_a - l_b)] V^dag,
+    w the Gibbs weights and l the eigenvalues of G.  (X (x) I_h) V
+    contracts X with V viewed as (d_v, D^2/d_v), at d_v D^2 cost.
+    """
+    xv = np.matmul(x, vecs.reshape(vecs.shape[:-2] + (x.shape[0], -1))).reshape(vecs.shape)
+    xt = vecs.conj().swapaxes(-1, -2) @ xv
+    xt *= 0.5 * (weights[..., :, None] + weights[..., None, :]) * channel_factor(
+        HIGH_PEAK_TENT, vals[..., :, None] - vals[..., None, :])
+    return hermitize(vecs @ xt @ vecs.conj().swapaxes(-1, -2))
+
+
 def frechet_exp(b, h) -> np.ndarray:
     """Derivative of the matrix exponential at b in direction h:
     (1/2){Phi_B(H), e^B} with Phi_B the tent-weighted channel."""
@@ -108,11 +128,14 @@ def thermal_derivative(g_spec: Eigensystem, dg) -> np.ndarray:
     """Derivative of sigma = e^{-G}/Z along a perturbation dG of G.
 
     Equals -(1/2){Phi_G(dG), sigma} + sigma <dG>_sigma; traceless, and zero
-    whenever dG is a multiple of the identity.
+    whenever dG is a multiple of the identity.  The first term is the
+    tent kernel: sigma is diagonal where Phi_G acts, so the two commute.
     """
     dg = as_hermitian(dg)
-    sigma = g_spec.apply(lambda w: gibbs_weights(w)[0])
-    phi = apply_channel(HIGH_PEAK_TENT, g_spec, dg)
+    if dg.shape[0] != g_spec.dim:
+        raise SpecError(f"dim mismatch: channel anchor {g_spec.dim}, input {dg.shape[0]}")
+    weights = gibbs_weights(g_spec.vals)[0]
+    sigma = g_spec.apply(lambda _: weights)
     mean = float(np.trace(dg @ sigma).real)
-    return hermitize(-0.5 * (phi @ sigma + sigma @ phi) + sigma * mean)
+    return sigma * mean - tent_of_anticommutator(g_spec.vals, g_spec.vecs, weights, dg)
 

@@ -6,7 +6,7 @@ produces the Gibbs state e^{-G}/Z, its visible marginal, cached spectra, and
 the conditioning number kappa = 1/lambda_min(sigma_v) that controls every
 downstream amplification.  Block decompositions cover the two commuting
 special cases (classical hidden or classical visible register), whose
-blocks are Gibbs states formed by the joint model's kernel.
+blocks are one stack through the joint model's theta-sum and Gibbs kernel.
 """
 from __future__ import annotations
 
@@ -39,6 +39,22 @@ def _checked_theta(theta, n_params: int) -> np.ndarray:
     if theta.shape != (n_params,):
         raise SpecError(f"theta length {theta.shape} != number of terms {n_params}")
     return theta
+
+
+def _weighted_sum(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_j c_j stack[j], hermitized, for a stack (n, ..., d, d): the
+    (1, n) x (n, rest) product np.tensordot forms, without its set-up."""
+    g = np.dot(c.reshape(1, -1), stack.reshape(len(c), -1))
+    return hermitize(g.reshape(stack.shape[1:]))
+
+
+def _eigh(x) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a Hermitian matrix or stack, raising LinAlgError
+    where LAPACK returns NaN eigenvalues (some sizes) instead of failing."""
+    w, v = np.linalg.eigh(x)
+    if np.isnan(w).any():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w, v
 
 
 @dataclass(frozen=True)
@@ -77,9 +93,7 @@ class ParamHamiltonian:
 
     def assemble(self) -> np.ndarray:
         """G(theta) = sum_j theta_j G_j at the current theta."""
-        # the (1, n) x (n, D^2) product np.tensordot forms, without its set-up
-        g = np.dot(self.theta.reshape(1, -1), self.stack.reshape(self.n_params, -1))
-        return hermitize(g.reshape(self.stack.shape[1:]))
+        return _weighted_sum(self.theta, self.stack)
 
     def with_theta(self, theta) -> "ParamHamiltonian":
         """Same terms at a new theta; only theta is validated again.
@@ -132,16 +146,16 @@ def _gibbs(hams, w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def thermalize(h: ParamHamiltonian) -> ThermalModel:
     """Build the thermal model e^{-G(theta)}/Z with all cached fields.
 
-    G is decomposed once, in three steps: ``np.linalg.eigh`` of the
-    assembled G (already hermitized, so it skips ``as_hermitian``); the
-    exponent guard, |G|_2 <= ``EXP_NORM_GUARD``, read by ``spectral_norm``
-    from that eigensystem; then the Gibbs kernel, which checks the
+    G is decomposed once, in three steps: ``_eigh`` of the assembled G
+    (already hermitized, so it skips ``as_hermitian``); the exponent
+    guard, |G|_2 <= ``EXP_NORM_GUARD``, read by ``spectral_norm`` from
+    that eigensystem; then the Gibbs kernel, which checks the
     reconstruction as ``eigh`` does.  The exponent guard answers first, so
     a G too large to exponentiate raises ScaleError even where its residual
     would also fail.
     """
     g = h.assemble()
-    vals, vecs = np.linalg.eigh(g)
+    vals, vecs = _eigh(g)
     g_eig = Eigensystem(vals, vecs)
     norm = spectral_norm(g_eig)
     if not norm <= EXP_NORM_GUARD:
@@ -226,64 +240,54 @@ def _block_decompose(h: ParamHamiltonian, basis, classical: str) -> tuple[np.nda
     return w, np.array(stack, dtype=complex)
 
 
-def _thermal_blocks(
-    block_hams: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, tuple[Eigensystem, ...], np.ndarray]:
-    """(p_x, sigma_x, eigensystems, Gibbs weights) of a stack (n, d, d) of
-    per-label Hamiltonians.
+def _thermal_blocks(block_hams: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(p_x, sigma_x, eigenvalues, eigenvectors, Gibbs weights) of a stack
+    (n, d, d) of per-label Hamiltonians, each as a stack over the blocks.
 
-    One stacked ``np.linalg.eigh`` decomposes every block; the blocks are
-    Hermitian by construction (hermitized sums of validated terms), so they
-    skip ``as_hermitian``.  The weights p_x come from the per-block log
+    One stacked ``_eigh`` decomposes every block; the blocks are Hermitian
+    by construction (hermitized sums of validated terms), so they skip
+    ``as_hermitian``.  The weights p_x come from the per-block log
     partition functions, so nothing underflows even when the blocks sit at
     very different energies.
     """
-    w, v = np.linalg.eigh(block_hams)
-    if np.isnan(w).any():  # LAPACK's NaN for no convergence, read as spectral_norm reads G's
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    w, v = _eigh(block_hams)
     weights, states, z = _gibbs(block_hams, w, v)
     log_zs = np.log(z) - w[:, 0]  # eigh sorts ascending: column 0 is each block's minimum
     p = np.exp(log_zs - np.max(log_zs))
-    eigs = tuple(Eigensystem(wx, vx) for wx, vx in zip(w, v))
-    return p / p.sum(), states, eigs, weights
-
-
-def _block_hams(stack: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """sum_j theta_j G^{j,x} for every block x at once, summed over j in order."""
-    g = np.zeros(stack.shape[1:], dtype=complex)
-    for c, t in zip(theta, stack):
-        g += c * t
-    return hermitize(g)
+    return p / p.sum(), states, w, v, weights
 
 
 @dataclass(frozen=True)
 class _BlockModel:
     """What QCModel and CQModel share: the block term stack, built once and
-    shared by every ``with_theta`` copy, and the block Gibbs states.
+    shared by every ``with_theta`` copy, and the block Gibbs data.
 
     ``stack`` is the (n_params, n_blocks, d, d) array of the blocks G^{j,x}
-    that ``qc_decompose`` or ``cq_decompose`` split the terms into.
+    that ``qc_decompose`` or ``cq_decompose`` split the terms into; the
+    Gibbs data stack the blocks x along their first axis too.
     """
 
     dims: BipartiteDims
     stack: np.ndarray = field(repr=False, compare=False)
     theta: np.ndarray
     p: np.ndarray = field(init=False)
-    sigma_x: tuple[np.ndarray, ...] = field(init=False)
-    block_eig: tuple[Eigensystem, ...] = field(init=False)  # of each block Hamiltonian
-    block_weights: np.ndarray = field(init=False)  # (n_blocks, d): Gibbs weights in block_eig
+    sigma_x: np.ndarray = field(init=False)  # (n_blocks, d, d)
+    block_vals: np.ndarray = field(init=False)  # (n_blocks, d), ascending
+    block_vecs: np.ndarray = field(init=False)  # (n_blocks, d, d)
+    block_weights: np.ndarray = field(init=False)  # (n_blocks, d): Gibbs weights of block_vals
 
     def __post_init__(self):
         self._thermalize(self.theta)
 
     def _thermalize(self, theta) -> None:
-        """Set theta, p, sigma_x and the block eigensystems and weights."""
+        """Set theta, p, sigma_x and the block eigendata and weights."""
         theta = _checked_theta(theta, self.n_params)
-        p, states, eigs, weights = _thermal_blocks(_block_hams(self.stack, theta))
+        p, states, vals, vecs, weights = _thermal_blocks(_weighted_sum(theta, self.stack))
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "sigma_x", tuple(states))
-        object.__setattr__(self, "block_eig", eigs)
+        object.__setattr__(self, "sigma_x", states)
+        object.__setattr__(self, "block_vals", vals)
+        object.__setattr__(self, "block_vecs", vecs)
         object.__setattr__(self, "block_weights", weights)
 
     @property
@@ -309,10 +313,8 @@ class QCModel(_BlockModel):
         object.__setattr__(self, "visible_eig", eigh(self.visible_state()))
 
     def visible_state(self) -> np.ndarray:
-        out = np.zeros((self.dims.d_v, self.dims.d_v), dtype=complex)
-        for px, sx in zip(self.p, self.sigma_x):
-            out += px * sx
-        return hermitize(out)
+        """sigma_v = sum_x p_x sigma_x."""
+        return _weighted_sum(self.p, self.sigma_x)
 
 
 @dataclass(frozen=True)

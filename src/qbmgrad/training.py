@@ -60,8 +60,8 @@ class TrainConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise SpecError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise SpecError("learning rate must be positive and finite")
         if self.iterations < 1 or self.log_every < 1:
             raise SpecError("iterations and log_every must be >= 1")
 
@@ -99,19 +99,19 @@ class Problem:
     how ``gradient_vector`` computes: ``mode`` is "exact" unless a subclass
     takes "shot", and a shot-mode subclass holds its own sampling settings.
 
-    ``train`` evaluates the objective at the accepted theta just before it
-    asks for the gradient there, so a subclass whose objective builds a
-    model (``_model(theta)``) hands it on through ``_evaluate``: one
-    (theta, model) slot, which ``_take_model`` empties and uses when its
-    theta has the same shape and bytes, building a fresh model otherwise.
-    The slot is emptied before each model is built, so an objective that
-    raises leaves no model behind, and again when the gradient takes the
-    model, so no model outlives its step.
+    A subclass whose objective and gradient need a model builds it in
+    ``_build(theta)`` and reads it through ``_model(theta)``, which keeps
+    one model: the one built for a theta of the same shape and bytes, if
+    there is one; otherwise it drops the old model first, then builds and
+    keeps the new one.  ``train`` evaluates the objective at the accepted
+    theta just before it asks for the gradient there, so both use one
+    model, and a ``train`` continued from the last run's final theta
+    starts on it too.  A build that raises leaves no model behind.
     """
 
     theta0: np.ndarray
     mode: str = "exact"
-    _last: tuple | None = None
+    _kept: tuple | None = None  # (theta shape and bytes, model)
 
     def objective(self, theta) -> float:
         raise NotImplementedError
@@ -127,28 +127,17 @@ class Problem:
         """
         raise NotImplementedError
 
-    def _model(self, theta):
+    def _build(self, theta):
         raise NotImplementedError
 
-    @staticmethod
-    def _key(theta) -> tuple:
+    def _model(self, theta):
+        """The model at theta, built once per theta (see the class docstring)."""
         theta = np.asarray(theta, dtype=float)
-        return theta.shape, theta.tobytes()
-
-    def _evaluate(self, theta, value_of) -> float:
-        """value_of(model at theta), keeping the model for the gradient."""
-        self._last = None
-        key = self._key(theta)
-        model = self._model(theta)
-        value = value_of(model)
-        self._last = (key, model)
-        return value
-
-    def _take_model(self, theta):
-        last, self._last = self._last, None
-        if last is not None and last[0] == self._key(theta):
-            return last[1]
-        return self._model(theta)
+        key = (theta.shape, theta.tobytes())
+        if self._kept is None or self._kept[0] != key:
+            self._kept = None  # the old model goes before the new one is built
+            self._kept = (key, self._build(theta))
+        return self._kept[1]
 
 
 class QuantumProblem(Problem):
@@ -175,20 +164,19 @@ class QuantumProblem(Problem):
     def rho(self) -> np.ndarray:
         return self.target.rho
 
-    def _model(self, theta) -> ThermalModel:
+    def _build(self, theta) -> ThermalModel:
         return thermalize(self.hamiltonian.with_theta(theta))
 
     def objective(self, theta) -> float:
-        return self._evaluate(
-            theta, lambda m: relative_entropy(self.target, m.sigma_v_eig, self.obj))
+        return relative_entropy(self.target, self._model(theta).sigma_v_eig, self.obj)
 
     def report(self, theta) -> GradientReport:
-        return gradient(self._take_model(theta), self.rho, self.obj)
+        return gradient(self._model(theta), self.rho, self.obj)
 
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
         if self.mode == "exact":
             return self.report(theta).values
-        model = self._take_model(theta)
+        model = self._model(theta)
         if self.obj.kind != "umegaki":
             raise SpecError("shot-mode gradients cover the umegaki objective only")
         cfg = self.estimator or EstimatorConfig()
@@ -219,15 +207,14 @@ class QCProblem(Problem):
     def rho(self) -> np.ndarray:
         return self.target.rho
 
-    def _model(self, theta) -> QCModel:
+    def _build(self, theta) -> QCModel:
         return self.qc.with_theta(theta)
 
     def objective(self, theta) -> float:
-        return self._evaluate(
-            theta, lambda m: relative_entropy(self.target, m.visible_eig, self.obj))
+        return relative_entropy(self.target, self._model(theta).visible_eig, self.obj)
 
     def report(self, theta) -> GradientReport:
-        return gradient_qc(self._take_model(theta), self.target, self.obj)
+        return gradient_qc(self._model(theta), self.target, self.obj)
 
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
         return self.report(theta).values
@@ -242,14 +229,14 @@ class CQProblem(Problem):
         self.obj = obj
         self.theta0 = np.asarray(cq.theta, dtype=float)
 
-    def _model(self, theta) -> CQModel:
+    def _build(self, theta) -> CQModel:
         return self.cq.with_theta(theta)
 
     def objective(self, theta) -> float:
-        return self._evaluate(theta, lambda m: cq_objective(m, self.target, self.obj))
+        return cq_objective(self._model(theta), self.target, self.obj)
 
     def report(self, theta) -> GradientReport:
-        return gradient_cq(self._take_model(theta), self.target, self.obj)
+        return gradient_cq(self._model(theta), self.target, self.obj)
 
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
         return self.report(theta).values

@@ -230,6 +230,12 @@ def test_usage_error_exit_code():
     ("train", ["--log-every", "0"]),
     ("train", ["--mode", "shot", "--epsilon", "0"]),
     ("train", ["--mode", "shot", "--delta", "0"]),
+    ("estimate", ["--epsilon", "nan"]),
+    ("estimate", ["--epsilon", "inf"]),
+    ("train", ["--learning-rate", "nan"]),
+    ("train", ["--learning-rate", "inf"]),
+    ("train", ["--mode", "shot", "--epsilon", "nan"]),
+    ("train", ["--mode", "shot", "--epsilon", "inf"]),
 ])
 def test_zero_flag_is_input_error(tmp_path, capsys, command, flags):
     spec = "estimate.json" if command == "estimate" else "train_qubit.json"

@@ -200,6 +200,25 @@ def test_qc_gradient_matches_generic(rng, obj):
     assert np.max(np.abs(a - b)) < 1e-8
 
 
+@pytest.mark.parametrize("q", [1.0, 0.5, 2.0])
+@pytest.mark.parametrize("d_h", [1, 3])
+def test_qc_first_terms_match_per_block_reference(rng, q, d_h):
+    # each block on its own: anticommutator with sigma_x, then the tent
+    # channel of the block Hamiltonian, each as a dense step, weighted by p_x
+    _, qc = _qc_pair(rng, d_h=d_h)
+    rho = rand_state(rng, 3)
+    r_v = rho if q == 1.0 else psd_power(rho, q)
+    core = _visible_core(qc.visible_eig, r_v, q)
+    want = np.zeros(qc.n_params)
+    for x in range(d_h):
+        block = hermitize(np.tensordot(qc.theta, qc.stack[:, x], axes=1))
+        anti = hermitize(0.5 * (qc.sigma_x[x] @ core + core @ qc.sigma_x[x]))
+        lifted = apply_channel(HIGH_PEAK_TENT, eigh(block), anti)
+        want += qc.p[x] * expectation(qc.stack[:, x], lifted)
+    got = gradient_qc(qc, rho, UMEGAKI if q == 1.0 else tsallis(q)).first_terms
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_qc_diagonal_terms_reduce_to_classical(rng):
     tables = rng.normal(size=(3, 2, 2))
     theta = rng.uniform(-0.5, 0.5, 3)

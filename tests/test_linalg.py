@@ -232,15 +232,12 @@ def test_spectral_norm_of_eigensystem_matches_matrix(rng, d):
     assert abs(spectral_norm(eigh(-x)) - want) <= 1e-12 * want  # lambda_min carries the norm
 
 
-def test_spectral_norm_of_unconverged_eigensystem_raises():
-    # for a NaN matrix, LAPACK's eigh returns NaN eigenvalues at some sizes
-    # instead of failing; the norm then fails as the matrix path does
+def test_spectral_norm_of_nan_matrix_raises():
+    # an unconverged eigensystem never reaches spectral_norm: the models'
+    # eigh raises first (test_models.py::test_unconverged_eigh_raises_linalg_error)
     x = np.full((2, 2), np.nan, dtype=complex)
     with pytest.raises(np.linalg.LinAlgError):
         spectral_norm(x)
-    nan_eig = qbmgrad.linalg.Eigensystem(np.array([np.nan, np.nan]), np.eye(2, dtype=complex))
-    with pytest.raises(np.linalg.LinAlgError):
-        spectral_norm(nan_eig)
 
 
 def test_expectation_stack_matches_single_terms(rng):
@@ -262,6 +259,32 @@ def test_expectation_stack_keeps_residue_guard(rng):
     stack = np.stack([rand_herm(rng, 4), bad, rand_herm(rng, 4)])
     with pytest.raises(GuardError) as stacked:
         expectation(stack, state)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_expectation_per_block_states_match_single_calls(rng):
+    states = np.stack([rand_state(rng, 3) for _ in range(4)])
+    obs = np.stack([[rand_herm(rng, 3) for _ in range(4)] for _ in range(5)])
+    vals = expectation(obs, states)
+    assert vals.shape == (5, 4)
+    for j in range(5):
+        for x in range(4):
+            assert abs(vals[j, x] - expectation(obs[j, x], states[x])) < 1e-15
+    for bad in (states[:3], states[:, :2, :2], states[0]):
+        with pytest.raises(SpecError, match="shape mismatch"):
+            expectation(obs, bad)
+
+
+@pytest.mark.parametrize("block", [0, 2])
+def test_expectation_per_block_states_keep_residue_guard(rng, block):
+    states = np.stack([rand_state(rng, 4) for _ in range(3)])
+    bad = rand_herm(rng, 4) + 0.3j * np.eye(4)  # Tr[bad rho] has imaginary part 0.3
+    with pytest.raises(GuardError, match="imaginary residue") as single:
+        expectation(bad, states[block])
+    obs = np.stack([[rand_herm(rng, 4) for _ in range(3)] for _ in range(2)])
+    obs[1, block] = bad
+    with pytest.raises(GuardError) as stacked:
+        expectation(obs, states)
     assert str(stacked.value) == str(single.value)
 
 

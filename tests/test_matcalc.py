@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbmgrad.errors import SpecError
-from qbmgrad.linalg import eigh, spectral_norm
+from qbmgrad.linalg import eigh, gibbs_weights, hermitize, spectral_norm
 from qbmgrad.matcalc import (
     apply_channel,
     channel_factor,
@@ -130,6 +130,24 @@ def test_thermal_derivative_diagonal_closed_form():
     mean = np.trace(dg @ sigma).real
     want = -sigma @ (dg - mean * np.eye(3))
     assert spectral_norm(thermal_derivative(eigh(g), dg) - want) < 1e-12
+
+
+def _channel_then_anticommutator(g_spec, dg):
+    """-(1/2){Phi_G(dG), sigma} + sigma <dG>_sigma, each step dense."""
+    sigma = g_spec.apply(lambda w: gibbs_weights(w)[0])
+    phi = apply_channel(HIGH_PEAK_TENT, g_spec, dg)
+    mean = float(np.trace(dg @ sigma).real)
+    return hermitize(-0.5 * (phi @ sigma + sigma @ phi) + sigma * mean)
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_thermal_derivative_matches_channel_then_anticommutator(rng, d):
+    g, dg = rand_herm(rng, d), rand_herm(rng, d)
+    got = thermal_derivative(eigh(g), dg)
+    assert np.max(np.abs(got - _channel_then_anticommutator(eigh(g), dg))) < 1e-14
+    assert np.array_equal(got, got.conj().T)
+    with pytest.raises(SpecError, match="dim mismatch"):
+        thermal_derivative(eigh(g), rand_herm(rng, d + 1))
 
 
 # Independent oracles: scipy's matrix functions share no code with the

@@ -166,6 +166,26 @@ def test_non_finite_theta_raises_linalg_error_in_block_models(rng, decompose, d_
         decompose(ham.with_theta([np.nan, 0.5]))
 
 
+@pytest.mark.parametrize("make", ["thermalize", "qc", "cq"])
+def test_unconverged_eigh_raises_linalg_error(monkeypatch, rng, make):
+    # LAPACK returns NaN eigenvalues at some sizes instead of failing; that
+    # is LinAlgError in every model kind, ahead of the exponent guard
+    terms = (block_visible_terms if make == "cq" else block_hidden_terms)(
+        rng, 2, 2, 2, np.eye(2))
+    ham = ParamHamiltonian(dims=BipartiteDims(2, 2), terms=terms, theta=np.array([0.1, 0.5]))
+    build = {"thermalize": thermalize, "qc": qc_decompose, "cq": cq_decompose}[make]
+    build(ham)
+    raw = np.linalg.eigh
+
+    def unconverged(x, *args, **kw):
+        w, v = raw(x, *args, **kw)
+        return np.full_like(w, np.nan), v
+
+    monkeypatch.setattr(np.linalg, "eigh", unconverged)
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        build(ham)
+
+
 def test_restricted_single_coupling_is_zz():
     ham = restricted_hamiltonian([0.0], [0.0], [[1.0]], (PAULI_Z,), (PAULI_Z,))
     assert spectral_norm(ham.assemble() - tensor(PAULI_Z, PAULI_Z)) < 1e-14
@@ -407,13 +427,14 @@ def _per_block_reference(block_hams):
 def test_stacked_thermal_blocks_match_per_block_eigh(rng):
     # blocks at very different energies, as in a qc model with a large shift
     blocks = np.stack([rand_herm(rng, 3) + shift * np.eye(3) for shift in (0.0, 7.5, -3.0, 40.0)])
-    p, states, eigs, weights = _thermal_blocks(blocks)
+    p, states, vals, vecs, weights = _thermal_blocks(blocks)
+    assert states.shape == vecs.shape == blocks.shape and vals.shape == weights.shape == (4, 3)
     want_p, want_states = _per_block_reference(blocks)
     assert np.max(np.abs(p - want_p)) < 1e-12
-    for x, (es, want) in enumerate(zip(eigs, want_states)):
+    for x, want in enumerate(want_states):
         assert np.max(np.abs(states[x] - want)) < 1e-12
-        assert np.max(np.abs((es.vecs * es.vals) @ es.vecs.conj().T - blocks[x])) < 1e-12
-        assert np.array_equal(weights[x], gibbs_weights(es.vals)[0])
+        assert np.max(np.abs((vecs[x] * vals[x]) @ vecs[x].conj().T - blocks[x])) < 1e-12
+        assert np.array_equal(weights[x], gibbs_weights(vals[x])[0])
 
 
 @pytest.mark.parametrize("bad", [0, 2])

@@ -157,8 +157,31 @@ def test_train_thermalizes_once_per_step(monkeypatch):
     assert len(traj.rows) == iterations + 1
     assert objective_calls[0] == iterations + 1  # no step was halved or rejected
     assert calls[0] == iterations + 1
-    problem.gradient_vector(traj.final_theta, iterations)  # the model went with its step
-    assert calls[0] == iterations + 2
+    problem.gradient_vector(traj.final_theta, iterations)  # the last step's model is kept
+    assert calls[0] == iterations + 1
+
+
+def test_continued_train_starts_on_the_kept_model(monkeypatch, rng):
+    # training in chunks, each train() starting where the last one ended
+    dims = BipartiteDims(2, 2)
+    ham = ParamHamiltonian(dims=dims, terms=tuple(rand_herm(rng, 4, 0.4) for _ in range(3)),
+                           theta=rng.uniform(-0.5, 0.5, 3))
+    rho = rand_state(rng, 2)
+    cfg = TrainConfig(learning_rate=0.2, iterations=6)
+    problem = QuantumProblem(ham, rho)
+    problem.theta0 = train(problem, cfg).final_theta
+    fresh = QuantumProblem(ham, rho)
+    fresh.theta0 = problem.theta0.copy()
+    calls = _count_thermalize(monkeypatch)
+    continued = train(problem, cfg)
+    continued_calls, calls[0] = calls[0], 0
+    want = train(fresh, cfg)
+    assert continued_calls == calls[0] - 1
+    assert len(continued.rows) == len(want.rows)
+    for got, row in zip(continued.rows, want.rows):
+        assert (got.iteration, got.objective, got.grad_norm) == (row.iteration, row.objective,
+                                                                 row.grad_norm)
+        assert np.array_equal(got.theta, row.theta)
 
 
 def test_gradient_after_objective_elsewhere_matches_fresh(rng):
@@ -177,8 +200,10 @@ def test_gradient_after_objective_elsewhere_matches_fresh(rng):
 
 @pytest.mark.parametrize("bad_theta", [800.0, 20.0])
 def test_raising_objective_leaves_no_model(monkeypatch, bad_theta):
-    # 800 trips the exponent guard in thermalize; 20 thermalizes, then
-    # sigma_v (smallest eigenvalue ~e^-40) trips the support floor
+    # 800 trips the exponent guard in thermalize, which leaves no model; 20
+    # thermalizes, and the kept model is a valid model of theta, then sigma_v
+    # (smallest eigenvalue ~e^-40) trips the support floor in the objective,
+    # and the gradient runs its own support check on the kept model
     problem, _ = _qubit_problem()
     good, bad = np.array([0.1]), np.array([bad_theta])
     calls = _count_thermalize(monkeypatch)
@@ -191,7 +216,8 @@ def test_raising_objective_leaves_no_model(monkeypatch, bad_theta):
             problem.gradient_vector(theta, 0)
         except GuardError:
             assert theta is bad
-        assert calls[0] == before + 1
+        kept = theta is bad and bad_theta == 20.0
+        assert calls[0] == before + (0 if kept else 1)
 
 
 def _block_problem(name):

@@ -296,6 +296,7 @@ def cmd_estimate(args) -> int:
         raise SpecError(f"term index {term} outside [0, {len(terms)})")
     cfg = _estimator_config(args, opts, seed)
     g_norm = spectral_norm(terms[term])
+    auto_shots = hoeffding_shots(model.kappa, g_norm, cfg.epsilon, cfg.delta_fail)
     start = time.perf_counter()
     mean, stderr, shots = estimate_first_term(model, spec.target_state, terms[term], cfg)
     elapsed = time.perf_counter() - start
@@ -306,7 +307,7 @@ def cmd_estimate(args) -> int:
         "epsilon": cfg.epsilon,
         "delta_fail": cfg.delta_fail,
         "shots": shots,
-        "auto_shots": hoeffding_shots(model.kappa, g_norm, cfg.epsilon, cfg.delta_fail),
+        "auto_shots": auto_shots,
         "mean": mean,
         "stderr": stderr,
         "exact": exact,

@@ -44,13 +44,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .densities import (
     HIGH_PEAK_TENT,
     LOGISTIC,
     expectation_nodes,
-    pdf,
     sample,
 )
 from .errors import ScaleError, SpecError
@@ -58,16 +56,16 @@ from .linalg import as_density, as_unitary, eigh, partial_trace, spectral_norm
 from .models import ThermalModel
 
 MAX_CIRCUIT_DIM = 256
+MAX_SHOTS = 10**8  # per estimate; the simulated outcome array alone is 0.8 GB here
 PROB_CLAMP = -1e-10
 PROB_DEFECT = 1e-8
 GROUP_RTOL = 1e-9  # eigenvalues this close (relative to the largest) form one group
 _CHUNK = 8192  # shots per chunk, the unit of seeding and of threading
 _SUB_BLOCK = 1024  # shots per kernel pass inside a chunk
-# quadrature_first_term's grid: QUAD_S_PANELS panels of QUAD_S_NODES logistic
-# s-nodes on |s| <= QUAD_S_MAX, and QUAD_T_NODES tent t-nodes on |t| <= QUAD_T_MAX
+# quadrature_first_term's grid, both axes from densities.expectation_nodes: QUAD_S_NODES
+# logistic s-nodes on |s| <= QUAD_S_MAX and QUAD_T_NODES tent t-nodes on |t| <= QUAD_T_MAX
 QUAD_S_MAX = 10.0
-QUAD_S_PANELS = 8
-QUAD_S_NODES = 24
+QUAD_S_NODES = 192
 QUAD_T_MAX = 10.0
 QUAD_T_NODES = 1600
 
@@ -191,16 +189,22 @@ class EstimatorConfig:
             raise SpecError("delta_fail must lie in (0, 1)")
         if self.shots < 0 or self.threads < 1:
             raise SpecError("shots and threads must be nonnegative/positive")
+        if self.shots > MAX_SHOTS:
+            raise SpecError(f"shots {self.shots} exceed MAX_SHOTS = {MAX_SHOTS:.0e}")
         if self.seed < 0:
             raise SpecError("seed must be nonnegative")
 
 
 def hoeffding_shots(kappa: float, g_norm: float, epsilon: float, delta_fail: float) -> int:
     """Two-sided Hoeffding count for range 2*kappa*g_norm samples:
-    ceil(2 (kappa g / eps)^2 ln(2/delta))."""
+    ceil(2 (kappa g / eps)^2 ln(2/delta)), at most ``MAX_SHOTS``."""
     if min(kappa, g_norm, epsilon) <= 0.0 or not 0.0 < delta_fail < 1.0:
         raise SpecError("hoeffding_shots needs positive inputs and delta in (0,1)")
-    return int(math.ceil(2.0 * (kappa * g_norm / epsilon) ** 2 * math.log(2.0 / delta_fail)))
+    ratio = kappa * g_norm / epsilon
+    count = 2.0 * ratio * ratio * math.log(2.0 / delta_fail)  # inf, not OverflowError
+    if not count <= MAX_SHOTS:
+        raise SpecError(f"Hoeffding count {count:.3g} exceeds MAX_SHOTS = {MAX_SHOTS:.0e}")
+    return int(math.ceil(count))
 
 
 def eigen_groups(g_j) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -487,17 +491,6 @@ def estimate_model_term(
 # ---------------------------------------------------------------------------
 
 
-def _logistic_panels(s_max: float, panels: int, per_panel: int):
-    x, w = leggauss(per_panel)
-    edges = np.linspace(-s_max, s_max, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        ss = 0.5 * (hi - lo) * x + 0.5 * (lo + hi)
-        nodes.append(ss)
-        weights.append(0.5 * (hi - lo) * w * pdf(LOGISTIC, ss))
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def quadrature_first_term(
     model: ThermalModel,
     rho,
@@ -519,7 +512,7 @@ def quadrature_first_term(
     """
     inv = inv_sqrt if inv_sqrt is not None else inv_sqrt_encoding(model)
     ctx = _batch_context(model, rho, g_j, modular_noise=modular_noise, inv_sqrt=inv)
-    s_pts, s_wts = _logistic_panels(QUAD_S_MAX, QUAD_S_PANELS, QUAD_S_NODES)
+    s_pts, s_wts, _ = expectation_nodes(LOGISTIC, T=QUAD_S_MAX, nodes=QUAD_S_NODES)
     t_pts, t_wts, t_w0 = expectation_nodes(HIGH_PEAK_TENT, T=QUAD_T_MAX, nodes=QUAD_T_NODES)
     t_mass = t_w0 + float(np.sum(t_wts))
     f_bar = _modular_features(ctx, s_pts) @ s_wts

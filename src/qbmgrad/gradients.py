@@ -7,16 +7,18 @@ one-parameter quasi-entropy family ("tsallis", order q in (0,1) u (1,2]).
 Every gradient has the same two-term shape: a model-average term
 <G_j>_{sigma_vh} and a target term obtained by lifting the target state to
 a joint quasi-state through a composition of
-  (1) a logistic- or power-weighted modular averaging channel on sigma_v,
-  (2) a sigma_v^{-q/2} sandwich, extended by the identity on the hidden
-      register,
+  (1) a logistic- or power-weighted modular averaging channel on sigma_v
+      and a sigma_v^{-q/2} sandwich, one ``matcalc.apply_channel`` call:
+      the matrix-power derivative kernel at r = 1 - q (log at q = 1),
+  (2) the extension by the identity on the hidden register,
   (3) an anticommutator with sigma_vh followed by the tent-weighted
       averaging channel generated by G(theta), taken as one step
       (``matcalc.tent_of_anticommutator``): sigma_vh is diagonal in the
       eigenbasis of G, where the channel acts, so there the anticommutator
       is the Hadamard factor (w_a + w_b)/2 of the Gibbs weights and folds
       into the channel's own factor.
-Commuting special cases (classical hidden or visible register) collapse to
+Steps (1) and (3) run on matcalc's one eigenbasis kernel.  Commuting
+special cases (classical hidden or visible register) collapse to
 per-block formulas that avoid the joint register entirely.  Their blocks
 are one stack: step (3) runs once on all of them, and each term average
 is one block-state ``expectation``.
@@ -191,14 +193,11 @@ def _visible_core(sigma_v_eig: Eigensystem, r_v, q: float) -> np.ndarray:
     """sigma_v^{-q/2} Upsilon_q(r_v) sigma_v^{-q/2} for r_v = rho^q: the
     visible side of the lift.  Callers check sigma_v's support; gradient_qc
     does so before it forms rho^q, keeping that error ahead of rho's."""
-    if q == 1.0:
-        averaged = apply_channel(LOGISTIC, sigma_v_eig, r_v)
-    elif q == 2.0:
-        averaged = r_v  # the power-weight density degenerates to a point mass
-    else:
-        averaged = apply_channel(power_density(1.0 - q), sigma_v_eig, r_v)
-    side = sigma_v_eig.power(-q / 2.0)
-    return hermitize(side @ averaged @ side)
+    if q == 2.0:  # the power-weight density degenerates to a point mass
+        side = sigma_v_eig.power(-1.0)
+        return hermitize(side @ r_v @ side)
+    d = LOGISTIC if q == 1.0 else power_density(1.0 - q)
+    return apply_channel(d, sigma_v_eig, r_v, -q / 2.0)
 
 
 def gradient(model: ThermalModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
@@ -288,14 +287,14 @@ def pgm_povm(qc: QCModel) -> tuple[np.ndarray, ...]:
     """Elements of the modular-averaged pretty-good measurement sorting the
     model blocks.
 
-    Lambda_x = Upsilon(sigma_v^{-1/2} p_x sigma_x sigma_v^{-1/2}); complete
-    by construction because the weighted blocks average to sigma_v.
+    Lambda_x = Upsilon(sigma_v^{-1/2} p_x sigma_x sigma_v^{-1/2}), one channel
+    call: both steps are entrywise in sigma_v's eigenbasis, so they commute.
+    Complete by construction because the weighted blocks average to sigma_v.
     """
     sig_v_es = qc.visible_eig
     _check_support(sig_v_es.vals, "visible marginal")
-    inv_sqrt = sig_v_es.power(-0.5)
-    cores = hermitize(inv_sqrt @ (qc.p[:, None, None] * qc.sigma_x) @ inv_sqrt)
-    return tuple(apply_channel(LOGISTIC, sig_v_es, core) for core in cores)
+    return tuple(apply_channel(LOGISTIC, sig_v_es, block, -0.5)
+                 for block in qc.p[:, None, None] * qc.sigma_x)
 
 
 def povm_probs(elements, rho) -> np.ndarray:

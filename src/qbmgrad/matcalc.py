@@ -3,11 +3,11 @@
 Each derivative is computed in its channel form: the channel averages a
 unitary evolution over one of the densities in :mod:`qbmgrad.densities`,
 and in the anchor eigenbasis it multiplies entry (k, l) by the Fourier
-transform of its density at the spectral gap, so the one evaluation path
-is spectral and exact.  The Duhamel, resolvent and time-quadrature forms
-are oracles in :mod:`qbmgrad.verify` (quadrature on |t| <= 14, 4096 nodes).
-The tent channel of (1/2){sigma, X} for sigma = e^{-G}/Z, on one G or a
-stack of blocks, has one kernel, which the lift and thermal_derivative share.
+transform of its density at the spectral gap.  One eigenbasis kernel
+carries every channel, sandwich and derivative: an A^p sandwich, and the
+anticommutator with a W diagonal where the channel acts (W = e^{-G}/Z or
+e^B), fold into that factor.  The Duhamel, resolvent and time-quadrature
+forms are oracles in :mod:`qbmgrad.verify` (quadrature on |t| <= 14, 4096 nodes).
 """
 from __future__ import annotations
 
@@ -44,59 +44,69 @@ def channel_factor(d: Density, u) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _gaps(d: Density, anchor: Eigensystem) -> np.ndarray:
-    if d.kind == "high_peak_tent":
-        lam = anchor.vals
-        return lam[:, None] - lam[None, :]
-    if np.any(anchor.vals <= 0.0):
-        raise SpecError(f"{d.kind} channel needs a positive definite anchor")
-    loglam = np.log(anchor.vals)
-    return loglam[:, None] - loglam[None, :]
-
-
-def apply_channel(d: Density, anchor: Eigensystem, y) -> np.ndarray:
-    """Average of U(t) y U(t)^dag over the density d.
-
-    U(t) = e^{-iBt} for the high-peak tent (anchor B) and A^{-it/2} for the
-    logistic and power densities (anchor A > 0).  Trace-preserving and
-    Hermiticity-preserving; leaves y fixed when it commutes with the anchor.
-    Exact: entry (k, l) in the anchor eigenbasis times the density's Fourier
-    transform at the gap.
-    """
+def _on_anchor(anchor: Eigensystem, y) -> np.ndarray:
+    """y validated as a Hermitian matrix of the anchor's dimension."""
     y = as_hermitian(y)
     if y.shape[0] != anchor.dim:
         raise SpecError(f"dim mismatch: channel anchor {anchor.dim}, input {y.shape[0]}")
-    yt = anchor.vecs.conj().T @ y @ anchor.vecs
-    yt *= channel_factor(d, _gaps(d, anchor))
-    return hermitize(anchor.vecs @ yt @ anchor.vecs.conj().T)
+    return y
+
+
+def _eigenbasis_kernel(vecs, x, factor) -> np.ndarray:
+    """V [(V^dag (X (x) I) V) * factor] V^dag for one V or a stack of blocks
+    that all take the same X, I filling the rest of V's dimension; (X (x) I) V
+    contracts X with V viewed as (d_x, D^2/d_x), at d_x D^2 cost."""
+    xv = np.matmul(x, vecs.reshape(vecs.shape[:-2] + (x.shape[0], -1))).reshape(vecs.shape)
+    xt = vecs.conj().swapaxes(-1, -2) @ xv
+    xt *= factor
+    del factor  # free a caller's temporary before the two D x D products allocate
+    return hermitize(vecs @ xt @ vecs.conj().swapaxes(-1, -2))
+
+
+def apply_channel(d: Density, anchor: Eigensystem, y, power: float = 0.0) -> np.ndarray:
+    """A^p Phi(y) A^p, Phi the average of U(t) y U(t)^dag over the density d.
+
+    U(t) = e^{-iBt} for the high-peak tent (anchor B) and A^{-it/2} for the
+    logistic and power densities (anchor A > 0).  Phi is trace-preserving
+    and Hermiticity-preserving and leaves y fixed when it commutes with the
+    anchor.  Exact: entry (k, l) in the anchor eigenbasis times the
+    density's Fourier transform at the gap and, for a nonzero ``power`` p,
+    times (a_k a_l)^p, which needs a positive definite anchor.
+    """
+    y = _on_anchor(anchor, y)
+    positive = np.all(anchor.vals > 0.0)
+    if d.kind != "high_peak_tent" and not positive:
+        raise SpecError(f"{d.kind} channel needs a positive definite anchor")
+    if power and not positive:
+        raise SpecError(f"channel power {power} needs a positive definite anchor")
+    lam = anchor.vals if d.kind == "high_peak_tent" else np.log(anchor.vals)
+    factor = channel_factor(d, lam[:, None] - lam[None, :])
+    if power:
+        side = anchor.vals ** power
+        factor *= side[:, None] * side[None, :]
+    return _eigenbasis_kernel(anchor.vecs, y, factor)
 
 
 def tent_of_anticommutator(vals, vecs, weights, x) -> np.ndarray:
     """Tent channel of G applied to (1/2){sigma, X (x) I_h}, sigma = e^{-G}/Z,
     for G given by its eigendata (``vals`` ascending, ``vecs``, the Gibbs
-    ``weights`` of sigma) as one matrix or as a stack of blocks that all
-    take the same d_v x d_v X; I_h fills the rest of G's dimension.
-
-    sigma shares the eigenvectors V of G, so with X~ = V^dag (X (x) I_h) V
-    the result is V [X~ * (w_a + w_b)/2 * tanh-factor(l_a - l_b)] V^dag,
-    w the Gibbs weights and l the eigenvalues of G.  (X (x) I_h) V
-    contracts X with V viewed as (d_v, D^2/d_v), at d_v D^2 cost.
-    """
-    xv = np.matmul(x, vecs.reshape(vecs.shape[:-2] + (x.shape[0], -1))).reshape(vecs.shape)
-    xt = vecs.conj().swapaxes(-1, -2) @ xv
-    xt *= 0.5 * (weights[..., :, None] + weights[..., None, :]) * channel_factor(
-        HIGH_PEAK_TENT, vals[..., :, None] - vals[..., None, :])
-    return hermitize(vecs @ xt @ vecs.conj().swapaxes(-1, -2))
+    ``weights`` w of sigma) as one matrix or a stack of blocks.  sigma is
+    diagonal in G's eigenbasis, so the kernel's factor is
+    (w_a + w_b)/2 * tanh-factor(l_a - l_b), l the eigenvalues of G."""
+    return _eigenbasis_kernel(vecs, x, 0.5 * (weights[..., :, None] + weights[..., None, :])
+                              * channel_factor(HIGH_PEAK_TENT, vals[..., :, None] - vals[..., None, :]))
 
 
 def frechet_exp(b, h) -> np.ndarray:
     """Derivative of the matrix exponential at b in direction h:
-    (1/2){Phi_B(H), e^B} with Phi_B the tent-weighted channel."""
+    (1/2){Phi_B(H), e^B}, Phi_B the tent channel: its kernel with weights e^b."""
     es = eigh(b)
-    h = as_hermitian(h)
-    eb = es.apply(np.exp)
-    ph = apply_channel(HIGH_PEAK_TENT, es, h)
-    return hermitize(0.5 * (ph @ eb + eb @ ph))
+    h = _on_anchor(es, h)
+    with np.errstate(over="ignore"):
+        eb = np.exp(es.vals)
+    if not np.isfinite(eb).all():
+        raise SpecError("matrix function undefined at an eigenvalue")
+    return tent_of_anticommutator(es.vals, es.vecs, eb, h)
 
 
 def frechet_log(a, h) -> np.ndarray:
@@ -105,9 +115,7 @@ def frechet_log(a, h) -> np.ndarray:
     es = eigh(a)
     if np.any(es.vals <= 0.0):
         raise SpecError("frechet_log needs a positive definite base point")
-    h = as_hermitian(h)
-    inv_sqrt = es.power(-0.5)
-    return hermitize(inv_sqrt @ apply_channel(LOGISTIC, es, h) @ inv_sqrt)
+    return apply_channel(LOGISTIC, es, h, -0.5)
 
 
 def frechet_power(a, h, r: float) -> np.ndarray:
@@ -119,9 +127,7 @@ def frechet_power(a, h, r: float) -> np.ndarray:
     es = eigh(a)
     if np.any(es.vals <= 0.0):
         raise SpecError("frechet_power needs a positive definite base point")
-    h = as_hermitian(h)
-    side = es.power((r - 1.0) / 2.0)
-    return hermitize(r * side @ apply_channel(d, es, h) @ side)
+    return r * apply_channel(d, es, h, (r - 1.0) / 2.0)
 
 
 def thermal_derivative(g_spec: Eigensystem, dg) -> np.ndarray:
@@ -131,9 +137,7 @@ def thermal_derivative(g_spec: Eigensystem, dg) -> np.ndarray:
     whenever dG is a multiple of the identity.  The first term is the
     tent kernel: sigma is diagonal where Phi_G acts, so the two commute.
     """
-    dg = as_hermitian(dg)
-    if dg.shape[0] != g_spec.dim:
-        raise SpecError(f"dim mismatch: channel anchor {g_spec.dim}, input {dg.shape[0]}")
+    dg = _on_anchor(g_spec, dg)
     weights = gibbs_weights(g_spec.vals)[0]
     sigma = g_spec.apply(lambda _: weights)
     mean = float(np.trace(dg @ sigma).real)

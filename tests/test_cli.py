@@ -236,6 +236,12 @@ def test_usage_error_exit_code():
     ("train", ["--learning-rate", "inf"]),
     ("train", ["--mode", "shot", "--epsilon", "nan"]),
     ("train", ["--mode", "shot", "--epsilon", "inf"]),
+    # a Hoeffding count that overflows or exceeds MAX_SHOTS, and --shots above it
+    ("estimate", ["--epsilon", "1e-300"]),
+    ("estimate", ["--epsilon", "1e-6"]),
+    ("estimate", ["--shots", "100000001"]),
+    ("train", ["--mode", "shot", "--epsilon", "1e-6"]),
+    ("train", ["--mode", "shot", "--shots", "100000001"]),
 ])
 def test_zero_flag_is_input_error(tmp_path, capsys, command, flags):
     spec = "estimate.json" if command == "estimate" else "train_qubit.json"

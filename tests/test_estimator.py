@@ -14,6 +14,7 @@ from qbmgrad.estimator import (
     BlockEncoding,
     EstimatorConfig,
     MAX_CIRCUIT_DIM,
+    MAX_SHOTS,
     be_product,
     budget_split,
     dilate,
@@ -31,7 +32,6 @@ from qbmgrad.estimator import (
     _batch_context,
     _chunk_rng,
     _clean_probs,
-    _logistic_panels,
     _modular_features,
     _outcome_table,
     _pair_phases,
@@ -232,11 +232,12 @@ def test_quadrature_average_matches_lifted_term(rng):
         assert abs(quadrature_first_term(model, rho, g_j) - exact) < 1e-6
 
 
-def _double_grid_average(model, rho, g_j, *, s_max, t_max, s_panels, s_nodes, t_nodes,
-                         modular_noise=None, inv_sqrt=None):
-    """Brute double loop over the oracle circuit, t_w0 weighting t = 0."""
-    t_pts, t_wts, t_w0 = expectation_nodes(HIGH_PEAK_TENT, T=t_max, nodes=t_nodes)
-    s_pts, s_wts = _logistic_panels(s_max, s_panels, s_nodes)
+def _double_grid_average(model, rho, g_j, *, modular_noise=None, inv_sqrt=None):
+    """Brute double loop over the oracle circuit on quadrature_first_term's
+    grid, both axes from ``est.expectation_nodes``, t_w0 weighting t = 0."""
+    s_pts, s_wts, _ = est.expectation_nodes(LOGISTIC, T=est.QUAD_S_MAX, nodes=est.QUAD_S_NODES)
+    t_pts, t_wts, t_w0 = est.expectation_nodes(HIGH_PEAK_TENT, T=est.QUAD_T_MAX,
+                                               nodes=est.QUAD_T_NODES)
     inv = inv_sqrt if inv_sqrt is not None else inv_sqrt_encoding(model)
     noise = np.eye(model.dims.d_v) if modular_noise is None else modular_noise
     total = 0.0
@@ -248,17 +249,22 @@ def _double_grid_average(model, rho, g_j, *, s_max, t_max, s_panels, s_nodes, t_
     return total
 
 
+def _every_nth_node(step):
+    """``expectation_nodes`` keeping every step-th node and the t = 0 mass."""
+    def nodes(d, *, T, nodes):
+        pts, wts, w0 = expectation_nodes(d, T=T, nodes=nodes)
+        return pts[::step], wts[::step], w0
+    return nodes
+
+
 def test_quadrature_equals_double_grid_average(rng, monkeypatch):
     # the closed-form contraction equals the plain double loop over the
     # full-register circuit, with and without injected encoding errors; it
-    # is exact on any grid, so the test sets a small one, and the added
-    # shapes use 4 s-nodes to save time
-    full = dict(s_max=4.0, t_max=4.0, s_panels=2, s_nodes=8, t_nodes=64)
-    small = dict(full, s_panels=1, s_nodes=4)
-    for d_v, d_h, noisy, grid in [(2, 2, False, full), (2, 2, True, small), (1, 4, False, small),
-                                  (3, 1, False, small), (3, 1, True, small)]:
-        for key, value in grid.items():
-            monkeypatch.setattr(est, f"QUAD_{key.upper()}", value)
+    # is exact on any grid, so the test keeps every 8th node of both axes,
+    # and every 32nd for the added shapes, to save time
+    for d_v, d_h, noisy, step in [(2, 2, False, 8), (2, 2, True, 32), (1, 4, False, 32),
+                                  (3, 1, False, 32), (3, 1, True, 32)]:
+        monkeypatch.setattr(est, "expectation_nodes", _every_nth_node(step))
         model = rand_model(rng, d_v, d_h)
         rho = rand_state(rng, d_v)
         g_j = model.hamiltonian.terms[1]
@@ -268,7 +274,7 @@ def test_quadrature_equals_double_grid_average(rng, monkeypatch):
             injected = dict(modular_noise=unitary_noise(rng, d_v, 0.05),
                             inv_sqrt=perturb_encoding(inv, rng, scale=0.05)[0])
             assert injected["inv_sqrt"].delta > 1e-4
-        brute = _double_grid_average(model, rho, g_j, **grid, **injected)
+        brute = _double_grid_average(model, rho, g_j, **injected)
         fast = quadrature_first_term(model, rho, g_j, **injected)
         assert abs(fast - brute) < 1e-10, (d_v, d_h, noisy)
 
@@ -688,6 +694,19 @@ def test_hoeffding_example_and_scaling():
     assert abs(m1 - 4 * m2) <= 4  # doubling eps quarters M up to ceiling
     m4 = hoeffding_shots(2.0, 1.0, 0.1, 0.05)
     assert abs(m4 - 4 * m2) <= 4  # M scales as kappa^2
+
+
+def test_hoeffding_count_is_capped():
+    # the epsilon whose count sits just under MAX_SHOTS; computed, not run
+    eps = math.sqrt(2.0 * math.log(2.0 / 0.05) / MAX_SHOTS) * (1.0 + 1e-9)
+    assert 0.999 * MAX_SHOTS < hoeffding_shots(1.0, 1.0, eps, 0.05) <= MAX_SHOTS
+    with pytest.raises(SpecError, match=r"Hoeffding count 1e\+08 exceeds MAX_SHOTS = 1e\+08"):
+        hoeffding_shots(1.0, 1.0, eps * (1.0 - 1e-6), 0.05)
+    with pytest.raises(SpecError, match="Hoeffding count inf exceeds"):  # the square overflows
+        hoeffding_shots(4.3, 1.0, 1e-300, 0.05)
+    assert EstimatorConfig(shots=MAX_SHOTS).shots == MAX_SHOTS
+    with pytest.raises(SpecError, match=r"shots 100000001 exceed MAX_SHOTS = 1e\+08"):
+        EstimatorConfig(shots=MAX_SHOTS + 1)
 
 
 def test_be_product_exact_composition():

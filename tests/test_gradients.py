@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qbmgrad.gradients as grads
 from qbmgrad.densities import HIGH_PEAK_TENT, LOGISTIC, power_density
 from qbmgrad.errors import SpecError, SupportError
 from qbmgrad.matcalc import apply_channel
@@ -36,6 +37,7 @@ from conftest import (
     block_visible_terms,
     rand_herm,
     rand_model,
+    rand_pd,
     rand_state,
     rand_unitary,
 )
@@ -100,6 +102,18 @@ def _visible_core(sig_v_es, r_v, q):
         averaged = apply_channel(power_density(1.0 - q), sig_v_es, r_v)
     side = sig_v_es.power(-q / 2.0)
     return side @ averaged @ side
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0])
+def test_visible_core_matches_channel_then_sandwich(rng, dim, q):
+    # one apply_channel call with power -q/2 against the channel followed
+    # by the two dense sigma_v^{-q/2} products
+    sigma = rand_pd(rng, dim)
+    sig_v_es = eigh(sigma / np.trace(sigma).real)
+    r_v = psd_power(rand_state(rng, dim), q)
+    got = grads._visible_core(sig_v_es, r_v, q)
+    assert np.max(np.abs(got - _visible_core(sig_v_es, r_v, q))) < 1e-12
 
 
 def _four_step_lift(model, r_v, q):
@@ -237,6 +251,17 @@ def test_pgm_povm_single_block_is_identity(rng):
     ham = ParamHamiltonian(dims=dims, terms=terms, theta=np.array([0.2, 0.1]))
     povm = pgm_povm(qc_decompose(ham))
     assert spectral_norm(povm[0] - np.eye(3)) < 1e-10
+
+
+@pytest.mark.parametrize("d_h", [1, 2, 4])
+def test_pgm_povm_matches_sandwich_then_channel(rng, d_h):
+    # Upsilon(sigma_v^{-1/2} p_x sigma_x sigma_v^{-1/2}) with the sandwich dense
+    _, qc = _qc_pair(rng, d_h=d_h)
+    inv_sqrt = qc.visible_eig.power(-0.5)
+    for element, p_x, sigma_x in zip(pgm_povm(qc), qc.p, qc.sigma_x):
+        core = hermitize(inv_sqrt @ (p_x * sigma_x) @ inv_sqrt)
+        want = apply_channel(LOGISTIC, qc.visible_eig, core)
+        assert np.max(np.abs(element - want)) < 1e-12
 
 
 def test_pgm_povm_complete_and_positive(rng):

@@ -123,6 +123,63 @@ def test_frechet_power_rejects_bad_r(rng):
         frechet_power(rand_pd(rng, 2), np.eye(2), 1.5)
 
 
+def _channel_then_sandwich(d, es, y, p):
+    """A^p Phi(y) A^p with the two power products dense."""
+    side = es.power(p)
+    return hermitize(side @ apply_channel(d, es, y) @ side)
+
+
+def _channel_then_exp_anticommutator(b, h):
+    """(1/2){Phi_B(H), e^B} with e^B and the anticommutator dense."""
+    es = eigh(b)
+    eb = es.apply(np.exp)
+    ph = apply_channel(HIGH_PEAK_TENT, es, h)
+    return hermitize(0.5 * (ph @ eb + eb @ ph))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_one_call_forms_match_two_step_forms(rng, dim):
+    a, b, h = rand_pd(rng, dim), rand_herm(rng, dim), rand_herm(rng, dim)
+    es = eigh(a)
+    pairs = [(frechet_log(a, h), _channel_then_sandwich(LOGISTIC, es, h, -0.5)),
+             (frechet_exp(b, h), _channel_then_exp_anticommutator(b, h)),
+             (apply_channel(HIGH_PEAK_TENT, es, h, 0.25),
+              _channel_then_sandwich(HIGH_PEAK_TENT, es, h, 0.25))]
+    for r in (-0.5, 0.3, 0.8):
+        pairs.append((frechet_power(a, h, r),
+                      r * _channel_then_sandwich(power_density(r), es, h, (r - 1.0) / 2.0)))
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: apply_channel(HIGH_PEAK_TENT, eigh(np.diag([1.0, -0.5])), np.eye(2), -0.5),
+     "channel power -0.5 needs a positive definite anchor"),
+    (lambda: apply_channel(HIGH_PEAK_TENT, eigh(np.diag([1.0, 0.0])), np.eye(2), 0.5),
+     "channel power 0.5 needs a positive definite anchor"),
+    (lambda: apply_channel(LOGISTIC, eigh(np.diag([1.0, -0.5])), np.eye(2), -0.5),
+     "logistic channel needs a positive definite anchor"),
+    (lambda: apply_channel(LOGISTIC, eigh(np.eye(3)), np.eye(2)),
+     "dim mismatch: channel anchor 3, input 2"),
+    (lambda: frechet_exp(np.diag([800.0, 0.0]), np.eye(2)),
+     "matrix function undefined at an eigenvalue"),
+    # a 2x2 input on a 4x4 anchor would otherwise be lifted to X (x) I_2
+    (lambda: frechet_exp(np.eye(4), np.eye(2)), "dim mismatch: channel anchor 4, input 2"),
+    (lambda: frechet_log(np.diag([1.0, -1.0]), np.eye(2)),
+     "frechet_log needs a positive definite base point"),
+    (lambda: frechet_log(np.diag([1.0, 0.0]), np.eye(2)),
+     "frechet_log needs a positive definite base point"),
+    (lambda: frechet_power(np.diag([1.0, -1.0]), np.eye(2), 0.3),
+     "frechet_power needs a positive definite base point"),
+    (lambda: thermal_derivative(eigh(np.eye(4)), np.eye(2)),
+     "dim mismatch: channel anchor 4, input 2"),
+])
+def test_kernel_guards(call, message):
+    with pytest.raises(SpecError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_thermal_derivative_diagonal_closed_form():
     g = np.diag([0.4, -0.2, 1.0]).astype(complex)
     dg = np.diag([1.0, 2.0, -0.5]).astype(complex)

@@ -91,15 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args, spec: RunSpec | None) -> int:
+    """The run's seed: --seed, else QBMGRAD_SEED, else the spec seed (0 without a spec)."""
     env = os.environ.get("QBMGRAD_SEED")
-    if env is not None:
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    elif env is not None:
         try:
             seed = int(env)
         except ValueError as exc:
             raise SpecError(f"QBMGRAD_SEED must be an integer, got {env!r}") from exc
         source = "QBMGRAD_SEED"
-    elif args.seed is not None:
-        seed, source = args.seed, "--seed"
     else:
         seed, source = (spec.seed if spec is not None else 0), "the spec seed"
     if seed < 0:
@@ -272,13 +273,15 @@ def cmd_train(args) -> int:
         "command": "train",
         "mode": mode,
         "iterations": cfg.iterations,
+        "iterations_run": traj.rows[-1].iteration,
         "final_objective": traj.final_objective,
         "final_theta": traj.final_theta.tolist(),
         "monotone": bool(np.all(np.diff(traj.objectives()) <= 0.0)),
         "trajectory_csv": str(csv_path),
     }
     path = _write_report(args.out, payload)
-    print(f"final objective {traj.final_objective:.6g} after {cfg.iterations} iterations")
+    print(f"final objective {traj.final_objective:.6g} after {traj.rows[-1].iteration} "
+          f"of {cfg.iterations} iterations")
     print(f"trajectory -> {csv_path}\nreport -> {path}")
     return EXIT_OK
 

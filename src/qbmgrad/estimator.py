@@ -52,7 +52,8 @@ from .densities import (
     sample,
 )
 from .errors import ScaleError, SpecError
-from .linalg import as_density, as_unitary, eigh, partial_trace, spectral_norm
+from .gradients import UMEGAKI, as_target
+from .linalg import as_unitary, eigh, partial_trace, spectral_norm
 from .models import ThermalModel
 
 MAX_CIRCUIT_DIM = 256
@@ -283,14 +284,14 @@ def _batch_context(
     d_v, d_h = model.dims.d_v, model.dims.d_h
     if 2 * 2 * d_v * d_v * d_h > MAX_CIRCUIT_DIM:
         raise ScaleError("circuit register exceeds the supported size")
-    rho = as_density(rho)
+    rho = as_target(rho, UMEGAKI).rho  # the umegaki lift is what the circuit estimates
     sv = model.sigma_v_eig
     inv = inv_sqrt if inv_sqrt is not None else inv_sqrt_encoding(model)
     if inv.ancillas != 1:
         raise SpecError("the inverse-root encoding must use exactly one ancilla")
     hit_miss = inv.unitary[:, :d_v]
     if modular_noise is not None:
-        hit_miss = hit_miss @ BlockEncoding(modular_noise, 1.0, 0).unitary
+        hit_miss = hit_miss @ as_unitary(modular_noise, "modular noise", d_v)
     values, projs = eigen_groups(g_j) if groups is None else groups
     g_vecs = model.g_eig.vecs
     g_vecs_h = g_vecs.conj().T
@@ -437,8 +438,10 @@ def estimate_first_term(
 ) -> tuple[float, float, int]:
     """Shot estimate (mean, stderr, shots) of the lifted-state term.
 
-    ``groups`` is ``eigen_groups(g_j)`` when the caller already holds it;
-    by default it is formed here.
+    ``rho`` is a density matrix or a ``Target`` prepared for the umegaki
+    objective, whose lift the circuit estimates.  ``groups`` is
+    ``eigen_groups(g_j)`` when the caller already holds it; by default it
+    is formed here.
 
     Shot count defaults to the Hoeffding bound for the configured
     (epsilon, delta_fail).  Work is split into fixed-size chunks; chunk i

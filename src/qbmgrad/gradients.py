@@ -25,7 +25,8 @@ is one block-state ``expectation``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,43 +111,38 @@ def psd_power(rho, q: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Target:
-    """A target density matrix validated once, with its rho-only constant.
+    """A target density matrix for one objective, validated once.
 
-    Construction runs ``as_density`` on ``rho`` and forms ``constant``: the
-    entropy term Tr[rho ln rho] for the umegaki objective, rho^q for
-    tsallis order q.  ``relative_entropy`` and ``gradient_qc`` take a Target
-    in place of rho, so a training run against one target validates and
-    decomposes it once instead of at every step; its ``obj`` must be the
-    objective they are asked for.
+    Construction runs ``as_density`` on ``rho``.  ``constant`` is its
+    rho-only constant, formed on first use and kept: the entropy term
+    Tr[rho ln rho] for the umegaki objective, rho^q for tsallis order q.
+    The objective, its gradients and the shot estimator take their target
+    through ``as_target``, so a training run against one Target validates
+    and decomposes it once instead of at every step.
     """
 
     rho: np.ndarray
     obj: Objective = UMEGAKI
-    constant: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rho = as_density(self.rho)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "constant", _rho_constant(rho, self.obj))
+        object.__setattr__(self, "rho", as_density(self.rho))
+
+    @cached_property
+    def constant(self) -> float | np.ndarray:
+        if self.obj.kind == "umegaki":
+            p = np.maximum(np.linalg.eigvalsh(self.rho), 0.0)
+            return float(np.sum(p[p > 0.0] * np.log(p[p > 0.0])))
+        return psd_power(self.rho, self.obj.q)
 
 
-def _unpack_target(rho, obj: Objective) -> tuple[np.ndarray, Target | None]:
-    """(validated rho, its Target or None) of a Target or a raw state."""
-    if isinstance(rho, Target):
-        if rho.obj != obj:
-            raise SpecError(f"target was prepared for {rho.obj}, not for {obj}")
-        return rho.rho, rho
-    return as_density(rho), None
-
-
-def _rho_constant(rho: np.ndarray, obj: Objective, target: Target | None = None):
-    """Tr[rho ln rho] (umegaki) or rho^q (tsallis): the target's, if prepared."""
-    if target is not None:
-        return target.constant
-    if obj.kind == "umegaki":
-        p = np.maximum(np.linalg.eigvalsh(rho), 0.0)
-        return float(np.sum(p[p > 0.0] * np.log(p[p > 0.0])))
-    return psd_power(rho, obj.q)
+def as_target(rho, obj: Objective) -> Target:
+    """``rho`` as a Target for ``obj``: a raw state is validated into one,
+    and a Target must have been prepared for ``obj``."""
+    if not isinstance(rho, Target):
+        return Target(rho, obj)
+    if rho.obj != obj:
+        raise SpecError(f"target was prepared for {rho.obj}, not for {obj}")
+    return rho
 
 
 def _overlap(sigma_es: Eigensystem, rho_q: np.ndarray, q: float) -> float:
@@ -163,15 +159,14 @@ def relative_entropy(rho, sigma, obj: Objective = UMEGAKI) -> float:
     (e.g. ``model.sigma_v_eig``); either way the support check runs on
     its eigenvalues.
     """
-    rho, target = _unpack_target(rho, obj)
+    target = as_target(rho, obj)
     sig_es = sigma if isinstance(sigma, Eigensystem) else eigh(as_density(sigma))
     _check_support(sig_es.vals, "second argument")
-    constant = _rho_constant(rho, obj, target)
     if obj.kind == "umegaki":
         log_sigma = sig_es.apply(np.log)
-        return constant - expectation(log_sigma, rho)
+        return target.constant - expectation(log_sigma, target.rho)
     q = obj.q
-    return (_overlap(sig_es, constant, q) - 1.0) / (q - 1.0)
+    return (_overlap(sig_es, target.constant, q) - 1.0) / (q - 1.0)
 
 
 def lift_to_joint(model: ThermalModel, r_v, q: float = 1.0) -> np.ndarray:
@@ -186,7 +181,7 @@ def lift_to_joint(model: ThermalModel, r_v, q: float = 1.0) -> np.ndarray:
         raise SpecError("input must live on the visible register")
     _check_support(model.sigma_v_eig.vals, "visible marginal")
     core = _visible_core(model.sigma_v_eig, r_v, q)
-    return tent_of_anticommutator(model.g_eig.vals, model.g_eig.vecs, model.weights, core)
+    return tent_of_anticommutator(model.g_eig, model.weights, core)
 
 
 def _visible_core(sigma_v_eig: Eigensystem, r_v, q: float) -> np.ndarray:
@@ -201,15 +196,16 @@ def _visible_core(sigma_v_eig: Eigensystem, r_v, q: float) -> np.ndarray:
 
 
 def gradient(model: ThermalModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
-    """Exact objective gradient for a fully quantum model."""
-    rho = as_density(rho)
+    """Exact objective gradient for a fully quantum model; ``rho`` is a
+    density matrix or a ``Target`` prepared for ``obj``."""
+    target = as_target(rho, obj)
     terms = model.hamiltonian.stack
     second_raw = expectation(terms, model.sigma_vh)
     if obj.kind == "umegaki":
-        lifted = lift_to_joint(model, rho, q=1.0)
+        lifted = lift_to_joint(model, target.rho, q=1.0)
         qq = None
     else:
-        rho_q = psd_power(rho, obj.q)
+        rho_q = target.constant
         lifted = lift_to_joint(model, rho_q, q=obj.q)
         qq = _overlap(model.sigma_v_eig, rho_q, obj.q)
     first = expectation(terms, lifted)
@@ -225,14 +221,14 @@ def gradient_qc(qc: QCModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
     Hamiltonians (the declared hidden basis does not touch the visible
     register, so no rotation of rho is needed).
     """
-    rho, target = _unpack_target(rho, obj)
+    target = as_target(rho, obj)
     sig_v_es = qc.visible_eig
     _check_support(sig_v_es.vals, "visible marginal")
     q = 1.0 if obj.kind == "umegaki" else obj.q
-    r_q = rho if q == 1.0 else _rho_constant(rho, obj, target)
+    r_q = target.rho if q == 1.0 else target.constant
     core = _visible_core(sig_v_es, r_q, q)
     # each sigma_x is the Gibbs state of its block's Hamiltonian
-    lifted = tent_of_anticommutator(qc.block_vals, qc.block_vecs, qc.block_weights, core)
+    lifted = tent_of_anticommutator(qc.block_eig, qc.block_weights, core)
     first = expectation(qc.stack, lifted) @ qc.p
     second_raw = expectation(qc.stack, qc.sigma_x) @ qc.p
     if obj.kind == "umegaki":

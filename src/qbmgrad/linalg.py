@@ -62,14 +62,16 @@ def as_density(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Eigensystem:
-    """Spectral decomposition U diag(vals) U^dag with ascending eigenvalues."""
+    """Spectral decomposition U diag(vals) U^dag with ascending eigenvalues,
+    of one matrix (vals (d,), vecs (d, d)) or of a stack of them (vals
+    (..., d), vecs (..., d, d)), matrix by matrix."""
 
     vals: np.ndarray
     vecs: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.vals.shape[0]
+        return self.vals.shape[-1]
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Matrix function U diag(f(vals)) U^dag for a scalar function f."""
@@ -77,25 +79,36 @@ class Eigensystem:
             fw = np.asarray(f(self.vals), dtype=float)
         if not np.isfinite(fw).all():
             raise SpecError("matrix function undefined at an eigenvalue")
-        return hermitize((self.vecs * fw) @ self.vecs.conj().T)
+        return hermitize((self.vecs * fw[..., None, :]) @ self.vecs.conj().swapaxes(-1, -2))
 
     def power(self, p: float) -> np.ndarray:
         return self.apply(lambda w: np.power(w, p))
+
+
+def decompose(x) -> Eigensystem:
+    """``np.linalg.eigh`` of a Hermitian matrix or stack, unvalidated and
+    unchecked, raising LinAlgError where LAPACK returns NaN eigenvalues
+    (some sizes) instead of failing.  The package's one call of LAPACK's
+    Hermitian eigensolver: ``eigh`` validates its input first, and the
+    models call it on matrices that are Hermitian by construction."""
+    w, v = np.linalg.eigh(x)
+    if np.isnan(w).any():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return Eigensystem(w, v)
 
 
 def eigh(x) -> Eigensystem:
     """Eigendecompose a Hermitian matrix, checking the reconstruction
     with ``check_reconstruction``."""
     x = as_hermitian(x)
-    w, v = np.linalg.eigh(x)
-    check_reconstruction(x[None], w[None], v[None])
-    return Eigensystem(w, v)
+    es = decompose(x)
+    check_reconstruction(x, es)
+    return es
 
 
-def check_reconstruction(x, w, v) -> None:
-    """Raise GuardError unless each V diag(w) V^dag of a stack of
-    eigendecompositions (w: (n, d), v: (n, d, d)) reconstructs its matrix
-    of the stack x (n, d, d).
+def check_reconstruction(x, es: Eigensystem) -> None:
+    """Raise GuardError unless the eigensystem ``es`` of a matrix or stack
+    x (..., d, d) reconstructs it, matrix by matrix.
 
     The check bounds the spectral norm of r = V diag(w) V^dag - x by
     ``EIGH_RESIDUAL_TOL * d``, matrix by matrix.  A Frobenius-norm screen
@@ -105,15 +118,16 @@ def check_reconstruction(x, w, v) -> None:
     rounding in either norm cannot accept a residual the spectral norm
     would reject.  A non-finite residual fails without the SVD.
     """
-    r = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2) - x
-    tol = EIGH_RESIDUAL_TOL * x.shape[-1]
-    parts = r.reshape(r.shape[0], -1).view(float)  # (Re, Im) pairs of each residual
+    r = (es.vecs * es.vals[..., None, :]) @ es.vecs.conj().swapaxes(-1, -2) - x
+    d = x.shape[-1]
+    tol = EIGH_RESIDUAL_TOL * d
+    parts = r.reshape(-1, d * d).view(float)  # (Re, Im) pairs of each residual
     frob = np.sqrt(np.einsum("ij,ij->i", parts, parts))
     fails = ~(frob <= tol * (1.0 - 1e-12))  # a NaN residual fails the screen too
     if not fails.any():
         return
     for k in np.flatnonzero(fails):
-        resid = spectral_norm(r[k]) if np.isfinite(frob[k]) else float(frob[k])
+        resid = spectral_norm(r.reshape(-1, d, d)[k]) if np.isfinite(frob[k]) else float(frob[k])
         if not resid <= tol:
             raise GuardError(f"eigendecomposition residual {resid:.3e} too large")
 

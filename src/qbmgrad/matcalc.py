@@ -87,14 +87,15 @@ def apply_channel(d: Density, anchor: Eigensystem, y, power: float = 0.0) -> np.
     return _eigenbasis_kernel(anchor.vecs, y, factor)
 
 
-def tent_of_anticommutator(vals, vecs, weights, x) -> np.ndarray:
+def tent_of_anticommutator(eig: Eigensystem, weights, x) -> np.ndarray:
     """Tent channel of G applied to (1/2){sigma, X (x) I_h}, sigma = e^{-G}/Z,
-    for G given by its eigendata (``vals`` ascending, ``vecs``, the Gibbs
-    ``weights`` w of sigma) as one matrix or a stack of blocks.  sigma is
-    diagonal in G's eigenbasis, so the kernel's factor is
-    (w_a + w_b)/2 * tanh-factor(l_a - l_b), l the eigenvalues of G."""
-    return _eigenbasis_kernel(vecs, x, 0.5 * (weights[..., :, None] + weights[..., None, :])
-                              * channel_factor(HIGH_PEAK_TENT, vals[..., :, None] - vals[..., None, :]))
+    for G given by its eigensystem ``eig`` (one matrix or a stack of
+    blocks) and the Gibbs ``weights`` w of sigma.  sigma is diagonal in G's
+    eigenbasis, so the kernel's factor is (w_a + w_b)/2 * tanh-factor(l_a - l_b),
+    l the eigenvalues of G."""
+    lam = eig.vals
+    return _eigenbasis_kernel(eig.vecs, x, 0.5 * (weights[..., :, None] + weights[..., None, :])
+                              * channel_factor(HIGH_PEAK_TENT, lam[..., :, None] - lam[..., None, :]))
 
 
 def frechet_exp(b, h) -> np.ndarray:
@@ -106,7 +107,7 @@ def frechet_exp(b, h) -> np.ndarray:
         eb = np.exp(es.vals)
     if not np.isfinite(eb).all():
         raise SpecError("matrix function undefined at an eigenvalue")
-    return tent_of_anticommutator(es.vals, es.vecs, eb, h)
+    return tent_of_anticommutator(es, eb, h)
 
 
 def frechet_log(a, h) -> np.ndarray:
@@ -141,5 +142,5 @@ def thermal_derivative(g_spec: Eigensystem, dg) -> np.ndarray:
     weights = gibbs_weights(g_spec.vals)[0]
     sigma = g_spec.apply(lambda _: weights)
     mean = float(np.trace(dg @ sigma).real)
-    return sigma * mean - tent_of_anticommutator(g_spec.vals, g_spec.vecs, weights, dg)
+    return sigma * mean - tent_of_anticommutator(g_spec, weights, dg)
 

@@ -11,7 +11,7 @@ blocks are one stack through the joint model's theta-sum and Gibbs kernel.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .linalg import (
     as_hermitian,
     as_unitary,
     check_reconstruction,
+    decompose,
     eigh,
     gibbs_weights,
     hermitize,
@@ -46,15 +47,6 @@ def _weighted_sum(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
     (1, n) x (n, rest) product np.tensordot forms, without its set-up."""
     g = np.dot(c.reshape(1, -1), stack.reshape(len(c), -1))
     return hermitize(g.reshape(stack.shape[1:]))
-
-
-def _eigh(x) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of a Hermitian matrix or stack, raising LinAlgError
-    where LAPACK returns NaN eigenvalues (some sizes) instead of failing."""
-    w, v = np.linalg.eigh(x)
-    if np.isnan(w).any():
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return w, v
 
 
 @dataclass(frozen=True)
@@ -131,23 +123,24 @@ class ThermalModel:
         return self.hamiltonian.dims
 
 
-def _gibbs(hams, w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gibbs(hams, es: Eigensystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(weights, states, shifted sums) of the Gibbs states e^{-H}/Z of a
-    stack (n, d, d) of Hermitian matrices from their eigendecompositions
-    (w: (n, d) ascending, v: (n, d, d)), each checked as ``eigh`` checks one.
-    Matrix k's partition function is its shifted sum z_k times e^{-w[k, 0]}.
+    Hermitian matrix or stack (..., d, d) from its eigensystem ``es``,
+    checked as ``eigh`` checks one.  Matrix k's partition function is its
+    shifted sum z_k times e^{-es.vals[k, 0]}.
     """
-    check_reconstruction(hams, w, v)
-    weights, z = gibbs_weights(w)
-    states = hermitize((v * weights[:, None, :]) @ v.conj().swapaxes(-1, -2))
+    check_reconstruction(hams, es)
+    weights, z = gibbs_weights(es.vals)
+    # not Eigensystem.apply: its closure and finiteness check would cost calls on every build
+    states = hermitize((es.vecs * weights[..., None, :]) @ es.vecs.conj().swapaxes(-1, -2))
     return weights, states, z
 
 
 def thermalize(h: ParamHamiltonian) -> ThermalModel:
     """Build the thermal model e^{-G(theta)}/Z with all cached fields.
 
-    G is decomposed once, in three steps: ``_eigh`` of the assembled G
-    (already hermitized, so it skips ``as_hermitian``); the exponent
+    G is decomposed once, in three steps: ``decompose`` of the assembled G
+    (already hermitized, so it skips ``eigh``'s ``as_hermitian``); the exponent
     guard, |G|_2 <= ``EXP_NORM_GUARD``, read by ``spectral_norm`` from
     that eigensystem; then the Gibbs kernel, which checks the
     reconstruction as ``eigh`` does.  The exponent guard answers first, so
@@ -155,13 +148,11 @@ def thermalize(h: ParamHamiltonian) -> ThermalModel:
     would also fail.
     """
     g = h.assemble()
-    vals, vecs = _eigh(g)
-    g_eig = Eigensystem(vals, vecs)
+    g_eig = decompose(g)
     norm = spectral_norm(g_eig)
     if not norm <= EXP_NORM_GUARD:
         raise ScaleError(f"|G| = {norm:.1f} exceeds the exponent guard {EXP_NORM_GUARD}")
-    weights, states, z_shifted = _gibbs(g[None], vals[None], vecs[None])
-    sigma_vh = states[0]
+    weights, sigma_vh, z_shifted = _gibbs(g, g_eig)
     sigma_v = hermitize(partial_trace(sigma_vh, h.dims, keep="visible"))
     sigma_v_eig = eigh(sigma_v)
     lam_min = float(sigma_v_eig.vals[0])
@@ -170,11 +161,11 @@ def thermalize(h: ParamHamiltonian) -> ThermalModel:
     return ThermalModel(
         hamiltonian=h,
         G=g,
-        Z=float(z_shifted[0]) * float(np.exp(-vals[0])),
+        Z=float(z_shifted) * float(np.exp(-g_eig.vals[0])),
         sigma_vh=sigma_vh,
         sigma_v=sigma_v,
         g_eig=g_eig,
-        weights=weights[0],
+        weights=weights,
         sigma_v_eig=sigma_v_eig,
         kappa=1.0 / lam_min,
     )
@@ -240,21 +231,21 @@ def _block_decompose(h: ParamHamiltonian, basis, classical: str) -> tuple[np.nda
     return w, np.array(stack, dtype=complex)
 
 
-def _thermal_blocks(block_hams: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(p_x, sigma_x, eigenvalues, eigenvectors, Gibbs weights) of a stack
-    (n, d, d) of per-label Hamiltonians, each as a stack over the blocks.
+def _thermal_blocks(block_hams: np.ndarray) -> tuple:
+    """(p_x, sigma_x, eigensystem, Gibbs weights) of a stack (n, d, d) of
+    per-label Hamiltonians, each as a stack over the blocks.
 
-    One stacked ``_eigh`` decomposes every block; the blocks are Hermitian
-    by construction (hermitized sums of validated terms), so they skip
-    ``as_hermitian``.  The weights p_x come from the per-block log
-    partition functions, so nothing underflows even when the blocks sit at
-    very different energies.
+    One stacked ``decompose`` decomposes every block; the blocks are
+    Hermitian by construction (hermitized sums of validated terms), so they
+    skip ``eigh``'s ``as_hermitian``.  The weights p_x come from the
+    per-block log partition functions, so nothing underflows even when the
+    blocks sit at very different energies.
     """
-    w, v = _eigh(block_hams)
-    weights, states, z = _gibbs(block_hams, w, v)
-    log_zs = np.log(z) - w[:, 0]  # eigh sorts ascending: column 0 is each block's minimum
+    es = decompose(block_hams)
+    weights, states, z = _gibbs(block_hams, es)
+    log_zs = np.log(z) - es.vals[:, 0]  # ascending: column 0 is each block's minimum
     p = np.exp(log_zs - np.max(log_zs))
-    return p / p.sum(), states, w, v, weights
+    return p / p.sum(), states, es, weights
 
 
 @dataclass(frozen=True)
@@ -272,22 +263,16 @@ class _BlockModel:
     theta: np.ndarray
     p: np.ndarray = field(init=False)
     sigma_x: np.ndarray = field(init=False)  # (n_blocks, d, d)
-    block_vals: np.ndarray = field(init=False)  # (n_blocks, d), ascending
-    block_vecs: np.ndarray = field(init=False)  # (n_blocks, d, d)
-    block_weights: np.ndarray = field(init=False)  # (n_blocks, d): Gibbs weights of block_vals
+    block_eig: Eigensystem = field(init=False)  # vals (n_blocks, d), vecs (n_blocks, d, d)
+    block_weights: np.ndarray = field(init=False)  # (n_blocks, d): Gibbs weights of block_eig
 
     def __post_init__(self):
-        self._thermalize(self.theta)
-
-    def _thermalize(self, theta) -> None:
-        """Set theta, p, sigma_x and the block eigendata and weights."""
-        theta = _checked_theta(theta, self.n_params)
-        p, states, vals, vecs, weights = _thermal_blocks(_weighted_sum(theta, self.stack))
+        theta = _checked_theta(self.theta, self.n_params)
+        p, states, es, weights = _thermal_blocks(_weighted_sum(theta, self.stack))
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "sigma_x", states)
-        object.__setattr__(self, "block_vals", vals)
-        object.__setattr__(self, "block_vecs", vecs)
+        object.__setattr__(self, "block_eig", es)
         object.__setattr__(self, "block_weights", weights)
 
     @property
@@ -296,9 +281,7 @@ class _BlockModel:
 
     def with_theta(self, theta):
         """Same block stack at a new theta; only theta is validated again."""
-        out = copy.copy(self)
-        out._thermalize(theta)
-        return out
+        return replace(self, theta=theta)
 
 
 @dataclass(frozen=True)
@@ -308,8 +291,8 @@ class QCModel(_BlockModel):
     hidden_basis: np.ndarray
     visible_eig: Eigensystem = field(init=False)  # of visible_state()
 
-    def _thermalize(self, theta) -> None:
-        super()._thermalize(theta)
+    def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "visible_eig", eigh(self.visible_state()))
 
     def visible_state(self) -> np.ndarray:

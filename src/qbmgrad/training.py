@@ -171,6 +171,8 @@ class QuantumProblem(Problem):
         return relative_entropy(self.target, self._model(theta).sigma_v_eig, self.obj)
 
     def report(self, theta) -> GradientReport:
+        # the raw state, not self.target: exact-d256's expected layers name
+        # linalg.as_density, and this is its only caller there (ROADMAP 2b)
         return gradient(self._model(theta), self.rho, self.obj)
 
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
@@ -187,7 +189,7 @@ class QuantumProblem(Problem):
             seq = np.random.SeedSequence(cfg.seed, spawn_key=(SHOT_GRADIENT_STREAM, iteration, j))
             seed_first, seed_model = (int(x) for x in seq.generate_state(2, np.uint64))
             first, _, shots = estimate_first_term(
-                model, self.rho, term, replace(cfg, seed=seed_first), groups=groups)
+                model, self.target, term, replace(cfg, seed=seed_first), groups=groups)
             second, _ = estimate_model_term(model, term, shots, seed_model, groups=groups)
             out[j] = first - second
         return out
@@ -202,10 +204,6 @@ class QCProblem(Problem):
         self.target = Target(rho, obj)
         self.obj = obj
         self.theta0 = np.asarray(qc.theta, dtype=float)
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.target.rho
 
     def _build(self, theta) -> QCModel:
         return self.qc.with_theta(theta)
@@ -329,14 +327,9 @@ def train(problem: Problem, cfg: TrainConfig) -> Trajectory:
             cand = theta - eta * grad_vec
             try:
                 cand_obj = problem.objective(cand)
-            except GuardError:
-                # trial step left the trustworthy region; shrink and retry
-                eta *= 0.5
-                continue
-            if not np.isfinite(cand_obj):
-                eta *= 0.5
-                continue
-            if cand_obj <= obj:  # strict descent keeps the log non-increasing
+            except GuardError:  # the trial step left the trustworthy region
+                cand_obj = np.nan
+            if np.isfinite(cand_obj) and cand_obj <= obj:  # descent keeps the log non-increasing
                 theta, obj = cand, cand_obj
                 accepted = True
                 break

@@ -120,6 +120,21 @@ def test_train_writes_csv(tmp_path):
     assert abs(float(rows[-1][3]) - 0.5 * np.log(0.2 / 0.8)) < 1e-4
 
 
+@pytest.mark.parametrize("argv, stopped", [
+    (["--spec", DEMOS / "grad_restricted.json"], True),
+    (["--spec", DEMOS / "train_qubit.json", "--mode", "shot", "--shots", "256",
+      "--iterations", "4"], False),
+], ids=["exact-stops-early", "shot-runs-its-budget"])
+def test_train_reports_where_it_stopped(tmp_path, capsys, argv, stopped):
+    assert run(["train", *argv, "--out", tmp_path]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    with (tmp_path / "trajectory.csv").open() as fh:
+        last = int(list(csv.reader(fh))[-1][0])
+    assert rep["iterations_run"] == last
+    assert (last < rep["iterations"]) if stopped else (last == rep["iterations"])
+    assert f"after {last} of {rep['iterations']} iterations" in capsys.readouterr().out
+
+
 def test_train_csv_deterministic(tmp_path):
     outs = []
     for sub in ("a", "b"):
@@ -171,6 +186,18 @@ def test_seed_env_override(tmp_path, monkeypatch):
         outs.append(json.loads((out / "report.json").read_text())["mean"])
     assert outs[0] == outs[1]
     assert outs[0] != outs[2]
+
+
+def test_seed_flag_beats_env(tmp_path, monkeypatch):
+    def mean(sub, *flags):
+        run(["estimate", "--spec", DEMOS / "estimate.json", "--shots", "4000",
+             "--out", tmp_path / sub, *flags])
+        return json.loads((tmp_path / sub / "report.json").read_text())["mean"]
+
+    flag_only = mean("flag", "--seed", "5")
+    monkeypatch.setenv("QBMGRAD_SEED", "123")
+    assert mean("both", "--seed", "5") == flag_only
+    assert mean("env") != flag_only  # the environment still beats the spec seed
 
 
 def test_verify_suite_runs(tmp_path):

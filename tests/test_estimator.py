@@ -214,6 +214,8 @@ def test_injected_encodings_are_checked(rng):
     rho, g_j = rand_state(rng, 2), model.hamiltonian.terms[0]
     with pytest.raises(SpecError, match="not unitary"):
         quadrature_first_term(model, rho, g_j, modular_noise=np.diag([1.0, 0.9]))
+    with pytest.raises(SpecError, match=r"modular noise must be 2x2, got \(3, 3\)"):
+        quadrature_first_term(model, rho, g_j, modular_noise=np.eye(3))
     with pytest.raises(SpecError, match="ancilla"):
         quadrature_first_term(model, rho, g_j, inv_sqrt=BlockEncoding(np.eye(2), 1.0, 0))
 

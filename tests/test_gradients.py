@@ -14,6 +14,7 @@ from qbmgrad.models import (
 )
 from qbmgrad.gradients import (
     Target,
+    as_target,
     UMEGAKI,
     classical_gradient,
     classical_objective,
@@ -484,6 +485,16 @@ def test_target_validates_once_and_keeps_its_objective(rng):
     target = Target(rand_state(rng, 2), tsallis(1.5))
     with pytest.raises(SpecError, match="prepared for"):
         relative_entropy(target, rand_state(rng, 2))
+
+
+def test_as_target_passes_its_own_objective_and_rejects_another(rng):
+    target = Target(rand_state(rng, 2), tsallis(1.5))
+    assert as_target(target, tsallis(1.5)) is target
+    with pytest.raises(SpecError, match=r"^target was prepared for Objective\(kind='tsallis', q=1.5\), "
+                                        r"not for Objective\(kind='umegaki', q=None\)$"):
+        as_target(target, UMEGAKI)
+    with pytest.raises(SpecError, match="positive semidefinite"):
+        as_target(np.diag([1.5, -0.5]), UMEGAKI)  # a raw state is validated into a Target
 
 
 def test_label_probs_clamps_rounding_and_rejects_the_rest():

@@ -7,10 +7,12 @@ import qbmgrad.linalg
 from qbmgrad.errors import GuardError, SpecError
 from qbmgrad.linalg import (
     BipartiteDims,
+    Eigensystem,
     as_density,
     as_hermitian,
     as_unitary,
     check_reconstruction,
+    decompose,
     eigh,
     expectation,
     gibbs_weights,
@@ -144,7 +146,47 @@ def test_check_reconstruction_fails_on_non_finite_residual():
     x = np.eye(3, dtype=complex)[None]
     w, v = np.full((1, 3), np.nan), np.full((1, 3, 3), np.nan, dtype=complex)
     with pytest.raises(GuardError, match="eigendecomposition residual nan too large"):
-        check_reconstruction(x, w, v)
+        check_reconstruction(x, Eigensystem(w, v))
+
+
+def _stack(rng, n=4, d=5):
+    return np.stack([rand_herm(rng, d) for _ in range(n)])
+
+
+def test_stacked_eigensystem_functions_match_per_matrix_calls(rng):
+    stack = _stack(rng) + 10.0 * np.eye(5)  # positive definite, so every power is defined
+    es = decompose(stack)
+    assert es.dim == 5
+    one = [Eigensystem(es.vals[k], es.vecs[k]) for k in range(len(stack))]
+    assert np.array_equal(es.apply(np.log), np.stack([e.apply(np.log) for e in one]))
+    assert np.array_equal(es.power(-0.5), np.stack([e.power(-0.5) for e in one]))
+
+
+def test_check_reconstruction_guards_each_matrix_of_a_stack(rng):
+    stack = _stack(rng)
+    es = decompose(stack)
+    check_reconstruction(stack, es)
+    check_reconstruction(stack[2], Eigensystem(es.vals[2], es.vecs[2]))  # one matrix, no stack axis
+    vals = es.vals.copy()
+    vals[2] += 1e-6  # only block 2 misses its matrix: |r|_2 = 1e-6 > 5e-10
+    with pytest.raises(GuardError, match="eigendecomposition residual 1.000e-06 too large"):
+        check_reconstruction(stack, Eigensystem(vals, es.vecs))
+
+
+def test_decompose_turns_nan_eigenvalues_of_a_stack_into_linalg_error(rng, monkeypatch):
+    # LAPACK returns NaN eigenvalues at some sizes instead of failing
+    stack = _stack(rng, n=3)
+    raw = np.linalg.eigh
+
+    def unconverged(x):
+        w, v = raw(x)
+        w = w.copy()
+        w[1, 0] = np.nan  # one eigenvalue of one block
+        return w, v
+
+    monkeypatch.setattr(qbmgrad.linalg.np.linalg, "eigh", unconverged)
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        decompose(stack)
 
 
 def test_gibbs_weights_shift_invariant_and_normalised():
@@ -233,8 +275,8 @@ def test_spectral_norm_of_eigensystem_matches_matrix(rng, d):
 
 
 def test_spectral_norm_of_nan_matrix_raises():
-    # an unconverged eigensystem never reaches spectral_norm: the models'
-    # eigh raises first (test_models.py::test_unconverged_eigh_raises_linalg_error)
+    # an unconverged eigensystem never reaches spectral_norm: decompose
+    # raises first (test_models.py::test_unconverged_eigh_raises_linalg_error)
     x = np.full((2, 2), np.nan, dtype=complex)
     with pytest.raises(np.linalg.LinAlgError):
         spectral_norm(x)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qbmgrad.errors import GuardError, ScaleError, SpecError, StructureError
-from qbmgrad.linalg import BipartiteDims, eigh, expectation, gibbs_weights, spectral_norm, tensor
+from qbmgrad.linalg import (
+    BipartiteDims, Eigensystem, eigh, expectation, gibbs_weights, spectral_norm, tensor)
 from qbmgrad.models import (
     BLOCK_ATOL,
     EXP_NORM_GUARD,
@@ -114,7 +115,7 @@ def test_thermalize_matches_gibbs_kernel_bit_for_bit(rng):
     model = thermalize(ham)
     g = ham.assemble()
     vals, vecs = np.linalg.eigh(g)
-    weights, states, z = _gibbs(g[None], vals[None], vecs[None])
+    weights, states, z = _gibbs(g[None], Eigensystem(vals[None], vecs[None]))
     assert np.array_equal(model.sigma_vh, states[0])
     assert np.array_equal(model.weights, weights[0])
     # the stacked kernel's row agrees with the one-row gibbs_weights
@@ -427,7 +428,8 @@ def _per_block_reference(block_hams):
 def test_stacked_thermal_blocks_match_per_block_eigh(rng):
     # blocks at very different energies, as in a qc model with a large shift
     blocks = np.stack([rand_herm(rng, 3) + shift * np.eye(3) for shift in (0.0, 7.5, -3.0, 40.0)])
-    p, states, vals, vecs, weights = _thermal_blocks(blocks)
+    p, states, es, weights = _thermal_blocks(blocks)
+    vals, vecs = es.vals, es.vecs
     assert states.shape == vecs.shape == blocks.shape and vals.shape == weights.shape == (4, 3)
     want_p, want_states = _per_block_reference(blocks)
     assert np.max(np.abs(p - want_p)) < 1e-12

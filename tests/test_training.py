@@ -9,7 +9,7 @@ import qbmgrad.models
 import qbmgrad.training
 from qbmgrad.errors import GuardError, SpecError
 from qbmgrad.estimator import EstimatorConfig
-from qbmgrad.gradients import classical_gradient, gradient, relative_entropy
+from qbmgrad.gradients import classical_gradient, gradient, relative_entropy, tsallis
 from qbmgrad.linalg import BipartiteDims
 from qbmgrad.models import ParamHamiltonian, cq_decompose, qc_decompose, thermalize
 from qbmgrad.training import (
@@ -460,6 +460,26 @@ def test_exact_step_validates_the_target_once_per_gradient(monkeypatch):
     train(problem, TrainConfig(learning_rate=0.1, iterations=30))
     assert grads[0] == 31
     assert calls[0] <= grads[0]  # the objective reads the prepared Target
+
+
+def test_tsallis_target_power_is_formed_once_per_target(monkeypatch):
+    spec = load_runspec(Path(__file__).resolve().parents[1] / "demos" / "grad_qc.json")
+    ham, rho = spec.model.hamiltonian, spec.target_state
+    problem = QCProblem(qc_decompose(ham, spec.model.basis), rho, tsallis(1.5))
+    calls = [0]
+    raw = qbmgrad.gradients.psd_power
+
+    def counted(rho, q):
+        calls[0] += 1
+        return raw(rho, q)
+
+    monkeypatch.setattr(qbmgrad.gradients, "psd_power", counted)
+    train(problem, TrainConfig(learning_rate=0.1, iterations=5))
+    assert calls[0] == 1  # the Target's constant, formed on first use
+    model = thermalize(ham)
+    for n in (2, 3):
+        gradient(model, rho, tsallis(1.5))  # a raw state has no Target to keep it
+        assert calls[0] == n
 
 
 def test_shot_problem_forms_each_terms_groups_once(monkeypatch, rng):

@@ -39,7 +39,7 @@ def main() -> None:
                   TrainConfig(learning_rate=args.learning_rate,
                               iterations=args.iterations, log_every=10))
     est = EstimatorConfig(epsilon=args.epsilon, delta_fail=args.delta, seed=args.seed)
-    shot = train(QuantumProblem(ham, rho, mode="shot", estimator=est),
+    shot = train(QuantumProblem(ham, rho, estimator=est),
                  TrainConfig(learning_rate=args.learning_rate,
                              iterations=args.iterations, log_every=10))
 

@@ -28,7 +28,6 @@ from .training import (
     QCProblem,
     QuantumProblem,
     TrainConfig,
-    check_mode,
     finite_difference_gradient,
     train,
 )
@@ -47,6 +46,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:  # a non-integer is argparse's "invalid ... value" usage error
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="qbmgrad", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -59,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     objective.add_argument("--objective", choices=["umegaki", "tsallis"])
     objective.add_argument("--q", type=float, help="tsallis order in (0,1) u (1,2]")
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    threads.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
@@ -149,11 +154,18 @@ def _need_spec(args) -> RunSpec:
     return load_runspec(args.spec)
 
 
-def _write_report(out_dir: Path, payload: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "report.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write(out_dir: Path, name: str, text: str) -> Path:
+    path = out_dir / name
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:  # a file or directory in the way, or no permission
+        raise SpecError(f"--out: cannot write {exc.filename}: {exc.strerror}") from exc
     return path
+
+
+def _write_report(out_dir: Path, payload: dict) -> Path:
+    return _write(out_dir, "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_verify(args) -> int:
@@ -178,24 +190,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
 
 
-def _problem(spec: RunSpec, obj: Objective, mode: str = "exact",
-             est: EstimatorConfig | None = None) -> Problem:
-    """The Problem for the spec's model kind; ``est`` holds the shot-mode
-    settings (seed, and for classical tables the sample count)."""
+def _problem(spec: RunSpec, obj: Objective, est: EstimatorConfig | None = None) -> Problem:
+    """The Problem for the spec's model kind: exact, or shot-based under ``est``."""
     kind, model = spec.model.kind, spec.model
-    check_mode(mode)
-    if mode == "shot" and kind in ("qc", "cq"):
+    if est is not None and kind in ("qc", "cq"):
         raise SpecError("shot-mode training covers generic, restricted and classical models only")
     if kind in ("generic", "restricted"):
-        return QuantumProblem(model.hamiltonian, spec.target_state, obj, mode=mode, estimator=est)
+        return QuantumProblem(model.hamiltonian, spec.target_state, obj, estimator=est)
     if kind == "qc":
         return QCProblem(qc_decompose(model.hamiltonian, model.basis), spec.target_state, obj)
     if kind == "cq":
         return CQProblem(cq_decompose(model.hamiltonian, model.basis), spec.target_probs, obj)
     if obj.kind != "umegaki":
         raise SpecError("classical tables support the umegaki objective only")
-    sampling = {} if est is None else {"samples": est.shots or 10_000, "seed": est.seed}
-    return ClassicalProblem(model.tables, spec.target_probs, model.theta, mode=mode, **sampling)
+    return ClassicalProblem(model.tables, spec.target_probs, model.theta, estimator=est)
 
 
 def cmd_grad(args) -> int:
@@ -257,18 +265,14 @@ def cmd_train(args) -> int:
         iterations=_option(args.iterations, opts, "iterations", integer=True),
         log_every=_option(args.log_every, opts, "log_every", integer=True),
     ))
-    traj = train(_problem(spec, obj, mode, est), cfg)
-    args.out.mkdir(parents=True, exist_ok=True)
-    csv_path = args.out / "trajectory.csv"
-    n_theta = traj.rows[0].theta.size
-    with csv_path.open("w") as fh:
-        header = ["iter", "objective", "grad_norm"] + [f"theta_{i}" for i in range(n_theta)]
-        fh.write(",".join(header + ["wall_ms"]) + "\n")
-        for row in traj.rows:
-            cells = [str(row.iteration), fmt17(row.objective), fmt17(row.grad_norm)]
-            cells += [fmt17(v) for v in row.theta]
-            cells.append(fmt17(row.wall_ms))
-            fh.write(",".join(cells) + "\n")
+    if mode not in ("exact", "shot"):
+        raise SpecError(f"unknown gradient mode {mode!r}")
+    traj = train(_problem(spec, obj, est), cfg)
+    theta_cols = [f"theta_{i}" for i in range(traj.rows[0].theta.size)]
+    lines = [["iter", "objective", "grad_norm", *theta_cols, "wall_ms"]]
+    lines += [[str(r.iteration), *map(fmt17, (r.objective, r.grad_norm, *r.theta, r.wall_ms))]
+              for r in traj.rows]
+    csv_path = _write(args.out, "trajectory.csv", "".join(",".join(cells) + "\n" for cells in lines))
     payload = {
         "command": "train",
         "mode": mode,

@@ -197,8 +197,8 @@ def restricted_hamiltonian(a, b, w, V, H) -> ParamHamiltonian:
     return ParamHamiltonian(dims=dims, terms=tuple(terms), theta=np.concatenate([a, b, w.ravel()]))
 
 
-def _block_decompose(h: ParamHamiltonian, basis, classical: str) -> tuple[np.ndarray, np.ndarray]:
-    """(validated basis, block stack) of h over a declared classical basis.
+def _block_decompose(h: ParamHamiltonian, basis, classical: str) -> np.ndarray:
+    """The block stack of h over a declared classical basis.
 
     ``classical`` names the classical register, "hidden" or "visible".
     Each term is rotated into the basis and split into its diagonal blocks
@@ -228,7 +228,7 @@ def _block_decompose(h: ParamHamiltonian, basis, classical: str) -> tuple[np.nda
                 f"(off-block magnitude {off:.3e})"
             )
         stack.append([as_hermitian(block(x, x)) for x in range(n)])
-    return w, np.array(stack, dtype=complex)
+    return np.array(stack, dtype=complex)
 
 
 def _thermal_blocks(block_hams: np.ndarray) -> tuple:
@@ -288,7 +288,6 @@ class _BlockModel:
 class QCModel(_BlockModel):
     """Quantum visible, classical hidden: G_j = sum_x G_v^{j,x} (x) |x><x|."""
 
-    hidden_basis: np.ndarray
     visible_eig: Eigensystem = field(init=False)  # of visible_state()
 
     def __post_init__(self):
@@ -304,17 +303,13 @@ class QCModel(_BlockModel):
 class CQModel(_BlockModel):
     """Classical visible, quantum hidden: G_j = sum_x |x><x| (x) G_h^{j,x}."""
 
-    visible_basis: np.ndarray
-
 
 def qc_decompose(h: ParamHamiltonian, hidden_basis=None) -> QCModel:
     """Split every term over a declared classical hidden basis (see
     ``_block_decompose``)."""
-    w, stack = _block_decompose(h, hidden_basis, "hidden")
-    return QCModel(dims=h.dims, stack=stack, theta=h.theta, hidden_basis=w)
+    return QCModel(dims=h.dims, stack=_block_decompose(h, hidden_basis, "hidden"), theta=h.theta)
 
 
 def cq_decompose(h: ParamHamiltonian, visible_basis=None) -> CQModel:
     """Mirror of qc_decompose with the classical register on the visible side."""
-    w, stack = _block_decompose(h, visible_basis, "visible")
-    return CQModel(dims=h.dims, stack=stack, theta=h.theta, visible_basis=w)
+    return CQModel(dims=h.dims, stack=_block_decompose(h, visible_basis, "visible"), theta=h.theta)

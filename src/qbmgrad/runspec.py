@@ -172,14 +172,30 @@ def load_runspec(path: str | Path) -> RunSpec:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise SpecError(f"spec file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, or no permission
+        raise SpecError(f"cannot read spec file {path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SpecError(f"spec file is not valid JSON: {exc}") from exc
     return parse_runspec(raw)
+
+
+def _reject_booleans(value, where: str) -> None:
+    """SpecError naming the first JSON boolean in ``value``: no run-spec field
+    takes one, and Python would read ``true`` as the number 1."""
+    if isinstance(value, bool):
+        raise SpecError(f"{where}: expected no JSON boolean (no run-spec field takes one), "
+                        f"got {json.dumps(value)}")
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            _reject_booleans(item, f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]")
 
 
 def parse_runspec(raw: dict) -> RunSpec:
     if not isinstance(raw, dict):
         raise SpecError("run spec must be a JSON object")
+    for key, value in raw.items():
+        _reject_booleans(value, key)
     _object(raw, "run spec", SPEC_FIELDS)
     model = _parse_model(_require(raw, "model", "run spec"))
     target_raw = _object(_require(raw, "target", "run spec"), "target", TARGET_FIELDS)

@@ -43,17 +43,10 @@ MAX_HALVINGS = 20
 DIVERGENCE_CAP = 1e6
 
 
-def check_mode(mode: str) -> str:
-    """The gradient mode, "exact" or "shot"; anything else is a SpecError."""
-    if mode not in ("exact", "shot"):
-        raise SpecError(f"unknown gradient mode {mode!r}")
-    return mode
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """The descent's own settings; the ``Problem`` given to ``train`` owns how
-    its gradients are computed (mode, estimator, seed, objective)."""
+    its gradients are computed (estimator, seed, objective)."""
 
     learning_rate: float = 0.1
     iterations: int = 500
@@ -96,8 +89,8 @@ class Problem:
 
     Each model kind has one subclass, which alone knows that kind's
     objective, its exact gradient and its start point ``theta0``, and owns
-    how ``gradient_vector`` computes: ``mode`` is "exact" unless a subclass
-    takes "shot", and a shot-mode subclass holds its own sampling settings.
+    how ``gradient_vector`` computes: exactly, unless the problem holds an
+    ``estimator``, whose settings its shot-based gradients then follow.
 
     A subclass whose objective and gradient need a model builds it in
     ``_build(theta)`` and reads it through ``_model(theta)``, which keeps
@@ -110,7 +103,7 @@ class Problem:
     """
 
     theta0: np.ndarray
-    mode: str = "exact"
+    estimator: EstimatorConfig | None = None
     _kept: tuple | None = None  # (theta shape and bytes, model)
 
     def objective(self, theta) -> float:
@@ -122,8 +115,8 @@ class Problem:
     def report(self, theta) -> GradientReport:
         """Exact gradient at theta with its two-term breakdown.
 
-        ``train`` never calls it: it asks ``gradient_vector``, which in
-        exact mode returns ``report(theta).values``.
+        ``train`` never calls it: it asks ``gradient_vector``, which
+        without an ``estimator`` returns ``report(theta).values``.
         """
         raise NotImplementedError
 
@@ -143,19 +136,19 @@ class Problem:
 class QuantumProblem(Problem):
     """Fully quantum model: match the visible marginal to a target state.
 
-    The target is validated once, at construction, as a ``Target``.  Shot
-    mode estimates both gradient terms under ``estimator`` (default
-    ``EstimatorConfig()``), whose seed roots every iteration's streams; the
-    eigenvalue groups of each term, which both estimates need, are formed
-    once per problem.
+    The target is validated once, at construction, as a ``Target``.  With
+    an ``estimator``, both gradient terms are shot estimates under it, and
+    its seed roots every iteration's streams; the eigenvalue groups of each
+    term, which both estimates need, are formed once per problem.
     """
 
     def __init__(self, hamiltonian: ParamHamiltonian, rho, obj: Objective = UMEGAKI,
-                 mode: str = "exact", estimator: EstimatorConfig | None = None):
+                 estimator: EstimatorConfig | None = None):
         self.hamiltonian = hamiltonian
         self.target = Target(rho, obj)
+        if estimator is not None and obj.kind != "umegaki":
+            raise SpecError("shot-mode gradients cover the umegaki objective only")
         self.obj = obj
-        self.mode = check_mode(mode)
         self.estimator = estimator
         self.theta0 = np.asarray(hamiltonian.theta, dtype=float)
         self._groups = None
@@ -176,12 +169,10 @@ class QuantumProblem(Problem):
         return gradient(self._model(theta), self.rho, self.obj)
 
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
-        if self.mode == "exact":
+        cfg = self.estimator
+        if cfg is None:
             return self.report(theta).values
         model = self._model(theta)
-        if self.obj.kind != "umegaki":
-            raise SpecError("shot-mode gradients cover the umegaki objective only")
-        cfg = self.estimator or EstimatorConfig()
         if self._groups is None:
             self._groups = [eigen_groups(term) for term in self.hamiltonian.terms]
         out = np.zeros(self.hamiltonian.n_params)
@@ -243,22 +234,17 @@ class CQProblem(Problem):
 class ClassicalProblem(Problem):
     """Classical energy tables against a visible target distribution.
 
-    ``mode`` "exact" enumerates the gradient; "shot" estimates it from
-    ``samples`` Monte Carlo draws of (v, h) under the data and under the
-    model, from the stream SeedSequence(seed, spawn_key=(CLASSICAL_STREAM,
-    iteration)).
+    Without an ``estimator`` the gradient is enumerated; with one it is
+    estimated from ``estimator.shots`` (10,000 when 0) Monte Carlo draws of
+    (v, h) under the data and under the model, from the stream
+    SeedSequence(estimator.seed, spawn_key=(CLASSICAL_STREAM, iteration)).
     """
 
-    def __init__(self, tables, target_q, theta0, mode: str = "exact",
-                 samples: int = 10_000, seed: int = 0):
+    def __init__(self, tables, target_q, theta0, estimator: EstimatorConfig | None = None):
         self.tables = np.asarray(tables, dtype=float)
         self.target = label_probs(target_q, self.tables.shape[1])
         self.theta0 = np.asarray(theta0, dtype=float)
-        self.mode = check_mode(mode)
-        if samples < 1 or seed < 0:
-            raise SpecError("samples must be >= 1 and seed nonnegative")
-        self.samples = samples
-        self.seed = seed
+        self.estimator = estimator
 
     def objective(self, theta) -> float:
         return classical_objective(self.tables, theta, self.target)
@@ -267,23 +253,21 @@ class ClassicalProblem(Problem):
         return classical_gradient(self.tables, theta, self.target)
 
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
-        if self.mode == "exact":
+        """Exact, or the Monte Carlo gradient: (v,h) sampled from q(v) p(h|v) and p(v,h)."""
+        if self.estimator is None:
             return self.report(theta).values
-        return self._sampled_gradient(theta, iteration)
-
-    def _sampled_gradient(self, theta, iteration: int) -> np.ndarray:
-        """Monte Carlo gradient: sample (v,h) from q(v) p(h|v) and p(v,h)."""
+        samples = self.estimator.shots or 10_000
         rng = np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(CLASSICAL_STREAM, iteration)))
+            np.random.SeedSequence(self.estimator.seed, spawn_key=(CLASSICAL_STREAM, iteration)))
         p_vh = classical_distribution(self.tables, theta)
         n_v, n_h = p_vh.shape
         p_v = p_vh.sum(axis=1)
         cond = p_vh / p_v[:, None]
-        v_data = rng.choice(n_v, size=self.samples, p=self.target)
+        v_data = rng.choice(n_v, size=samples, p=self.target)
         # conditional draw by inverse CDF per sampled v
-        u = rng.random(self.samples)
+        u = rng.random(samples)
         h_data = (u[:, None] > np.cumsum(cond[v_data], axis=1)).sum(axis=1)
-        flat_model = rng.choice(n_v * n_h, size=self.samples, p=p_vh.ravel())
+        flat_model = rng.choice(n_v * n_h, size=samples, p=p_vh.ravel())
         v_model, h_model = np.divmod(flat_model, n_h)
         pos = self.tables[:, v_data, h_data].mean(axis=1)
         neg = self.tables[:, v_model, h_model].mean(axis=1)
@@ -308,9 +292,9 @@ def train(problem: Problem, cfg: TrainConfig) -> Trajectory:
 
     The exact objective is evaluated every iteration to steer the halving
     and logged every ``log_every`` iterations.  Gradients come from
-    ``problem.gradient_vector`` in the problem's own ``mode``; in exact mode
-    a fully rejected step ends the run.  Diverging objectives (> 1e6 or
-    non-finite) abort with a diagnostic.
+    ``problem.gradient_vector``; when the problem holds no ``estimator``
+    they are exact, and a fully rejected step ends the run.  Diverging
+    objectives (> 1e6 or non-finite) abort with a diagnostic.
     """
     theta = problem.theta0.copy()
     traj = Trajectory()
@@ -335,7 +319,7 @@ def train(problem: Problem, cfg: TrainConfig) -> Trajectory:
                 break
             eta *= 0.5
         _check_finite(obj, it)
-        converged = not accepted and problem.mode == "exact"
+        converged = not accepted and problem.estimator is None
         grad_vec = problem.gradient_vector(theta, it)
         if it % cfg.log_every == 0 or it == cfg.iterations or converged:
             traj.rows.append(

@@ -381,9 +381,15 @@ def test_unread_flag_is_usage_error(tmp_path, capsys, command, flags):
     ("grad", "grad_qubit", ("model", "dims", "visible"), "two", "model dims visible"),
     ("grad", "grad_qubit", ("model", "dims", "visible"), float("inf"), "model dims visible"),
     ("grad", "grad_tsallis", ("objective", "q"), "x", "objective q"),
+    # bool is an int in Python, so a JSON boolean read as the number 1 or 0
+    ("train", "train_qubit", ("seed",), True, "seed"),
+    ("estimate", "estimate", ("estimate", "shots"), True, "estimate.shots"),
+    ("train", "grad_classical", ("model", "theta", 2), True, "model.theta[2]"),
+    ("grad", "grad_qubit", ("model", "terms", 0, 1, 1, 0), False, "model.terms[0][1][1][0]"),
 ], ids=["infinite-seed", "fractional-seed", "nan-learning-rate", "fractional-iterations",
         "train-list", "nan-epsilon", "fractional-shots", "fractional-term", "estimate-list",
-        "string-dims", "infinite-dims", "string-q"])
+        "string-dims", "infinite-dims", "string-q", "boolean-seed", "boolean-shots",
+        "boolean-theta", "boolean-matrix-entry"])
 def test_bad_spec_scalar_is_input_error(tmp_path, capsys, command, demo, path, value, field):
     raw = json.loads((DEMOS / f"{demo}.json").read_text())
     node = raw
@@ -578,3 +584,52 @@ def test_classical_theta_shape_is_input_error(tmp_path, capsys, command, edit):
     assert run([command, "--spec", spec, "--out", tmp_path]) == 2
     assert "input error: theta length (" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("spec, flags, message", [
+    ("train_qubit.json", ["--objective", "tsallis", "--q", "1.5"],
+     "shot-mode gradients cover the umegaki objective only"),
+    ("grad_qc.json", [], "shot-mode training covers generic, restricted and classical models only"),
+    ("grad_cq.json", [], "shot-mode training covers generic, restricted and classical models only"),
+    ("grad_classical.json", ["--objective", "tsallis", "--q", "1.5"],
+     "classical tables support the umegaki objective only"),
+])
+def test_unsupported_shot_run_is_input_error(tmp_path, capsys, spec, flags, message):
+    assert run(["train", "--spec", DEMOS / spec, "--mode", "shot", "--iterations", "3",
+                "--out", tmp_path, *flags]) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, spec, value", [
+    ("train", "grad_qubit.json", "0"),
+    ("train", "grad_qubit.json", "-5"),
+    ("estimate", "estimate.json", "0"),
+])
+def test_non_positive_threads_is_usage_error(tmp_path, capsys, command, spec, value):
+    # exact training never builds the EstimatorConfig that checks threads
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--spec", DEMOS / spec, "--threads", value, "--out", tmp_path])
+    assert exc.value.code == 2
+    assert (f"error: argument --threads: expected a positive integer, got {value}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_out_path_that_is_a_file_is_input_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run(["grad", "--spec", DEMOS / "grad_qubit.json", "--out", taken]) == 2
+    assert f"input error: --out: cannot write {taken}: File exists" in capsys.readouterr().err
+    assert taken.read_text() == ""
+    (tmp_path / "out" / "report.json").mkdir(parents=True)  # the report's own path is taken
+    assert run(["grad", "--spec", DEMOS / "grad_qubit.json", "--out", tmp_path / "out"]) == 2
+    assert (f"input error: --out: cannot write {tmp_path / 'out' / 'report.json'}: Is a directory"
+            in capsys.readouterr().err)
+
+
+def test_spec_path_that_is_a_directory_is_input_error(tmp_path, capsys):
+    assert run(["grad", "--spec", DEMOS, "--out", tmp_path]) == 2
+    assert f"input error: cannot read spec file {DEMOS}: Is a directory" in capsys.readouterr().err
+    assert run(["grad", "--spec", tmp_path / "nope.json", "--out", tmp_path]) == 2
+    assert "input error: spec file not found:" in capsys.readouterr().err

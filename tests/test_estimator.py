@@ -773,3 +773,5 @@ def test_estimator_config_validation():
         EstimatorConfig(delta_fail=1.5)
     with pytest.raises(SpecError, match="seed"):
         EstimatorConfig(seed=-1, shots=10)
+    with pytest.raises(SpecError, match="shots"):
+        EstimatorConfig(shots=-3)

@@ -72,7 +72,7 @@ def test_shot_mode_trajectory_reproducible():
     cfg = TrainConfig(learning_rate=0.3, iterations=8)
     runs = []
     for _ in range(2):
-        p = QuantumProblem(problem.hamiltonian, problem.rho, mode="shot", estimator=est)
+        p = QuantumProblem(problem.hamiltonian, problem.rho, estimator=est)
         runs.append(train(p, cfg))
     assert runs[0].objectives().tolist() == runs[1].objectives().tolist()
     assert np.array_equal(runs[0].final_theta, runs[1].final_theta)
@@ -80,17 +80,17 @@ def test_shot_mode_trajectory_reproducible():
 
 @pytest.mark.parametrize("kind", ["quantum", "classical"])
 def test_shot_mode_training_runs_every_iteration(kind):
-    # a rejected noisy step is no convergence: train reads the mode from the
-    # problem, so a shot run logs all its rows under a plain TrainConfig
+    # a rejected noisy step is no convergence: train reads the estimator from
+    # the problem, so a shot run logs all its rows under a plain TrainConfig
     if kind == "quantum":
         problem, _ = _qubit_problem()
-        make = lambda seed: QuantumProblem(problem.hamiltonian, problem.rho, mode="shot",
+        make = lambda seed: QuantumProblem(problem.hamiltonian, problem.rho,
                                            estimator=EstimatorConfig(shots=300, seed=seed))
         learning_rate, iterations = 0.3, 60
     else:
         spec = load_runspec(Path(__file__).resolve().parents[1] / "demos" / "grad_classical.json")
         make = lambda seed: ClassicalProblem(spec.model.tables, spec.target_probs, spec.model.theta,
-                                             mode="shot", samples=50, seed=seed)
+                                             estimator=EstimatorConfig(shots=50, seed=seed))
         learning_rate, iterations = 0.2, 200
     for seed in range(6):
         traj = train(make(seed), TrainConfig(learning_rate=learning_rate, iterations=iterations))
@@ -106,7 +106,7 @@ def test_shot_gradient_streams_differ_across_seed_and_iteration(rng):
 
     def shot_grad(seed, iteration):
         est = EstimatorConfig(shots=500, seed=seed)
-        return QuantumProblem(ham, rho, mode="shot", estimator=est).gradient_vector(
+        return QuantumProblem(ham, rho, estimator=est).gradient_vector(
             ham.theta, iteration)
 
     old_alias = 0x9E3779B9 * 131 & 0x7FFFFFFF
@@ -121,7 +121,8 @@ def test_classical_sampled_streams_differ_across_seed_and_iteration(rng):
     target = np.array([0.2, 0.3, 0.5])
 
     def sampled(seed, iteration):
-        problem = ClassicalProblem(tables, target, theta, mode="shot", samples=200, seed=seed)
+        problem = ClassicalProblem(tables, target, theta,
+                                   estimator=EstimatorConfig(shots=200, seed=seed))
         return problem.gradient_vector(theta, iteration)
 
     old_alias = 2654435761 & 0x7FFFFFFF
@@ -303,22 +304,49 @@ def test_exact_objective_reuses_the_thermal_decomposition(monkeypatch, rng):
     assert calls[0] == 0  # sigma_v is not decomposed a second time
 
 
-@pytest.mark.parametrize("make", [
-    lambda mode: QuantumProblem(_qubit_problem()[0].hamiltonian, np.eye(2) / 2, mode=mode),
-    lambda mode: ClassicalProblem(np.zeros((1, 2, 1)), np.array([0.5, 0.5]), np.zeros(1),
-                                  mode=mode),
-], ids=["quantum", "classical"])
-def test_problem_rejects_unknown_mode(make):
-    with pytest.raises(SpecError, match="unknown gradient mode 'exatc'"):
-        make("exatc")
-    make("shot")
+class _UphillProblem(qbmgrad.training.Problem):
+    """theta^2 with the gradient's sign flipped: every step is rejected."""
+
+    theta0 = np.ones(1)
+
+    def objective(self, theta):
+        return float(theta[0] ** 2)
+
+    def gradient_vector(self, theta, iteration):
+        return -2.0 * np.asarray(theta)
 
 
-@pytest.mark.parametrize("samples, seed", [(0, 0), (-3, 0), (10, -1)])
-def test_classical_problem_rejects_bad_sampling(samples, seed):
-    with pytest.raises(SpecError, match="samples must be >= 1 and seed nonnegative"):
-        ClassicalProblem(np.zeros((1, 2, 1)), np.array([0.5, 0.5]), np.zeros(1),
-                         mode="shot", samples=samples, seed=seed)
+def test_problem_without_estimator_trains_exactly():
+    # a subclass that never sets estimator inherits None: exact, so the
+    # first fully rejected step ends the run
+    traj = train(_UphillProblem(), TrainConfig(iterations=10))
+    assert [r.iteration for r in traj.rows] == [0, 1]
+    assert traj.final_theta.tolist() == [1.0]
+    shot = _UphillProblem()
+    shot.estimator = EstimatorConfig()
+    assert len(train(shot, TrainConfig(iterations=10)).rows) == 11
+
+
+def test_shot_problem_rejects_tsallis_before_thermalizing(monkeypatch):
+    problem, _ = _qubit_problem()
+    calls = _count_thermalize(monkeypatch)
+    with pytest.raises(SpecError, match="shot-mode gradients cover the umegaki objective only"):
+        QuantumProblem(problem.hamiltonian, problem.rho, tsallis(1.5), estimator=EstimatorConfig())
+    assert calls[0] == 0
+
+
+def test_classical_default_shots_draw_ten_thousand_samples(rng):
+    tables = rng.normal(size=(2, 3, 2))
+    theta = rng.uniform(-0.4, 0.4, 2)
+    target = np.array([0.2, 0.3, 0.5])
+
+    def sampled(shots):
+        problem = ClassicalProblem(tables, target, theta,
+                                   estimator=EstimatorConfig(shots=shots, seed=4))
+        return problem.gradient_vector(theta, 3)
+
+    assert sampled(0).tobytes() == sampled(10_000).tobytes()
+    assert sampled(0).tobytes() != sampled(9_999).tobytes()
 
 
 def test_shot_mode_training_reaches_exact_neighborhood():
@@ -326,8 +354,7 @@ def test_shot_mode_training_reaches_exact_neighborhood():
     exact = train(problem, TrainConfig(learning_rate=0.3, iterations=60))
     eps = 0.1
     est = EstimatorConfig(epsilon=eps, delta_fail=0.1, seed=5)
-    shot_problem = QuantumProblem(problem.hamiltonian, problem.rho,
-                                  mode="shot", estimator=est)
+    shot_problem = QuantumProblem(problem.hamiltonian, problem.rho, estimator=est)
     traj = train(shot_problem, TrainConfig(learning_rate=0.3, iterations=60))
     assert traj.final_objective <= exact.final_objective + 5 * eps
 
@@ -375,8 +402,8 @@ def test_classical_monte_carlo_gradient_matches_exact(rng):
     target = rng.random(3)
     target /= target.sum()
     exact = classical_gradient(tables, theta, target).values
-    problem = ClassicalProblem(tables, target, theta, mode="shot",
-                               samples=200_000, seed=8)
+    problem = ClassicalProblem(tables, target, theta,
+                               estimator=EstimatorConfig(shots=200_000, seed=8))
     mc = problem.gradient_vector(theta, 0)
     scale = np.max(np.abs(tables))
     stderr = 2 * scale / np.sqrt(200_000)
@@ -497,13 +524,13 @@ def test_shot_problem_forms_each_terms_groups_once(monkeypatch, rng):
 
     for module in (qbmgrad.estimator, qbmgrad.training):
         monkeypatch.setattr(module, "eigen_groups", counted)
-    problem = QuantumProblem(ham, rho, mode="shot", estimator=est)
+    problem = QuantumProblem(ham, rho, estimator=est)
     for it in range(3):
         problem.objective(ham.theta)
         problem.gradient_vector(ham.theta, it)
     assert calls[0] == len(terms)  # not 2 per estimate
     monkeypatch.undo()
-    fresh = QuantumProblem(ham, rho, mode="shot", estimator=est)
+    fresh = QuantumProblem(ham, rho, estimator=est)
     model = thermalize(ham)
     # the groups change nothing but the work: same numbers as a fresh problem
     assert np.array_equal(problem.gradient_vector(ham.theta, 5),

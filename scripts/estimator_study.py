@@ -3,7 +3,7 @@
 
 For a fixed random visible+hidden model, sweep the error target and compare
 the auto-selected Hoeffding counts, the measured error, and the predicted
-kappa^2/eps^2 growth; then show the cost model's kappa^3 law."""
+kappa^2/eps^2 growth."""
 from __future__ import annotations
 
 import argparse
@@ -15,7 +15,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from qbmgrad.estimator import EstimatorConfig, estimate_first_term, query_cost  # noqa: E402
+from qbmgrad.estimator import EstimatorConfig, estimate_first_term  # noqa: E402
 from qbmgrad.gradients import gradient  # noqa: E402
 from qbmgrad.linalg import BipartiteDims, spectral_norm  # noqa: E402
 from qbmgrad.models import ParamHamiltonian, thermalize  # noqa: E402
@@ -45,11 +45,6 @@ def main() -> None:
         mean, stderr, shots = estimate_first_term(model, rho, g_j, cfg)
         print(f"{eps:8.3f} {shots:10d} {abs(mean - exact):10.5f} "
               f"{stderr:10.5f} {time.perf_counter() - t0:7.2f}")
-
-    print("\ncost model (unit constants):")
-    for kappa in (2.0, 4.0, 8.0):
-        c = query_cost("full_algorithm", kappa, epsilon=1e-2, delta_fail=args.delta)
-        print(f"  kappa = {kappa:4.1f}: total queries ~ {c:.3e}")
 
 
 if __name__ == "__main__":

@@ -526,59 +526,18 @@ def quadrature_first_term(
 
 
 # ---------------------------------------------------------------------------
-# error budget and cost model
+# error budget
 # ---------------------------------------------------------------------------
-
-
-def error_budget(eps1: float, eps2: float, kappa: float, g_norm: float) -> float:
-    """Worst-case first-term bias from encoding errors eps1 (modular flow)
-    and eps2 (inverse root): g_norm (2 sqrt(k) eps2 + 2 eps1 (k + sqrt(k) eps2))."""
-    rk = math.sqrt(kappa)
-    return g_norm * (2.0 * rk * eps2 + 2.0 * eps1 * (kappa + rk * eps2))
 
 
 def budget_split(epsilon: float, kappa: float, g_norm: float) -> tuple[float, float]:
     """Split a total error target so the composed bias stays below epsilon/2.
 
-    eps1 = eps/(10 k g), eps2 = eps/(10 sqrt(k) g); then the budget evaluates
-    to 2 eps/5 + eps^2/(50 k g) <= eps/2 whenever eps <= 5 k g.
+    Encoding errors eps1 (modular flow) and eps2 (inverse root) bias the first
+    term by at most g (2 sqrt(k) eps2 + 2 eps1 (k + sqrt(k) eps2)), k = kappa,
+    g = g_norm.  eps1 = eps/(10 k g) and eps2 = eps/(10 sqrt(k) g) make that
+    2 eps/5 + eps^2/(50 k g) <= eps/2 whenever eps <= 5 k g.
     """
     if min(epsilon, kappa, g_norm) <= 0.0:
         raise SpecError("budget_split needs positive inputs")
     return epsilon / (10.0 * kappa * g_norm), epsilon / (10.0 * math.sqrt(kappa) * g_norm)
-
-
-def query_cost(
-    kind: str,
-    kappa: float,
-    *,
-    s: float = 0.0,
-    g_norm: float = 1.0,
-    epsilon: float = 0.01,
-    delta_fail: float = 0.05,
-) -> float:
-    """Unit-constant asymptotic query counts (a cost model, not a guarantee).
-
-    modular_flow:   kappa |s| ln(|s|/eps) ln(kappa)
-    inv_sqrt:       kappa ln(1/eps)
-    full_algorithm: kappa^3 g^2 / eps^2 * ln(kappa g / eps) ln(1/delta)
-    All floored at 1.
-    """
-    if min(kappa, g_norm, epsilon) <= 0.0 or not 0.0 < delta_fail < 1.0:
-        raise SpecError("query_cost needs positive inputs and delta in (0,1)")
-    e = math.e
-    if kind == "modular_flow":
-        val = kappa * abs(s) * math.log(max(abs(s) / epsilon, e)) * math.log(max(kappa, e))
-    elif kind == "inv_sqrt":
-        val = kappa * math.log(1.0 / epsilon)
-    elif kind == "full_algorithm":
-        val = (
-            kappa**3
-            * g_norm**2
-            / epsilon**2
-            * math.log(max(kappa * g_norm / epsilon, e))
-            * math.log(1.0 / delta_fail)
-        )
-    else:
-        raise SpecError(f"unknown cost kind {kind!r}")
-    return max(val, 1.0)

@@ -176,6 +176,8 @@ def load_runspec(path: str | Path) -> RunSpec:
         raise SpecError(f"cannot read spec file {path}: {exc.strerror}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SpecError(f"spec file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecError(f"spec file nests too deeply to parse: {path}") from exc
     return parse_runspec(raw)
 
 

@@ -320,7 +320,8 @@ def train(problem: Problem, cfg: TrainConfig) -> Trajectory:
             eta *= 0.5
         _check_finite(obj, it)
         converged = not accepted and problem.estimator is None
-        grad_vec = problem.gradient_vector(theta, it)
+        if not converged:  # else theta is unchanged and so is its exact gradient
+            grad_vec = problem.gradient_vector(theta, it)
         if it % cfg.log_every == 0 or it == cfg.iterations or converged:
             traj.rows.append(
                 TrajectoryRow(it, obj, float(np.linalg.norm(grad_vec)), theta.copy(),

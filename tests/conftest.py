@@ -1,10 +1,9 @@
 import functools
-import math
 
 import numpy as np
 import pytest
 
-from qbmgrad.linalg import as_hermitian, spectral_norm, tensor
+from qbmgrad.linalg import as_hermitian, tensor
 from qbmgrad.verify import (  # the generators are re-exported to the tests
     SUITES,
     block_hidden_terms,
@@ -14,6 +13,7 @@ from qbmgrad.verify import (  # the generators are re-exported to the tests
     rand_state,
     rand_unitary,
     run_suites,
+    unitary_noise,
 )
 
 # the tests draw theta from [-0.5, 0.5]; the verify suites from [-0.6, 0.6]
@@ -30,15 +30,6 @@ def block_visible_terms(rng, d_v, d_h, n_terms, basis):
             t += tensor(proj, rand_herm(rng, d_h, 0.5))
         terms.append(as_hermitian(t))
     return tuple(terms)
-
-
-def unitary_noise(rng, d, target_norm):
-    """Unitary with |U - I| exactly target_norm (rotation angle control)."""
-    h = rand_herm(rng, d)
-    h = h / spectral_norm(h)
-    angle = 2.0 * math.asin(min(target_norm, 2.0) / 2.0)
-    w, v = np.linalg.eigh(h * angle)
-    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def check_id(check) -> str:

@@ -633,3 +633,16 @@ def test_spec_path_that_is_a_directory_is_input_error(tmp_path, capsys):
     assert f"input error: cannot read spec file {DEMOS}: Is a directory" in capsys.readouterr().err
     assert run(["grad", "--spec", tmp_path / "nope.json", "--out", tmp_path]) == 2
     assert "input error: spec file not found:" in capsys.readouterr().err
+
+
+def test_deeply_nested_spec_is_input_error(tmp_path, capsys):
+    # json.loads gives up on deep nesting with a RecursionError, not a JSONDecodeError
+    raw = json.loads((DEMOS / "train_qubit.json").read_text())
+    raw["train"]["iterations"] = None
+    depth = 5_000
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw).replace('"iterations": null',
+                                            '"iterations": ' + "[" * depth + "]" * depth))
+    assert run(["train", "--spec", spec, "--out", tmp_path / "out"]) == 2
+    assert "input error: spec file nests too deeply to parse" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -16,17 +16,14 @@ from qbmgrad.estimator import (
     MAX_CIRCUIT_DIM,
     MAX_SHOTS,
     be_product,
-    budget_split,
     dilate,
     eigen_groups,
-    error_budget,
     estimate_first_term,
     estimate_model_term,
     hoeffding_shots,
     inv_sqrt_encoding,
     modular_unitary,
     quadrature_first_term,
-    query_cost,
     _CHUNK,
     _SUB_BLOCK,
     _batch_context,
@@ -726,44 +723,6 @@ def test_be_product_specific_bound():
 def test_be_product_bound_never_violated(rng):
     for _ in range(100):
         assert be_bound_gap(rng) <= 0.0
-
-
-def test_error_budget_and_split():
-    assert error_budget(0.0, 0.0, 5.0, 2.0) == 0.0
-    for kappa in (1.0, 4.0, 50.0):
-        for g_norm in (0.5, 2.0):
-            for eps in (0.02, 0.2):
-                e1, e2 = budget_split(eps, kappa, g_norm)
-                assert error_budget(e1, e2, kappa, g_norm) <= eps / 2
-
-
-def test_budget_split_bounds_measured_bias(rng):
-    model = rand_model(rng, 2, 2)
-    rho = rand_state(rng, 2)
-    g_j = model.hamiltonian.terms[0]
-    g_norm = spectral_norm(g_j)
-    eps = 0.2
-    e1, e2 = budget_split(eps, model.kappa, g_norm)
-    exact = gradient(model, rho).first_terms[0]
-    noise1 = unitary_noise(rng, model.dims.d_v, e1)
-    inv = inv_sqrt_encoding(model)
-    inv_p, _ = perturb_encoding(inv, rng, scale=0.5 * e2 / inv.alpha)
-    assert inv_p.delta <= e2
-    biased = quadrature_first_term(model, rho, g_j, modular_noise=noise1, inv_sqrt=inv_p)
-    assert abs(biased - exact) <= eps / 2
-
-
-def test_query_cost_scalings():
-    c2 = query_cost("full_algorithm", 2.0, epsilon=1e-3)
-    c4 = query_cost("full_algorithm", 4.0, epsilon=1e-3)
-    assert 8.0 <= c4 / c2 <= 8.0 * 1.2
-    d = (query_cost("inv_sqrt", 3.0, epsilon=1e-3)
-         - query_cost("inv_sqrt", 3.0, epsilon=1e-2))
-    assert abs(d - 3.0 * math.log(10.0)) < 1e-9
-    assert query_cost("modular_flow", 5.0, s=0.0) == 1.0
-    assert query_cost("modular_flow", 5.0, s=2.0) > 1.0
-    with pytest.raises(SpecError):
-        query_cost("bogus", 1.0)
 
 
 def test_estimator_config_validation():

@@ -37,6 +37,17 @@ def test_train_benchmark_runs(monkeypatch, capsys):
     assert "shot  terminal" in capsys.readouterr().out
 
 
+
+def test_estimator_study_runs(monkeypatch, capsys):
+    module = _load(ROOT / "scripts" / "estimator_study.py")
+    monkeypatch.setattr("sys.argv", ["estimator_study.py"])
+    module.main()
+    out = capsys.readouterr().out
+    rows = [line.split()[0] for line in out.splitlines()[2:]]
+    assert rows == ["0.200", "0.100", "0.050", "0.025"]
+    assert "cost model" not in out
+
+
 def _pairs(before, after, name="work_per_s"):
     return [{"before": {"metrics": {name: b}}, "after": {"metrics": {name: a}}}
             for b, a in zip(before, after)]

@@ -162,6 +162,23 @@ def test_train_thermalizes_once_per_step(monkeypatch):
     assert calls[0] == iterations + 1
 
 
+
+def test_converged_exact_run_reuses_its_last_gradient():
+    problem, _ = _qubit_problem()
+    calls = [0]
+    raw_gradient = problem.gradient_vector
+
+    def counted_gradient(theta, iteration):
+        calls[0] += 1
+        return raw_gradient(theta, iteration)
+
+    problem.gradient_vector = counted_gradient
+    traj = train(problem, TrainConfig(learning_rate=0.1, iterations=2000, log_every=100))
+    stop = traj.rows[-1]
+    assert stop.iteration < 2000  # a fully rejected step ended the run
+    assert calls[0] == stop.iteration  # one at theta0, one per accepted step
+    assert stop.grad_norm == np.linalg.norm(raw_gradient(stop.theta, 0))
+
 def test_continued_train_starts_on_the_kept_model(monkeypatch, rng):
     # training in chunks, each train() starting where the last one ended
     dims = BipartiteDims(2, 2)

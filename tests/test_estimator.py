@@ -16,6 +16,7 @@ from qbmgrad.estimator import (
     MAX_CIRCUIT_DIM,
     MAX_SHOTS,
     be_product,
+    budget_split,
     dilate,
     eigen_groups,
     estimate_first_term,
@@ -723,6 +724,22 @@ def test_be_product_specific_bound():
 def test_be_product_bound_never_violated(rng):
     for _ in range(100):
         assert be_bound_gap(rng) <= 0.0
+
+
+def test_budget_split_bounds_measured_bias(rng):
+    model = rand_model(rng, 2, 2)
+    rho = rand_state(rng, 2)
+    g_j = model.hamiltonian.terms[0]
+    g_norm = spectral_norm(g_j)
+    eps = 0.2
+    e1, e2 = budget_split(eps, model.kappa, g_norm)
+    exact = gradient(model, rho).first_terms[0]
+    noise1 = unitary_noise(rng, model.dims.d_v, e1)
+    inv = inv_sqrt_encoding(model)
+    inv_p, _ = perturb_encoding(inv, rng, scale=0.5 * e2 / inv.alpha)
+    assert inv_p.delta <= e2
+    biased = quadrature_first_term(model, rho, g_j, modular_noise=noise1, inv_sqrt=inv_p)
+    assert abs(biased - exact) <= eps / 2
 
 
 def test_estimator_config_validation():

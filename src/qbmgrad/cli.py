@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GuardError, SpecError
 from .estimator import EstimatorConfig, estimate_first_term, hoeffding_shots
-from .gradients import Objective, UMEGAKI, gradient, tsallis
+from .gradients import Objective, Target, UMEGAKI, gradient, tsallis
 from .linalg import spectral_norm
 from .models import cq_decompose, qc_decompose, thermalize
 from .runspec import RunSpec, fmt17, load_runspec, spec_number
@@ -304,10 +304,11 @@ def cmd_estimate(args) -> int:
     cfg = _estimator_config(args, opts, seed)
     g_norm = spectral_norm(terms[term])
     auto_shots = hoeffding_shots(model.kappa, g_norm, cfg.epsilon, cfg.delta_fail)
+    target = Target(spec.target_state)  # validated once, for the estimate and the exact term
     start = time.perf_counter()
-    mean, stderr, shots = estimate_first_term(model, spec.target_state, terms[term], cfg)
+    mean, stderr, shots = estimate_first_term(model, target, terms[term], cfg)
     elapsed = time.perf_counter() - start
-    exact = gradient(model, spec.target_state).first_terms[term]
+    exact = gradient(model, target).first_terms[term]
     payload = {
         "command": "estimate",
         "term_index": term,

@@ -12,7 +12,9 @@ kappa * Y over Hoeffding-many shots estimates the lifted-state term.
 Block-encodings here are exact unitary dilations (normalization alpha,
 declared spectral error delta); the error-composition and sample-count
 accounting still covers the inexact case and is exercised by injecting
-controlled perturbations.
+controlled perturbations.  ``be_product`` composes two encodings into the
+encoding of their product, so an error in the modular flow enters as a
+factor of the inverse-root encoding the circuit takes.
 
 Shots are simulated in chunks without forming the circuit register.  Up to
 the evolution, a shot's state is linear in the modular phases
@@ -90,33 +92,32 @@ class BlockEncoding:
     def __post_init__(self):
         object.__setattr__(self, "unitary", as_unitary(self.unitary, "block-encoding matrix"))
 
-    @property
-    def meta(self) -> "BEMeta":
-        return BEMeta(self.alpha, self.ancillas, self.delta)
-
     def extract(self) -> np.ndarray:
         """alpha * (<0| (x) I) U (|0> (x) I): the encoded matrix."""
         d = self.unitary.shape[0] >> self.ancillas
         return self.alpha * self.unitary[:d, :d]
 
 
-@dataclass(frozen=True)
-class BEMeta:
-    """(normalization, ancilla count, spectral error) of a block-encoding."""
-
-    alpha: float
-    ancillas: int
-    delta: float
-
-
-def be_product(a: BEMeta, b: BEMeta) -> BEMeta:
-    """Composition metadata for a product of block-encoded matrices.
+def be_product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
+    """The block-encoding of AB: U_b, then U_a, on registers (ancillas of a,
+    ancillas of b, system).
 
     Encoding A with (alpha, delta) times encoding B with (beta, eps) yields
     AB with normalization alpha*beta and error alpha*eps + beta*delta +
     delta*eps (the cross term is required; dropping it undercounts).
     """
-    return BEMeta(
+    d = a.unitary.shape[0] >> a.ancillas
+    if b.unitary.shape[0] >> b.ancillas != d:
+        raise SpecError(f"cannot compose block-encodings of {d}- and "
+                        f"{b.unitary.shape[0] >> b.ancillas}-dimensional systems")
+    n_a, n_b = 1 << a.ancillas, 1 << b.ancillas
+    a_blocks = a.unitary.reshape(n_a, d, n_a, d).transpose(0, 2, 1, 3)  # [i, j]: A_ij
+    b_blocks = b.unitary.reshape(n_b, d, n_b, d).transpose(0, 2, 1, 3)  # [k, l]: B_kl
+    # the block of rows (i, k) and columns (j, l) is A_ij B_kl
+    blocks = a_blocks[:, None, :, None] @ b_blocks[None, :, None, :]
+    dim = n_a * n_b * d
+    return BlockEncoding(
+        blocks.transpose(0, 1, 4, 2, 3, 5).reshape(dim, dim),
         a.alpha * b.alpha,
         a.ancillas + b.ancillas,
         a.alpha * b.delta + b.alpha * a.delta + a.delta * b.delta,
@@ -264,9 +265,11 @@ class _BatchContext:
     do not depend on t and join the traces and the ancilla-miss branch in
     ``static_map``; the table's 1/4, +-1 and factor 2 sit in both maps.
 
-    ``modular_noise`` (a unitary applied after the modular flow) and
-    ``inv_sqrt`` (a one-ancilla encoding in place of the exact dilation)
-    inject controlled encoding errors: both only change the row blocks b.
+    ``inv_sqrt``, a one-ancilla encoding in place of the exact dilation,
+    injects controlled encoding errors: it only changes the row blocks b.  A
+    modular-flow error N enters as its factor, ``be_product(inv_sqrt,
+    BlockEncoding(N, 1.0, 0, delta))``, whose first d_v columns are those
+    of ``inv_sqrt`` times N.
     """
 
     log_vals: np.ndarray  # ln eigenvalues of sigma_v
@@ -279,7 +282,7 @@ class _BatchContext:
 
 
 def _batch_context(
-    model: ThermalModel, rho, g_j, *, groups=None, modular_noise=None, inv_sqrt=None
+    model: ThermalModel, rho, g_j, *, groups=None, inv_sqrt=None
 ) -> _BatchContext:
     d_v, d_h = model.dims.d_v, model.dims.d_h
     if 2 * 2 * d_v * d_v * d_h > MAX_CIRCUIT_DIM:
@@ -290,8 +293,6 @@ def _batch_context(
     if inv.ancillas != 1:
         raise SpecError("the inverse-root encoding must use exactly one ancilla")
     hit_miss = inv.unitary[:, :d_v]
-    if modular_noise is not None:
-        hit_miss = hit_miss @ as_unitary(modular_noise, "modular noise", d_v)
     values, projs = eigen_groups(g_j) if groups is None else groups
     g_vecs = model.g_eig.vecs
     g_vecs_h = g_vecs.conj().T
@@ -494,14 +495,7 @@ def estimate_model_term(
 # ---------------------------------------------------------------------------
 
 
-def quadrature_first_term(
-    model: ThermalModel,
-    rho,
-    g_j,
-    *,
-    modular_noise=None,
-    inv_sqrt=None,
-) -> float:
+def quadrature_first_term(model: ThermalModel, rho, g_j, *, inv_sqrt=None) -> float:
     """Density-weighted (s, t)-quadrature average of the circuit's mean
     alpha^2 <X_c (x) O>, alpha the inverse-root encoding's normalization.
 
@@ -510,11 +504,12 @@ def quadrature_first_term(
     in closed form: the table is linear in the modular features f and in the
     pair phases e separately, so the sum equals W table(f_bar, e_bar / W)
     with f_bar = sum_i w_i f(s_i), e_bar = t_w0 + sum_j w_j e(t_j) and
-    W = t_w0 + sum_j w_j.  ``modular_noise`` (a unitary applied after the
-    modular flow) and ``inv_sqrt`` inject controlled encoding errors.
+    W = t_w0 + sum_j w_j.  ``inv_sqrt`` injects controlled encoding errors
+    as in ``_BatchContext``, a modular-flow error as its ``be_product``
+    factor.
     """
     inv = inv_sqrt if inv_sqrt is not None else inv_sqrt_encoding(model)
-    ctx = _batch_context(model, rho, g_j, modular_noise=modular_noise, inv_sqrt=inv)
+    ctx = _batch_context(model, rho, g_j, inv_sqrt=inv)
     s_pts, s_wts, _ = expectation_nodes(LOGISTIC, T=QUAD_S_MAX, nodes=QUAD_S_NODES)
     t_pts, t_wts, t_w0 = expectation_nodes(HIGH_PEAK_TENT, T=QUAD_T_MAX, nodes=QUAD_T_NODES)
     t_mass = t_w0 + float(np.sum(t_wts))

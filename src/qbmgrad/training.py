@@ -293,14 +293,17 @@ def train(problem: Problem, cfg: TrainConfig) -> Trajectory:
     The exact objective is evaluated every iteration to steer the halving
     and logged every ``log_every`` iterations.  Gradients come from
     ``problem.gradient_vector``; when the problem holds no ``estimator``
-    they are exact, and a fully rejected step ends the run.  Diverging
-    objectives (> 1e6 or non-finite) abort with a diagnostic.
+    they are exact, and a fully rejected step ends the run.  A start
+    objective above 1e6 or non-finite aborts with a diagnostic; a step is
+    accepted only with a finite objective no larger than the last, so no
+    later objective can exceed the start one.
     """
     theta = problem.theta0.copy()
     traj = Trajectory()
     start = time.perf_counter()
     obj = problem.objective(theta)
-    _check_finite(obj, 0)
+    if not np.isfinite(obj) or obj > DIVERGENCE_CAP:
+        raise GuardError(f"objective diverged at iteration 0: {obj!r}")
     grad_vec = problem.gradient_vector(theta, 0)
     traj.rows.append(TrajectoryRow(0, obj, float(np.linalg.norm(grad_vec)), theta.copy(),
                                    (time.perf_counter() - start) * 1e3))
@@ -318,7 +321,6 @@ def train(problem: Problem, cfg: TrainConfig) -> Trajectory:
                 accepted = True
                 break
             eta *= 0.5
-        _check_finite(obj, it)
         converged = not accepted and problem.estimator is None
         if not converged:  # else theta is unchanged and so is its exact gradient
             grad_vec = problem.gradient_vector(theta, it)
@@ -332,8 +334,3 @@ def train(problem: Problem, cfg: TrainConfig) -> Trajectory:
             # would repeat forever: the objective is at its float floor
             break
     return traj
-
-
-def _check_finite(obj: float, iteration: int) -> None:
-    if not np.isfinite(obj) or obj > DIVERGENCE_CAP:
-        raise GuardError(f"objective diverged at iteration {iteration}: {obj!r}")

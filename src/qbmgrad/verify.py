@@ -59,8 +59,8 @@ def rand_state(rng, d):
 def rand_pd(rng, d, spread=0.5):
     """Random positive definite matrix with eigenvalues in ~[e^-spread, e^spread]."""
     h = rand_herm(rng, d, spread)
-    w, v = np.linalg.eigh(h)
-    return as_hermitian((v * np.exp(w)) @ v.conj().T)
+    es = eigh(h)
+    return as_hermitian((es.vecs * np.exp(es.vals)) @ es.vecs.conj().T)
 
 
 def rand_model(rng, d_v, d_h, n_terms=3, term_scale=0.4, theta_scale=0.6):
@@ -394,10 +394,10 @@ def suite_estimator() -> list[CheckResult]:
         inv = estimator.inv_sqrt_encoding(model)
         for eps in (0.05, 0.2):
             e1, e2 = estimator.budget_split(eps, model.kappa, spectral_norm(g_j))
-            noise1 = unitary_noise(rng, model.dims.d_v, e1)
+            noise1 = estimator.BlockEncoding(unitary_noise(rng, model.dims.d_v, e1), 1.0, 0, e1)
             inv_p, _ = perturb_encoding(inv, rng, scale=0.5 * e2 / inv.alpha)
-            biased = estimator.quadrature_first_term(model, rho, g_j,
-                                                     modular_noise=noise1, inv_sqrt=inv_p)
+            biased = estimator.quadrature_first_term(
+                model, rho, g_j, inv_sqrt=estimator.be_product(inv_p, noise1))
             worst = max(worst, abs(biased - exact) - eps / 2)
     out.append(CheckResult("estimator", "budget split keeps bias below eps/2",
                            worst, 0.0 + 1e-30))
@@ -450,8 +450,8 @@ def unitary_noise(rng, d, target_norm):
     h = rand_herm(rng, d)
     h = h / spectral_norm(h)
     angle = 2.0 * math.asin(min(target_norm, 2.0) / 2.0)
-    w, v = np.linalg.eigh(h * angle)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    es = eigh(h * angle)
+    return (es.vecs * np.exp(1j * es.vals)) @ es.vecs.conj().T
 
 
 def be_bound_gap(rng) -> float:
@@ -463,23 +463,5 @@ def be_bound_gap(rng) -> float:
     beta = spectral_norm(b_mat) * (1 + rng.random())
     up, a_target = perturb_encoding(estimator.dilate(a_mat / alpha, alpha), rng)
     vp, b_target = perturb_encoding(estimator.dilate(b_mat / beta, beta), rng)
-    # compose on registers (anc_u, anc_v, system); apply V first, then U
-    w = _embed(up.unitary, d, first=True) @ _embed(vp.unitary, d, first=False)
-    extracted = (up.alpha * vp.alpha) * w[:d, :d]
-    meta = estimator.be_product(up.meta, vp.meta)
-    measured = spectral_norm(a_target @ b_target - extracted)
-    return measured - meta.delta
-
-
-def _embed(u, d, *, first: bool):
-    """Lift a (2d x 2d) one-ancilla unitary to (anc_u, anc_v, sys) registers,
-    acting on anc_u when ``first``, else on anc_v."""
-    blocks = u.reshape(2, d, 2, d)
-    out = np.zeros((4 * d, 4 * d), dtype=complex)
-    big = out.reshape(2, 2, d, 2, 2, d)
-    for k in range(2):
-        if first:
-            big[:, k, :, :, k, :] = blocks
-        else:
-            big[k, :, :, k, :, :] = blocks
-    return out
+    product = estimator.be_product(up, vp)
+    return spectral_norm(a_target @ b_target - product.extract()) - product.delta

@@ -14,7 +14,9 @@ import numpy as np
 from qbmgrad.cli import main as cli_main
 from qbmgrad.densities import HIGH_PEAK_TENT, LOGISTIC, numeric_tail_mass, tail_mass_bound
 from qbmgrad.estimator import (
+    BlockEncoding,
     EstimatorConfig,
+    be_product,
     budget_split,
     estimate_first_term,
     inv_sqrt_encoding,
@@ -242,13 +244,12 @@ def test_criterion_10_error_budget():
         g_norm = spectral_norm(g_j)
         eps = 0.2
         e1, e2 = budget_split(eps, model.kappa, g_norm)
-        noise1 = unitary_noise(rng, 2, e1)
+        noise1 = BlockEncoding(unitary_noise(rng, 2, e1), 1.0, 0, e1)
         inv = inv_sqrt_encoding(model)
         inv_p, _ = perturb_encoding(inv, rng, scale=0.5 * e2 / inv.alpha)
         assert inv_p.delta <= e2
         exact = gradient(model, rho).first_terms[0]
-        biased = quadrature_first_term(model, rho, g_j,
-                                         modular_noise=noise1, inv_sqrt=inv_p)
+        biased = quadrature_first_term(model, rho, g_j, inv_sqrt=be_product(inv_p, noise1))
         worst_bias = max(worst_bias, abs(biased - exact) - eps / 2)
     _verdict(10, worst_gap <= 0.0 and worst_bias <= 0.0,
              "composed-encoding error never exceeds its bound over 100 trials "

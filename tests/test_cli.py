@@ -9,6 +9,7 @@ from qbmgrad.cli import main
 from qbmgrad.errors import SpecError
 from qbmgrad.estimator import EstimatorConfig
 from qbmgrad.gradients import (
+    Target,
     classical_distribution,
     classical_gradient,
     classical_objective,
@@ -302,6 +303,26 @@ def test_non_density_target_is_input_error(tmp_path, capsys, name, command):
     assert run([command, "--spec", spec, "--out", tmp_path]) == 2
     assert "input error: state not positive semidefinite" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_estimate_validates_its_target_once(tmp_path, capsys, monkeypatch):
+    built = []
+    post_init = Target.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Target, "__post_init__", counting)
+    assert run(["estimate", "--spec", DEMOS / "estimate.json", "--shots", "500",
+                "--out", tmp_path / "ok"]) == 0
+    assert len(built) == 1
+    raw = json.loads((DEMOS / "estimate.json").read_text())
+    raw["target"] = {"state": matrix_to_json(np.diag([1.5, -0.5]).astype(complex))}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))
+    assert run(["estimate", "--spec", spec, "--out", tmp_path / "bad"]) == 2
+    assert "input error: state not positive semidefinite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["grad_qc", "grad_cq", "grad_classical", "train_qubit"])

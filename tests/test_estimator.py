@@ -10,7 +10,6 @@ from qbmgrad.errors import ScaleError, SpecError
 from qbmgrad.gradients import gradient
 from qbmgrad.models import ParamHamiltonian, thermalize
 from qbmgrad.estimator import (
-    BEMeta,
     BlockEncoding,
     EstimatorConfig,
     MAX_CIRCUIT_DIM,
@@ -210,10 +209,14 @@ def test_circuit_register_guard(rng):
 def test_injected_encodings_are_checked(rng):
     model = rand_model(rng, 2, 2)
     rho, g_j = rand_state(rng, 2), model.hamiltonian.terms[0]
+    inv = inv_sqrt_encoding(model)
     with pytest.raises(SpecError, match="not unitary"):
-        quadrature_first_term(model, rho, g_j, modular_noise=np.diag([1.0, 0.9]))
-    with pytest.raises(SpecError, match=r"modular noise must be 2x2, got \(3, 3\)"):
-        quadrature_first_term(model, rho, g_j, modular_noise=np.eye(3))
+        quadrature_first_term(model, rho, g_j, inv_sqrt=be_product(
+            inv, BlockEncoding(np.diag([1.0, 0.9]), 1.0, 0)))
+    with pytest.raises(SpecError,
+                       match="cannot compose block-encodings of 2- and 3-dimensional systems"):
+        quadrature_first_term(model, rho, g_j,
+                              inv_sqrt=be_product(inv, BlockEncoding(np.eye(3), 1.0, 0)))
     with pytest.raises(SpecError, match="ancilla"):
         quadrature_first_term(model, rho, g_j, inv_sqrt=BlockEncoding(np.eye(2), 1.0, 0))
 
@@ -268,13 +271,15 @@ def test_quadrature_equals_double_grid_average(rng, monkeypatch):
         model = rand_model(rng, d_v, d_h)
         rho = rand_state(rng, d_v)
         g_j = model.hamiltonian.terms[1]
-        injected = {}
+        injected = oracle = {}
         if noisy:
             inv = inv_sqrt_encoding(model)
-            injected = dict(modular_noise=unitary_noise(rng, d_v, 0.05),
-                            inv_sqrt=perturb_encoding(inv, rng, scale=0.05)[0])
-            assert injected["inv_sqrt"].delta > 1e-4
-        brute = _double_grid_average(model, rho, g_j, **injected)
+            oracle = dict(modular_noise=unitary_noise(rng, d_v, 0.05),
+                          inv_sqrt=perturb_encoding(inv, rng, scale=0.05)[0])
+            assert oracle["inv_sqrt"].delta > 1e-4
+            injected = dict(inv_sqrt=be_product(
+                oracle["inv_sqrt"], BlockEncoding(oracle["modular_noise"], 1.0, 0)))
+        brute = _double_grid_average(model, rho, g_j, **oracle)
         fast = quadrature_first_term(model, rho, g_j, **injected)
         assert abs(fast - brute) < 1e-10, (d_v, d_h, noisy)
 
@@ -710,15 +715,59 @@ def test_hoeffding_count_is_capped():
 
 
 def test_be_product_exact_composition():
-    meta = be_product(BEMeta(2.0, 1, 0.0), BEMeta(3.0, 1, 0.0))
-    assert meta == BEMeta(6.0, 2, 0.0)
+    meta = be_product(BlockEncoding(np.eye(4), 2.0, 1, 0.0), BlockEncoding(np.eye(4), 3.0, 1, 0.0))
+    assert (meta.alpha, meta.ancillas, meta.delta) == (6.0, 2, 0.0)
 
 
 def test_be_product_specific_bound():
     kappa = 9.0
     e1, e2 = 0.01, 0.02
-    meta = be_product(BEMeta(1.0, 0, e1), BEMeta(math.sqrt(kappa), 1, e2))
+    meta = be_product(BlockEncoding(np.eye(2), 1.0, 0, e1),
+                      BlockEncoding(np.eye(4), math.sqrt(kappa), 1, e2))
     assert abs(meta.delta - (e2 + e1 * (math.sqrt(kappa) + e2))) < 1e-15
+
+
+def _register_product(u_a, u_b, d):
+    """U_b, then U_a, for one-ancilla unitaries on (anc_a, anc_b, system)."""
+    first = np.kron(u_a, np.eye(2)).reshape(2, d, 2, 2, d, 2).transpose(0, 2, 1, 3, 5, 4)
+    return first.reshape(4 * d, 4 * d) @ np.kron(np.eye(2), u_b)
+
+
+def test_be_product_of_dilations(rng):
+    d = 3
+    a_mat, b_mat = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
+    alpha, beta = 1.5 * spectral_norm(a_mat), 2.0 * spectral_norm(b_mat)
+    a = replace(dilate(a_mat / alpha, alpha), delta=0.01)
+    b = replace(dilate(b_mat / beta, beta), delta=0.02)
+    prod = be_product(a, b)
+    assert spectral_norm(prod.extract() - a_mat @ b_mat) < 1e-12 * alpha * beta
+    assert spectral_norm(prod.unitary - _register_product(a.unitary, b.unitary, d)) < 1e-12
+    assert (prod.alpha, prod.ancillas, prod.delta) == (
+        alpha * beta, 2, alpha * 0.02 + beta * 0.01 + 0.01 * 0.02)
+
+
+def test_be_product_rejects_mismatched_systems():
+    with pytest.raises(SpecError,
+                       match="cannot compose block-encodings of 2- and 3-dimensional systems"):
+        be_product(dilate(0.5 * np.eye(2), 1.0), BlockEncoding(np.eye(6), 1.0, 1))
+
+
+def test_modular_noise_factor_matches_the_circuit(rng, monkeypatch):
+    # a modular-flow error N enters the estimator as a factor of the
+    # inverse-root encoding, and the oracle circuit as a unitary applied
+    # after the modular flow; the identity factor changes nothing
+    monkeypatch.setattr(est, "expectation_nodes", _every_nth_node(32))
+    model = rand_model(rng, 2, 2)
+    rho, g_j = rand_state(rng, 2), model.hamiltonian.terms[0]
+    inv = inv_sqrt_encoding(model)
+    for noise in (np.eye(2), unitary_noise(rng, 2, 0.05)):
+        noisy = be_product(inv, BlockEncoding(noise, 1.0, 0, spectral_norm(noise - np.eye(2))))
+        assert spectral_norm(noisy.unitary[:, :2] - inv.unitary[:, :2] @ noise) < 1e-14
+        fast = quadrature_first_term(model, rho, g_j, inv_sqrt=noisy)
+        brute = _double_grid_average(model, rho, g_j, modular_noise=noise, inv_sqrt=inv)
+        assert abs(fast - brute) < 1e-10
+    assert abs(quadrature_first_term(model, rho, g_j, inv_sqrt=be_product(
+        inv, BlockEncoding(np.eye(2), 1.0, 0))) - quadrature_first_term(model, rho, g_j)) < 1e-14
 
 
 def test_be_product_bound_never_violated(rng):
@@ -734,11 +783,11 @@ def test_budget_split_bounds_measured_bias(rng):
     eps = 0.2
     e1, e2 = budget_split(eps, model.kappa, g_norm)
     exact = gradient(model, rho).first_terms[0]
-    noise1 = unitary_noise(rng, model.dims.d_v, e1)
+    noise1 = BlockEncoding(unitary_noise(rng, model.dims.d_v, e1), 1.0, 0, e1)
     inv = inv_sqrt_encoding(model)
     inv_p, _ = perturb_encoding(inv, rng, scale=0.5 * e2 / inv.alpha)
     assert inv_p.delta <= e2
-    biased = quadrature_first_term(model, rho, g_j, modular_noise=noise1, inv_sqrt=inv_p)
+    biased = quadrature_first_term(model, rho, g_j, inv_sqrt=be_product(inv_p, noise1))
     assert abs(biased - exact) <= eps / 2
 
 

@@ -1,3 +1,6 @@
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -371,3 +374,17 @@ def test_as_unitary_checks_size_then_unitarity():
         as_unitary(h, "u", 3)
     with pytest.raises(SpecError, match="u is not unitary within 1e-10"):
         as_unitary(np.diag([1.0, 0.9]), "u")
+
+
+def test_decompose_is_the_one_eigh_call():
+    # every eigendecomposition in the package goes through linalg.decompose
+    body = inspect.getsource(decompose)
+    assert body.count("np.linalg.eigh(") == 1
+    calls = []
+    for path in sorted(Path(qbmgrad.linalg.__file__).parent.glob("*.py")):
+        code = path.read_text()
+        if path.name == "linalg.py":
+            code = code.replace(body, "")
+        calls += [f"{path.name}: {line.strip()}" for line in code.splitlines()
+                  if "np.linalg.eigh(" in line]
+    assert calls == []

@@ -440,6 +440,32 @@ def test_divergence_guard():
               TrainConfig(learning_rate=0.1, iterations=3))
 
 
+class _ConstantProblem(qbmgrad.training.Problem):
+    """A flat objective at a given value."""
+
+    theta0 = np.zeros(1)
+
+    def __init__(self, value):
+        self.value = value
+
+    def objective(self, theta):
+        return self.value
+
+    def gradient_vector(self, theta, iteration):
+        return np.zeros(1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1.5e6])
+def test_start_objective_guard(value):
+    with pytest.raises(GuardError, match=rf"^objective diverged at iteration 0: {value!r}$"):
+        train(_ConstantProblem(value), TrainConfig(iterations=3))
+
+
+def test_start_objective_at_the_cap_trains():
+    traj = train(_ConstantProblem(1e6), TrainConfig(iterations=3))
+    assert traj.final_objective == 1e6
+
+
 def test_finite_difference_oracle_properties():
     # exact on quadratics; halving the step shrinks the cubic residual ~4x
     f = lambda th: float(th[0] ** 3)

@@ -278,6 +278,7 @@ def cmd_train(args) -> int:
         "mode": mode,
         "iterations": cfg.iterations,
         "iterations_run": traj.rows[-1].iteration,
+        "stop_reason": traj.stop_reason,
         "final_objective": traj.final_objective,
         "final_theta": traj.final_theta.tolist(),
         "monotone": bool(np.all(np.diff(traj.objectives()) <= 0.0)),
@@ -285,7 +286,7 @@ def cmd_train(args) -> int:
     }
     path = _write_report(args.out, payload)
     print(f"final objective {traj.final_objective:.6g} after {traj.rows[-1].iteration} "
-          f"of {cfg.iterations} iterations")
+          f"of {cfg.iterations} iterations (stop reason: {traj.stop_reason})")
     print(f"trajectory -> {csv_path}\nreport -> {path}")
     return EXIT_OK
 

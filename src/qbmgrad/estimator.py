@@ -91,6 +91,10 @@ class BlockEncoding:
 
     def __post_init__(self):
         object.__setattr__(self, "unitary", as_unitary(self.unitary, "block-encoding matrix"))
+        dim = self.unitary.shape[0]
+        if self.ancillas < 0 or dim % (1 << self.ancillas):
+            raise SpecError(f"a {dim}-dimensional block-encoding cannot hold "
+                            f"{self.ancillas} ancilla qubits")
 
     def extract(self) -> np.ndarray:
         """alpha * (<0| (x) I) U (|0> (x) I): the encoded matrix."""

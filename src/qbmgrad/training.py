@@ -4,7 +4,9 @@ No momentum or adaptive optimizers: the only adaptivity is halving the step
 when the objective would increase (at most 20 halvings, then the step is
 skipped), which makes logged objectives non-increasing by construction.
 The exact objective is recomputed at every logged step even in shot mode,
-cleanly separating estimator noise from optimization behavior.
+cleanly separating estimator noise from optimization behavior.  An exact
+run also stops once an accepted step lowers the objective by no more than
+``STOP_RTOL`` relative to max(1, |objective|).
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ from .gradients import (
 from .models import CQModel, ParamHamiltonian, QCModel, ThermalModel, thermalize
 
 MAX_HALVINGS = 20
+STOP_RTOL = 1e-12  # an exact run ends on an accepted step gaining at most this, relative
 DIVERGENCE_CAP = 1e6
 
 
@@ -71,6 +74,7 @@ class TrajectoryRow:
 @dataclass
 class Trajectory:
     rows: list[TrajectoryRow] = field(default_factory=list)
+    stop_reason: str = "iterations"  # or "tolerance" or "rejected" (exact runs only)
 
     @property
     def final_theta(self) -> np.ndarray:
@@ -293,11 +297,15 @@ def train(problem: Problem, cfg: TrainConfig) -> Trajectory:
     The exact objective is evaluated every iteration to steer the halving
     and logged every ``log_every`` iterations.  Gradients come from
     ``problem.gradient_vector``; when the problem holds no ``estimator``
-    they are exact, and a fully rejected step ends the run.  A start
-    objective above 1e6 or non-finite aborts with a diagnostic; a step is
-    accepted only with a finite objective no larger than the last, so no
-    later objective can exceed the start one.
+    they are exact, and the run ends early on a step that is rejected
+    through every halving (``stop_reason`` "rejected") or that is accepted
+    but lowers the objective by at most ``STOP_RTOL * max(1, |objective|)``
+    ("tolerance"); otherwise it runs all ``cfg.iterations`` ("iterations").
+    A start objective above 1e6 or non-finite aborts with a diagnostic; a
+    step is accepted only with a finite objective no larger than the last,
+    so no later objective can exceed the start one.
     """
+    exact = problem.estimator is None
     theta = problem.theta0.copy()
     traj = Trajectory()
     start = time.perf_counter()
@@ -309,7 +317,7 @@ def train(problem: Problem, cfg: TrainConfig) -> Trajectory:
                                    (time.perf_counter() - start) * 1e3))
     for it in range(1, cfg.iterations + 1):
         eta = cfg.learning_rate
-        accepted = False
+        stop = "rejected" if exact else None
         for _ in range(MAX_HALVINGS + 1):
             cand = theta - eta * grad_vec
             try:
@@ -317,20 +325,21 @@ def train(problem: Problem, cfg: TrainConfig) -> Trajectory:
             except GuardError:  # the trial step left the trustworthy region
                 cand_obj = np.nan
             if np.isfinite(cand_obj) and cand_obj <= obj:  # descent keeps the log non-increasing
+                small = obj - cand_obj <= STOP_RTOL * max(1.0, abs(obj))
+                stop = "tolerance" if exact and small else None
                 theta, obj = cand, cand_obj
-                accepted = True
                 break
             eta *= 0.5
-        converged = not accepted and problem.estimator is None
-        if not converged:  # else theta is unchanged and so is its exact gradient
+        if stop != "rejected":  # else theta is unchanged and so is its exact gradient
             grad_vec = problem.gradient_vector(theta, it)
-        if it % cfg.log_every == 0 or it == cfg.iterations or converged:
+        if it % cfg.log_every == 0 or it == cfg.iterations or stop:
             traj.rows.append(
                 TrajectoryRow(it, obj, float(np.linalg.norm(grad_vec)), theta.copy(),
                               (time.perf_counter() - start) * 1e3)
             )
-        if converged:
-            # exact gradients are deterministic, so a fully rejected step
-            # would repeat forever: the objective is at its float floor
+        if stop:
+            # exact gradients are deterministic: a fully rejected step would
+            # repeat forever, and a step below the tolerance has converged
+            traj.stop_reason = stop
             break
     return traj

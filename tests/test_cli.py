@@ -24,7 +24,7 @@ from qbmgrad.gradients import (
 from qbmgrad.linalg import eigh, expectation
 from qbmgrad.models import cq_decompose, qc_decompose, thermalize
 from qbmgrad.runspec import load_runspec, matrix_to_json
-from qbmgrad.training import TrainConfig
+from qbmgrad.training import ClassicalProblem, QuantumProblem, TrainConfig
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -121,19 +121,47 @@ def test_train_writes_csv(tmp_path):
     assert abs(float(rows[-1][3]) - 0.5 * np.log(0.2 / 0.8)) < 1e-4
 
 
-@pytest.mark.parametrize("argv, stopped", [
-    (["--spec", DEMOS / "grad_restricted.json"], True),
+@pytest.mark.parametrize("argv, reason, early", [
+    (["--spec", DEMOS / "grad_restricted.json"], "tolerance", True),
+    (["--spec", DEMOS / "grad_fixed_point.json", "--iterations", "1"], "tolerance", False),
     (["--spec", DEMOS / "train_qubit.json", "--mode", "shot", "--shots", "256",
-      "--iterations", "4"], False),
-], ids=["exact-stops-early", "shot-runs-its-budget"])
-def test_train_reports_where_it_stopped(tmp_path, capsys, argv, stopped):
+      "--iterations", "4"], "iterations", False),
+    (["--spec", DEMOS / "train_qubit.json"], "rejected", True),
+], ids=["exact-stops-early", "converges-on-its-last-iteration", "shot-runs-its-budget",
+        "exact-uphill-step-rejected"])
+def test_train_reports_where_it_stopped(tmp_path, capsys, monkeypatch, argv, reason, early):
+    if reason == "rejected":  # an ascent direction: every halving of the first step fails
+        raw = QuantumProblem.gradient_vector
+        monkeypatch.setattr(QuantumProblem, "gradient_vector",
+                            lambda self, theta, it: -raw(self, theta, it))
     assert run(["train", *argv, "--out", tmp_path]) == 0
     rep = json.loads((tmp_path / "report.json").read_text())
     with (tmp_path / "trajectory.csv").open() as fh:
         last = int(list(csv.reader(fh))[-1][0])
     assert rep["iterations_run"] == last
-    assert (last < rep["iterations"]) if stopped else (last == rep["iterations"])
-    assert f"after {last} of {rep['iterations']} iterations" in capsys.readouterr().out
+    assert rep["stop_reason"] == reason
+    assert (last < rep["iterations"]) if early else (last == rep["iterations"])
+    assert (f"after {last} of {rep['iterations']} iterations (stop reason: {reason})"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", ["train_qubit", "grad_tsallis", "grad_restricted",
+                                  "grad_classical"])
+def test_rounding_in_the_gradient_does_not_move_the_stop(tmp_path, monkeypatch, name):
+    def iterations_run(scale):
+        for cls in (QuantumProblem, ClassicalProblem):
+            monkeypatch.setattr(cls, "gradient_vector",
+                                lambda self, theta, it, raw=raw[cls]: scale * raw(self, theta, it))
+        out = tmp_path / repr(scale)
+        assert run(["train", "--spec", DEMOS / f"{name}.json", "--seed", "7", "--out", out]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["stop_reason"] == "tolerance"
+        return rep["iterations_run"]
+
+    raw = {cls: cls.gradient_vector for cls in (QuantumProblem, ClassicalProblem)}
+    want = iterations_run(1.0)
+    assert iterations_run(1.0 + 1e-15) == want
+    assert iterations_run(1.0 - 1e-15) == want
 
 
 def test_train_csv_deterministic(tmp_path):

@@ -226,6 +226,15 @@ def test_non_square_encoding_is_spec_error():
         BlockEncoding(np.ones((2, 3)), 1.0, 0)
 
 
+@pytest.mark.parametrize("ancillas, dim", [(1, 3), (2, 6), (-1, 2)])
+@pytest.mark.parametrize("use", [BlockEncoding.extract, lambda be: be_product(be, be)],
+                         ids=["extract", "be_product"])
+def test_ancillas_must_divide_the_encoding(use, ancillas, dim):
+    with pytest.raises(SpecError, match=rf"^a {dim}-dimensional block-encoding cannot hold "
+                                        rf"{ancillas} ancilla qubits$"):
+        use(BlockEncoding(np.eye(dim), 2.0, ancillas))
+
+
 def test_quadrature_average_matches_lifted_term(rng):
     for _ in range(2):
         model = rand_model(rng, 2, 2)

@@ -163,21 +163,62 @@ def test_train_thermalizes_once_per_step(monkeypatch):
 
 
 
-def test_converged_exact_run_reuses_its_last_gradient():
-    problem, _ = _qubit_problem()
-    calls = [0]
+def _count_gradients(problem):
+    """Record every theta at which problem.gradient_vector is asked."""
+    thetas = []
     raw_gradient = problem.gradient_vector
 
     def counted_gradient(theta, iteration):
-        calls[0] += 1
+        thetas.append(np.array(theta))
         return raw_gradient(theta, iteration)
 
     problem.gradient_vector = counted_gradient
+    return thetas, raw_gradient
+
+
+def test_converged_exact_run_reuses_its_last_gradient():
+    problem = _UphillProblem()
+    thetas, raw_gradient = _count_gradients(problem)
     traj = train(problem, TrainConfig(learning_rate=0.1, iterations=2000, log_every=100))
     stop = traj.rows[-1]
+    assert traj.stop_reason == "rejected"
     assert stop.iteration < 2000  # a fully rejected step ended the run
-    assert calls[0] == stop.iteration  # one at theta0, one per accepted step
+    assert len(thetas) == stop.iteration  # one at theta0, one per accepted step
     assert stop.grad_norm == np.linalg.norm(raw_gradient(stop.theta, 0))
+
+
+def test_tolerance_stop_evaluates_one_gradient_at_the_stopped_theta():
+    problem, theta_star = _qubit_problem()
+    thetas, raw_gradient = _count_gradients(problem)
+    traj = train(problem, TrainConfig(learning_rate=0.1, iterations=2000, log_every=100))
+    stop = traj.rows[-1]
+    assert traj.stop_reason == "tolerance"
+    assert stop.iteration < 2000
+    assert len(thetas) == stop.iteration + 1  # one at theta0, one per accepted step
+    assert sum(np.array_equal(t, stop.theta) for t in thetas) == 1
+    assert np.array_equal(thetas[-1], stop.theta)
+    assert stop.grad_norm == np.linalg.norm(raw_gradient(stop.theta, 0))
+    assert stop.objective < 1e-8 and abs(stop.theta[0] - theta_star) < 1e-4
+
+
+def test_oversized_step_does_not_stop_early():
+    # halved steps that are accepted still lower the objective by far more
+    # than the tolerance, so the run goes on until it has converged
+    problem, theta_star = _qubit_problem()
+    calls = [0]
+    raw_objective = problem.objective
+
+    def counted_objective(theta):
+        calls[0] += 1
+        return raw_objective(theta)
+
+    problem.objective = counted_objective
+    traj = train(problem, TrainConfig(learning_rate=25.0, iterations=60))
+    assert calls[0] > traj.rows[-1].iteration + 1  # some steps were halved
+    assert traj.stop_reason == "tolerance"
+    assert traj.final_objective < 1e-8
+    assert abs(traj.final_theta[0] - theta_star) < 1e-4
+
 
 def test_continued_train_starts_on_the_kept_model(monkeypatch, rng):
     # training in chunks, each train() starting where the last one ended

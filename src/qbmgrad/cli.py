@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 check failure, 2 input/schema error, 3 numerical
 guard.  All outputs are deterministic given (spec, seed); reports land in
-``--out`` as report.json (plus trajectory.csv for training runs).
+``--out`` as report.json (plus trajectory.csv for training runs) before the
+command prints its summary, which a closed stdout drops without an error.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .estimator import EstimatorConfig, estimate_first_term, hoeffding_shots
 from .gradients import Objective, Target, UMEGAKI, gradient, tsallis
 from .linalg import spectral_norm
 from .models import cq_decompose, qc_decompose, thermalize
-from .runspec import RunSpec, fmt17, load_runspec, spec_number
+from .runspec import ESTIMATE_FIELDS, TRAIN_FIELDS, RunSpec, fmt17, load_runspec
 from .training import (
     CQProblem,
     ClassicalProblem,
@@ -39,13 +40,6 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit 2, keep it explicit
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_INPUT)
-
-
 def _positive_int(text: str) -> int:
     if int(text) < 1:  # a non-integer is argparse's "invalid ... value" usage error
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
@@ -53,7 +47,7 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="qbmgrad", description=__doc__)
+    p = argparse.ArgumentParser(prog="qbmgrad", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     # each command takes only the flag groups it reads
@@ -67,6 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     threads.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    shot = argparse.ArgumentParser(add_help=False)
+    shot.add_argument("--epsilon", type=float, help="shot-mode error target")
+    shot.add_argument("--delta", type=float, help="shot-mode failure probability")
+    shot.add_argument("--shots", type=int, help="fixed shots per estimate (0 = auto)")
 
     pv = sub.add_parser("verify", parents=[out], help="run property-check suites")
     pv.add_argument("--suite", default="all", help=f"one of {', '.join(SUITES)} or 'all'")
@@ -74,29 +72,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("grad", parents=[spec, objective, out],
                    help="exact gradient with oracle residuals")
 
-    pt = sub.add_parser("train", parents=[spec, objective, threads, out],
+    pt = sub.add_parser("train", parents=[spec, objective, threads, out, shot],
                         help="gradient-descent training")
-    pt.add_argument("--mode", choices=["exact", "shot"], help="gradient mode")
+    pt.add_argument("--mode", choices=TRAIN_FIELDS["mode"], help="gradient mode")
     pt.add_argument("--learning-rate", type=float)
     pt.add_argument("--iterations", type=int)
     pt.add_argument("--log-every", type=int)
-    pt.add_argument("--epsilon", type=float, help="shot-mode error target")
-    pt.add_argument("--delta", type=float, help="shot-mode failure probability")
-    pt.add_argument("--shots", type=int, help="fixed shots per estimate (0 = auto)")
 
-    pe = sub.add_parser("estimate", parents=[spec, threads, out],
+    pe = sub.add_parser("estimate", parents=[spec, threads, out, shot],
                         help="shot-estimate one gradient term")
-    pe.add_argument("--term", type=int, help="parameter index (default from spec)")
-    pe.add_argument("--epsilon", type=float)
-    pe.add_argument("--delta", type=float)
-    pe.add_argument("--shots", type=int, help="0 = auto from the Hoeffding bound")
+    pe.add_argument("--term", dest="term_index", metavar="TERM", type=int, help="parameter index")
     for command in sub.choices.values():  # unknown flags get the command's own usage line
         command.set_defaults(usage_parser=command)
     return p
 
 
-def _resolve_seed(args, spec: RunSpec | None) -> int:
-    """The run's seed: --seed, else QBMGRAD_SEED, else the spec seed (0 without a spec)."""
+def _resolve_seed(args, spec: RunSpec) -> int:
+    """The run's seed: --seed, else QBMGRAD_SEED, else the spec seed."""
     env = os.environ.get("QBMGRAD_SEED")
     if args.seed is not None:
         seed, source = args.seed, "--seed"
@@ -107,45 +99,34 @@ def _resolve_seed(args, spec: RunSpec | None) -> int:
             raise SpecError(f"QBMGRAD_SEED must be an integer, got {env!r}") from exc
         source = "QBMGRAD_SEED"
     else:
-        seed, source = (spec.seed if spec is not None else 0), "the spec seed"
+        seed, source = spec.seed, "the spec seed"
     if seed < 0:
         raise SpecError(f"{source} must be nonnegative, got {seed}")
     return seed
 
 
-def _option(flag, opts: dict, key: str, *, integer: bool = False):
-    """The flag when given (zero included), else the spec option, else None."""
-    if flag is not None:
-        return flag
-    return spec_number(opts[key], key, integer=integer) if key in opts else None
-
-
-def _given(**settings) -> dict:
-    """The settings a flag or the spec gave; the rest keep their config defaults."""
-    return {name: value for name, value in settings.items() if value is not None}
+def _with_flags(args, section: dict, fields: dict) -> dict:
+    """A checked spec section with each flag that was given (zero included)
+    laid over it; a setting neither gives keeps its config default."""
+    return {**section, **{key: getattr(args, key) for key in fields
+                          if getattr(args, key) is not None}}
 
 
 def _estimator_config(args, opts: dict, seed: int) -> EstimatorConfig:
-    """Shot settings of a train or estimate run: flags over spec options."""
-    return EstimatorConfig(seed=seed, threads=args.threads, **_given(
-        epsilon=_option(args.epsilon, opts, "epsilon"),
-        delta_fail=_option(args.delta, opts, "delta"),
-        shots=_option(args.shots, opts, "shots", integer=True),
-    ))
+    """Shot settings of a train or estimate run from its options."""
+    names = {"epsilon": "epsilon", "delta": "delta_fail", "shots": "shots"}
+    return EstimatorConfig(seed=seed, threads=args.threads,
+                           **{names[key]: opts[key] for key in names if key in opts})
 
 
-def _resolve_objective(args, spec: RunSpec | None) -> Objective:
-    if args.objective == "umegaki":
-        if args.q is not None:
-            raise SpecError("--q applies to --objective tsallis only")
-        return UMEGAKI
-    if args.objective == "tsallis":
-        if args.q is None:
-            raise SpecError("--objective tsallis requires --q")
-        return tsallis(args.q)
+def _resolve_objective(args, spec: RunSpec) -> Objective:
+    if args.objective == "umegaki" and args.q is not None:
+        raise SpecError("--q applies to --objective tsallis only")
+    if args.objective == "tsallis" and args.q is None:
+        raise SpecError("--objective tsallis requires --q")
     if args.q is not None:
         return tsallis(args.q)
-    return spec.objective if spec is not None else UMEGAKI
+    return UMEGAKI if args.objective == "umegaki" else spec.objective
 
 
 def _need_spec(args) -> RunSpec:
@@ -168,12 +149,19 @@ def _write_report(out_dir: Path, payload: dict) -> Path:
     return _write(out_dir, "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _say(text: str) -> None:
+    """Print a line of a command's summary; once stdout's reader has gone,
+    stdout points at os.devnull (as Python's docs advise), so no write raises."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+
+
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names)  # unknown suite raises SpecError -> exit 2
-    for r in results:
-        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.suite}/{r.name}: "
-              f"residual={r.residual:.3e} tol={r.tol:.1e}")
     n_fail = sum(not r.passed for r in results)
     payload = {
         "command": "verify",
@@ -186,7 +174,10 @@ def cmd_verify(args) -> int:
         "checks": [r.as_dict() for r in results],
     }
     path = _write_report(args.out, payload)
-    print(f"{len(results)} checks, {n_fail} failed -> {path}")
+    for r in results:
+        _say(f"[{'PASS' if r.passed else 'FAIL'}] {r.suite}/{r.name}: "
+             f"residual={r.residual:.3e} tol={r.tol:.1e}")
+    _say(f"{len(results)} checks, {n_fail} failed -> {path}")
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
 
 
@@ -214,10 +205,6 @@ def cmd_grad(args) -> int:
     rep = p.report(p.theta0)
     fd = finite_difference_gradient(p.objective, p.theta0)
     resid = np.abs(rep.values - fd)
-    print(f"objective value: {value:.12g}")
-    for j, (v, f1, s1, r) in enumerate(zip(rep.values, rep.first_terms, rep.second_terms, resid)):
-        print(f"  d/dtheta[{j}] = {v:+.12g}   (target term {f1:+.6g}, model term {s1:+.6g}, "
-              f"fd residual {r:.2e})")
     payload = {
         "command": "grad",
         "objective": {"kind": obj.kind, **({"q": obj.q} if obj.q else {})},
@@ -229,7 +216,11 @@ def cmd_grad(args) -> int:
         **({"q_overlap": rep.q_overlap} if rep.q_overlap is not None else {}),
     }
     path = _write_report(args.out, payload)
-    print(f"report -> {path}")
+    _say(f"objective value: {value:.12g}")
+    for j, (v, f1, s1, r) in enumerate(zip(rep.values, rep.first_terms, rep.second_terms, resid)):
+        _say(f"  d/dtheta[{j}] = {v:+.12g}   (target term {f1:+.6g}, model term {s1:+.6g}, "
+             f"fd residual {r:.2e})")
+    _say(f"report -> {path}")
     return EXIT_OK
 
 
@@ -238,15 +229,14 @@ def _reject_unused_shot_settings(args, spec: RunSpec, mode: str) -> None:
     in this mode would not read: exact mode reads none of them, and
     classical tables in shot mode draw ``--shots`` samples with no
     (epsilon, delta) target."""
-    flags = {"epsilon": args.epsilon, "delta": args.delta, "shots": args.shots}
     if mode == "exact":
-        unused, why = list(flags), "apply to --mode shot only"
+        unused, why = ["epsilon", "delta", "shots"], "apply to --mode shot only"
     elif spec.model.kind == "classical":
         unused = ["epsilon", "delta"]
         why = "do not apply to classical tables, which draw --shots samples"
     else:
         return
-    given = [f"--{k}" for k in unused if flags[k] is not None]
+    given = [f"--{k}" for k in unused if getattr(args, k) is not None]
     given += [f"train.{k}" for k in unused if k in spec.train]
     if given:
         raise SpecError(f"{', '.join(given)} {why}")
@@ -256,17 +246,12 @@ def cmd_train(args) -> int:
     spec = _need_spec(args)
     obj = _resolve_objective(args, spec)
     seed = _resolve_seed(args, spec)
-    opts = spec.train
-    mode = args.mode or opts.get("mode", "exact")
+    opts = _with_flags(args, spec.train, TRAIN_FIELDS)
+    mode = opts.get("mode", "exact")
     _reject_unused_shot_settings(args, spec, mode)
     est = _estimator_config(args, opts, seed) if mode == "shot" else None
-    cfg = TrainConfig(**_given(
-        learning_rate=_option(args.learning_rate, opts, "learning_rate"),
-        iterations=_option(args.iterations, opts, "iterations", integer=True),
-        log_every=_option(args.log_every, opts, "log_every", integer=True),
-    ))
-    if mode not in ("exact", "shot"):
-        raise SpecError(f"unknown gradient mode {mode!r}")
+    cfg = TrainConfig(**{key: opts[key] for key in ("learning_rate", "iterations", "log_every")
+                         if key in opts})
     traj = train(_problem(spec, obj, est), cfg)
     theta_cols = [f"theta_{i}" for i in range(traj.rows[0].theta.size)]
     lines = [["iter", "objective", "grad_norm", *theta_cols, "wall_ms"]]
@@ -285,9 +270,9 @@ def cmd_train(args) -> int:
         "trajectory_csv": str(csv_path),
     }
     path = _write_report(args.out, payload)
-    print(f"final objective {traj.final_objective:.6g} after {traj.rows[-1].iteration} "
-          f"of {cfg.iterations} iterations (stop reason: {traj.stop_reason})")
-    print(f"trajectory -> {csv_path}\nreport -> {path}")
+    _say(f"final objective {traj.final_objective:.6g} after {traj.rows[-1].iteration} "
+         f"of {cfg.iterations} iterations (stop reason: {traj.stop_reason})")
+    _say(f"trajectory -> {csv_path}\nreport -> {path}")
     return EXIT_OK
 
 
@@ -296,8 +281,8 @@ def cmd_estimate(args) -> int:
     if spec.model.kind not in ("generic", "restricted"):
         raise SpecError("estimate covers generic/restricted models")
     seed = _resolve_seed(args, spec)
-    opts = spec.estimate
-    term = _option(args.term, opts, "term_index", integer=True) or 0  # None: the first term
+    opts = _with_flags(args, spec.estimate, ESTIMATE_FIELDS)
+    term = opts.get("term_index", 0)
     model = thermalize(spec.model.hamiltonian)
     terms = model.hamiltonian.terms
     if not 0 <= term < len(terms):
@@ -326,10 +311,10 @@ def cmd_estimate(args) -> int:
         "wall_s": elapsed,
     }
     path = _write_report(args.out, payload)
-    print(f"term {term}: mean {mean:+.6f} +- {stderr:.6f} ({shots} shots), "
-          f"exact {exact:+.6f}, |error| {abs(mean - exact):.6f}")
-    print(f"kappa = {model.kappa:.4f}, |G_j| = {g_norm:.4f}")
-    print(f"report -> {path}")
+    _say(f"term {term}: mean {mean:+.6f} +- {stderr:.6f} ({shots} shots), "
+         f"exact {exact:+.6f}, |error| {abs(mean - exact):.6f}")
+    _say(f"kappa = {model.kappa:.4f}, |G_j| = {g_norm:.4f}")
+    _say(f"report -> {path}")
     return EXIT_OK
 
 

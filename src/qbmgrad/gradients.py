@@ -272,7 +272,7 @@ def gradient_cq(cq: CQModel, target_probs, obj: Objective = UMEGAKI) -> Gradient
 
 def cq_objective(cq: CQModel, target_probs, obj: Objective = UMEGAKI) -> float:
     """Relative entropy between a label distribution and the model's p(theta)."""
-    r = np.asarray(target_probs, dtype=float)
+    r = label_probs(target_probs, cq.dims.d_v)
     if obj.kind == "umegaki":
         return _label_relative_entropy(r, cq.p)
     q = obj.q
@@ -308,7 +308,7 @@ def classical_distribution(tables: np.ndarray, theta) -> np.ndarray:
 def classical_objective(tables, theta, target_q) -> float:
     """Relative entropy D(q(v) || p_theta(v)) by exact enumeration."""
     p_v = classical_distribution(tables, theta).sum(axis=1)
-    return _label_relative_entropy(np.asarray(target_q, dtype=float), p_v)
+    return _label_relative_entropy(label_probs(target_q, p_v.size), p_v)
 
 
 def _label_relative_entropy(r: np.ndarray, p: np.ndarray) -> float:
@@ -324,9 +324,9 @@ def classical_gradient(tables, theta, target_q) -> GradientReport:
     the first and second terms; the values contract the difference of their tables.
     """
     tables = np.asarray(tables, dtype=float)
-    q = np.asarray(target_q, dtype=float)
     p_vh = classical_distribution(tables, theta)
     p_v = p_vh.sum(axis=1)
+    q = label_probs(target_q, p_v.size)
     clamped = np.where(p_v > 0.0, p_v, 1.0)
     weights = p_vh * (q / clamped)[:, None]  # q(v) p(h|v)
     # each term is the (J, vh) x (vh,) product np.tensordot forms, without its set-up

@@ -205,7 +205,9 @@ def _block_decompose(h: ParamHamiltonian, basis, classical: str) -> np.ndarray:
     over the basis states, giving the (n_params, n_blocks, d, d) stack of
     the blocks G^{j,x}.  The basis is validated, never searched for: a
     rotated term with an off-block entry above ``BLOCK_ATOL`` (relative to
-    its largest entry, when that exceeds 1) raises StructureError.
+    its largest entry, when that exceeds 1) raises StructureError.  The
+    diagonal blocks of a hermitized term are exactly Hermitian, so they are
+    stacked as they are.
     """
     dims = h.dims
     hidden = classical == "hidden"
@@ -227,7 +229,7 @@ def _block_decompose(h: ParamHamiltonian, basis, classical: str) -> np.ndarray:
                 f"term is not block-diagonal over the declared {classical} basis "
                 f"(off-block magnitude {off:.3e})"
             )
-        stack.append([as_hermitian(block(x, x)) for x in range(n)])
+        stack.append([block(x, x) for x in range(n)])
     return np.array(stack, dtype=complex)
 
 

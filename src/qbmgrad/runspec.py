@@ -97,8 +97,11 @@ MODEL_FIELDS = {
 DIMS_FIELDS = ("visible", "hidden")
 TARGET_FIELDS = ("state", "probs")
 OBJECTIVE_FIELDS = ("kind", "q")
-TRAIN_FIELDS = ("mode", "learning_rate", "iterations", "log_every", "epsilon", "delta", "shots")
-ESTIMATE_FIELDS = ("term_index", "epsilon", "delta", "shots")
+# option kinds: int for an integer, float for a finite number, or the allowed
+# values; range checks stay with the configs that read the options
+TRAIN_FIELDS = {"mode": ("exact", "shot"), "learning_rate": float, "iterations": int,
+                "log_every": int, "epsilon": float, "delta": float, "shots": int}
+ESTIMATE_FIELDS = {"term_index": int, "epsilon": float, "delta": float, "shots": int}
 
 
 def _object(value, what: str, fields: tuple[str, ...] | None = None) -> dict:
@@ -111,6 +114,17 @@ def _object(value, what: str, fields: tuple[str, ...] | None = None) -> dict:
         raise SpecError(f"{what}: unknown field {unknown[0]!r} "
                         f"(expected one of {', '.join(fields)})")
     return value
+
+
+def _options(raw: dict, section: str, fields: dict) -> dict:
+    """The ``section`` object of a spec, each value checked against its kind."""
+    opts = dict(_object(raw.get(section, {}), section, tuple(fields)))
+    for key, value in opts.items():
+        if fields[key] in (int, float):
+            opts[key] = spec_number(value, f"{section}.{key}", integer=fields[key] is int)
+        elif value not in fields[key]:
+            raise SpecError(f"unknown gradient mode {value!r}")
+    return opts
 
 
 def _require(d: dict, key: str, what: str):
@@ -226,8 +240,8 @@ def parse_runspec(raw: dict) -> RunSpec:
         target_probs=target_probs,
         objective=_parse_objective(raw.get("objective")),
         seed=spec_number(raw.get("seed", 0), "seed", integer=True),
-        train=dict(_object(raw.get("train", {}), "train", TRAIN_FIELDS)),
-        estimate=dict(_object(raw.get("estimate", {}), "estimate", ESTIMATE_FIELDS)),
+        train=_options(raw, "train", TRAIN_FIELDS),
+        estimate=_options(raw, "estimate", ESTIMATE_FIELDS),
     )
 
 

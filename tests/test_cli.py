@@ -420,12 +420,12 @@ def test_unread_flag_is_usage_error(tmp_path, capsys, command, flags):
 @pytest.mark.parametrize("command, demo, path, value, field", [
     ("train", "train_qubit", ("seed",), float("inf"), "seed"),
     ("train", "train_qubit", ("seed",), 1.7, "seed"),
-    ("train", "train_qubit", ("train", "learning_rate"), float("nan"), "learning_rate"),
-    ("train", "train_qubit", ("train", "iterations"), 3.9, "iterations"),
+    ("train", "train_qubit", ("train", "learning_rate"), float("nan"), "train.learning_rate"),
+    ("train", "train_qubit", ("train", "iterations"), 3.9, "train.iterations"),
     ("train", "train_qubit", ("train",), [1, 2], "train"),
-    ("estimate", "estimate", ("estimate", "epsilon"), float("nan"), "epsilon"),
-    ("estimate", "estimate", ("estimate", "shots"), 300.9, "shots"),
-    ("estimate", "estimate", ("estimate", "term_index"), 0.7, "term_index"),
+    ("estimate", "estimate", ("estimate", "epsilon"), float("nan"), "estimate.epsilon"),
+    ("estimate", "estimate", ("estimate", "shots"), 300.9, "estimate.shots"),
+    ("estimate", "estimate", ("estimate", "term_index"), 0.7, "estimate.term_index"),
     ("estimate", "estimate", ("estimate",), [1, 2], "estimate"),
     ("grad", "grad_qubit", ("model", "dims", "visible"), "two", "model dims visible"),
     ("grad", "grad_qubit", ("model", "dims", "visible"), float("inf"), "model dims visible"),
@@ -449,6 +449,29 @@ def test_bad_spec_scalar_is_input_error(tmp_path, capsys, command, demo, path, v
     spec.write_text(json.dumps(raw))  # writes the NaN / Infinity literals
     assert run([command, "--spec", spec, "--out", tmp_path]) == 2
     assert f"input error: {field}: expected " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("train", "learning_rate", float("nan"), "train.learning_rate: expected a finite number"),
+    ("train", "log_every", float("inf"), "train.log_every: expected an integer"),
+    ("train", "delta", "small", "train.delta: expected a finite number"),
+    ("train", "iterations", 2.5, "train.iterations: expected an integer"),
+    ("train", "mode", 7, "unknown gradient mode 7"),
+    ("train", "mode", "exatc", "unknown gradient mode 'exatc'"),
+    ("estimate", "epsilon", float("nan"), "estimate.epsilon: expected a finite number"),
+    ("estimate", "delta", float("-inf"), "estimate.delta: expected a finite number"),
+    ("estimate", "shots", "many", "estimate.shots: expected an integer"),
+    ("estimate", "term_index", 0.5, "estimate.term_index: expected an integer"),
+], ids=["train-nan", "train-infinite", "train-string", "train-fractional", "train-numeric-mode",
+        "train-misspelt-mode", "estimate-nan", "estimate-infinite", "estimate-string",
+        "estimate-fractional"])
+@pytest.mark.parametrize("command", ["grad", "train", "estimate"])
+def test_bad_option_fails_every_command(tmp_path, capsys, command, section, key, value, message):
+    # every option section is checked when the spec loads, read by the command or not
+    spec = _edited_spec(tmp_path, "estimate", lambda raw: raw[section].update({key: value}))
+    assert run([command, "--spec", spec, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
     assert not (tmp_path / "report.json").exists()
 
 

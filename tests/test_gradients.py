@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from qbmgrad.gradients import (
     tsallis,
 )
 from qbmgrad.linalg import BipartiteDims, eigh, expectation, hermitize, spectral_norm, tensor
+from qbmgrad.runspec import load_runspec
 from qbmgrad.training import finite_difference_gradient
 from conftest import (
     PAULI_Z,
@@ -505,3 +508,30 @@ def test_label_probs_clamps_rounding_and_rejects_the_rest():
             label_probs(bad, 2)
     with pytest.raises(SpecError, match=r"target probs: expected 3 entries \(the visible dimension\), got 2"):
         label_probs([0.5, 0.5], 3)
+
+
+def _label_entries():
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    cl = load_runspec(demos / "grad_classical.json").model
+    cq = cq_decompose(load_runspec(demos / "grad_cq.json").model.hamiltonian)
+    return {
+        "cq_objective": (lambda r: cq_objective(cq, r), 2),
+        "gradient_cq": (lambda r: gradient_cq(cq, r), 2),
+        "classical_objective": (lambda r: classical_objective(cl.tables, cl.theta, r), 4),
+        "classical_gradient": (lambda r: classical_gradient(cl.tables, cl.theta, r), 4),
+    }
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([np.nan, 1.0], "target probs must be a normalized nonnegative vector"),
+    ([1.2, -0.2], "target probs must be a normalized nonnegative vector"),
+    ([0.5, 0.25, 0.25], r"target probs: expected \d entries \(the visible dimension\), got 3"),
+], ids=["nan", "negative", "wrong-length"])
+@pytest.mark.parametrize("entry", ["cq_objective", "gradient_cq", "classical_objective",
+                                   "classical_gradient"])
+def test_label_vector_is_checked_at_every_entry(entry, bad, message):
+    call, d_v = _label_entries()[entry]
+    if d_v == 4 and len(bad) == 2:  # the same defect over the classical demo's 4 labels
+        bad = bad + [0.0, 0.0]
+    with pytest.raises(SpecError, match=message):
+        call(bad)

@@ -3,7 +3,8 @@ import pytest
 
 from qbmgrad.errors import GuardError, ScaleError, SpecError, StructureError
 from qbmgrad.linalg import (
-    BipartiteDims, Eigensystem, eigh, expectation, gibbs_weights, spectral_norm, tensor)
+    BipartiteDims, Eigensystem, as_hermitian, eigh, expectation, gibbs_weights, spectral_norm,
+    tensor)
 from qbmgrad.models import (
     BLOCK_ATOL,
     EXP_NORM_GUARD,
@@ -263,6 +264,20 @@ def test_qc_decompose_blocks_and_weights(rng):
             for x in range(2)
         )
         assert spectral_norm(back - t) < 1e-12
+
+
+@pytest.mark.parametrize("decompose", [qc_decompose, cq_decompose])
+def test_blocks_are_exactly_hermitian_without_as_hermitian(rng, decompose):
+    # the blocks of a hermitized term skip as_hermitian, which would return them unchanged
+    hidden = decompose is qc_decompose
+    basis = rand_unitary(rng, 2)
+    make = block_hidden_terms if hidden else block_visible_terms
+    d_v, d_h = (3, 2) if hidden else (2, 3)  # the classical register has the basis's size
+    ham = ParamHamiltonian(dims=BipartiteDims(d_v, d_h), terms=make(rng, d_v, d_h, 3, basis),
+                           theta=np.ones(3))
+    stack = decompose(ham, basis).stack
+    assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+    assert all(np.array_equal(as_hermitian(b), b) for b in stack.reshape(-1, *stack.shape[-2:]))
 
 
 def test_qc_decompose_rejects_unstructured_terms(rng):

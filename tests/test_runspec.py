@@ -145,6 +145,12 @@ def test_integral_spec_numbers_still_parse():
     raw = _minimal_spec()
     raw["seed"] = 3.0
     raw["model"]["dims"] = {"visible": 2.0, "hidden": 1}
+    raw["train"] = {"iterations": 3.0, "learning_rate": 1, "mode": "shot"}
+    raw["estimate"] = {"shots": 0.0, "epsilon": 0}  # ranges are the configs' to check
     spec = parse_runspec(raw)
     assert spec.seed == 3 and isinstance(spec.seed, int)
     assert spec.model.dims.total == 2
+    assert spec.train == {"iterations": 3, "learning_rate": 1.0, "mode": "shot"}
+    assert isinstance(spec.train["iterations"], int)
+    assert isinstance(spec.train["learning_rate"], float)
+    assert spec.estimate == {"shots": 0, "epsilon": 0.0} and isinstance(spec.estimate["shots"], int)

@@ -55,7 +55,7 @@ from .densities import (
 )
 from .errors import ScaleError, SpecError
 from .gradients import UMEGAKI, as_target
-from .linalg import as_unitary, eigh, partial_trace, spectral_norm
+from .linalg import as_unitary, eigh, expectation, partial_trace, spectral_norm
 from .models import ThermalModel
 
 MAX_CIRCUIT_DIM = 256
@@ -213,21 +213,23 @@ def hoeffding_shots(kappa: float, g_norm: float, epsilon: float, delta_fail: flo
     return int(math.ceil(count))
 
 
-def eigen_groups(g_j) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Distinct eigenvalues of an observable with their summed projectors."""
+def eigen_groups(g_j) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct eigenvalues (K,) of an observable with their summed
+    projectors, one (K, D, D) array."""
     es = eigh(g_j)
     scale = max(1.0, float(np.max(np.abs(es.vals))))
-    values, projs = [], []
+    groups = []  # (start, stop) eigenvalue indices of each group
     i = 0
     while i < es.dim:
         j = i
         while j + 1 < es.dim and es.vals[j + 1] - es.vals[i] <= GROUP_RTOL * scale:
             j += 1
-        block = es.vecs[:, i : j + 1]
-        values.append(float(np.mean(es.vals[i : j + 1])))
-        projs.append(block @ block.conj().T)
+        groups.append((i, j + 1))
         i = j + 1
-    return np.asarray(values), projs
+    projs = np.empty((len(groups), es.dim, es.dim), dtype=complex)
+    for k, (lo, hi) in enumerate(groups):
+        projs[k] = es.vecs[:, lo:hi] @ es.vecs[:, lo:hi].conj().T
+    return np.array([np.mean(es.vals[lo:hi]) for lo, hi in groups]), projs
 
 
 def _clean_probs(p: np.ndarray) -> np.ndarray:
@@ -301,7 +303,7 @@ def _batch_context(
     g_vecs = model.g_eig.vecs
     g_vecs_h = g_vecs.conj().T
     dim = d_v * d_h
-    proj_rot = np.stack([g_vecs_h @ pk @ g_vecs for pk in projs])
+    proj_rot = g_vecs_h @ projs @ g_vecs
     d_weights = model.weights
     sigma_h = partial_trace(model.sigma_vh, model.dims, keep="hidden")
 
@@ -480,7 +482,7 @@ def estimate_model_term(
     """Shot estimate (mean, stderr) of <G_j>_{sigma_vh} by direct thermal
     sampling; ``groups`` as in ``estimate_first_term``."""
     values, projs = eigen_groups(g_j) if groups is None else groups
-    p = np.array([np.einsum("ij,ji->", pk, model.sigma_vh).real for pk in projs])
+    p = expectation(projs, model.sigma_vh)
     # Generator.choice(len(values), size=shots, p=p)'s arithmetic and stream:
     # the outcome counts the cdf entries at or below the draw, swept per group
     cdf = _clean_probs(p[None, :])[0].cumsum()

@@ -20,8 +20,8 @@ a joint quasi-state through a composition of
 Steps (1) and (3) run on matcalc's one eigenbasis kernel.  Commuting
 special cases (classical hidden or visible register) collapse to
 per-block formulas that avoid the joint register entirely.  Their blocks
-are one stack: step (3) runs once on all of them, and each term average
-is one block-state ``expectation``.
+are one stack: ``lift_to_joint`` lifts all of them at once, and each term
+average is one block-state ``expectation``.
 """
 from __future__ import annotations
 
@@ -169,12 +169,13 @@ def relative_entropy(rho, sigma, obj: Objective = UMEGAKI) -> float:
     return (_overlap(sig_es, target.constant, q) - 1.0) / (q - 1.0)
 
 
-def lift_to_joint(model: ThermalModel, r_v, q: float = 1.0) -> np.ndarray:
+def lift_to_joint(model: ThermalModel | QCModel, r_v, q: float = 1.0) -> np.ndarray:
     """Lift a visible operator to the joint quasi-state driving the gradient.
 
     For q = 1 the input is the target state and the output has unit trace;
     for q != 1 the caller passes rho^q and the output trace is Q_q.  The
-    output is Hermitian but need not be positive.
+    output is Hermitian but need not be positive.  A ``QCModel`` gives the
+    stack of its block lifts, sigma_x and G's block x in place of sigma_vh and G.
     """
     r_v = as_hermitian(r_v)
     if r_v.shape[0] != model.dims.d_v:
@@ -186,8 +187,7 @@ def lift_to_joint(model: ThermalModel, r_v, q: float = 1.0) -> np.ndarray:
 
 def _visible_core(sigma_v_eig: Eigensystem, r_v, q: float) -> np.ndarray:
     """sigma_v^{-q/2} Upsilon_q(r_v) sigma_v^{-q/2} for r_v = rho^q: the
-    visible side of the lift.  Callers check sigma_v's support; gradient_qc
-    does so before it forms rho^q, keeping that error ahead of rho's."""
+    visible side of the lift, after ``lift_to_joint``'s support check."""
     if q == 2.0:  # the power-weight density degenerates to a point mass
         side = sigma_v_eig.power(-1.0)
         return hermitize(side @ r_v @ side)
@@ -195,22 +195,27 @@ def _visible_core(sigma_v_eig: Eigensystem, r_v, q: float) -> np.ndarray:
     return apply_channel(d, sigma_v_eig, r_v, -q / 2.0)
 
 
+def _two_terms(model, target: Target, average, state) -> GradientReport:
+    """Gradient of a ThermalModel or QCModel, ``average`` mapping its states
+    to the term averages <G_j>: target term average(lift) minus model term
+    average(state).  Umegaki is order 1: rho is lifted and no Q_q reported.
+    Order q lifts rho^q and scales the model term by Q_q."""
+    q = target.obj.q
+    if q is None:
+        first, second = average(lift_to_joint(model, target.rho)), average(state)
+        return GradientReport(first - second, first, second)
+    rho_q = target.constant
+    first = average(lift_to_joint(model, rho_q, q))
+    qq = _overlap(model.sigma_v_eig, rho_q, q)
+    second = qq * average(state)
+    return GradientReport(first - second, first, second, qq)
+
+
 def gradient(model: ThermalModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
     """Exact objective gradient for a fully quantum model; ``rho`` is a
     density matrix or a ``Target`` prepared for ``obj``."""
-    target = as_target(rho, obj)
     terms = model.hamiltonian.stack
-    second_raw = expectation(terms, model.sigma_vh)
-    if obj.kind == "umegaki":
-        lifted = lift_to_joint(model, target.rho, q=1.0)
-        qq = None
-    else:
-        rho_q = target.constant
-        lifted = lift_to_joint(model, rho_q, q=obj.q)
-        qq = _overlap(model.sigma_v_eig, rho_q, obj.q)
-    first = expectation(terms, lifted)
-    second = second_raw if qq is None else qq * second_raw
-    return GradientReport(first - second, first, second, qq)
+    return _two_terms(model, as_target(rho, obj), lambda s: expectation(terms, s), model.sigma_vh)
 
 
 def gradient_qc(qc: QCModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
@@ -221,21 +226,8 @@ def gradient_qc(qc: QCModel, rho, obj: Objective = UMEGAKI) -> GradientReport:
     Hamiltonians (the declared hidden basis does not touch the visible
     register, so no rotation of rho is needed).
     """
-    target = as_target(rho, obj)
-    sig_v_es = qc.visible_eig
-    _check_support(sig_v_es.vals, "visible marginal")
-    q = 1.0 if obj.kind == "umegaki" else obj.q
-    r_q = target.rho if q == 1.0 else target.constant
-    core = _visible_core(sig_v_es, r_q, q)
-    # each sigma_x is the Gibbs state of its block's Hamiltonian
-    lifted = tent_of_anticommutator(qc.block_eig, qc.block_weights, core)
-    first = expectation(qc.stack, lifted) @ qc.p
-    second_raw = expectation(qc.stack, qc.sigma_x) @ qc.p
-    if obj.kind == "umegaki":
-        return GradientReport(first - second_raw, first, second_raw)
-    qq = _overlap(sig_v_es, r_q, q)
-    second = qq * second_raw
-    return GradientReport(first - second, first, second, qq)
+    return _two_terms(qc, as_target(rho, obj), lambda s: expectation(qc.stack, s) @ qc.p,
+                      qc.sigma_x)
 
 
 def label_probs(probs, d_v: int) -> np.ndarray:
@@ -243,7 +235,8 @@ def label_probs(probs, d_v: int) -> np.ndarray:
     down to -1e-12 and a sum within 1e-10 of 1 are rounding, a NaN is not."""
     r = np.asarray(probs, dtype=float)
     if r.shape != (d_v,):
-        raise SpecError(f"target probs: expected {d_v} entries (the visible dimension), got {r.size}")
+        got = r.size if r.ndim == 1 else f"an array of shape {r.shape}"
+        raise SpecError(f"target probs: expected {d_v} entries (the visible dimension), got {got}")
     if not ((r >= -1e-12).all() and abs(r.sum() - 1.0) <= 1e-10):
         raise SpecError("target probs must be a normalized nonnegative vector")
     return np.maximum(r, 0.0)
@@ -287,7 +280,7 @@ def pgm_povm(qc: QCModel) -> tuple[np.ndarray, ...]:
     call: both steps are entrywise in sigma_v's eigenbasis, so they commute.
     Complete by construction because the weighted blocks average to sigma_v.
     """
-    sig_v_es = qc.visible_eig
+    sig_v_es = qc.sigma_v_eig
     _check_support(sig_v_es.vals, "visible marginal")
     return tuple(apply_channel(LOGISTIC, sig_v_es, block, -0.5)
                  for block in qc.p[:, None, None] * qc.sigma_x)

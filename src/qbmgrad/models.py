@@ -201,13 +201,13 @@ def _block_decompose(h: ParamHamiltonian, basis, classical: str) -> np.ndarray:
     """The block stack of h over a declared classical basis.
 
     ``classical`` names the classical register, "hidden" or "visible".
-    Each term is rotated into the basis and split into its diagonal blocks
-    over the basis states, giving the (n_params, n_blocks, d, d) stack of
-    the blocks G^{j,x}.  The basis is validated, never searched for: a
-    rotated term with an off-block entry above ``BLOCK_ATOL`` (relative to
-    its largest entry, when that exceeds 1) raises StructureError.  The
-    diagonal blocks of a hermitized term are exactly Hermitian, so they are
-    stacked as they are.
+    The term stack is rotated into the basis in one product and split into
+    its diagonal blocks over the basis states, giving the C-ordered
+    (n_params, n_blocks, d, d) stack of the blocks G^{j,x}.  The basis is
+    validated, never searched for: the first rotated term with an off-block
+    entry above ``BLOCK_ATOL`` (relative to its largest entry, when that
+    exceeds 1) raises StructureError.  The diagonal blocks of a hermitized
+    term are exactly Hermitian, so they are stacked as they are.
     """
     dims = h.dims
     hidden = classical == "hidden"
@@ -215,22 +215,21 @@ def _block_decompose(h: ParamHamiltonian, basis, classical: str) -> np.ndarray:
     w = np.eye(n, dtype=complex) if basis is None else as_unitary(
         basis, f"{classical} basis", n)
     rot = tensor(np.eye(dims.d_v), w) if hidden else tensor(w, np.eye(dims.d_h))
-    stack = []
-    for term in h.terms:
-        term = hermitize(rot.conj().T @ term @ rot)
-        t = term.reshape(dims.d_v, dims.d_h, dims.d_v, dims.d_h)
-        block = (lambda x, y: t[:, x, :, y]) if hidden else (lambda x, y: t[x, :, y, :])
-        off = max(
-            (float(np.max(np.abs(block(x, y)))) for x in range(n) for y in range(n) if x != y),
-            default=0.0,
+    rotated = hermitize(rot.conj().T @ h.stack @ rot)
+    # the basis label of each joint index: the hidden one is the fast index
+    labels = np.arange(dims.total) % n if hidden else np.arange(dims.total) // dims.d_h
+    mags = np.abs(rotated)
+    off = mags.max(axis=(1, 2), where=labels[:, None] != labels[None, :], initial=0.0)
+    failing = np.flatnonzero(off > BLOCK_ATOL * np.maximum(1.0, mags.max(axis=(1, 2))))
+    if failing.size:
+        raise StructureError(
+            f"term is not block-diagonal over the declared {classical} basis "
+            f"(off-block magnitude {off[failing[0]]:.3e})"
         )
-        if off > BLOCK_ATOL * max(1.0, float(np.max(np.abs(term)))):
-            raise StructureError(
-                f"term is not block-diagonal over the declared {classical} basis "
-                f"(off-block magnitude {off:.3e})"
-            )
-        stack.append([block(x, x) for x in range(n)])
-    return np.array(stack, dtype=complex)
+    t = rotated.reshape(-1, dims.d_v, dims.d_h, dims.d_v, dims.d_h)
+    # the diagonal over the classical index pair comes last: [j, a, b, x] -> [j, x, a, b]
+    blocks = np.diagonal(t, axis1=2, axis2=4) if hidden else np.diagonal(t, axis1=1, axis2=3)
+    return np.ascontiguousarray(blocks.transpose(0, 3, 1, 2))
 
 
 def _thermal_blocks(block_hams: np.ndarray) -> tuple:
@@ -257,7 +256,8 @@ class _BlockModel:
 
     ``stack`` is the (n_params, n_blocks, d, d) array of the blocks G^{j,x}
     that ``qc_decompose`` or ``cq_decompose`` split the terms into; the
-    Gibbs data stack the blocks x along their first axis too.
+    Gibbs data stack the blocks x along their first axis too, under
+    ``ThermalModel``'s names, so a QCModel lifts like a ThermalModel.
     """
 
     dims: BipartiteDims
@@ -265,8 +265,8 @@ class _BlockModel:
     theta: np.ndarray
     p: np.ndarray = field(init=False)
     sigma_x: np.ndarray = field(init=False)  # (n_blocks, d, d)
-    block_eig: Eigensystem = field(init=False)  # vals (n_blocks, d), vecs (n_blocks, d, d)
-    block_weights: np.ndarray = field(init=False)  # (n_blocks, d): Gibbs weights of block_eig
+    g_eig: Eigensystem = field(init=False)  # vals (n_blocks, d), vecs (n_blocks, d, d)
+    weights: np.ndarray = field(init=False)  # (n_blocks, d): Gibbs weights of g_eig
 
     def __post_init__(self):
         theta = _checked_theta(self.theta, self.n_params)
@@ -274,8 +274,8 @@ class _BlockModel:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "sigma_x", states)
-        object.__setattr__(self, "block_eig", es)
-        object.__setattr__(self, "block_weights", weights)
+        object.__setattr__(self, "g_eig", es)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_params(self) -> int:
@@ -290,15 +290,14 @@ class _BlockModel:
 class QCModel(_BlockModel):
     """Quantum visible, classical hidden: G_j = sum_x G_v^{j,x} (x) |x><x|."""
 
-    visible_eig: Eigensystem = field(init=False)  # of visible_state()
+    sigma_v: np.ndarray = field(init=False)  # sum_x p_x sigma_x
+    sigma_v_eig: Eigensystem = field(init=False)
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "visible_eig", eigh(self.visible_state()))
-
-    def visible_state(self) -> np.ndarray:
-        """sigma_v = sum_x p_x sigma_x."""
-        return _weighted_sum(self.p, self.sigma_x)
+        sigma_v = _weighted_sum(self.p, self.sigma_x)
+        object.__setattr__(self, "sigma_v", sigma_v)
+        object.__setattr__(self, "sigma_v_eig", eigh(sigma_v))
 
 
 @dataclass(frozen=True)

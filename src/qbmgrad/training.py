@@ -204,7 +204,7 @@ class QCProblem(Problem):
         return self.qc.with_theta(theta)
 
     def objective(self, theta) -> float:
-        return relative_entropy(self.target, self._model(theta).visible_eig, self.obj)
+        return relative_entropy(self.target, self._model(theta).sigma_v_eig, self.obj)
 
     def report(self, theta) -> GradientReport:
         return gradient_qc(self._model(theta), self.target, self.obj)

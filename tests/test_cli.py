@@ -77,8 +77,8 @@ def _direct_gradient(spec, obj):
                 _q_overlap(rho, model.sigma_v_eig, obj.q) if tsal else None)
     if m.kind == "qc":
         qc = qc_decompose(m.hamiltonian, m.basis)
-        return (gradient_qc(qc, rho, obj), relative_entropy(rho, qc.visible_state(), obj),
-                _q_overlap(rho, eigh(qc.visible_state()), obj.q) if tsal else None)
+        return (gradient_qc(qc, rho, obj), relative_entropy(rho, qc.sigma_v, obj),
+                _q_overlap(rho, eigh(qc.sigma_v), obj.q) if tsal else None)
     if m.kind == "cq":
         cq = cq_decompose(m.hamiltonian, m.basis)
         return gradient_cq(cq, probs, obj), cq_objective(cq, probs, obj), None
@@ -501,6 +501,16 @@ def test_wrong_length_target_probs_is_input_error(tmp_path, capsys, command, dem
     d_v = len(probs)
     assert (f"input error: target probs: expected {d_v} entries (the visible dimension), "
             f"got {d_v + 1}") in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["grad", "train"])
+def test_nested_target_probs_name_their_shape(tmp_path, capsys, command):
+    spec = _edited_spec(tmp_path, "grad_cq",
+                        lambda raw: raw["target"].update(probs=[raw["target"]["probs"]]))
+    assert run([command, "--spec", spec, "--out", tmp_path]) == 2
+    assert ("input error: target probs: expected 2 entries (the visible dimension), "
+            "got an array of shape (1, 2)") in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

@@ -297,7 +297,9 @@ def test_eigen_groups_handles_degeneracy():
     g = np.diag([1.0, 1.0, -2.0]).astype(complex)
     values, projs = eigen_groups(g)
     assert np.allclose(values, [-2.0, 1.0])
-    assert abs(np.trace(projs[1]).real - 2.0) < 1e-12
+    # one (K, D, D) array; each projector's trace is its group's multiplicity
+    assert isinstance(projs, np.ndarray) and projs.shape == (2, 3, 3)
+    assert np.allclose(np.trace(projs, axis1=1, axis2=2), [1.0, 2.0], atol=1e-12)
 
 
 def outcome_distribution(model, rho, g_j, s, t, *, modular=None, inv_sqrt=None):

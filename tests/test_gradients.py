@@ -226,15 +226,44 @@ def test_qc_first_terms_match_per_block_reference(rng, q, d_h):
     _, qc = _qc_pair(rng, d_h=d_h)
     rho = rand_state(rng, 3)
     r_v = rho if q == 1.0 else psd_power(rho, q)
-    core = _visible_core(qc.visible_eig, r_v, q)
+    core = _visible_core(qc.sigma_v_eig, r_v, q)
+    lifted_blocks = lift_to_joint(qc, r_v, q)
+    assert lifted_blocks.shape == qc.sigma_x.shape
     want = np.zeros(qc.n_params)
     for x in range(d_h):
         block = hermitize(np.tensordot(qc.theta, qc.stack[:, x], axes=1))
         anti = hermitize(0.5 * (qc.sigma_x[x] @ core + core @ qc.sigma_x[x]))
         lifted = apply_channel(HIGH_PEAK_TENT, eigh(block), anti)
+        assert np.max(np.abs(lifted_blocks[x] - lifted)) < 1e-12
         want += qc.p[x] * expectation(qc.stack[:, x], lifted)
     got = gradient_qc(qc, rho, UMEGAKI if q == 1.0 else tsallis(q)).first_terms
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _clamp_failing_target():
+    # eigenvalue -5e-11: above as_density's floor, below psd_power's clamp
+    return np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
+
+
+def _unsupported_pair():
+    # theta = 35 drives the visible marginal's low eigenvalue to e^{-70}
+    ham = ParamHamiltonian(dims=BipartiteDims(2, 1), terms=(PAULI_Z,), theta=np.array([35.0]))
+    return thermalize(ham), qc_decompose(ham)
+
+
+@pytest.mark.parametrize("fault, obj, error", [
+    ("clamp", tsallis(0.5), SpecError),
+    ("support", UMEGAKI, SupportError),
+    ("support", tsallis(1.5), SupportError),
+    ("both", tsallis(1.5), SpecError),  # rho^q is formed before the support check
+])
+def test_generic_and_qc_gradients_raise_the_same_error(rng, fault, obj, error):
+    model, qc = _unsupported_pair() if fault != "clamp" else _qc_pair(rng, d_v=2)
+    rho = np.eye(2, dtype=complex) / 2 if fault == "support" else _clamp_failing_target()
+    for call in (gradient, gradient_qc):
+        with pytest.raises(error) as caught:
+            call(model if call is gradient else qc, rho, obj)
+        assert type(caught.value) is error
 
 
 def test_qc_diagonal_terms_reduce_to_classical(rng):
@@ -261,10 +290,10 @@ def test_pgm_povm_single_block_is_identity(rng):
 def test_pgm_povm_matches_sandwich_then_channel(rng, d_h):
     # Upsilon(sigma_v^{-1/2} p_x sigma_x sigma_v^{-1/2}) with the sandwich dense
     _, qc = _qc_pair(rng, d_h=d_h)
-    inv_sqrt = qc.visible_eig.power(-0.5)
+    inv_sqrt = qc.sigma_v_eig.power(-0.5)
     for element, p_x, sigma_x in zip(pgm_povm(qc), qc.p, qc.sigma_x):
         core = hermitize(inv_sqrt @ (p_x * sigma_x) @ inv_sqrt)
-        want = apply_channel(LOGISTIC, qc.visible_eig, core)
+        want = apply_channel(LOGISTIC, qc.sigma_v_eig, core)
         assert np.max(np.abs(element - want)) < 1e-12
 
 

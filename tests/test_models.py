@@ -242,7 +242,7 @@ def test_qc_trivial_hidden_is_single_block(rng):
     qc = qc_decompose(ham)
     assert qc.dims.d_h == 1
     model = thermalize(ham)
-    assert spectral_norm(qc.visible_state() - model.sigma_v) < 1e-12
+    assert spectral_norm(qc.sigma_v - model.sigma_v) < 1e-12
 
 
 def test_qc_decompose_blocks_and_weights(rng):
@@ -276,8 +276,22 @@ def test_blocks_are_exactly_hermitian_without_as_hermitian(rng, decompose):
     ham = ParamHamiltonian(dims=BipartiteDims(d_v, d_h), terms=make(rng, d_v, d_h, 3, basis),
                            theta=np.ones(3))
     stack = decompose(ham, basis).stack
+    # C order: every with_theta reshapes the stack, which would copy a strided one
+    assert stack.shape == (3, 2, 3, 3) and stack.flags.c_contiguous
     assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
     assert all(np.array_equal(as_hermitian(b), b) for b in stack.reshape(-1, *stack.shape[-2:]))
+
+
+@pytest.mark.parametrize("decompose", [qc_decompose, cq_decompose])
+def test_block_split_error_names_the_first_failing_term(rng, decompose):
+    hidden = decompose is qc_decompose
+    make = block_hidden_terms if hidden else block_visible_terms
+    terms = list(make(rng, 2, 2, 3, np.eye(2, dtype=complex)))
+    for j, size in ((1, 1e-3), (2, 5e-2)):  # term 0 stays block-diagonal
+        terms[j][0, 1 if hidden else 2] = terms[j][1 if hidden else 2, 0] = size
+    ham = ParamHamiltonian(dims=BipartiteDims(2, 2), terms=tuple(terms), theta=np.ones(3))
+    with pytest.raises(StructureError, match=r"\(off-block magnitude 1\.000e-03\)$"):
+        decompose(ham)
 
 
 def test_qc_decompose_rejects_unstructured_terms(rng):
@@ -347,7 +361,7 @@ def test_cq_trivial_visible_is_single_block(rng):
     assert abs(cq.p[0] - 1.0) < 1e-12
 
 
-def test_cq_decompose_diagonal_visible_state(rng):
+def test_cq_decompose_diagonal_visible_marginal(rng):
     basis = rand_unitary(rng, 2)
     terms = block_visible_terms(rng, 2, 3, 2, basis)
     theta = rng.uniform(-0.5, 0.5, 2)
@@ -482,7 +496,7 @@ def test_block_model_with_theta_shares_stack_and_checks_theta(rng, decompose):
     fresh = decompose(ham.with_theta(theta))
     assert moved.stack is model.stack
     assert np.array_equal(moved.p, fresh.p)
-    assert np.array_equal(moved.block_weights, fresh.block_weights)
+    assert np.array_equal(moved.weights, fresh.weights)
     for got, want in zip(moved.sigma_x, fresh.sigma_x):
         assert np.array_equal(got, want)
     for bad in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):

@@ -80,3 +80,16 @@ def test_bench_pairs_verdicts():
     faster = module._summary(_pairs(times, [t * 0.5 for t in times], "op_s.p50"), lower)
     assert faster["op_s.p50"]["claim_met"]
     assert faster["op_s.p50"]["ratio_of_medians"] == pytest.approx(0.5)
+
+
+def test_output_digests_repeat_and_leave_out_timings_and_paths():
+    module = _load(ROOT / "scripts" / "output_digests.py")
+    by_label = {" ".join(argv): argv for argv in module.commands(ROOT / "demos")}
+    demo = ROOT / "demos"
+    grad = by_label[f"grad --spec {demo / 'grad_qc.json'} --seed 7"]
+    # train writes wall_ms and its trajectory path, estimate its wall_s
+    train = by_label[f"train --spec {demo / 'train_qubit.json'} --seed 7"]
+    estimate = by_label[f"estimate --spec {demo / 'estimate.json'} --seed 7"]
+    for argv in (grad, train, estimate):
+        assert module.digest(argv) == module.digest(argv)
+    assert module.digest(estimate) != module.digest(estimate[:-1] + ["8"])

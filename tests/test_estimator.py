@@ -299,7 +299,7 @@ def test_eigen_groups_handles_degeneracy():
     assert np.allclose(values, [-2.0, 1.0])
     # one (K, D, D) array; each projector's trace is its group's multiplicity
     assert isinstance(projs, np.ndarray) and projs.shape == (2, 3, 3)
-    assert np.allclose(np.trace(projs, axis1=1, axis2=2), [1.0, 2.0], atol=1e-12)
+    assert np.max(np.abs(np.trace(projs, axis1=1, axis2=2) - [1.0, 2.0])) < 1e-12
 
 
 def outcome_distribution(model, rho, g_j, s, t, *, modular=None, inv_sqrt=None):

@@ -23,9 +23,11 @@ MAX_DIM = 256
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Average with the conjugate transpose (no validation); a stack
-    (..., d, d) is averaged matrix by matrix."""
-    return (a + a.conj().swapaxes(-1, -2)) / 2
+    """Average with the conjugate transpose (no validation), matrix by matrix
+    for a stack: the bits of (a + a^dag) / 2, from one C-ordered copy of a^dag."""
+    h = np.conjugate(a.swapaxes(-1, -2), order="C")
+    h += a
+    return np.divide(h, 2, out=h)
 
 
 def as_hermitian(a) -> np.ndarray:
@@ -217,10 +219,15 @@ def expectation(obs, state):
                          state.swapaxes(-1, -2).reshape(state.shape[0], -1))
     else:
         raise SpecError(f"shape mismatch {obs.shape} vs {state.shape}")
+    return real_traces(vals) if obs.ndim > 2 else float(real_traces(vals)[0])
+
+
+def real_traces(vals: np.ndarray) -> np.ndarray:
+    """Real parts of traces, each real within 1e-10 (relative where it exceeds 1)."""
     residue = np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals))
     if residue.any():
         raise GuardError(f"expectation has imaginary residue {vals.imag[residue][0]:.3e}")
-    return vals.real if obs.ndim > 2 else float(vals[0].real)
+    return vals.real
 
 
 def spectral_norm(x) -> float:

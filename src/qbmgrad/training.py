@@ -20,6 +20,7 @@ from .estimator import (
     CLASSICAL_STREAM,
     SHOT_GRADIENT_STREAM,
     EstimatorConfig,
+    check_circuit,
     eigen_groups,
     estimate_first_term,
     estimate_model_term,
@@ -141,9 +142,9 @@ class QuantumProblem(Problem):
     """Fully quantum model: match the visible marginal to a target state.
 
     The target is validated once, at construction, as a ``Target``.  With
-    an ``estimator``, both gradient terms are shot estimates under it, and
-    its seed roots every iteration's streams; the eigenvalue groups of each
-    term, which both estimates need, are formed once per problem.
+    an ``estimator``, both gradient terms are shot estimates under it, its
+    seed roots every iteration's streams, ``check_circuit`` runs at once, and
+    each term's eigenvalue groups, which both estimates need, are formed once.
     """
 
     def __init__(self, hamiltonian: ParamHamiltonian, rho, obj: Objective = UMEGAKI,
@@ -152,6 +153,8 @@ class QuantumProblem(Problem):
         self.target = Target(rho, obj)
         if estimator is not None and obj.kind != "umegaki":
             raise SpecError("shot-mode gradients cover the umegaki objective only")
+        if estimator is not None:
+            check_circuit(hamiltonian.dims)
         self.obj = obj
         self.estimator = estimator
         self.theta0 = np.asarray(hamiltonian.theta, dtype=float)

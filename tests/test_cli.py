@@ -272,6 +272,25 @@ def test_numerical_guard_is_exit_three(tmp_path):
     assert run(["grad", "--spec", p, "--out", tmp_path]) == 3
 
 
+def test_oversize_shot_training_is_exit_three(tmp_path, monkeypatch):
+    # 4 d_v^2 d_h = 4 * 4 * 32 = 512 exceeds the circuit limit; the shot
+    # problem raises when it is built, before any eigenvalue groups
+    import qbmgrad.training
+
+    monkeypatch.setattr(qbmgrad.training, "eigen_groups", lambda g_j: pytest.fail("groups formed"))
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(64, 64))
+    spec = {
+        "model": {"kind": "generic", "dims": {"visible": 2, "hidden": 32},
+                  "terms": [matrix_to_json(0.05 * (a + a.T).astype(complex))], "theta": [0.5]},
+        "target": {"state": matrix_to_json(np.eye(2, dtype=complex) / 2)},
+    }
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(spec))
+    assert run(["train", "--spec", p, "--mode", "shot", "--shots", "16", "--out", tmp_path]) == 3
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["bogus-command"])

@@ -39,6 +39,7 @@ from qbmgrad.linalg import (
     BipartiteDims,
     as_density,
     as_hermitian,
+    eigh,
     hermitize,
     partial_trace,
     spectral_norm,
@@ -88,6 +89,31 @@ def _circuit_pieces(model, rho, s, t, g_j, modular, inv_sqrt):
     o_t = hermitize(u_t @ as_hermitian(g_j) @ u_t.conj().T)
     scale = (mod.alpha * inv.alpha) ** 2
     return tau, o_t, scale
+
+
+def projector_groups(g_j):
+    """``eigen_groups``' values with each group's projector V_k V_k^dag,
+    one (K, D, D) stack: the projector form the oracles below read."""
+    values, es, bounds = eigen_groups(g_j)
+    return values, np.stack([es.vecs[:, lo:hi] @ es.vecs[:, lo:hi].conj().T
+                             for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+def cos_sin_pair_phases(angles):
+    """e^{i(a_p - a_q)} for p < q from (n, m) angles, with u = cos a + i sin a:
+    the oracle for ``_pair_phases``' tangent form."""
+    n, m = angles.shape
+    u = np.empty((n, m), dtype=complex)
+    np.cos(angles, out=u.real)
+    np.sin(angles, out=u.imag)
+    u_conj = u.conj()
+    out = np.empty((n * (n - 1) // 2, m), dtype=complex)
+    start = 0
+    for p in range(n - 1):
+        stop = start + n - 1 - p
+        np.multiply(u_conj[p + 1 :], u[p], out=out[start:stop])
+        start = stop
+    return out
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -295,11 +321,36 @@ def test_quadrature_equals_double_grid_average(rng, monkeypatch):
 
 def test_eigen_groups_handles_degeneracy():
     g = np.diag([1.0, 1.0, -2.0]).astype(complex)
-    values, projs = eigen_groups(g)
+    values, es, bounds = eigen_groups(g)
     assert np.allclose(values, [-2.0, 1.0])
-    # one (K, D, D) array; each projector's trace is its group's multiplicity
-    assert isinstance(projs, np.ndarray) and projs.shape == (2, 3, 3)
+    assert np.array_equal(es.vals, eigh(g).vals) and np.array_equal(bounds, [0, 1, 3])
+    # each projector's trace is its group's multiplicity
+    projs = projector_groups(g)[1]
+    assert projs.shape == (2, 3, 3)
     assert np.max(np.abs(np.trace(projs, axis1=1, axis2=2) - [1.0, 2.0])) < 1e-12
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["generic", "degenerate"])
+def test_group_sums_match_the_projector_stack(rng, monkeypatch, degenerate):
+    model = rand_model(rng, 2, 3)
+    g_j = model.hamiltonian.terms[0]
+    if degenerate:  # groups of sizes 1, 2 and 3
+        u = rand_unitary(rng, 6)
+        g_j = (u * np.array([-1.0, 0.5, 0.5, 2.0, 2.0, 2.0])) @ u.conj().T
+    values, es, bounds = groups = eigen_groups(g_j)
+    projs = projector_groups(g_j)[1]
+    assert np.array_equal(np.diff(bounds), [1, 2, 3] if degenerate else [1] * 6)
+    assert np.array_equal(values, [np.mean(es.vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+    # rotated projectors: V_G^dag P_k V_G against the eigenbasis form W_k W_k^dag
+    basis = model.g_eig.vecs
+    rotated = est._group_projectors(es, bounds, basis)
+    assert np.max(np.abs(rotated - basis.conj().T @ projs @ basis)) < 1e-12
+    # model-term probabilities: group sums of the diagonal against Tr[P_k sigma_vh]
+    seen, raw = [], est.real_traces
+    monkeypatch.setattr(est, "real_traces", lambda v: seen.append(raw(v)) or seen[-1])
+    estimate_model_term(model, g_j, 10, 1, groups=groups)
+    want = np.einsum("kij,ji->k", projs, model.sigma_vh).real
+    assert np.max(np.abs(seen[0] - want)) < 1e-12
 
 
 def outcome_distribution(model, rho, g_j, s, t, *, modular=None, inv_sqrt=None):
@@ -313,7 +364,7 @@ def outcome_distribution(model, rho, g_j, s, t, *, modular=None, inv_sqrt=None):
     tau, o_t, _ = _circuit_pieces(model, rho, s, t, g_j, modular, inv_sqrt)
     d_v = model.dims.d_v
     dim = tau.shape[0]
-    values, projs = eigen_groups(g_j)
+    values, projs = projector_groups(g_j)
     phases = np.exp(1j * model.g_eig.vals * t)
     u_t = (model.g_eig.vecs * phases) @ model.g_eig.vecs.conj().T
     obs_projs = []
@@ -390,7 +441,7 @@ def _reference_batch_outcomes(model, rho, g_j, s, t):
     sv, ge = model.sigma_v_eig, model.g_eig
     bv = inv_sqrt_encoding(model).unitary[:, :d_v] @ sv.vecs
     rho_tilde = sv.vecs.conj().T @ as_density(rho) @ sv.vecs
-    values, projs = eigen_groups(g_j)
+    values, projs = projector_groups(g_j)
     vecs, vecs_h = ge.vecs, ge.vecs.conj().T
     proj_rot = np.stack([vecs_h @ pk @ vecs for pk in projs])
     d_weights = np.exp(-(ge.vals - ge.vals.min()))
@@ -569,6 +620,75 @@ def test_guards_fire_in_a_later_sub_block(rng, monkeypatch, shift, message):
     assert calls == [_SUB_BLOCK, _SUB_BLOCK, 3]
 
 
+_SPECIAL_ANGLES = [0.0, 1e-300, -1e-300, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 3 * np.pi,
+                   60.0, -60.0, 1e4, -1e4]
+
+
+def test_tangent_phases_match_cos_sin(rng):
+    # against a zero angle the pair phase is e^{-ia} itself
+    for a in (np.array(_SPECIAL_ANGLES), rng.uniform(-60.0, 60.0, 200_000)):
+        angles = np.stack([np.zeros_like(a), a])
+        got, want = _pair_phases(angles)[0], cos_sin_pair_phases(angles)[0]
+        assert np.max(np.abs(got - want)) < 1e-15
+        assert np.max(np.abs(np.abs(got) - 1.0)) < 1e-15
+    assert _pair_phases(np.zeros((2, 3)))[0].tolist() == [1.0, 1.0, 1.0]
+    angles = rng.normal(scale=20.0, size=(5, 300))  # every pair of a 5-row block
+    assert np.max(np.abs(_pair_phases(angles) - cos_sin_pair_phases(angles))) < 1e-15
+
+
+def test_nan_angle_gives_nan_phases():
+    angles = np.array([[0.0, np.nan, 0.3], [0.2, 0.1, np.nan]])
+    got = _pair_phases(angles)[0]
+    assert not np.isnan(got[0]) and np.isnan(got[1:].real).all() and np.isnan(got[1:].imag).all()
+    assert np.array_equal(np.isnan(got), np.isnan(cos_sin_pair_phases(angles)[0]))
+
+
+def _cos_sin_run_chunk(ctx, seed, chunk, n):
+    """The chunk kernel with cos/sin phases, modular features and row sums
+    over the whole chunk at once: the oracle for ``_run_chunk``."""
+    rng = _chunk_rng(seed, chunk)
+    s, t = sample(LOGISTIC, rng, n), sample(HIGH_PEAK_TENT, rng, n)
+    draws = rng.random(n)
+    phi = cos_sin_pair_phases(np.outer(-0.5 * ctx.log_vals, s))
+    feats = np.concatenate([np.ones((1, n)), phi.real, phi.imag])
+    probs = _outcome_table(ctx, feats, cos_sin_pair_phases(np.outer(ctx.g_vals, t)))
+    probs = np.maximum(probs, 0.0)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    idx = np.sum(draws[:, None] > np.cumsum(probs, axis=1), axis=1)
+    return ctx.outcome_values[np.minimum(idx, probs.shape[1] - 1)]
+
+
+@pytest.mark.parametrize("d_v, d_h", [(4, 2), (3, 2), (2, 4)])
+def test_run_chunk_outcomes_equal_the_cos_sin_kernel(rng, d_v, d_h):
+    # the phases move by at most a few ulps, which flips no outcome here
+    model = rand_model(rng, d_v, d_h)
+    ctx = _batch_context(model, rand_state(rng, d_v), model.hamiltonian.terms[0])
+    for chunk in (0, 1):  # two full seeded chunks
+        assert np.array_equal(_run_chunk(ctx, 17, chunk, _CHUNK),
+                              _cos_sin_run_chunk(ctx, 17, chunk, _CHUNK))
+
+
+@pytest.mark.parametrize("shape", [(5, 18), (1, 4)], ids=["n-by-2K+2", "1-by-K"])
+@pytest.mark.parametrize("entry, message", [
+    (-1e-9, r"negative outcome probability -1\.000e-09"),
+    ("+2e-8", "defect exceeds 1e-8"),
+    (np.nan, "defect exceeds 1e-8"),
+    (np.inf, "defect exceeds 1e-8"),
+])
+def test_clean_probs_guards(rng, shape, entry, message):
+    p = rng.random(shape)
+    p /= p.sum(axis=-1, keepdims=True)
+    ok = p.copy()
+    ok[-1, 0] += 0.5e-8  # a defect within PROB_DEFECT is renormalized away
+    ok[-1, 2] += ok[-1, 1]
+    ok[-1, 1] = -0.5e-10  # an entry above PROB_CLAMP is clamped to zero
+    cleaned = _clean_probs(ok)
+    assert cleaned[-1, 1] == 0.0 and np.max(np.abs(cleaned.sum(axis=-1) - 1.0)) < 1e-15
+    p[-1, 0] = p[-1, 0] + float(entry) if isinstance(entry, str) else entry
+    with pytest.raises(SpecError, match=message):
+        _clean_probs(p)
+
+
 def test_shot_sample_deterministic_and_bounded(rng):
     model = rand_model(rng, 2, 2)
     rho = rand_state(rng, 2)
@@ -676,7 +796,7 @@ def test_estimate_model_term(rng):
 
 def _choice_model_term(model, g_j, shots, seed):
     """estimate_model_term with Generator.choice drawing the outcomes (the oracle)."""
-    values, projs = eigen_groups(g_j)
+    values, projs = projector_groups(g_j)
     p = np.array([np.einsum("ij,ji->", pk, model.sigma_vh).real for pk in projs])
     p = _clean_probs(p[None, :])[0]
     draws = values[np.random.default_rng(seed).choice(len(values), size=shots, p=p)]

@@ -19,6 +19,7 @@ from qbmgrad.linalg import (
     eigh,
     expectation,
     gibbs_weights,
+    hermitize,
     partial_trace,
     spectral_norm,
     tensor,
@@ -331,6 +332,24 @@ def test_expectation_per_block_states_keep_residue_guard(rng, block):
     with pytest.raises(GuardError) as stacked:
         expectation(obs, states)
     assert str(stacked.value) == str(single.value)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 64, 256])
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["matrix", "stack"])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_hermitize_keeps_the_bits_of_the_plain_expression(rng, d, stack, kind):
+    a = rng.normal(size=stack + (d, d))
+    if kind is complex:
+        a = a + 1j * rng.normal(size=stack + (d, d))
+    # signed zeros on the diagonal and in an off-diagonal pair: complex
+    # division by 2 turns a (-0, +0) sum into +0, which halving by 0.5 would not
+    a[..., 0, 0] = -0.0
+    if d > 1:
+        a[..., 0, 1] = a[..., 1, 0] = -0.0
+    want = (a + a.conj().swapaxes(-1, -2)) / 2
+    got = hermitize(a)
+    assert got.dtype == want.dtype == a.dtype and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 def test_as_hermitian_symmetrizes_noise(rng):

@@ -7,7 +7,7 @@ import qbmgrad.estimator
 import qbmgrad.gradients
 import qbmgrad.models
 import qbmgrad.training
-from qbmgrad.errors import GuardError, SpecError
+from qbmgrad.errors import GuardError, ScaleError, SpecError
 from qbmgrad.estimator import EstimatorConfig
 from qbmgrad.gradients import classical_gradient, gradient, relative_entropy, tsallis
 from qbmgrad.linalg import BipartiteDims
@@ -625,6 +625,30 @@ def test_shot_problem_forms_each_terms_groups_once(monkeypatch, rng):
             == qbmgrad.estimator.estimate_first_term(model, rho, terms[0], cfg))
     assert (qbmgrad.estimator.estimate_model_term(model, terms[0], 256, 4, groups=groups)
             == qbmgrad.estimator.estimate_model_term(model, terms[0], 256, 4))
+
+
+def test_oversize_shot_problem_raises_before_any_groups(monkeypatch, rng):
+    # 4 d_v^2 d_h = 4 * 16 * 4 = 256 fits; d_h = 8 gives 512 > MAX_CIRCUIT_DIM
+    calls = [0]
+    raw = qbmgrad.estimator.eigen_groups
+
+    def counted(g_j, **kw):
+        calls[0] += 1
+        return raw(g_j, **kw)
+
+    for module in (qbmgrad.estimator, qbmgrad.training):
+        monkeypatch.setattr(module, "eigen_groups", counted)
+    est = EstimatorConfig(shots=16, seed=1, threads=1)
+    for d_h, fits in ((4, True), (8, False)):
+        terms = (rand_herm(rng, 4 * d_h, 0.3),)
+        ham = ParamHamiltonian(dims=BipartiteDims(4, d_h), terms=terms, theta=np.array([0.2]))
+        if fits:
+            QuantumProblem(ham, rand_state(rng, 4), estimator=est)
+            continue
+        with pytest.raises(ScaleError, match="^circuit register exceeds the supported size$"):
+            QuantumProblem(ham, rand_state(rng, 4), estimator=est)
+        QuantumProblem(ham, rand_state(rng, 4))  # the exact problem has no circuit
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("probs", [[0.5, 0.6], [1.2, -0.2], [0.5, np.nan]])

@@ -28,10 +28,6 @@ from .errors import SpecError
 LN2_OVER_PI = np.log(2.0) / np.pi
 LN4_OVER_PI = np.log(4.0) / np.pi
 
-_TENT_GRID_POINTS = 10_000
-_TENT_GRID_LO = 1e-8
-_TENT_GRID_HI = 14.0
-
 
 @dataclass(frozen=True)
 class Density:
@@ -78,7 +74,11 @@ def pdf(d: Density, t) -> np.ndarray | float:
 
 
 def cdf(d: Density, t) -> np.ndarray | float:
-    """Cumulative distribution; closed form except for the tent kind."""
+    """Cumulative distribution, in closed form for every kind.
+
+    Integrating ln coth(pi s/2) = 2 sum_{k odd} e^{-k pi s}/k term by term
+    puts the tent's mass above |t| at (4/pi^2) chi2(e^{-pi|t|}).
+    """
     t = np.asarray(t, dtype=float)
     if d.kind == "logistic":
         out = 1.0 / (1.0 + np.exp(-np.pi * t))
@@ -87,17 +87,14 @@ def cdf(d: Density, t) -> np.ndarray | float:
             np.pi * d.r
         )
     else:
-        grid_t, grid_f = _tent_half_cdf_table()
-        out = 0.5 + np.sign(t) * _sorted_interp(np.abs(t), grid_t, grid_f)
+        tail = _chi2(np.exp(-np.pi * np.abs(t))) / (np.pi**2 / 4.0)
+        out = np.where(t < 0.0, tail, 1.0 - tail)
     return out if out.ndim else float(out)
 
 
 def quantile(d: Density, u) -> np.ndarray | float:
-    """Inverse CDF on (0, 1); closed form except for the tent kind.
-
-    The tent kind inverts a 10,000-point table, looked up with its queries
-    sorted (see ``_sorted_interp``) so a draw costs no binary search.
-    """
+    """Inverse CDF on (0, 1) of the logistic and power kinds; the tent has
+    none in closed form, and ``sample`` draws it without one."""
     u = np.asarray(u, dtype=float)
     if not np.all((u > 0.0) & (u < 1.0)):  # a NaN fails both comparisons
         raise SpecError("quantile argument must lie strictly inside (0, 1)")
@@ -108,15 +105,20 @@ def quantile(d: Density, u) -> np.ndarray | float:
             np.tan(np.pi * d.r * (u - 0.5)) / np.tan(np.pi * d.r / 2.0)
         )
     else:
-        grid_t, grid_f = _tent_half_cdf_table()
-        mag = _sorted_interp(np.abs(u - 0.5), grid_f, grid_t)
-        out = np.where(u >= 0.5, mag, -mag)
+        raise SpecError("the high-peak tent has no quantile; draw it with sample")
     return out if out.ndim else float(out)
 
 
 def sample(d: Density, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n inverse-transform draws from d, from n uniforms of ``rng`` clipped
-    into ``quantile``'s open domain (``Generator.random`` can return 0)."""
+    """n exact draws from d, by inverse transform of n uniforms of ``rng``
+    clipped into ``quantile``'s open domain (``Generator.random`` can return
+    0).  The tent's transform is tanh(w/2)/(w/2) = int_0^1 sech^2(u w/2) du,
+    so t = U (X_1 + X_2)/2, with U uniform and X = (2/pi) ln tan(pi u/2)
+    hyperbolic-secant draws (transform sech(w)), from 3n uniforms in (0, 1]."""
+    if d.kind == "high_peak_tent":
+        u = 1.0 - rng.random((3, n))
+        tans = np.tan((0.5 * np.pi) * u[1:])
+        return u[0] * np.log(tans[0] * tans[1]) / np.pi
     return np.asarray(quantile(d, np.clip(rng.random(n), 1e-16, 1 - 1e-16)))
 
 
@@ -215,29 +217,18 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return leggauss(n)
 
 
-def _sorted_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xp, fp)`` bit for bit, evaluated on the sorted queries.
+def _chi2(z) -> np.ndarray:
+    """Legendre's chi function sum_{k odd} z^k/k^2 for z in [0, 1].
 
-    np.interp brackets and interpolates each query on its own, but starts
-    its search at the previous query's bracket; sorted queries land in or
-    next to that bracket and skip the ~14-step binary search of a random one.
+    Above sqrt(2) - 1 it reflects through Landen's identity chi2(z) +
+    chi2(w) = pi^2/8 - ln(z) ln(w)/2, w = (1 - z)/(1 + z) (= tanh(pi t/2) at
+    z = e^{-pi t}), so 24 odd terms at ratio w^2 <= 3 - 2 sqrt(2) suffice.
     """
-    flat = x.ravel()
-    order = np.argsort(flat)
-    out = np.empty_like(flat)
-    out[order] = np.interp(flat[order], xp, fp)
-    return out.reshape(x.shape)
-
-
-@functools.lru_cache(maxsize=1)
-def _tent_half_cdf_table() -> tuple[np.ndarray, np.ndarray]:
-    """Grid (t_j, F(t_j) - 1/2) for t > 0, log-spaced, GL-integrated."""
-    grid = np.geomspace(_TENT_GRID_LO, _TENT_GRID_HI, _TENT_GRID_POINTS)
-    # analytic head: int_0^c ln coth(pi s/2) ds ~ c (1 - ln(pi c / 2))
-    head = (2.0 / np.pi) * _TENT_GRID_LO * (1.0 - np.log(np.pi * _TENT_GRID_LO / 2.0))
-    x, w = _gl(8)
-    lo, hi = grid[:-1], grid[1:]
-    mid = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * x[None, :]
-    inc = 0.5 * (hi - lo) * np.sum(w[None, :] * pdf(HIGH_PEAK_TENT, mid), axis=1)
-    cum = head + np.concatenate([[0.0], np.cumsum(inc)])
-    return grid, cum
+    z = np.asarray(z, dtype=float)
+    reflect = z > np.sqrt(2.0) - 1.0
+    w = np.where(reflect, (1.0 - z) / (1.0 + z), z)
+    series = np.zeros_like(w)
+    for k in range(47, 0, -2):  # Horner in w^2, from the smallest term
+        series = series * (w * w) + 1.0 / k**2
+    log_zw = np.log(np.where(reflect, z, 1.0)) * np.log(np.where(reflect & (w > 0.0), w, 1.0))
+    return np.where(reflect, np.pi**2 / 8.0 - 0.5 * log_zw - w * series, w * series)

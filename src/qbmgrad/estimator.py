@@ -420,8 +420,8 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 def _run_chunk(ctx: _BatchContext, seed: int, chunk: int, n: int) -> np.ndarray:
     """Signed outcomes Y of one chunk of n shots.
 
-    The chunk's random numbers (u_s, u_t, then the outcome draws) come from
-    its own stream, ``_chunk_rng(seed, chunk)``.  The times s and t, the
+    The chunk's random numbers (n for s, 3n for t, then n outcome draws)
+    come from its own stream, ``_chunk_rng(seed, chunk)``.  The times s and t, the
     cleaning of the probabilities and the cumulative-sum sampling run once
     over the whole chunk, the sampling as one sweep over the 2K+2 outcome
     columns.  The phases of s and t and the outcome table run in sub-blocks

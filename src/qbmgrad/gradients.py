@@ -298,6 +298,12 @@ def classical_distribution(tables: np.ndarray, theta) -> np.ndarray:
     return gibbs_weights(energies.ravel())[0].reshape(energies.shape)
 
 
+def classical_data_distribution(p_vh: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The data's joint table q(v) p(h|v); a label whose p(v) is 0 gets weight 0."""
+    p_v = p_vh.sum(axis=1)
+    return p_vh * (q / np.where(p_v > 0.0, p_v, 1.0))[:, None]
+
+
 def classical_objective(tables, theta, target_q) -> float:
     """Relative entropy D(q(v) || p_theta(v)) by exact enumeration."""
     p_v = classical_distribution(tables, theta).sum(axis=1)
@@ -318,10 +324,7 @@ def classical_gradient(tables, theta, target_q) -> GradientReport:
     """
     tables = np.asarray(tables, dtype=float)
     p_vh = classical_distribution(tables, theta)
-    p_v = p_vh.sum(axis=1)
-    q = label_probs(target_q, p_v.size)
-    clamped = np.where(p_v > 0.0, p_v, 1.0)
-    weights = p_vh * (q / clamped)[:, None]  # q(v) p(h|v)
+    weights = classical_data_distribution(p_vh, label_probs(target_q, p_vh.shape[0]))
     # each term is the (J, vh) x (vh,) product np.tensordot forms, without its set-up
     flat = tables.reshape(tables.shape[0], -1)
     return GradientReport(flat @ (weights - p_vh).ravel(), flat @ weights.ravel(), flat @ p_vh.ravel())

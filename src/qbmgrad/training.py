@@ -30,6 +30,7 @@ from .gradients import (
     Objective,
     Target,
     UMEGAKI,
+    classical_data_distribution,
     classical_distribution,
     classical_gradient,
     classical_objective,
@@ -267,18 +268,11 @@ class ClassicalProblem(Problem):
         rng = np.random.default_rng(
             np.random.SeedSequence(self.estimator.seed, spawn_key=(CLASSICAL_STREAM, iteration)))
         p_vh = classical_distribution(self.tables, theta)
-        n_v, n_h = p_vh.shape
-        p_v = p_vh.sum(axis=1)
-        cond = p_vh / p_v[:, None]
-        v_data = rng.choice(n_v, size=samples, p=self.target)
-        # conditional draw by inverse CDF per sampled v
-        u = rng.random(samples)
-        h_data = (u[:, None] > np.cumsum(cond[v_data], axis=1)).sum(axis=1)
-        flat_model = rng.choice(n_v * n_h, size=samples, p=p_vh.ravel())
-        v_model, h_model = np.divmod(flat_model, n_h)
-        pos = self.tables[:, v_data, h_data].mean(axis=1)
-        neg = self.tables[:, v_model, h_model].mean(axis=1)
-        return pos - neg
+        means = []
+        for joint in (classical_data_distribution(p_vh, self.target), p_vh):  # data, then model
+            v, h = np.divmod(rng.choice(joint.size, size=samples, p=joint.ravel()), joint.shape[1])
+            means.append(self.tables[:, v, h].mean(axis=1))
+        return means[0] - means[1]
 
 
 def finite_difference_gradient(f, theta, step: float = 1e-5) -> np.ndarray:

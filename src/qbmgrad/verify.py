@@ -160,8 +160,9 @@ def suite_densities() -> list[CheckResult]:
             worst = max(worst, abs(
                 r * densities.numeric_fourier(densities.power_density(r), u / 2.0) - want))
     out.append(CheckResult("densities", "power-kernel fourier identity grid", worst, 1e-8))
-    # the sampler is quantile(uniform): the cdf integrates the pdf (64-node
-    # Gauss-Legendre on each panel of [0.05, 8]) and quantile inverts the cdf
+    # the cdf integrates the pdf (64-node Gauss-Legendre on each panel of [0.05, 8]),
+    # and quantile inverts it; the tent, drawn without a quantile, lies within
+    # the Kolmogorov-Smirnov test's 0.1% critical distance 1.95/sqrt(n) of it
     edges = np.r_[0.05, np.arange(1, 17) / 2.0]
     lo, hi = edges[:-1], edges[1:]
     x, gw = leggauss(64)
@@ -171,9 +172,17 @@ def suite_densities() -> list[CheckResult]:
         quad = 0.5 * (hi - lo) * np.sum(gw * densities.pdf(d, nodes), axis=1)
         worst = float(np.max(np.abs(np.diff(densities.cdf(d, edges)) - quad)))
         out.append(CheckResult(
-            "densities", f"cdf increments match the pdf quadrature [{_dname(d)}]", worst, 1e-6))
-        worst = float(np.max(np.abs(densities.cdf(d, densities.quantile(d, u)) - u)))
-        out.append(CheckResult("densities", f"cdf inverts quantile [{_dname(d)}]", worst, 1e-6))
+            "densities", f"cdf increments match the pdf quadrature [{_dname(d)}]", worst, 1e-12))
+        if d.kind == "high_peak_tent":
+            n = 200_000
+            f = densities.cdf(d, np.sort(densities.sample(d, np.random.default_rng(66_001), n)))
+            ks = max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+            out.append(CheckResult("densities", f"sampler within KS distance of cdf [{_dname(d)}]",
+                                   float(ks), 1.95 / math.sqrt(n)))
+        else:
+            worst = float(np.max(np.abs(densities.cdf(d, densities.quantile(d, u)) - u)))
+            out.append(CheckResult(
+                "densities", f"cdf inverts quantile [{_dname(d)}]", worst, 1e-12))
     return out
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,10 @@ from qbmgrad.densities import (
     quantile,
     sample,
     tail_mass_bound,
-    _tent_half_cdf_table,
+    _chi2,
 )
 
+SQRT2_M1 = math.sqrt(2.0) - 1.0
 ALL_KINDS = [HIGH_PEAK_TENT, LOGISTIC, power_density(0.5), power_density(-0.25)]
 
 
@@ -80,46 +83,56 @@ def test_quantile_rejects_points_outside_open_interval(d):
             quantile(d, u)
 
 
-def _plain_tent_quantile(u):
-    """The tent quantile as one plain np.interp over the table (the oracle)."""
-    grid_t, grid_f = _tent_half_cdf_table()
-    u = np.asarray(u, dtype=float)
-    mag = np.interp(np.abs(u - 0.5), grid_f, grid_t)
-    out = np.where(u >= 0.5, mag, -mag)
-    return out if out.ndim else float(out)
+def test_tent_has_no_quantile():
+    for u in (0.5, 0.25, [0.1, 0.9]):
+        with pytest.raises(SpecError, match="no quantile"):
+            quantile(HIGH_PEAK_TENT, u)
 
 
-def _plain_tent_cdf(t):
-    grid_t, grid_f = _tent_half_cdf_table()
-    t = np.asarray(t, dtype=float)
-    out = 0.5 + np.sign(t) * np.interp(np.abs(t), grid_t, grid_f)
-    return out if out.ndim else float(out)
+def _direct_chi2(z: float) -> float:
+    """sum_{k odd} z^k/k^2 term by term, until the terms stop counting."""
+    terms = [z**k / k**2 for k in range(1, 20_001, 2)]
+    return math.fsum(terms)
 
 
-def test_sorted_tent_lookup_is_bit_identical_to_plain_interp():
-    rng = np.random.default_rng(1717)
-    edges = [0.5, 1e-16, 5e-17, 1e-300, 5e-324, 1 - 1e-16, np.nextafter(1.0, 0.0)]
-    inputs = [
-        rng.random(8192),  # fewer queries than table points
-        rng.random((120, 100)),  # more queries than table points
-        rng.random((3, 4, 5)),
-        np.array(0.5),
-        np.array(rng.random()),
-        np.repeat(rng.random(7), 5),  # repeated values
-        np.array(edges + edges[::-1]),
-        rng.choice(np.array(edges), size=(30, 3)),
-    ]
-    for u in inputs:
-        got, want = quantile(HIGH_PEAK_TENT, u), _plain_tent_quantile(u)
-        assert np.shape(got) == np.shape(want) and type(got) is type(want)
-        assert np.array_equal(got, want)
-        t = 30.0 * (u - 0.5)  # inside and beyond the table's 14, both signs, and 0
-        got, want = cdf(HIGH_PEAK_TENT, t), _plain_tent_cdf(t)
-        assert np.shape(got) == np.shape(want) and type(got) is type(want)
-        assert np.array_equal(got, want)
-    for scalar in (0.5, 1e-16, 1 - 1e-16, 0.25):
-        assert quantile(HIGH_PEAK_TENT, scalar) == _plain_tent_quantile(scalar)
-        assert cdf(HIGH_PEAK_TENT, scalar) == _plain_tent_cdf(scalar)
+@pytest.mark.parametrize("z", [0.0, 1e-300, 0.05, 0.3, 0.4, SQRT2_M1 * (1 - 1e-12), SQRT2_M1,
+                               SQRT2_M1 * (1 + 1e-12), 0.45, 0.6, 0.8, 0.95, 0.99])
+def test_chi2_matches_its_direct_series(z):
+    assert abs(float(_chi2(z)) - _direct_chi2(z)) <= 1e-15 * _direct_chi2(z)
+
+
+def test_chi2_at_one_is_the_odd_basel_sum():
+    # sum_{k odd} 1/k^2 = pi^2/8, which the direct series reaches only like 1/(2K)
+    assert float(_chi2(1.0)) == np.pi**2 / 8
+    assert abs(_direct_chi2(1.0) - np.pi**2 / 8) < 1e-4
+
+
+def test_tent_cdf_center_symmetry_and_limits():
+    assert cdf(HIGH_PEAK_TENT, 0.0) == 0.5 and cdf(HIGH_PEAK_TENT, -0.0) == 0.5
+    t = np.concatenate([np.geomspace(1e-300, 1e-3, 50), np.linspace(1e-3, 40.0, 2001)])
+    assert np.all(np.abs(cdf(HIGH_PEAK_TENT, -t) - (1.0 - cdf(HIGH_PEAK_TENT, t))) <= 2.0**-53)
+    assert cdf(HIGH_PEAK_TENT, np.inf) == 1.0 and cdf(HIGH_PEAK_TENT, -np.inf) == 0.0
+    assert cdf(HIGH_PEAK_TENT, 300.0) == 1.0 and cdf(HIGH_PEAK_TENT, -300.0) == 0.0
+    assert np.isnan(cdf(HIGH_PEAK_TENT, np.nan))
+
+
+def test_tent_cdf_is_monotone_and_continuous_at_the_branch_point():
+    half = np.geomspace(1e-12, 20.0, 40_000)
+    t = np.concatenate([-half[::-1], [0.0], half])
+    f = cdf(HIGH_PEAK_TENT, t)
+    assert np.all(np.diff(f) >= 0.0) and f[0] < 1e-20 and f[-1] == 1.0
+    # e^{-pi t} = sqrt(2) - 1 there; below it the cdf takes Landen's form
+    branch = np.log1p(np.sqrt(2.0)) / np.pi
+    near = np.array([np.nextafter(branch, 0.0), branch, np.nextafter(branch, 1.0)])
+    f = cdf(HIGH_PEAK_TENT, near)
+    assert np.all(np.diff(f) >= 0.0) and f[2] - f[0] < 1e-15
+
+
+@pytest.mark.parametrize("T", [1.0, 2.0, 5.0, 10.0])
+def test_tent_tail_closed_form_matches_numeric_tail(T):
+    closed = (8.0 / np.pi**2) * float(_chi2(np.exp(-np.pi * T)))
+    assert abs(closed / numeric_tail_mass(HIGH_PEAK_TENT, T) - 1.0) < 1e-10
+    assert abs(2.0 * cdf(HIGH_PEAK_TENT, -T) - closed) <= 1e-15 * closed
 
 
 def test_tail_bound_values_at_T10():

@@ -543,10 +543,8 @@ def test_batch_outcomes_match_reference(rng, d_v, d_h, degenerate, theta_zero):
 def _reference_run_chunk(ctx, seed, chunk, n):
     """Single pass over the chunk: one kernel call for all n shots."""
     rng = _chunk_rng(seed, chunk)
-    u_s = np.clip(rng.random(n), 1e-16, 1 - 1e-16)
-    u_t = np.clip(rng.random(n), 1e-16, 1 - 1e-16)
-    s = np.asarray(quantile(LOGISTIC, u_s))
-    t = np.asarray(quantile(HIGH_PEAK_TENT, u_t))
+    s = sample(LOGISTIC, rng, n)
+    t = sample(HIGH_PEAK_TENT, rng, n)
     y, probs = _batch_outcomes(ctx, s, t)
     cum = np.cumsum(probs, axis=1)
     draws = rng.random(n)
@@ -579,7 +577,9 @@ def test_sample_reproduces_run_chunk_draws(rng, monkeypatch):
     _run_chunk(ctx, 7, 2, n)
     stream = _chunk_rng(7, 2)
     s = quantile(LOGISTIC, np.clip(stream.random(n), 1e-16, 1 - 1e-16))
-    t = quantile(HIGH_PEAK_TENT, np.clip(stream.random(n), 1e-16, 1 - 1e-16))
+    # the tent: t = U (X_1 + X_2)/2 with X = (2/pi) ln tan(pi u/2), from 3n uniforms in (0, 1]
+    u, u_1, u_2 = 1.0 - stream.random((3, n))
+    t = u * np.log(np.tan(0.5 * np.pi * u_1) * np.tan(0.5 * np.pi * u_2)) / np.pi
     assert len(drawn) == 2
     assert np.array_equal(drawn[0], s) and np.array_equal(drawn[1], t)
 

@@ -468,6 +468,15 @@ def test_classical_monte_carlo_gradient_matches_exact(rng):
     assert np.max(np.abs(mc - exact)) < 3 * stderr * 3  # loose 3-sigma band
 
 
+def test_classical_sampling_skips_an_unlabelled_label_of_zero_mass():
+    # p(v = 1) = e^{-800} underflows to 0 where q(v = 1) = 0: the data draw
+    # gives that label weight 0 instead of p(h|v) = 0/0
+    problem = ClassicalProblem(np.array([[[0.0], [800.0]]]), np.array([1.0, 0.0]), np.array([1.0]),
+                               estimator=EstimatorConfig(shots=100, seed=3))
+    with np.errstate(divide="raise", invalid="raise"):
+        assert np.array_equal(problem.gradient_vector(problem.theta0, 0), [0.0])
+
+
 def test_divergence_guard():
     ham = ParamHamiltonian(dims=BipartiteDims(2, 1), terms=(PAULI_Z,),
                            theta=np.array([650.0]))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """One digest per seeded CLI command, to compare the outputs of two checkouts.
 
-    python3 scripts/output_digests.py [TREE]
+    python3 scripts/output_digests.py [TREE] [--write]
 
 TREE is a qbmgrad checkout, by default the one holding this script; its
 ``src/`` is imported and its ``demos/`` are run, so the script also runs
@@ -12,6 +12,10 @@ SHA-256 of its exit code, its ``report.json`` without ``wall_s`` and
 ``trajectory_csv``, and its ``trajectory.csv`` without the ``wall_ms``
 column: everything it writes apart from timings and paths.  Equal lines
 for two checkouts mean the command wrote the same files in both.
+
+``--write`` also records the digests in TREE's ``tests/output_digests.json``,
+stamped with the environment that made them (see ``environment``), which a
+tier-1 test compares with the outputs of the code under test.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = "7"
 GRAD_DEMOS = ("classical", "cq", "fixed_point", "qc", "qubit", "restricted", "tsallis")
 UNTIMED = ("wall_s", "trajectory_csv")  # report fields that change from run to run
+DIGEST_FILE = Path("tests") / "output_digests.json"
 
 
 def commands(demos: Path) -> list[list[str]]:
@@ -73,6 +78,28 @@ def digest(argv: list[str]) -> str:
     return h.hexdigest()
 
 
+def label(argv: list[str]) -> str:
+    """A command as printed and recorded: spec files by name, not path."""
+    return " ".join(a if not a.endswith(".json") else Path(a).name for a in argv)
+
+
+def environment() -> dict:
+    """What besides the code can move a digest: numpy's version, its BLAS,
+    and the CPU features numpy dispatches its ufunc loops on."""
+    import numpy as np
+
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config["SIMD Extensions"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "cpu_features": simd["baseline"] + simd["found"]}
+
+
+def digests(tree: Path = ROOT) -> dict[str, str]:
+    """Every command's digest, by label, run on TREE's demos."""
+    return {label(argv): digest(argv) for argv in commands(tree.resolve() / "demos")}
+
+
 def _import_from(tree: Path) -> None:
     """Import qbmgrad from <tree>/src; exit 2 when it is not there."""
     src = (tree / "src").resolve()
@@ -87,11 +114,15 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("tree", nargs="?", type=Path, default=ROOT, help="qbmgrad checkout")
+    ap.add_argument("--write", action="store_true", help=f"record the digests in TREE/{DIGEST_FILE}")
     args = ap.parse_args()
     _import_from(args.tree)
-    for argv in commands(args.tree.resolve() / "demos"):
-        label = " ".join(a if not a.endswith(".json") else Path(a).name for a in argv)
-        print(f"{digest(argv)}  {label}", flush=True)
+    recorded = digests(args.tree)
+    for name, value in recorded.items():
+        print(f"{value}  {name}")
+    if args.write:
+        payload = {"environment": environment(), "digests": recorded}
+        (args.tree / DIGEST_FILE).write_text(json.dumps(payload, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from .errors import SpecError, SupportError
 from .linalg import (
     Eigensystem,
     as_density,
-    as_hermitian,
     eigh,
     expectation,
     gibbs_weights,
@@ -99,6 +98,11 @@ def _check_support(vals: np.ndarray, what: str) -> None:
         raise SupportError(
             f"{what} has eigenvalue {low:.3e} below the support floor {SUPPORT_FLOOR:.0e}"
         )
+
+
+def _check_label_support(p: np.ndarray, r: np.ndarray) -> None:
+    if ((p < SUPPORT_FLOOR) & (r > 0.0)).any():
+        raise SupportError("target puts mass on a label with vanishing model weight")
 
 
 def psd_power(rho, q: float) -> np.ndarray:
@@ -169,25 +173,27 @@ def relative_entropy(rho, sigma, obj: Objective = UMEGAKI) -> float:
     return (_overlap(sig_es, target.constant, q) - 1.0) / (q - 1.0)
 
 
-def lift_to_joint(model: ThermalModel | QCModel, r_v, q: float = 1.0) -> np.ndarray:
-    """Lift a visible operator to the joint quasi-state driving the gradient.
+def lift_to_joint(model: ThermalModel | QCModel, rho, obj: Objective = UMEGAKI) -> np.ndarray:
+    """Lift the target to the joint quasi-state driving the gradient.
 
-    For q = 1 the input is the target state and the output has unit trace;
-    for q != 1 the caller passes rho^q and the output trace is Q_q.  The
-    output is Hermitian but need not be positive.  A ``QCModel`` gives the
-    stack of its block lifts, sigma_x and G's block x in place of sigma_vh and G.
+    ``rho`` is a visible density matrix or a ``Target`` prepared for ``obj``.
+    Umegaki lifts rho (unit trace out), tsallis order q lifts rho^q (trace
+    Q_q out).  The output is Hermitian but need not be positive.  A ``QCModel``
+    gives the stack of its block lifts, sigma_x and G's block x in place of sigma_vh and G.
     """
-    r_v = as_hermitian(r_v)
-    if r_v.shape[0] != model.dims.d_v:
+    target = as_target(rho, obj)
+    if target.rho.shape[0] != model.dims.d_v:
         raise SpecError("input must live on the visible register")
-    _check_support(model.sigma_v_eig.vals, "visible marginal")
-    core = _visible_core(model.sigma_v_eig, r_v, q)
+    core = _visible_core(model.sigma_v_eig, target)
     return tent_of_anticommutator(model.g_eig, model.weights, core)
 
 
-def _visible_core(sigma_v_eig: Eigensystem, r_v, q: float) -> np.ndarray:
-    """sigma_v^{-q/2} Upsilon_q(r_v) sigma_v^{-q/2} for r_v = rho^q: the
-    visible side of the lift, after ``lift_to_joint``'s support check."""
+def _visible_core(sigma_v_eig: Eigensystem, target: Target) -> np.ndarray:
+    """sigma_v^{-q/2} Upsilon_q(rho^q) sigma_v^{-q/2}, q = 1 for umegaki: the
+    visible side of the lift.  rho^q is formed before the support check."""
+    q = target.obj.q or 1.0  # umegaki is order 1, and tsallis excludes q = 1
+    r_v = target.rho if q == 1.0 else target.constant
+    _check_support(sigma_v_eig.vals, "visible marginal")
     if q == 2.0:  # the power-weight density degenerates to a point mass
         side = sigma_v_eig.power(-1.0)
         return hermitize(side @ r_v @ side)
@@ -198,16 +204,11 @@ def _visible_core(sigma_v_eig: Eigensystem, r_v, q: float) -> np.ndarray:
 def _two_terms(model, target: Target, average, state) -> GradientReport:
     """Gradient of a ThermalModel or QCModel, ``average`` mapping its states
     to the term averages <G_j>: target term average(lift) minus model term
-    average(state).  Umegaki is order 1: rho is lifted and no Q_q reported.
-    Order q lifts rho^q and scales the model term by Q_q."""
+    average(state), the model term scaled by Q_q for tsallis order q."""
+    first = average(lift_to_joint(model, target, target.obj))
     q = target.obj.q
-    if q is None:
-        first, second = average(lift_to_joint(model, target.rho)), average(state)
-        return GradientReport(first - second, first, second)
-    rho_q = target.constant
-    first = average(lift_to_joint(model, rho_q, q))
-    qq = _overlap(model.sigma_v_eig, rho_q, q)
-    second = qq * average(state)
+    qq = None if q is None else _overlap(model.sigma_v_eig, target.constant, q)
+    second = average(state) if qq is None else qq * average(state)
     return GradientReport(first - second, first, second, qq)
 
 
@@ -248,18 +249,13 @@ def gradient_cq(cq: CQModel, target_probs, obj: Objective = UMEGAKI) -> Gradient
     The target is a probability vector over the declared visible basis.
     """
     r = label_probs(target_probs, cq.dims.d_v)
-    if np.any((cq.p < SUPPORT_FLOOR) & (r > 0.0)):
-        raise SupportError("target puts mass on a label with vanishing model weight")
+    _check_label_support(cq.p, r)
     means = expectation(cq.stack, cq.sigma_x)  # means[j, x] = <G_h^{j,x}>_{sigma_x}
-    if obj.kind == "umegaki":
-        first = means @ r
-        second = means @ cq.p
-        return GradientReport(first - second, first, second)
-    q = obj.q
-    weights = np.power(r, q) * np.power(cq.p, 1.0 - q)
-    qq = float(np.sum(weights))
-    first = means @ weights
-    second = qq * (means @ cq.p)
+    weights, qq = r, 1.0  # umegaki; tsallis order q weights by r^q p^{1-q}, scaled by Q_q
+    if obj.kind == "tsallis":
+        weights = np.power(r, obj.q) * np.power(cq.p, 1.0 - obj.q)
+        qq = float(np.sum(weights))
+    first, second = means @ weights, qq * (means @ cq.p)
     return GradientReport(first - second, first, second)
 
 
@@ -299,8 +295,10 @@ def classical_distribution(tables: np.ndarray, theta) -> np.ndarray:
 
 
 def classical_data_distribution(p_vh: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The data's joint table q(v) p(h|v); a label whose p(v) is 0 gets weight 0."""
+    """The data's joint table q(v) p(h|v), after ``gradient_cq``'s label
+    support check; a label with q(v) = 0 gets weight 0 whatever its p(v)."""
     p_v = p_vh.sum(axis=1)
+    _check_label_support(p_v, q)
     return p_vh * (q / np.where(p_v > 0.0, p_v, 1.0))[:, None]
 
 
@@ -311,8 +309,10 @@ def classical_objective(tables, theta, target_q) -> float:
 
 
 def _label_relative_entropy(r: np.ndarray, p: np.ndarray) -> float:
-    """sum_v r_v ln(r_v / p_v) over the labels with r_v > 0."""
+    """sum_v r_v ln(r_v / p_v) over the labels with r_v > 0; +inf if such a p_v is 0."""
     mask = r > 0.0
+    if not p[mask].all():  # before ln(r_v / 0) would warn
+        return np.inf
     return float(np.sum(r[mask] * np.log(r[mask] / p[mask])))
 
 

@@ -106,6 +106,10 @@ class Problem:
     theta just before it asks for the gradient there, so both use one
     model, and a ``train`` continued from the last run's final theta
     starts on it too.  A build that raises leaves no model behind.
+
+    Every concrete subclass defines ``objective`` and ``gradient_vector``
+    itself: the benchmark's tracer (``perfbench/tracer.py``) times the
+    methods defined on each subclass, not inherited ones.
     """
 
     theta0: np.ndarray
@@ -156,7 +160,6 @@ class QuantumProblem(Problem):
             raise SpecError("shot-mode gradients cover the umegaki objective only")
         if estimator is not None:
             check_circuit(hamiltonian.dims)
-        self.obj = obj
         self.estimator = estimator
         self.theta0 = np.asarray(hamiltonian.theta, dtype=float)
         self._groups = None
@@ -169,12 +172,12 @@ class QuantumProblem(Problem):
         return thermalize(self.hamiltonian.with_theta(theta))
 
     def objective(self, theta) -> float:
-        return relative_entropy(self.target, self._model(theta).sigma_v_eig, self.obj)
+        return relative_entropy(self.target, self._model(theta).sigma_v_eig, self.target.obj)
 
     def report(self, theta) -> GradientReport:
         # the raw state, not self.target: exact-d256's expected layers name
         # linalg.as_density, and this is its only caller there (ROADMAP 2b)
-        return gradient(self._model(theta), self.rho, self.obj)
+        return gradient(self._model(theta), self.rho, self.target.obj)
 
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
         cfg = self.estimator
@@ -201,17 +204,16 @@ class QCProblem(Problem):
     def __init__(self, qc: QCModel, rho, obj: Objective = UMEGAKI):
         self.qc = qc
         self.target = Target(rho, obj)
-        self.obj = obj
         self.theta0 = np.asarray(qc.theta, dtype=float)
 
     def _build(self, theta) -> QCModel:
         return self.qc.with_theta(theta)
 
     def objective(self, theta) -> float:
-        return relative_entropy(self.target, self._model(theta).sigma_v_eig, self.obj)
+        return relative_entropy(self.target, self._model(theta).sigma_v_eig, self.target.obj)
 
     def report(self, theta) -> GradientReport:
-        return gradient_qc(self._model(theta), self.target, self.obj)
+        return gradient_qc(self._model(theta), self.target, self.target.obj)
 
     def gradient_vector(self, theta, iteration: int) -> np.ndarray:
         return self.report(theta).values

@@ -272,6 +272,22 @@ def test_numerical_guard_is_exit_three(tmp_path):
     assert run(["grad", "--spec", p, "--out", tmp_path]) == 3
 
 
+def test_classical_vanishing_label_is_exit_three_as_for_cq(tmp_path, capsys):
+    # p(v = 1) = e^{-800} underflows to 0 while the target puts 1/2 on v = 1
+    energies = [[0.0, 0.0], [800.0, 800.0]]
+    models = {
+        "classical": {"kind": "classical", "tables": [energies], "theta": [1.0]},
+        "cq": {"kind": "cq", "dims": {"visible": 2, "hidden": 2}, "theta": [1.0],
+               "terms": [matrix_to_json(np.diag(np.ravel(energies)).astype(complex))]},
+    }
+    for kind, model in models.items():
+        p = tmp_path / f"{kind}.json"
+        p.write_text(json.dumps({"model": model, "target": {"probs": [0.5, 0.5]}}))
+        assert run(["grad", "--spec", p, "--out", tmp_path]) == 3, kind
+        assert "target puts mass on a label with vanishing model weight" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
 def test_oversize_shot_training_is_exit_three(tmp_path, monkeypatch):
     # 4 d_v^2 d_h = 4 * 4 * 32 = 512 exceeds the circuit limit; the shot
     # problem raises when it is built, before any eigenvalue groups

@@ -96,8 +96,14 @@ def test_relative_entropy_takes_decomposed_sigma(rng):
     assert str(by_eig.value) == str(by_matrix.value)
 
 
-def _visible_core(sig_v_es, r_v, q):
-    """sigma_v^{-q/2} Upsilon(r_v) sigma_v^{-q/2}: the visible-side steps."""
+def _order(q):
+    """The objective of order q: umegaki at q = 1, else tsallis."""
+    return UMEGAKI if q == 1.0 else tsallis(q)
+
+
+def _visible_core(sig_v_es, rho, q):
+    """sigma_v^{-q/2} Upsilon(rho^q) sigma_v^{-q/2}: the visible-side steps."""
+    r_v = rho if q == 1.0 else psd_power(rho, q)
     if q == 1.0:
         averaged = apply_channel(LOGISTIC, sig_v_es, r_v)
     elif q == 2.0:
@@ -115,15 +121,15 @@ def test_visible_core_matches_channel_then_sandwich(rng, dim, q):
     # by the two dense sigma_v^{-q/2} products
     sigma = rand_pd(rng, dim)
     sig_v_es = eigh(sigma / np.trace(sigma).real)
-    r_v = psd_power(rand_state(rng, dim), q)
-    got = grads._visible_core(sig_v_es, r_v, q)
-    assert np.max(np.abs(got - _visible_core(sig_v_es, r_v, q))) < 1e-12
+    rho = rand_state(rng, dim)
+    got = grads._visible_core(sig_v_es, Target(rho, _order(q)))
+    assert np.max(np.abs(got - _visible_core(sig_v_es, rho, q))) < 1e-12
 
 
-def _four_step_lift(model, r_v, q):
+def _four_step_lift(model, rho, q):
     """Reference lift: tensor with I_h, anticommutator with sigma_vh, then
     the tent channel of G, each as a dense step."""
-    sandwiched = tensor(_visible_core(model.sigma_v_eig, r_v, q), np.eye(model.dims.d_h))
+    sandwiched = tensor(_visible_core(model.sigma_v_eig, rho, q), np.eye(model.dims.d_h))
     anti = 0.5 * (model.sigma_vh @ sandwiched + sandwiched @ model.sigma_vh)
     return apply_channel(HIGH_PEAK_TENT, model.g_eig, hermitize(anti))
 
@@ -146,11 +152,38 @@ def test_lift_matches_four_step_reference(rng, q, d_h, degenerate):
     if degenerate:
         assert np.min(np.diff(model.g_eig.vals)) < 1e-12  # the tent factor's gap-0 branch
     rho = rand_state(rng, 3)
-    r_v = rho if q == 1.0 else psd_power(rho, q)
-    got = lift_to_joint(model, r_v, q=q)
-    want = _four_step_lift(model, r_v, q)
+    got = lift_to_joint(model, rho, _order(q))
+    want = _four_step_lift(model, rho, q)
     assert np.max(np.abs(got - want)) < 1e-12
     assert np.array_equal(got, got.conj().T)
+
+
+@pytest.mark.parametrize("obj", ALL_OBJECTIVES, ids=lambda o: f"{o.kind}{o.q or ''}")
+def test_lift_reads_its_order_from_the_target(rng, obj):
+    model = rand_model(rng, 3, 2)
+    rho = rand_state(rng, 3)
+    lifted = lift_to_joint(model, rho, obj)
+    assert np.array_equal(lift_to_joint(model, Target(rho, obj), obj), lifted)
+    # the trace is Q_q = Tr[rho^q sigma_v^{1-q}], 1 for umegaki
+    q_overlap = gradient(model, rho, obj).q_overlap
+    assert abs(np.trace(lifted).real - (1.0 if q_overlap is None else q_overlap)) < 1e-12
+    other = tsallis(0.5) if obj == UMEGAKI else UMEGAKI
+    with pytest.raises(SpecError, match="^target was prepared for"):
+        lift_to_joint(model, Target(rho, other), obj)
+
+
+def test_lift_takes_only_a_visible_state_on_a_supported_marginal(rng):
+    model = rand_model(rng, 3, 2)
+    rho = rand_state(rng, 3)
+    with pytest.raises(SpecError, match="trace"):
+        lift_to_joint(model, psd_power(rho, 0.5))  # rho^q is Hermitian but no state
+    with pytest.raises(SpecError, match="positive semidefinite"):
+        lift_to_joint(model, rand_herm(rng, 3))
+    with pytest.raises(SpecError, match="^input must live on the visible register$"):
+        lift_to_joint(model, rand_state(rng, 6))
+    for unsupported in _unsupported_pair():
+        with pytest.raises(SupportError, match="^visible marginal has eigenvalue .* support floor"):
+            lift_to_joint(unsupported, np.eye(2) / 2)
 
 
 def test_gradient_zero_at_fixed_point(rng):
@@ -225,9 +258,8 @@ def test_qc_first_terms_match_per_block_reference(rng, q, d_h):
     # channel of the block Hamiltonian, each as a dense step, weighted by p_x
     _, qc = _qc_pair(rng, d_h=d_h)
     rho = rand_state(rng, 3)
-    r_v = rho if q == 1.0 else psd_power(rho, q)
-    core = _visible_core(qc.sigma_v_eig, r_v, q)
-    lifted_blocks = lift_to_joint(qc, r_v, q)
+    core = _visible_core(qc.sigma_v_eig, rho, q)
+    lifted_blocks = lift_to_joint(qc, rho, _order(q))
     assert lifted_blocks.shape == qc.sigma_x.shape
     want = np.zeros(qc.n_params)
     for x in range(d_h):
@@ -236,7 +268,7 @@ def test_qc_first_terms_match_per_block_reference(rng, q, d_h):
         lifted = apply_channel(HIGH_PEAK_TENT, eigh(block), anti)
         assert np.max(np.abs(lifted_blocks[x] - lifted)) < 1e-12
         want += qc.p[x] * expectation(qc.stack[:, x], lifted)
-    got = gradient_qc(qc, rho, UMEGAKI if q == 1.0 else tsallis(q)).first_terms
+    got = gradient_qc(qc, rho, _order(q)).first_terms
     assert np.max(np.abs(got - want)) < 1e-12
 
 

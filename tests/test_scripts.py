@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,22 @@ def test_output_digests_repeat_and_leave_out_timings_and_paths():
     for argv in (grad, train, estimate):
         assert module.digest(argv) == module.digest(argv)
     assert module.digest(estimate) != module.digest(estimate[:-1] + ["8"])
+
+
+def test_seeded_outputs_match_the_committed_digests():
+    # tests/output_digests.json holds the digests of the 22 seeded commands
+    # and the environment that made them; scripts/output_digests.py --write
+    # regenerates it when a change moves an output on purpose
+    module = _load(ROOT / "scripts" / "output_digests.py")
+    committed = json.loads((ROOT / module.DIGEST_FILE).read_text())
+    got = module.digests()
+    moved = sorted(name for name in got.keys() | committed["digests"].keys()
+                   if got.get(name) != committed["digests"].get(name))
+    env, stamp = module.environment(), committed["environment"]
+    if env != stamp and moved:
+        # a machine change and a code change look alike here: say so, never pass
+        pytest.skip(f"digests of {moved} differ, but they were made with {stamp}, not {env}; "
+                    "compare with output_digests.py on a known-good checkout here")
+    assert not moved, f"seeded outputs moved: {moved}"
+    if env != stamp:
+        warnings.warn(f"all digests match, though they were made with {stamp}, not {env}")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import qbmgrad.estimator
 import qbmgrad.gradients
 import qbmgrad.models
 import qbmgrad.training
-from qbmgrad.errors import GuardError, ScaleError, SpecError
+from qbmgrad.errors import GuardError, ScaleError, SpecError, SupportError
 from qbmgrad.estimator import EstimatorConfig
 from qbmgrad.gradients import classical_gradient, gradient, relative_entropy, tsallis
 from qbmgrad.linalg import BipartiteDims
@@ -475,6 +477,26 @@ def test_classical_sampling_skips_an_unlabelled_label_of_zero_mass():
                                estimator=EstimatorConfig(shots=100, seed=3))
     with np.errstate(divide="raise", invalid="raise"):
         assert np.array_equal(problem.gradient_vector(problem.theta0, 0), [0.0])
+
+
+def test_classical_vanishing_label_raises_as_cq_does():
+    # G(v = 1, h) = 800: at theta = 1, p(v = 1) = e^{-800} underflows to 0 under q(v = 1) = 1/2
+    tables, theta, q = np.zeros((1, 2, 2)), np.array([1.0]), np.array([0.5, 0.5])
+    tables[0, 1, :] = 800.0
+    terms = (np.diag(tables[0].ravel()).astype(complex),)
+    cq = cq_decompose(ParamHamiltonian(dims=BipartiteDims(2, 2), terms=terms, theta=theta))
+    with pytest.raises(SupportError) as by_cq:
+        qbmgrad.gradients.gradient_cq(cq, q)
+    shot = ClassicalProblem(tables, q, theta, estimator=EstimatorConfig(shots=100, seed=3))
+    for call in (lambda: classical_gradient(tables, theta, q),
+                 lambda: shot.gradient_vector(theta, 0)):
+        with pytest.raises(SupportError) as caught:
+            call()
+        assert str(caught.value) == str(by_cq.value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # +inf, not a RuntimeWarning from ln(q / 0)
+        assert shot.objective(theta) == np.inf
+        assert qbmgrad.gradients.cq_objective(cq, q) == np.inf
 
 
 def test_divergence_guard():

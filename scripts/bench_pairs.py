@@ -20,6 +20,11 @@ stamps of both sides.  Each metric also carries two verdicts:
   interquartile range;
 - ``within_bound``: the after median is worse than the before median by
   no more than the metric's relative ``bound`` in ``BENCHMARK.json``.
+
+The top-level ``openblas_threads`` lists the OpenBLAS thread counts that
+the runs' environment stamps record.  The file is written either way, but
+the script exits 1 when the two sides of any pair ran with different
+counts, since their times and the exact-d256 fingerprint depend on it.
 """
 from __future__ import annotations
 
@@ -82,6 +87,20 @@ def _summary(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     return out
 
 
+def _openblas_threads(workloads: dict) -> tuple[list, list[str]]:
+    """The OpenBLAS thread counts stamped on every run, and one line per
+    pair whose two sides ran with different counts."""
+    counts, mismatches = set(), []
+    for name, workload in workloads.items():
+        for pair in workload["pairs"]:
+            before, after = ((pair[side]["environment"] or {}).get("blas_threads")
+                             for side in ("before", "after"))
+            counts.update((before, after))
+            if before != after:
+                mismatches.append(f"{name} seed {pair['seed']}: before {before}, after {after}")
+    return sorted(counts, key=str), mismatches
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", type=Path, required=True)
@@ -115,7 +134,12 @@ def main(argv=None) -> int:
             "failed_ops": {side: sum(p[side]["failed"] for p in pairs) for side in sides},
             "pairs": pairs,
         }
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    threads, mismatches = _openblas_threads(report["workloads"])
+    args.out.write_text(json.dumps({"openblas_threads": threads, **report}, indent=1) + "\n")
+    if mismatches:
+        print("OpenBLAS thread counts differ between the sides: " + "; ".join(mismatches),
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -8,6 +8,7 @@ command prints its summary, which a closed stdout drops without an error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,6 +47,7 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qbmgrad", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -311,9 +311,12 @@ def classical_objective(tables, theta, target_q) -> float:
 def _label_relative_entropy(r: np.ndarray, p: np.ndarray) -> float:
     """sum_v r_v ln(r_v / p_v) over the labels with r_v > 0; +inf if such a p_v is 0."""
     mask = r > 0.0
-    if not p[mask].all():  # before ln(r_v / 0) would warn
-        return np.inf
-    return float(np.sum(r[mask] * np.log(r[mask] / p[mask])))
+    r, p = r[mask], p[mask]
+    with np.errstate(over="ignore", divide="ignore"):  # inf ratios: p_v zero or subnormal
+        logs = np.log(r / p)
+        if np.isinf(logs).any():  # those terms, and only those, take ln r_v - ln p_v
+            logs = np.where(np.isinf(logs), np.log(r) - np.log(p), logs)
+    return float((r * logs).sum())
 
 
 def classical_gradient(tables, theta, target_q) -> GradientReport:

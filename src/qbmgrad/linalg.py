@@ -44,10 +44,12 @@ def as_hermitian(a) -> np.ndarray:
         raise SpecError(f"dimension {a.shape[0]} outside supported range [1, {MAX_DIM}]")
     if not np.isfinite(a).all():  # before the subtraction: inf - inf would warn
         raise SpecError("matrix has a non-finite entry")
-    gap = float(np.abs(a - a.conj().T).max())
+    h = np.conjugate(a.T, order="C")  # a^dag once, for the gap and for the average
+    gap = 0.0 if (a == h).all() else float(np.abs(a - h).max())  # 0 if exactly Hermitian
     if not gap < HERMITICITY_ATOL:
         raise SpecError(f"matrix is not Hermitian: max asymmetry {gap:.3e} >= {HERMITICITY_ATOL:.0e}")
-    return hermitize(a)
+    h += a
+    return np.divide(h, 2, out=h)
 
 
 def as_density(a) -> np.ndarray:
@@ -56,7 +58,7 @@ def as_density(a) -> np.ndarray:
     w = np.linalg.eigvalsh(rho)
     if w[0] < PSD_FLOOR:
         raise SpecError(f"state not positive semidefinite: min eigenvalue {w[0]:.3e}")
-    tr = float(np.trace(rho).real)
+    tr = float(rho.trace().real)
     if abs(tr - 1.0) > TRACE_ATOL:
         raise SpecError(f"state trace {tr!r} differs from 1 by more than {TRACE_ATOL:.0e}")
     return rho
@@ -113,25 +115,24 @@ def check_reconstruction(x, es: Eigensystem) -> None:
     x (..., d, d) reconstructs it, matrix by matrix.
 
     The check bounds the spectral norm of r = V diag(w) V^dag - x by
-    ``EIGH_RESIDUAL_TOL * d``, matrix by matrix.  A Frobenius-norm screen
-    accepts first, which is sound because |r|_2 <= |r|_F; only a residual
-    that fails the screen pays for the SVD behind ``spectral_norm``, which
-    then decides.  The screen keeps a 1e-12 relative margin so that
-    rounding in either norm cannot accept a residual the spectral norm
-    would reject.  A non-finite residual fails without the SVD.
+    ``EIGH_RESIDUAL_TOL * d``, matrix by matrix.  Frobenius-norm screens
+    accept first (|r|_2 <= |r|_F), with a 1e-12 relative margin against
+    rounding in either norm: one over the whole input, then one per matrix;
+    a matrix that fails both pays for the SVD behind ``spectral_norm``,
+    which decides.  A non-finite residual fails both and raises with no SVD.
     """
-    r = (es.vecs * es.vals[..., None, :]) @ es.vecs.conj().swapaxes(-1, -2) - x
+    r = (es.vecs * es.vals[..., None, :]) @ es.vecs.conj().swapaxes(-1, -2)
+    r -= x
     d = x.shape[-1]
     tol = EIGH_RESIDUAL_TOL * d
-    parts = r.reshape(-1, d * d).view(float)  # (Re, Im) pairs of each residual
-    frob = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-    fails = ~(frob <= tol * (1.0 - 1e-12))  # a NaN residual fails the screen too
-    if not fails.any():
-        return
-    for k in np.flatnonzero(fails):
-        resid = spectral_norm(r.reshape(-1, d, d)[k]) if np.isfinite(frob[k]) else float(frob[k])
-        if not resid <= tol:
-            raise GuardError(f"eigendecomposition residual {resid:.3e} too large")
+    if not np.vdot(r, r).real <= (tol * (1.0 - 1e-12)) ** 2:  # |r|_F^2 of all; NaN fails
+        parts = r.reshape(-1, d * d).view(float)  # (Re, Im) pairs of each residual
+        frob = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+        fails = ~(frob <= tol * (1.0 - 1e-12))  # a NaN residual fails the screen too
+        for k in np.flatnonzero(fails):
+            resid = spectral_norm(r.reshape(-1, d, d)[k]) if np.isfinite(frob[k]) else float(frob[k])
+            if not resid <= tol:
+                raise GuardError(f"eigendecomposition residual {resid:.3e} too large")
 
 
 def as_unitary(u, what: str, dim: int | None = None) -> np.ndarray:
@@ -154,9 +155,9 @@ def gibbs_weights(energies) -> tuple[np.ndarray, np.ndarray]:
     overflows; the unshifted partition function is z * e^{-E_min}.
     """
     energies = np.asarray(energies)
-    boltz = np.exp(-(energies - energies.min(axis=-1, keepdims=True)))
+    boltz = np.exp(energies.min(axis=-1, keepdims=True) - energies)
     z = boltz.sum(axis=-1)
-    return boltz / z[..., None], z
+    return np.divide(boltz, z[..., None], out=boltz), z
 
 
 def tensor(a, b) -> np.ndarray:
@@ -224,9 +225,10 @@ def expectation(obs, state):
 
 def real_traces(vals: np.ndarray) -> np.ndarray:
     """Real parts of traces, each real within 1e-10 (relative where it exceeds 1)."""
-    residue = np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals))
-    if residue.any():
-        raise GuardError(f"expectation has imaginary residue {vals.imag[residue][0]:.3e}")
+    if not np.abs(vals.imag).max(initial=0.0) <= 1e-10:  # every bound is >= 1e-10; NaN fails
+        residue = np.abs(vals.imag) > 1e-10 * np.maximum(1.0, np.abs(vals))
+        if residue.any():
+            raise GuardError(f"expectation has imaginary residue {vals.imag[residue][0]:.3e}")
     return vals.real
 
 

@@ -30,17 +30,18 @@ def channel_factor(d: Density, u) -> np.ndarray | float:
     All are even in u and equal 1 in the u -> 0 limit.
     """
     u = np.asarray(u, dtype=float)
-    mag = np.abs(u)
+    mag = np.abs(u, out=np.empty_like(u))  # an array even for scalar u: it takes the result
     small = mag < DEGENERATE_GAP_RTOL * max(1.0, float(mag.max(initial=0.0)))
-    safe = np.where(small, 1.0, u)
+    half = np.where(small, 1.0, u)
+    half /= 2.0
     if d.kind == "high_peak_tent":
-        half = safe / 2.0
-        out = np.where(small, 1.0, np.tanh(half) / half)
+        out = np.divide(np.tanh(half, out=mag), half, out=mag)
     elif d.kind == "logistic":
-        half = safe / 2.0
-        out = np.where(small, 1.0, half / np.sinh(half))
-    else:
-        out = np.where(small, 1.0, np.sinh(d.r * safe / 2.0) / (d.r * np.sinh(safe / 2.0)))
+        out = np.divide(half, np.sinh(half, out=mag), out=mag)
+    else:  # the numerator reads u: where u differs from the safe gaps, 1 replaces the quotient
+        out = np.sinh(np.divide(np.multiply(d.r, u, out=mag), 2.0, out=mag), out=mag)
+        out /= np.multiply(d.r, np.sinh(half, out=half), out=half)
+    np.copyto(out, 1.0, where=small)
     return out if out.ndim else float(out)
 
 
@@ -74,7 +75,7 @@ def apply_channel(d: Density, anchor: Eigensystem, y, power: float = 0.0) -> np.
     times (a_k a_l)^p, which needs a positive definite anchor.
     """
     y = _on_anchor(anchor, y)
-    positive = np.all(anchor.vals > 0.0)
+    positive = (anchor.vals > 0.0).all()
     if d.kind != "high_peak_tent" and not positive:
         raise SpecError(f"{d.kind} channel needs a positive definite anchor")
     if power and not positive:

@@ -245,7 +245,7 @@ def _thermal_blocks(block_hams: np.ndarray) -> tuple:
     es = decompose(block_hams)
     weights, states, z = _gibbs(block_hams, es)
     log_zs = np.log(z) - es.vals[:, 0]  # ascending: column 0 is each block's minimum
-    p = np.exp(log_zs - np.max(log_zs))
+    p = np.exp(log_zs - log_zs.max())
     return p / p.sum(), states, es, weights
 
 

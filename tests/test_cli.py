@@ -1,11 +1,12 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qbmgrad.cli import main
+from qbmgrad.cli import build_parser, main
 from qbmgrad.errors import SpecError
 from qbmgrad.estimator import EstimatorConfig
 from qbmgrad.gradients import (
@@ -311,6 +312,54 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["bogus-command"])
     assert exc.value.code == 2
+
+
+@pytest.fixture
+def fresh_parser():
+    """No parser cached before or after the test."""
+    build_parser.cache_clear()
+    yield build_parser
+    build_parser.cache_clear()
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, fresh_parser):
+    # one sequence through the shared parser, then each call with a parser of its own
+    calls = [["train", "--spec", DEMOS / "train_qubit.json", "--iterations", "5"],
+             ["grad", "--spec", DEMOS / "grad_qubit.json"],
+             ["grad", "--spec", DEMOS / "grad_qubit.json", "--threads", "2"],  # usage error
+             ["train", "--spec", DEMOS / "train_qubit.json", "--threads", "0"]]
+
+    def outcome(k, argv):
+        out = tmp_path / f"cmd{k}"
+        try:
+            code = run([*argv, "--out", out])
+        except SystemExit as exc:
+            code = exc.code
+        printed = capsys.readouterr()
+        files = {p.name: p.read_text() for p in sorted(out.glob("*"))} if out.exists() else {}
+        for p in out.glob("*"):
+            p.unlink()
+        return code, printed.out, printed.err, files.get("report.json")
+
+    shared = [outcome(k, argv) for k, argv in enumerate(calls)]
+    assert fresh_parser.cache_info().misses == 1 and fresh_parser.cache_info().hits == 3
+    fresh = []
+    for k, argv in enumerate(calls):
+        fresh_parser.cache_clear()
+        fresh.append(outcome(k, argv))
+    assert shared == fresh
+    assert [o[0] for o in shared] == [0, 0, 2, 2]
+    assert shared[0][3] is not None and shared[1][3] is not None
+    assert "error: unrecognized arguments: --threads 2" in shared[2][2]
+    assert "argument --threads: expected a positive integer, got 0" in shared[3][2]
+
+
+def test_threads_default_to_the_cpu_count(monkeypatch, fresh_parser):
+    args, _ = fresh_parser().parse_known_args(["train", "--spec", "spec.json"])
+    assert args.threads == (os.cpu_count() or 1)
+    fresh_parser.cache_clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert fresh_parser().parse_known_args(["estimate", "--spec", "spec.json"])[0].threads == 3
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -596,3 +596,13 @@ def test_label_vector_is_checked_at_every_entry(entry, bad, message):
         bad = bad + [0.0, 0.0]
     with pytest.raises(SpecError, match=message):
         call(bad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_label_relative_entropy_takes_logs_where_the_ratio_overflows():
+    # r / p = 0.5 / 5e-324 overflows; 1/2 ln 1/2 + 1/2 (ln 1/2 - ln 5e-324) is finite
+    r, p = np.array([0.5, 0.5]), np.array([1.0, 5e-324])
+    assert grads._label_relative_entropy(r, p) == pytest.approx(371.5268887801307, rel=1e-12)
+    # and only that term moves: the first keeps the bits of r ln(r / p)
+    alone = grads._label_relative_entropy(np.array([0.5, 0.0]), np.array([1.0, 5e-324]))
+    assert alone == 0.5 * np.log(0.5 / 1.0)

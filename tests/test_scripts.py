@@ -84,6 +84,29 @@ def test_bench_pairs_verdicts():
     assert faster["op_s.p50"]["ratio_of_medians"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("after_threads, code", [(2, 0), (1, 1)])
+def test_bench_pairs_stamps_and_checks_openblas_threads(tmp_path, monkeypatch, capsys,
+                                                       after_threads, code):
+    module = _load(ROOT / "scripts" / "bench_pairs.py")
+    sides = {tmp_path / "before": 2, tmp_path / "after": after_threads}
+    metrics = {m: 1.0 for m in ("setup_s", "op_s.p50", "work_per_s", "peak_rss_mb")}
+
+    def fake_run(checkout, workload, seed, seconds):
+        return {"exit_code": 0, "metrics": metrics, "attempted": 1, "failed": 0,
+                "fingerprint": "f", "environment": {"blas_threads": sides[checkout]}}
+
+    monkeypatch.setattr(module, "_run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert module.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
+                        "--out", str(out), "--workload", "cli-demos", "--seeds", "1-2"]) == code
+    report = json.loads(out.read_text())
+    assert report["openblas_threads"] == sorted({2, after_threads})
+    err = capsys.readouterr().err
+    assert ("OpenBLAS thread counts differ" in err) == bool(code)
+    if code:
+        assert "cli-demos seed 1: before 2, after 1" in err
+
+
 def test_output_digests_repeat_and_leave_out_timings_and_paths():
     module = _load(ROOT / "scripts" / "output_digests.py")
     by_label = {" ".join(argv): argv for argv in module.commands(ROOT / "demos")}

@@ -12,19 +12,30 @@ alternating from pair to pair so that drift of the machine hits both sides
 alike.  The output holds, per workload and end-to-end metric, the medians
 and quartiles of both sides, the after/before ratio of the medians and the
 number of pairs the after side won (direction from ``BENCHMARK.json``), plus
-every pair's raw values, fingerprints, failure counts and the environment
-stamps of both sides.  Each metric also carries two verdicts:
+every pair's values, fingerprints, failure counts and the environment
+stamps of both sides.  Each run keeps its nominal metrics, its raw
+``wall`` metrics and the median of its ``reference_s`` samples (the
+reference kernel's seconds that scale wall time to nominal time).  Each
+metric also carries three verdicts:
 
 - ``claim_met``: the after side won at least 9 of every 10 pairs, and its
   median is better than the before median by more than the before side's
   interquartile range;
 - ``within_bound``: the after median is worse than the before median by
-  no more than the metric's relative ``bound`` in ``BENCHMARK.json``.
+  no more than the metric's relative ``bound`` in ``BENCHMARK.json``;
+- ``scaling_disagrees``: the nominal and the raw wall after/before ratios
+  of the medians fall on opposite sides of 1, so the reference scaling,
+  not the program, decided the direction.
 
-The top-level ``openblas_threads`` lists the OpenBLAS thread counts that
-the runs' environment stamps record.  The file is written either way, but
-the script exits 1 when the two sides of any pair ran with different
-counts, since their times and the exact-d256 fingerprint depend on it.
+A run is failed when it prints no result line or leaves no results file
+(its seed's file is deleted before it starts, so a stale one is never
+read); the pair keeps its exit code and the last lines of its standard
+error, and the summaries use the complete pairs only.  The top-level
+``openblas_threads`` lists the OpenBLAS thread counts that the runs'
+environment stamps record.  The file is written either way, but the
+script exits 1 when a run failed or when the two sides of any pair ran
+with different counts, since their times and the exact-d256 fingerprint
+depend on it.
 """
 from __future__ import annotations
 
@@ -36,6 +47,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+STDERR_LINES = 20  # kept from a failed run
 
 
 def _seeds(spec: str) -> list[int]:
@@ -46,13 +58,21 @@ def _seeds(spec: str) -> list[int]:
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    results = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    results.unlink(missing_ok=True)
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    line = json.loads(done.stdout.strip().splitlines()[-1])
-    record = json.loads((checkout / ".perfbench" / "results"
-                         / f"{workload}-seed{seed}-trace0.json").read_text())
+    try:
+        line = json.loads(done.stdout.strip().splitlines()[-1])
+        record = json.loads(results.read_text())
+    except (IndexError, ValueError, OSError):  # no result line, or no results file
+        return {"exit_code": done.returncode, "run_failed": True,
+                "stderr_tail": done.stderr.splitlines()[-STDERR_LINES:]}
     return {
         "exit_code": done.returncode,
+        "run_failed": False,
         "metrics": {k: v["value"] for k, v in line["metrics"].items()},
+        "wall": record.get("wall"),
+        "reference_s_median": statistics.median(record["reference_s"]),
         "attempted": line["attempted"],
         "failed": line["failed"],
         "fingerprint": record.get("fingerprint"),
@@ -74,11 +94,21 @@ def _summary(pairs: list[dict], metrics: dict[str, dict]) -> dict:
         wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
         qb, qa = _quartiles(before), _quartiles(after)
         gain = sign * (qa["median"] - qb["median"])
+        ratio = qa["median"] / qb["median"]
+        walls = [(p["before"].get("wall"), p["after"].get("wall")) for p in pairs]
+        raw = raw_ratio = None
+        if all(b and a for b, a in walls):  # no raw verdict unless every run kept its wall record
+            raw = {"before": _quartiles([b[name] for b, _ in walls]),
+                   "after": _quartiles([a[name] for _, a in walls])}
+            raw_ratio = raw["after"]["median"] / raw["before"]["median"]
         out[name] = {
             "better": metric["better"],
             "before": qb,
             "after": qa,
-            "ratio_of_medians": qa["median"] / qb["median"],
+            "ratio_of_medians": ratio,
+            "raw": raw,
+            "raw_ratio_of_medians": raw_ratio,
+            "scaling_disagrees": raw_ratio is not None and (ratio - 1.0) * (raw_ratio - 1.0) < 0,
             "after_wins": wins,
             "pairs": len(pairs),
             "claim_met": 10 * wins >= 9 * len(pairs) and gain > qb["q3"] - qb["q1"],
@@ -87,12 +117,17 @@ def _summary(pairs: list[dict], metrics: dict[str, dict]) -> dict:
     return out
 
 
+def _complete(pairs: list[dict]) -> list[dict]:
+    """The pairs whose two runs both gave a result."""
+    return [p for p in pairs if not any(p[side].get("run_failed") for side in ("before", "after"))]
+
+
 def _openblas_threads(workloads: dict) -> tuple[list, list[str]]:
     """The OpenBLAS thread counts stamped on every run, and one line per
     pair whose two sides ran with different counts."""
     counts, mismatches = set(), []
     for name, workload in workloads.items():
-        for pair in workload["pairs"]:
+        for pair in _complete(workload["pairs"]):
             before, after = ((pair[side]["environment"] or {}).get("blas_threads")
                              for side in ("before", "after"))
             counts.update((before, after))
@@ -118,29 +153,40 @@ def main(argv=None) -> int:
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     report = {"command": ["python3", "perfbench/run.py", "--seconds", str(seconds), "--trace", "0"],
               "workloads": {}}
+    failed_runs = []
     for workload, spec in zip(args.workload, args.seeds):
         pairs = []
         for i, seed in enumerate(_seeds(spec)):
             order = ("before", "after") if i % 2 == 0 else ("after", "before")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = _run(sides[side], workload, seed, seconds)
-                print(f"{workload} seed {seed} {side}: {pair[side]['metrics']}", file=sys.stderr)
+                run = pair[side] = _run(sides[side], workload, seed, seconds)
+                if run.get("run_failed"):
+                    failed_runs.append(f"{workload} seed {seed} {side} (exit {run['exit_code']})")
+                    print(f"{workload} seed {seed} {side}: FAILED, exit {run['exit_code']}: "
+                          + " | ".join(run["stderr_tail"][-3:]), file=sys.stderr)
+                else:
+                    print(f"{workload} seed {seed} {side}: {run['metrics']}", file=sys.stderr)
             pairs.append(pair)
+        complete = _complete(pairs)
         report["workloads"][workload] = {
-            "summary": _summary(pairs, metrics),
+            "summary": _summary(complete, metrics) if complete else None,
+            "complete_pairs": len(complete),
             "fingerprints_equal": sum(p["before"]["fingerprint"] == p["after"]["fingerprint"]
-                                      for p in pairs),
-            "failed_ops": {side: sum(p[side]["failed"] for p in pairs) for side in sides},
+                                      for p in complete),
+            "failed_ops": {side: sum(p[side]["failed"] for p in complete) for side in sides},
+            "failed_runs": {side: sum(bool(p[side].get("run_failed")) for p in pairs)
+                            for side in sides},
             "pairs": pairs,
         }
     threads, mismatches = _openblas_threads(report["workloads"])
     args.out.write_text(json.dumps({"openblas_threads": threads, **report}, indent=1) + "\n")
+    if failed_runs:
+        print("runs without a result: " + "; ".join(failed_runs), file=sys.stderr)
     if mismatches:
         print("OpenBLAS thread counts differ between the sides: " + "; ".join(mismatches),
               file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failed_runs or mismatches else 0
 
 
 if __name__ == "__main__":

@@ -10,11 +10,12 @@ by a joint (X_c, observable) measurement yields Y = (-1)^z g.  The mean of
 kappa * Y over Hoeffding-many shots estimates the lifted-state term.
 
 Block-encodings here are exact unitary dilations (normalization alpha,
-declared spectral error delta); the error-composition and sample-count
-accounting still covers the inexact case and is exercised by injecting
-controlled perturbations.  ``be_product`` composes two encodings into the
-encoding of their product, so an error in the modular flow enters as a
-factor of the inverse-root encoding the circuit takes.
+declared spectral error delta).  The circuit reads only the inverse-root
+dilation's first d_v columns, V diag(c) over V diag(s) with c =
+min(lambda^{-1/2} / sqrt(kappa), 1) and s = (1 - c^2)^{1/2}, from sigma_v's
+eigensystem (lambda, V) with no SVD.  Injected encodings exercise the error
+accounting of the inexact case; ``be_product`` composes two into their
+product's encoding, so a modular-flow error is a factor of the inverse root.
 
 Shots are simulated in chunks without forming the circuit register.  Up to
 the evolution, a shot's state is linear in the modular phases
@@ -45,6 +46,7 @@ test oracle in ``tests/test_estimator.py``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -227,13 +229,23 @@ def eigen_groups(g_j) -> tuple:
     """Distinct eigenvalues (K,) of an observable, each the mean of the eigenpairs
     bounds[k]:bounds[k+1], with its checked eigensystem and the bounds (K+1,)."""
     es = eigh(g_j)
-    scale = max(1.0, float(np.max(np.abs(es.vals))))
+    vals = es.vals.tolist()  # Python floats: the same bits, without numpy's per-scalar cost
+    scale = max(1.0, max(map(abs, vals)))
     starts = [0]
     for i in range(1, es.dim):
-        if es.vals[i] - es.vals[starts[-1]] > GROUP_RTOL * scale:
+        if vals[i] - vals[starts[-1]] > GROUP_RTOL * scale:
             starts.append(i)
-    bounds = np.array(starts + [es.dim])  # np.mean's order: np.add.reduceat's would move bits
-    return np.array([np.mean(es.vals[lo:hi]) for lo, hi in zip(starts, bounds[1:])]), es, bounds
+    bounds = starts + [es.dim]  # np.mean's order: np.add.reduceat's would move bits
+    return np.array([vals[lo] if hi - lo == 1 else np.mean(es.vals[lo:hi])  # one pair: its value
+                     for lo, hi in zip(starts, bounds[1:])]), es, np.array(bounds)
+
+
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, read-only: the (row, column) of each pair p < q."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _group_projectors(es, bounds, basis: np.ndarray) -> np.ndarray:
@@ -268,7 +280,8 @@ class _BatchContext:
     modular phases phi_ab(s) = e^{i theta_ab}, theta_ab = -s(ln l_a - ln l_b)/2,
     of the sigma_v eigenbasis.  The target enters through the basis matrices
     w_ab = rho~_ab b_a b_b^dag, where b is the first (ancilla hit) or second
-    (ancilla miss) row block of the inverse-root dilation.  Since phi_aa = 1
+    (ancilla miss) row block, V diag(c) or V diag(s), of the inverse-root
+    dilation's first d_v columns, read off ``model.sigma_v_eig``.  Since phi_aa = 1
     and phi_ba = conj(phi_ab), the phases fold into n_f = 1 + d_v(d_v - 1)
     real features f = [1, cos theta_ab, sin theta_ab]_{a<b} against the
     Hermitian matrices sum_a w_aa, w_ab + w_ba and i(w_ab - w_ba).
@@ -282,7 +295,7 @@ class _BatchContext:
     ``static_map``; the table's 1/4, +-1 and factor 2 sit in both maps.
 
     ``inv_sqrt``, a one-ancilla encoding in place of the exact dilation,
-    injects controlled encoding errors: it only changes the row blocks b.  A
+    injects controlled encoding errors: its own columns give the blocks b.  A
     modular-flow error N enters as its factor, ``be_product(inv_sqrt,
     BlockEncoding(N, 1.0, 0, delta))``, whose first d_v columns are those
     of ``inv_sqrt`` times N.
@@ -304,10 +317,15 @@ def _batch_context(
     check_circuit(model.dims)
     rho = as_target(rho, UMEGAKI).rho  # the umegaki lift is what the circuit estimates
     sv = model.sigma_v_eig
-    inv = inv_sqrt if inv_sqrt is not None else inv_sqrt_encoding(model)
-    if inv.ancillas != 1:
+    if inv_sqrt is None:  # the exact dilation's columns V c, V s in sigma_v's eigenbasis
+        if not np.isfinite(model.kappa):
+            raise SpecError("kappa must be finite")
+        cos = np.minimum(np.power(sv.vals, -0.5) / math.sqrt(model.kappa), 1.0)
+        blocks = np.stack([sv.vecs * cos, sv.vecs * np.sqrt(np.maximum(1.0 - cos * cos, 0.0))])
+    elif inv_sqrt.ancillas != 1:
         raise SpecError("the inverse-root encoding must use exactly one ancilla")
-    hit_miss = inv.unitary[:, :d_v]
+    else:
+        blocks = (inv_sqrt.unitary[:, :d_v] @ sv.vecs).reshape(2, d_v, d_v)  # [ancilla, x, a]
     values, g_es, bounds = eigen_groups(g_j) if groups is None else groups
     g_vecs = model.g_eig.vecs
     g_vecs_h = g_vecs.conj().T
@@ -317,20 +335,17 @@ def _batch_context(
     sigma_h = partial_trace(model.sigma_vh, model.dims, keep="hidden")
 
     rho_tilde = sv.vecs.conj().T @ rho @ sv.vecs
-    blocks = (hit_miss @ sv.vecs).reshape(2, d_v, d_v)  # [ancilla, x, a]
     basis = np.einsum("ab,nxa,nyb->nabxy", rho_tilde, blocks, blocks.conj())
-    a, b = np.triu_indices(d_v, 1)
+    a, b = _pairs(d_v)
     upper, lower = basis[:, a, b], basis[:, b, a]
-    w0, w1 = np.concatenate(
+    w0, w1 = w = np.concatenate(
         [np.einsum("naaxy->nxy", basis)[:, None], upper + lower, 1j * (upper - lower)], axis=1
     )
-
-    def in_g_basis(w, right):  # V^dag (w (x) right) V for a stack of w
-        lift = (w[:, :, None, :, None] * right[None, None, :, None, :]).reshape(-1, dim, dim)
-        return g_vecs_h @ lift @ g_vecs
-
-    eye_h = np.eye(d_h, dtype=complex)
-    hit = np.stack([in_g_basis(w0, eye_h), in_g_basis(w0, sigma_h)], axis=1)
+    # V^dag (w (x) R) V for w in (w0, w1) and R in (I, sigma_h) as one stacked
+    # product: hit[:, r] lifts w0, miss[:, r] lifts w1
+    right = np.stack([np.eye(d_h, dtype=complex), sigma_h])
+    lift = w[:, :, None, :, None, :, None] * right[:, None, :, None, :]
+    hit, miss = g_vecs_h @ lift.reshape(2, -1, 2, dim, dim) @ g_vecs
     k = values.shape[0]
     c1 = np.einsum("kpp,p->k", proj_rot, d_weights).real  # Tr[Pi_k sigma_vh]
     base0 = np.einsum("fpp->f", w0).real[:, None] * c1 + np.einsum(
@@ -338,14 +353,14 @@ def _batch_context(
     cross0 = 2.0 * np.einsum("fpp,kpp,p->fk", hit[:, 0], proj_rot, d_weights).real
     # the ancilla-miss branch sums its projectors to the identity, so the
     # evolution drops out of it
-    base1 = np.einsum("fpp->f", w1).real + np.einsum("fpp->f", in_g_basis(w1, sigma_h)).real
-    cross1 = 2.0 * np.einsum("fpp,p->f", in_g_basis(w1, eye_h), d_weights).real
+    base1 = np.einsum("fpp->f", w1).real + np.einsum("fpp->f", miss[:, 1]).real
+    cross1 = 2.0 * np.einsum("fpp,p->f", miss[:, 0], d_weights).real
     static_map = 0.25 * np.concatenate(
         [base0 + cross0, base0 - cross0, (base1 + cross1)[:, None], (base1 - cross1)[:, None]],
         axis=1,
     )
 
-    p, q = np.triu_indices(dim, 1)
+    p, q = _pairs(dim)
     entries = hit[:, :, q, p]  # (n_f, block, pair): X_qp of both ancilla-hit blocks
     lift_map = np.stack([entries.real, entries.imag], axis=-1).reshape(entries.shape[0], -1)
     # the (p,q) and (q,p) terms sum to w Re(z Pi_pq), z = X_qp e_pq, with the
@@ -407,7 +422,7 @@ def _outcome_table(ctx: _BatchContext, feats: np.ndarray, phases: np.ndarray, ou
     m = feats.shape[1]
     lifted = feats.T @ ctx.lift_map
     evolved = lifted.view(complex).reshape(m, 2, phases.shape[0])
-    evolved *= phases.T[:, None, :]
+    evolved *= phases.T[:, None, :]  # strided, yet shot-major phases made the chunk slower
     probs = np.matmul(feats.T, ctx.static_map, out=out)
     probs += lifted @ ctx.pair_map
     return probs
@@ -515,12 +530,12 @@ def quadrature_first_term(model: ThermalModel, rho, g_j, *, inv_sqrt=None) -> fl
     in closed form: the table is linear in the modular features f and in the
     pair phases e separately, so the sum equals W table(f_bar, e_bar / W)
     with f_bar = sum_i w_i f(s_i), e_bar = t_w0 + sum_j w_j e(t_j) and
-    W = t_w0 + sum_j w_j.  ``inv_sqrt`` injects controlled encoding errors
-    as in ``_BatchContext``, a modular-flow error as its ``be_product``
-    factor.
+    W = t_w0 + sum_j w_j.  alpha is sqrt(kappa) unless ``inv_sqrt`` injects
+    controlled encoding errors as in ``_BatchContext``, a modular-flow error
+    as its ``be_product`` factor.
     """
-    inv = inv_sqrt if inv_sqrt is not None else inv_sqrt_encoding(model)
-    ctx = _batch_context(model, rho, g_j, inv_sqrt=inv)
+    ctx = _batch_context(model, rho, g_j, inv_sqrt=inv_sqrt)
+    alpha = inv_sqrt.alpha if inv_sqrt is not None else math.sqrt(model.kappa)
     s_pts, s_wts, _ = expectation_nodes(LOGISTIC, T=QUAD_S_MAX, nodes=QUAD_S_NODES)
     t_pts, t_wts, t_w0 = expectation_nodes(HIGH_PEAK_TENT, T=QUAD_T_MAX, nodes=QUAD_T_NODES)
     t_mass = t_w0 + float(np.sum(t_wts))
@@ -528,7 +543,7 @@ def quadrature_first_term(model: ThermalModel, rho, g_j, *, inv_sqrt=None) -> fl
     e_bar = (t_w0 + _pair_phases(np.outer(ctx.g_vals, t_pts)) @ t_wts) / t_mass
     table = _outcome_table(ctx, f_bar[:, None], e_bar[:, None])[0]
     k = ctx.y_values.shape[0]
-    return inv.alpha**2 * t_mass * float((table[:k] - table[k : 2 * k]) @ ctx.y_values)
+    return alpha**2 * t_mass * float((table[:k] - table[k : 2 * k]) @ ctx.y_values)
 
 
 # ---------------------------------------------------------------------------

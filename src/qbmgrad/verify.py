@@ -57,10 +57,10 @@ def rand_state(rng, d):
 
 
 def rand_pd(rng, d, spread=0.5):
-    """Random positive definite matrix with eigenvalues in ~[e^-spread, e^spread]."""
-    h = rand_herm(rng, d, spread)
-    es = eigh(h)
-    return as_hermitian((es.vecs * np.exp(es.vals)) @ es.vecs.conj().T)
+    """Random positive definite e^h, h = ``rand_herm(rng, d, spread)``: eigenvalues within
+    about e^(+-2 spread sqrt(d)), e.g. [0.23, 2.3] at d = 4, [1.5e-7, 8.6e6] at d = 256."""
+    es = eigh(rand_herm(rng, d, spread))
+    return hermitize((es.vecs * np.exp(es.vals)) @ es.vecs.conj().T)
 
 
 def rand_model(rng, d_v, d_h, n_terms=3, term_scale=0.4, theta_scale=0.6):

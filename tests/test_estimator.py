@@ -247,6 +247,116 @@ def test_injected_encodings_are_checked(rng):
         quadrature_first_term(model, rho, g_j, inv_sqrt=BlockEncoding(np.eye(2), 1.0, 0))
 
 
+def _circuit_blocks(monkeypatch, model, rho, g_j, **kwargs):
+    """The (2, d_v, d_v) row blocks b, [ancilla, x, a], that ``_batch_context``
+    turns into the basis matrices w_ab = rho~_ab b_a b_b^dag."""
+    seen, einsum = [], np.einsum
+
+    def spy(subscripts, *operands, **kw):
+        if subscripts == "ab,nxa,nyb->nabxy":
+            seen.append(operands[1].copy())
+        return einsum(subscripts, *operands, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "einsum", spy)
+        _batch_context(model, rho, g_j, **kwargs)
+    (blocks,) = seen
+    return blocks
+
+
+def _svd_spy(monkeypatch):
+    """Record the dilation's SVD and the encoding's unitarity check."""
+    calls, svd, unitary = [], np.linalg.svd, est.as_unitary
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+    monkeypatch.setattr(est, "as_unitary",
+                        lambda *a, **k: calls.append("as_unitary") or unitary(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("d_v, d_h", [(2, 1), (2, 2), (4, 2), (4, 4)])
+def test_closed_form_rows_match_the_dilation(rng, monkeypatch, d_v, d_h):
+    model = rand_model(rng, d_v, d_h)
+    rho, g_j = rand_state(rng, d_v), model.hamiltonian.terms[0]
+    vecs = model.sigma_v_eig.vecs
+    blocks = _circuit_blocks(monkeypatch, model, rho, g_j)
+    hit, miss = blocks @ vecs.conj().T  # V diag(c) V^dag and V diag(s) V^dag
+    want = inv_sqrt_encoding(model).unitary[:, :d_v]
+    assert np.max(np.abs(hit - want[:d_v])) < 1e-14
+    # s = (1 - c^2)^{1/2} is ill-conditioned where c is near 1: the SVD's
+    # singular value 1 - 1e-16 gives s ~ 1e-8 where the closed form gives 0,
+    # so the miss block agrees through its square I - C^2 and to sqrt(eps)
+    assert np.max(np.abs(miss @ miss - want[d_v:] @ want[d_v:])) < 1e-14
+    assert np.max(np.abs(miss - want[d_v:])) < 1e-7
+    # the lowest eigenvalue gives c = 1 up to rounding, clamped to at most 1
+    cos = np.linalg.norm(blocks[0], axis=0)
+    assert np.all(cos <= 1.0 + 1e-15) and abs(cos[0] - 1.0) < 1e-15
+    # the columns of the stacked blocks are orthonormal, as the dilation's are
+    stacked = blocks.reshape(2 * d_v, d_v)
+    assert np.max(np.abs(stacked.conj().T @ stacked - np.eye(d_v))) < 1e-14
+
+
+def test_closed_form_rows_clamp_at_one(rng, monkeypatch):
+    # a kappa one part in 1e15 short of 1/lambda_min puts c_0 above 1 before the clamp
+    model = rand_model(rng, 2, 2)
+    model = replace(model, kappa=model.kappa * (1.0 - 1e-15))
+    vals = model.sigma_v_eig.vals
+    assert vals[0] ** -0.5 / math.sqrt(model.kappa) > 1.0
+    rho, g_j = rand_state(rng, 2), model.hamiltonian.terms[0]
+    blocks = _circuit_blocks(monkeypatch, model, rho, g_j)
+    vecs = model.sigma_v_eig.vecs
+    assert np.array_equal(blocks[0][:, 0], vecs[:, 0]) and not blocks[1][:, 0].any()
+    hit, miss = blocks @ vecs.conj().T
+    want = inv_sqrt_encoding(model).unitary[:, :2]
+    assert np.max(np.abs(hit - want[:2])) < 1e-14
+    assert np.max(np.abs(miss @ miss - want[2:] @ want[2:])) < 1e-14
+
+
+def test_default_rows_take_no_svd(rng, monkeypatch):
+    model = rand_model(rng, 2, 2)
+    rho, g_j = rand_state(rng, 2), model.hamiltonian.terms[0]
+    calls = _svd_spy(monkeypatch)
+    _batch_context(model, rho, g_j)
+    quadrature_first_term(model, rho, g_j)
+    assert calls == []
+    inv_sqrt_encoding(model)  # the spy sees the dilation it replaces
+    assert calls == ["svd", "as_unitary"]
+
+
+def test_injected_encoding_keeps_its_columns_and_ancilla_check(rng, monkeypatch):
+    model = rand_model(rng, 2, 2)
+    rho, g_j = rand_state(rng, 2), model.hamiltonian.terms[0]
+    inv = perturb_encoding(inv_sqrt_encoding(model), rng, scale=0.05)[0]
+    blocks = _circuit_blocks(monkeypatch, model, rho, g_j, inv_sqrt=inv)
+    vecs = model.sigma_v_eig.vecs
+    assert np.array_equal(blocks, (inv.unitary[:, :2] @ vecs).reshape(2, 2, 2))
+    for bad in (BlockEncoding(np.eye(2), 1.0, 0), BlockEncoding(np.eye(8), 1.0, 2)):
+        with pytest.raises(SpecError, match="^the inverse-root encoding must use exactly one "
+                                            "ancilla$"):
+            _batch_context(model, rho, g_j, inv_sqrt=bad)
+
+
+def test_infinite_kappa_is_spec_error(rng):
+    model = rand_model(rng, 2, 2)
+    rho, g_j = rand_state(rng, 2), model.hamiltonian.terms[0]
+    model = replace(model, kappa=math.inf)
+    for call in (lambda: _batch_context(model, rho, g_j), lambda: inv_sqrt_encoding(model),
+                 lambda: quadrature_first_term(model, rho, g_j)):
+        with pytest.raises(SpecError, match="^kappa must be finite$"):
+            call()
+
+
+def test_pair_indices_are_cached_and_read_only():
+    for n in (2, 4, 8):
+        rows, cols = est._pairs(n)
+        assert est._pairs(n)[0] is rows
+        assert np.array_equal(rows, np.triu_indices(n, 1)[0])
+        assert np.array_equal(cols, np.triu_indices(n, 1)[1])
+        for index in (rows, cols):
+            assert not index.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 1
+
+
 def test_non_square_encoding_is_spec_error():
     with pytest.raises(SpecError, match=r"block-encoding matrix must be square, got \(2, 3\)"):
         BlockEncoding(np.ones((2, 3)), 1.0, 0)

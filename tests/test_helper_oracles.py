@@ -2,14 +2,15 @@
 
 Each oracle below is the earlier body of a helper that now runs in fewer
 numpy passes (in-place arithmetic, one shared conjugate transpose, a screen
-before the exact check).  The helpers must give the same bits, and raise
-the same error class with the same message, on matrices and on stacks.
+before the exact check, one stacked product in place of four).  The helpers
+must give the same bits, and raise the same error class with the same
+message, on matrices and on stacks.
 """
 import numpy as np
 import pytest
 
 import qbmgrad.linalg
-from qbmgrad import densities, matcalc
+from qbmgrad import densities, estimator, matcalc
 from qbmgrad.errors import GuardError, SpecError
 from qbmgrad.gradients import _label_relative_entropy
 from qbmgrad.linalg import (
@@ -27,7 +28,9 @@ from qbmgrad.linalg import (
     real_traces,
     spectral_norm,
 )
-from conftest import rand_herm, rand_pd, rand_state
+from qbmgrad.gradients import UMEGAKI, as_target
+from qbmgrad.verify import perturb_encoding
+from conftest import rand_herm, rand_model, rand_pd, rand_state, rand_unitary
 
 KINDS = [densities.HIGH_PEAK_TENT, densities.LOGISTIC, densities.power_density(0.5),
          densities.power_density(-0.25)]
@@ -388,3 +391,100 @@ def test_label_relative_entropy_keeps_bits_where_no_ratio_overflows(rng):
     r, p = np.array([1e-300, 1.0 - 1e-300]), np.array([1e-310, 1.0 - 1e-310])
     assert _label_relative_entropy(r, p) == old_label_relative_entropy(r, p)
     assert _label_relative_entropy(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == np.inf
+
+
+# -- the estimator's eigenvalue groups and circuit maps ----------------------
+
+def old_eigen_groups(g_j):
+    es = qbmgrad.linalg.eigh(g_j)
+    scale = max(1.0, float(np.max(np.abs(es.vals))))
+    starts = [0]
+    for i in range(1, es.dim):
+        if es.vals[i] - es.vals[starts[-1]] > estimator.GROUP_RTOL * scale:
+            starts.append(i)
+    bounds = np.array(starts + [es.dim])
+    return np.array([np.mean(es.vals[lo:hi]) for lo, hi in zip(starts, bounds[1:])]), es, bounds
+
+
+def old_batch_maps(model, rho, g_j, inv):
+    """The maps of ``_batch_context`` with the four V^dag (w (x) R) V lifts
+    taken one by one and the pair indices from ``np.triu_indices``."""
+    d_v, d_h = model.dims.d_v, model.dims.d_h
+    rho = as_target(rho, UMEGAKI).rho
+    sv = model.sigma_v_eig
+    values, g_es, bounds = old_eigen_groups(g_j)
+    g_vecs = model.g_eig.vecs
+    g_vecs_h = g_vecs.conj().T
+    dim = d_v * d_h
+    proj_rot = estimator._group_projectors(g_es, bounds, g_vecs)
+    d_weights = model.weights
+    sigma_h = qbmgrad.linalg.partial_trace(model.sigma_vh, model.dims, keep="hidden")
+    rho_tilde = sv.vecs.conj().T @ rho @ sv.vecs
+    blocks = (inv.unitary[:, :d_v] @ sv.vecs).reshape(2, d_v, d_v)
+    basis = np.einsum("ab,nxa,nyb->nabxy", rho_tilde, blocks, blocks.conj())
+    a, b = np.triu_indices(d_v, 1)
+    upper, lower = basis[:, a, b], basis[:, b, a]
+    w0, w1 = np.concatenate(
+        [np.einsum("naaxy->nxy", basis)[:, None], upper + lower, 1j * (upper - lower)], axis=1
+    )
+
+    def in_g_basis(w, right):
+        lift = (w[:, :, None, :, None] * right[None, None, :, None, :]).reshape(-1, dim, dim)
+        return g_vecs_h @ lift @ g_vecs
+
+    eye_h = np.eye(d_h, dtype=complex)
+    hit = np.stack([in_g_basis(w0, eye_h), in_g_basis(w0, sigma_h)], axis=1)
+    k = values.shape[0]
+    c1 = np.einsum("kpp,p->k", proj_rot, d_weights).real
+    base0 = np.einsum("fpp->f", w0).real[:, None] * c1 + np.einsum(
+        "fpp,kpp->fk", hit[:, 1], proj_rot).real
+    cross0 = 2.0 * np.einsum("fpp,kpp,p->fk", hit[:, 0], proj_rot, d_weights).real
+    base1 = np.einsum("fpp->f", w1).real + np.einsum("fpp->f", in_g_basis(w1, sigma_h)).real
+    cross1 = 2.0 * np.einsum("fpp,p->f", in_g_basis(w1, eye_h), d_weights).real
+    static_map = 0.25 * np.concatenate(
+        [base0 + cross0, base0 - cross0, (base1 + cross1)[:, None], (base1 - cross1)[:, None]],
+        axis=1,
+    )
+    p, q = np.triu_indices(dim, 1)
+    entries = hit[:, :, q, p]
+    lift_map = np.stack([entries.real, entries.imag], axis=-1).reshape(entries.shape[0], -1)
+    pair_weights = np.stack([d_weights[p] + d_weights[q], np.full(p.shape[0], 2.0)])
+    weighted = pair_weights[:, :, None] * proj_rot[:, p, q].T
+    rows = np.stack([weighted.real, -weighted.imag], axis=2)
+    pair_map = np.zeros(rows.shape[:3] + (2 * k + 2,))
+    pair_map[0, ..., :k], pair_map[0, ..., k : 2 * k] = 0.5 * rows[0], -0.5 * rows[0]
+    pair_map[1, ..., :k] = pair_map[1, ..., k : 2 * k] = 0.25 * rows[1]
+    return static_map, lift_map, pair_map.reshape(-1, 2 * k + 2), values
+
+
+def _degenerate(rng, d, sizes):
+    """A Hermitian matrix whose eigenvalue groups have the given sizes."""
+    u = rand_unitary(rng, d)
+    return (u * np.repeat(rng.normal(size=len(sizes)), sizes)) @ u.conj().T
+
+
+def test_eigen_groups_keep_bits(rng):
+    cases = [rand_herm(rng, d) for d in (1, 2, 8, 64)]
+    cases += [_degenerate(rng, 6, [1, 2, 3]), _degenerate(rng, 8, [4, 1, 1, 2]),
+              np.zeros((3, 3)), np.diag([1.0, 1.0, -2.0])]
+    for g in cases:
+        got, want = estimator.eigen_groups(g), old_eigen_groups(g)
+        assert got[0].dtype == want[0].dtype == float and got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1].vals, want[1].vals)
+        assert got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("d_v, d_h", [(2, 1), (2, 2), (4, 2), (2, 4)])
+@pytest.mark.parametrize("degenerate", [False, True], ids=["generic", "degenerate"])
+def test_stacked_lifts_keep_the_maps_bits(rng, d_v, d_h, degenerate):
+    model = rand_model(rng, d_v, d_h)
+    rho, g_j = rand_state(rng, d_v), model.hamiltonian.terms[0]
+    if degenerate:
+        g_j = _degenerate(rng, d_v * d_h, [2, d_v * d_h - 2])
+    # the same injected columns on both sides, exact and perturbed
+    inv = estimator.inv_sqrt_encoding(model)
+    for enc in (inv, perturb_encoding(inv, rng)[0]):
+        ctx = estimator._batch_context(model, rho, g_j, inv_sqrt=enc)
+        got = (ctx.static_map, ctx.lift_map, ctx.pair_map, ctx.y_values)
+        for x, y in zip(got, old_batch_maps(model, rho, g_j, enc)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 import warnings
 from pathlib import Path
 
@@ -137,3 +138,87 @@ def test_seeded_outputs_match_the_committed_digests():
     assert not moved, f"seeded outputs moved: {moved}"
     if env != stamp:
         warnings.warn(f"all digests match, though they were made with {stamp}, not {env}")
+
+
+def _fake_perfbench(module, monkeypatch, walls, fail=()):
+    """Stand in for perfbench/run.py: each call prints a result line and writes
+    the seed's results file, except for the (checkout name, seed) in ``fail``,
+    which print only a traceback and exit 1.  ``walls[name]`` is the checkout's
+    (nominal work_per_s, raw work_per_s, reference median)."""
+    calls = []
+
+    def run(cmd, cwd, capture_output, text):
+        checkout, seed = Path(cwd), int(cmd[cmd.index("--seed") + 1])
+        workload = cmd[cmd.index("--workload") + 1]
+        results = checkout / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+        calls.append((checkout.name, seed, results.exists()))
+        if (checkout.name, seed) in fail:
+            return subprocess.CompletedProcess(cmd, 1, "", "Traceback (most recent call last):\n"
+                                               "  File run.py\nMemoryError\n")
+        nominal, raw, ref = walls[checkout.name]
+        metrics = {"setup_s": 0.1, "op_s.p50": 1.0 / nominal, "work_per_s": nominal,
+                   "peak_rss_mb": 50.0}
+        wall = dict(metrics, **{"op_s.p50": 1.0 / raw, "work_per_s": raw})
+        results.parent.mkdir(parents=True, exist_ok=True)
+        results.write_text(json.dumps({
+            "wall": wall, "reference_s": [ref, ref, 9.0 * ref], "fingerprint": "f",
+            "environment": {"blas_threads": 1}}))
+        line = {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}
+        return subprocess.CompletedProcess(cmd, 0, "summary\n" + json.dumps(line) + "\n", "")
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    return calls
+
+
+def _bench_main(module, tmp_path, seeds="1-4"):
+    out = tmp_path / "BENCH.json"
+    code = module.main(["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"),
+                        "--out", str(out), "--workload", "cli-demos", "--seeds", seeds])
+    return code, json.loads(out.read_text())["workloads"]["cli-demos"]
+
+
+def test_bench_pairs_keeps_raw_metrics_and_flags_a_disagreeing_scale(tmp_path, monkeypatch):
+    module = _load(ROOT / "scripts" / "bench_pairs.py")
+    # nominally faster after, yet slower in wall time: the reference kernel ran faster
+    _fake_perfbench(module, monkeypatch, {"before": (39.6, 4.03, 1.27e-3),
+                                          "after": (37.7, 3.98, 1.12e-3)})
+    code, report = _bench_main(module, tmp_path)
+    assert code == 0 and report["complete_pairs"] == 4 and report["failed_runs"] == {
+        "before": 0, "after": 0}
+    run = report["pairs"][0]["after"]
+    assert run["wall"]["work_per_s"] == 3.98 and run["reference_s_median"] == 1.12e-3
+    work = report["summary"]["work_per_s"]
+    assert work["ratio_of_medians"] == pytest.approx(37.7 / 39.6)
+    assert work["raw_ratio_of_medians"] == pytest.approx(3.98 / 4.03)
+    assert work["raw"]["before"]["median"] == 4.03 and not work["scaling_disagrees"]
+    setup = report["summary"]["setup_s"]
+    assert setup["raw_ratio_of_medians"] == 1.0 and not setup["scaling_disagrees"]
+
+    _fake_perfbench(module, monkeypatch, {"before": (39.6, 4.03, 1.27e-3),
+                                          "after": (37.7, 4.10, 1.12e-3)})
+    code, report = _bench_main(module, tmp_path)
+    for name in ("work_per_s", "op_s.p50"):
+        assert report["summary"][name]["scaling_disagrees"], name
+
+
+def test_bench_pairs_records_a_run_without_result_and_carries_on(tmp_path, monkeypatch, capsys):
+    module = _load(ROOT / "scripts" / "bench_pairs.py")
+    walls = {"before": (30.0, 3.0, 1e-3), "after": (33.0, 3.3, 1e-3)}
+    # a stale results file of the failing seed must not be read as its result
+    stale = tmp_path / "after" / ".perfbench" / "results" / "cli-demos-seed2-trace0.json"
+    stale.parent.mkdir(parents=True)
+    stale.write_text(json.dumps({"wall": {}, "reference_s": [1.0], "fingerprint": "stale"}))
+    calls = _fake_perfbench(module, monkeypatch, walls, fail={("after", 2)})
+    code, report = _bench_main(module, tmp_path)
+    assert code == 1
+    assert len(calls) == 8 and not any(existed for _, _, existed in calls)
+    failed = report["pairs"][1]["after"]
+    assert failed["run_failed"] and failed["exit_code"] == 1
+    assert failed["stderr_tail"][-1] == "MemoryError" and "fingerprint" not in failed
+    assert report["failed_runs"] == {"before": 0, "after": 1}
+    assert report["complete_pairs"] == 3 and report["summary"]["work_per_s"]["pairs"] == 3
+    assert report["fingerprints_equal"] == 3
+    err = capsys.readouterr().err
+    assert "cli-demos seed 2 after: FAILED, exit 1" in err and "MemoryError" in err
+    assert "runs without a result: cli-demos seed 2 after (exit 1)" in err

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qbmgrad import densities, estimator
-from qbmgrad.verify import suite_densities, suite_estimator
+from qbmgrad.linalg import as_hermitian, eigh
+from qbmgrad.verify import rand_herm, rand_pd, suite_densities, suite_estimator
 from conftest import check_id, verify_checks
 
 CHECKS = verify_checks()
@@ -60,3 +61,21 @@ def test_ks_check_fails_on_a_perturbed_tent_sampler(monkeypatch, perturbed):
     monkeypatch.setattr(densities, "sample", perturbed)
     check = next(c for c in suite_densities() if c.name == name)
     assert not check.passed
+
+
+def test_rand_pd_at_the_top_size_is_a_valid_positive_definite_matrix():
+    # V e^w V^dag formed in floating point at D = 256 is asymmetric by ~3e-11,
+    # above the 1e-12 validation tolerance, so rand_pd symmetrizes it
+    a = rand_pd(np.random.default_rng(20240817), 256)
+    assert np.array_equal(as_hermitian(a), a)
+    assert 0.0 < eigh(a).vals[0] < 1e-6  # e^-(2 spread sqrt(d)) = e^-16 order, not e^-0.5
+
+
+@pytest.mark.parametrize("d", [4, 64, 128])
+def test_rand_pd_keeps_its_bits_where_validation_passed(d):
+    def old(rng, d, spread=0.5):
+        es = eigh(rand_herm(rng, d, spread))
+        return as_hermitian((es.vecs * np.exp(es.vals)) @ es.vecs.conj().T)
+
+    got, want = rand_pd(np.random.default_rng(5), d), old(np.random.default_rng(5), d)
+    assert got.tobytes() == want.tobytes()

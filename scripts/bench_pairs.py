@@ -14,9 +14,14 @@ and quartiles of both sides, the after/before ratio of the medians and the
 number of pairs the after side won (direction from ``BENCHMARK.json``), plus
 every pair's values, fingerprints, failure counts and the environment
 stamps of both sides.  Each run keeps its nominal metrics, its raw
-``wall`` metrics and the median of its ``reference_s`` samples (the
-reference kernel's seconds that scale wall time to nominal time).  Each
-metric also carries three verdicts:
+``wall`` metrics, the median of its ``reference_s`` samples (the
+reference kernel's seconds that scale wall time to nominal time) and the
+two raw parts of its ``setup_s``: ``import_s``, the interpreter's import
+of the program and the harness, and ``setup_median_s``, the median of its
+``setups_s``.  Per workload, ``setup_parts`` gives the quartiles of both
+parts on both sides, their after/before ratios of the medians and the
+pairs the after side won, so a file shows which part of ``setup_s``
+moved.  Each end-to-end metric also carries three verdicts:
 
 - ``claim_met``: the after side won at least 9 of every 10 pairs, and its
   median is better than the before median by more than the before side's
@@ -48,6 +53,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 STDERR_LINES = 20  # kept from a failed run
+SETUP_PARTS = ("import_s", "setup_median_s")
 
 
 def _seeds(spec: str) -> list[int]:
@@ -73,6 +79,8 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "metrics": {k: v["value"] for k, v in line["metrics"].items()},
         "wall": record.get("wall"),
         "reference_s_median": statistics.median(record["reference_s"]),
+        "import_s": record.get("import_s"),
+        "setup_median_s": statistics.median(record["setups_s"]) if "setups_s" in record else None,
         "attempted": line["attempted"],
         "failed": line["failed"],
         "fingerprint": record.get("fingerprint"),
@@ -114,6 +122,20 @@ def _summary(pairs: list[dict], metrics: dict[str, dict]) -> dict:
             "claim_met": 10 * wins >= 9 * len(pairs) and gain > qb["q3"] - qb["q1"],
             "within_bound": -gain <= metric["bound"] * abs(qb["median"]),
         }
+    return out
+
+
+def _setup_parts(pairs: list[dict]) -> dict | None:
+    """Raw seconds of the two parts of ``setup_s`` (lower is better), or
+    None unless every run recorded both."""
+    out = {}
+    for part in SETUP_PARTS:
+        before, after = ([p[side].get(part) for p in pairs] for side in ("before", "after"))
+        if None in before or None in after:
+            return None
+        qb, qa = _quartiles(before), _quartiles(after)
+        out[part] = {"before": qb, "after": qa, "ratio_of_medians": qa["median"] / qb["median"],
+                     "after_wins": sum(a < b for a, b in zip(after, before)), "pairs": len(pairs)}
     return out
 
 
@@ -171,6 +193,7 @@ def main(argv=None) -> int:
         complete = _complete(pairs)
         report["workloads"][workload] = {
             "summary": _summary(complete, metrics) if complete else None,
+            "setup_parts": _setup_parts(complete) if complete else None,
             "complete_pairs": len(complete),
             "fingerprints_equal": sum(p["before"]["fingerprint"] == p["after"]["fingerprint"]
                                       for p in complete),

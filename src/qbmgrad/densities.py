@@ -21,7 +21,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import SpecError
 
@@ -214,6 +213,8 @@ def expectation_nodes(d: Density, *, T: float, nodes: int) -> tuple[np.ndarray, 
 
 @functools.lru_cache(maxsize=8)
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.legendre import leggauss  # loaded with the first nodes
+
     return leggauss(n)
 
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -483,6 +482,8 @@ def estimate_first_term(
     if shots % _CHUNK:
         sizes.append(shots % _CHUNK)
     if config.threads > 1 and len(sizes) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded once a pool is needed
+
         with ThreadPoolExecutor(max_workers=min(config.threads, len(sizes))) as pool:
             parts = list(
                 pool.map(lambda iw: _run_chunk(ctx, config.seed, iw[0], iw[1]), enumerate(sizes))

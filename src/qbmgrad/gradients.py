@@ -243,12 +243,39 @@ def label_probs(probs, d_v: int) -> np.ndarray:
     return np.maximum(r, 0.0)
 
 
+class Labels:
+    """A target distribution over d_v visible labels, validated once.
+
+    Construction runs ``label_probs``; ``probs`` holds its clamped vector,
+    read-only.  ``gradient_cq``, ``cq_objective``, ``classical_objective``
+    and ``classical_gradient`` take their target through ``as_labels``, so
+    a training run against one Labels checks the vector once instead of at
+    every step.
+    """
+
+    __slots__ = ("probs",)
+
+    def __init__(self, probs, d_v: int):
+        self.probs = label_probs(probs, d_v)
+        self.probs.flags.writeable = False
+
+
+def as_labels(probs, d_v: int) -> Labels:
+    """``probs`` as Labels over d_v labels: Labels of that length pass as they
+    are, and anything else, Labels of another length too, goes through
+    ``label_probs``."""
+    if isinstance(probs, Labels) and probs.probs.size == d_v:
+        return probs
+    return Labels(probs.probs if isinstance(probs, Labels) else probs, d_v)
+
+
 def gradient_cq(cq: CQModel, target_probs, obj: Objective = UMEGAKI) -> GradientReport:
     """Exact gradient for a classical-visible / quantum-hidden model.
 
-    The target is a probability vector over the declared visible basis.
+    The target is a probability vector over the declared visible basis, or
+    its ``Labels``.
     """
-    r = label_probs(target_probs, cq.dims.d_v)
+    r = as_labels(target_probs, cq.dims.d_v).probs
     _check_label_support(cq.p, r)
     means = expectation(cq.stack, cq.sigma_x)  # means[j, x] = <G_h^{j,x}>_{sigma_x}
     weights, qq = r, 1.0  # umegaki; tsallis order q weights by r^q p^{1-q}, scaled by Q_q
@@ -260,8 +287,9 @@ def gradient_cq(cq: CQModel, target_probs, obj: Objective = UMEGAKI) -> Gradient
 
 
 def cq_objective(cq: CQModel, target_probs, obj: Objective = UMEGAKI) -> float:
-    """Relative entropy between a label distribution and the model's p(theta)."""
-    r = label_probs(target_probs, cq.dims.d_v)
+    """Relative entropy between a label distribution (or its ``Labels``) and
+    the model's p(theta)."""
+    r = as_labels(target_probs, cq.dims.d_v).probs
     if obj.kind == "umegaki":
         return _label_relative_entropy(r, cq.p)
     q = obj.q
@@ -303,9 +331,10 @@ def classical_data_distribution(p_vh: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def classical_objective(tables, theta, target_q) -> float:
-    """Relative entropy D(q(v) || p_theta(v)) by exact enumeration."""
+    """Relative entropy D(q(v) || p_theta(v)) by exact enumeration; ``target_q``
+    is a label distribution or its ``Labels``."""
     p_v = classical_distribution(tables, theta).sum(axis=1)
-    return _label_relative_entropy(label_probs(target_q, p_v.size), p_v)
+    return _label_relative_entropy(as_labels(target_q, p_v.size).probs, p_v)
 
 
 def _label_relative_entropy(r: np.ndarray, p: np.ndarray) -> float:
@@ -324,10 +353,11 @@ def classical_gradient(tables, theta, target_q) -> GradientReport:
 
     grad_j = sum_{v,h} q(v) p_theta(h|v) G_j(v,h) - sum_{v,h} p_theta(v,h) G_j(v,h),
     the first and second terms; the values contract the difference of their tables.
+    ``target_q`` is a label distribution or its ``Labels``.
     """
     tables = np.asarray(tables, dtype=float)
     p_vh = classical_distribution(tables, theta)
-    weights = classical_data_distribution(p_vh, label_probs(target_q, p_vh.shape[0]))
+    weights = classical_data_distribution(p_vh, as_labels(target_q, p_vh.shape[0]).probs)
     # each term is the (J, vh) x (vh,) product np.tensordot forms, without its set-up
     flat = tables.reshape(tables.shape[0], -1)
     return GradientReport(flat @ (weights - p_vh).ravel(), flat @ weights.ravel(), flat @ p_vh.ravel())

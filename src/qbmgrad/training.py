@@ -27,6 +27,7 @@ from .estimator import (
 )
 from .gradients import (
     GradientReport,
+    Labels,
     Objective,
     Target,
     UMEGAKI,
@@ -38,7 +39,6 @@ from .gradients import (
     gradient,
     gradient_cq,
     gradient_qc,
-    label_probs,
     relative_entropy,
 )
 from .models import CQModel, ParamHamiltonian, QCModel, ThermalModel, thermalize
@@ -220,11 +220,12 @@ class QCProblem(Problem):
 
 
 class CQProblem(Problem):
-    """Classical-visible / quantum-hidden model against a label distribution."""
+    """Classical-visible / quantum-hidden model against a label distribution,
+    validated once at construction as ``Labels``."""
 
     def __init__(self, cq: CQModel, target_probs, obj: Objective = UMEGAKI):
         self.cq = cq
-        self.target = label_probs(target_probs, cq.dims.d_v)
+        self.target = Labels(target_probs, cq.dims.d_v)
         self.obj = obj
         self.theta0 = np.asarray(cq.theta, dtype=float)
 
@@ -242,7 +243,8 @@ class CQProblem(Problem):
 
 
 class ClassicalProblem(Problem):
-    """Classical energy tables against a visible target distribution.
+    """Classical energy tables against a visible target distribution,
+    validated once at construction as ``Labels``.
 
     Without an ``estimator`` the gradient is enumerated; with one it is
     estimated from ``estimator.shots`` (10,000 when 0) Monte Carlo draws of
@@ -252,7 +254,7 @@ class ClassicalProblem(Problem):
 
     def __init__(self, tables, target_q, theta0, estimator: EstimatorConfig | None = None):
         self.tables = np.asarray(tables, dtype=float)
-        self.target = label_probs(target_q, self.tables.shape[1])
+        self.target = Labels(target_q, self.tables.shape[1])
         self.theta0 = np.asarray(theta0, dtype=float)
         self.estimator = estimator
 
@@ -271,7 +273,7 @@ class ClassicalProblem(Problem):
             np.random.SeedSequence(self.estimator.seed, spawn_key=(CLASSICAL_STREAM, iteration)))
         p_vh = classical_distribution(self.tables, theta)
         means = []
-        for joint in (classical_data_distribution(p_vh, self.target), p_vh):  # data, then model
+        for joint in (classical_data_distribution(p_vh, self.target.probs), p_vh):  # data, then model
             v, h = np.divmod(rng.choice(joint.size, size=samples, p=joint.ravel()), joint.shape[1])
             means.append(self.tables[:, v, h].mean(axis=1))
         return means[0] - means[1]

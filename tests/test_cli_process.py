@@ -1,4 +1,5 @@
 """The CLI as a cold process: ``python -m qbmgrad`` with stdout closed or open."""
+import json
 import os
 import subprocess
 import sys
@@ -19,13 +20,40 @@ COMMANDS = {
 }
 
 
-def _cold(argv, out: Path, stdout, unbuffered: bool) -> subprocess.CompletedProcess:
+def _env() -> dict:
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "QBMGRAD_SEED")}
     env["PYTHONPATH"] = str(Path(qbmgrad.__file__).resolve().parents[1])
+    return env
+
+
+def _cold(argv, out: Path, stdout, unbuffered: bool) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *(["-u"] if unbuffered else []), "-m", "qbmgrad",
          *map(str, argv), "--out", str(out)],
-        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        stdout=stdout, stderr=subprocess.PIPE, env=_env(), text=True, timeout=120)
+
+
+def test_import_leaves_run_specific_modules_unloaded():
+    # the verify suites, the thread pool and the Gauss-Legendre nodes load on first use
+    code = ("import sys\n"
+            "import qbmgrad.cli, qbmgrad.estimator, qbmgrad.gradients, qbmgrad.linalg\n"
+            "import qbmgrad.models, qbmgrad.runspec, qbmgrad.training\n"
+            "print([m for m in ('qbmgrad.verify', 'concurrent.futures', 'numpy.polynomial')\n"
+            "       if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env(), timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+def test_cold_verify_runs_a_suite_and_rejects_an_unknown_one(tmp_path):
+    proc = _cold(COMMANDS["verify"], tmp_path / "ok", subprocess.PIPE, unbuffered=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads((tmp_path / "ok" / "report.json").read_text())
+    assert report["suites"] == ["densities"] and report["n_failed"] == 0
+    proc = _cold(["verify", "--suite", "bogus"], tmp_path / "bad", subprocess.PIPE,
+                 unbuffered=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error:") and "'densities'" in proc.stderr
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

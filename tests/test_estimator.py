@@ -873,6 +873,7 @@ def test_estimate_same_at_one_and_two_threads(rng, d_h):
 
 
 def test_thread_pool_only_for_several_chunks(rng, monkeypatch):
+    import concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
 
     workers = []
@@ -882,7 +883,8 @@ def test_thread_pool_only_for_several_chunks(rng, monkeypatch):
             workers.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(est, "ThreadPoolExecutor", Recording)
+    # the estimator imports the pool where it builds one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(est, "_CHUNK", 100)
     model = rand_model(rng, 2, 2)
     rho = rand_state(rng, 2)

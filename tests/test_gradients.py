@@ -15,7 +15,9 @@ from qbmgrad.models import (
     thermalize,
 )
 from qbmgrad.gradients import (
+    Labels,
     Target,
+    as_labels,
     as_target,
     UMEGAKI,
     classical_gradient,
@@ -596,6 +598,35 @@ def test_label_vector_is_checked_at_every_entry(entry, bad, message):
         bad = bad + [0.0, 0.0]
     with pytest.raises(SpecError, match=message):
         call(bad)
+
+
+@pytest.mark.parametrize("entry", ["cq_objective", "gradient_cq", "classical_objective",
+                                   "classical_gradient"])
+def test_checked_labels_give_the_raw_vector_bits_without_a_recheck(monkeypatch, entry):
+    call, d_v = _label_entries()[entry]
+    raw = np.array([0.4, 0.3, 0.2, 0.1] if d_v == 4 else [0.7, 0.3])
+    expect = call(raw)
+    labels, other = Labels(raw, d_v), Labels(np.append(raw, 0.0), d_v + 1)
+    monkeypatch.setattr(grads, "label_probs", lambda *a: pytest.fail("labels re-checked"))
+    got = call(labels)
+    if isinstance(expect, float):
+        assert got == expect
+    else:
+        for name in ("values", "first_terms", "second_terms"):
+            assert getattr(got, name).tobytes() == getattr(expect, name).tobytes()
+    monkeypatch.undo()
+    with pytest.raises(SpecError, match=r"^target probs: expected \d entries \(the visible "
+                                        rf"dimension\), got {d_v + 1}$"):
+        call(other)  # labels for another model
+
+
+def test_labels_hold_the_clamped_vector_read_only():
+    labels = Labels([-5e-13, 1.0 + 5e-13], 2)
+    assert labels.probs.tolist() == [0.0, 1.0 + 5e-13] and not labels.probs.flags.writeable
+    assert as_labels(labels, 2) is labels
+    assert as_labels([0.5, 0.5], 2).probs.tolist() == [0.5, 0.5]  # a raw vector is checked into one
+    with pytest.raises(SpecError, match="target probs must be a normalized nonnegative vector"):
+        Labels([0.5, 0.6], 2)
 
 
 @pytest.mark.filterwarnings("error")

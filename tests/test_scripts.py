@@ -144,7 +144,8 @@ def _fake_perfbench(module, monkeypatch, walls, fail=()):
     """Stand in for perfbench/run.py: each call prints a result line and writes
     the seed's results file, except for the (checkout name, seed) in ``fail``,
     which print only a traceback and exit 1.  ``walls[name]`` is the checkout's
-    (nominal work_per_s, raw work_per_s, reference median)."""
+    (nominal work_per_s, raw work_per_s, reference median), optionally followed
+    by its import seconds and its set-up seconds."""
     calls = []
 
     def run(cmd, cwd, capture_output, text):
@@ -155,14 +156,19 @@ def _fake_perfbench(module, monkeypatch, walls, fail=()):
         if (checkout.name, seed) in fail:
             return subprocess.CompletedProcess(cmd, 1, "", "Traceback (most recent call last):\n"
                                                "  File run.py\nMemoryError\n")
-        nominal, raw, ref = walls[checkout.name]
+        nominal, raw, ref, *setup = walls[checkout.name]
         metrics = {"setup_s": 0.1, "op_s.p50": 1.0 / nominal, "work_per_s": nominal,
                    "peak_rss_mb": 50.0}
         wall = dict(metrics, **{"op_s.p50": 1.0 / raw, "work_per_s": raw})
         results.parent.mkdir(parents=True, exist_ok=True)
+        split = {}
+        if setup:
+            import_s, setup_s = setup
+            split = {"import_s": import_s + 1e-3 * seed,
+                     "setups_s": [setup_s, 9.0 * setup_s, setup_s, 0.0, setup_s]}
         results.write_text(json.dumps({
             "wall": wall, "reference_s": [ref, ref, 9.0 * ref], "fingerprint": "f",
-            "environment": {"blas_threads": 1}}))
+            "environment": {"blas_threads": 1}, **split}))
         line = {"correct": True, "attempted": 10, "failed": 0,
                 "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}
         return subprocess.CompletedProcess(cmd, 0, "summary\n" + json.dumps(line) + "\n", "")
@@ -200,6 +206,32 @@ def test_bench_pairs_keeps_raw_metrics_and_flags_a_disagreeing_scale(tmp_path, m
     code, report = _bench_main(module, tmp_path)
     for name in ("work_per_s", "op_s.p50"):
         assert report["summary"][name]["scaling_disagrees"], name
+
+
+def test_bench_pairs_splits_setup_into_import_and_set_up(tmp_path, monkeypatch):
+    module = _load(ROOT / "scripts" / "bench_pairs.py")
+    # the import got faster and the workload's own set-up did not move
+    _fake_perfbench(module, monkeypatch, {"before": (30.0, 3.0, 1e-3, 0.190, 0.040),
+                                          "after": (30.0, 3.0, 1e-3, 0.160, 0.040)})
+    code, report = _bench_main(module, tmp_path)
+    assert code == 0
+    run = report["pairs"][0]["before"]
+    assert run["import_s"] == pytest.approx(0.191) and run["setup_median_s"] == 0.040
+    parts = report["setup_parts"]
+    imports = parts["import_s"]
+    assert imports["before"]["median"] == pytest.approx(0.1925)
+    assert imports["after"]["median"] == pytest.approx(0.1625)
+    assert imports["ratio_of_medians"] == pytest.approx(0.1625 / 0.1925)
+    assert (imports["after_wins"], imports["pairs"]) == (4, 4)
+    own = parts["setup_median_s"]
+    assert own["ratio_of_medians"] == 1.0 and own["after_wins"] == 0
+
+    # a run that recorded no split leaves the workload without one
+    _fake_perfbench(module, monkeypatch, {"before": (30.0, 3.0, 1e-3),
+                                          "after": (30.0, 3.0, 1e-3, 0.160, 0.040)})
+    code, report = _bench_main(module, tmp_path)
+    assert code == 0 and report["setup_parts"] is None
+    assert report["pairs"][0]["before"]["import_s"] is None
 
 
 def test_bench_pairs_records_a_run_without_result_and_carries_on(tmp_path, monkeypatch, capsys):

@@ -433,6 +433,27 @@ def test_cq_training_decreases(rng):
     assert objs[-1] < objs[0]
 
 
+@pytest.mark.parametrize("kind", ["cq", "classical"])
+def test_label_problems_check_their_labels_once(monkeypatch, kind):
+    calls = [0]
+    raw = qbmgrad.gradients.label_probs
+
+    def counted(probs, d_v):
+        calls[0] += 1
+        return raw(probs, d_v)
+
+    monkeypatch.setattr(qbmgrad.gradients, "label_probs", counted)
+    if kind == "cq":
+        problem = _block_problem("grad_cq")()
+    else:
+        spec = load_runspec(Path(__file__).resolve().parents[1] / "demos" / "grad_classical.json")
+        problem = ClassicalProblem(spec.model.tables, spec.target_probs, spec.model.theta)
+    assert calls == [1]  # at construction
+    traj = train(problem, TrainConfig(learning_rate=0.1, iterations=6))
+    problem.report(traj.final_theta)
+    assert traj.rows[-1].iteration == 6 and calls == [1]  # and never per step
+
+
 def test_classical_training_stationary_at_marginal(rng):
     tables = rng.normal(size=(3, 4, 2))
     theta0 = rng.uniform(-0.3, 0.3, 3)

@@ -9,13 +9,13 @@ sigma_v^{-1/2}, and a controlled swap against a fresh thermal state followed
 by a joint (X_c, observable) measurement yields Y = (-1)^z g.  The mean of
 kappa * Y over Hoeffding-many shots estimates the lifted-state term.
 
-Block-encodings here are exact unitary dilations (normalization alpha,
-declared spectral error delta).  The circuit reads only the inverse-root
-dilation's first d_v columns, V diag(c) over V diag(s) with c =
-min(lambda^{-1/2} / sqrt(kappa), 1) and s = (1 - c^2)^{1/2}, from sigma_v's
-eigensystem (lambda, V) with no SVD.  Injected encodings exercise the error
-accounting of the inexact case; ``be_product`` composes two into their
-product's encoding, so a modular-flow error is a factor of the inverse root.
+The circuit reads only the inverse-root encoding's first d_v columns and its
+normalization alpha = sqrt(kappa).  By default they come from sigma_v's
+eigensystem (lambda, V) with no SVD: V diag(c) (ancilla hit) over V diag(s)
+(ancilla miss), c = sqrt(lambda_min / lambda) and s = sqrt((lambda -
+lambda_min) / lambda), exactly 1 and 0 at lambda_min.  ``verify``, which
+holds the block-encoding algebra, injects inexact encodings as the pair
+``inv_sqrt=(columns, alpha)``, a 2d_v x d_v array and its normalization.
 
 Shots are simulated in chunks without forming the circuit register.  Up to
 the evolution, a shot's state is linear in the modular phases
@@ -60,7 +60,7 @@ from .densities import (
 )
 from .errors import ScaleError, SpecError
 from .gradients import UMEGAKI, as_target
-from .linalg import as_unitary, eigh, partial_trace, real_traces, spectral_norm
+from .linalg import eigh, partial_trace, real_traces, spectral_norm
 from .models import ThermalModel
 
 MAX_CIRCUIT_DIM = 256
@@ -83,103 +83,6 @@ QUAD_T_NODES = 1600
 CHUNK_STREAM = 1  # estimator chunk: (tag, chunk index)
 SHOT_GRADIENT_STREAM = 2  # shot-mode training: (tag, iteration, term)
 CLASSICAL_STREAM = 3  # classical sampled gradient: (tag, iteration)
-
-
-@dataclass(frozen=True)
-class BlockEncoding:
-    """Unitary whose top-left block is target/alpha up to spectral error delta."""
-
-    unitary: np.ndarray
-    alpha: float
-    ancillas: int
-    delta: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "unitary", as_unitary(self.unitary, "block-encoding matrix"))
-        dim = self.unitary.shape[0]
-        if self.ancillas < 0 or dim % (1 << self.ancillas):
-            raise SpecError(f"a {dim}-dimensional block-encoding cannot hold "
-                            f"{self.ancillas} ancilla qubits")
-
-    def extract(self) -> np.ndarray:
-        """alpha * (<0| (x) I) U (|0> (x) I): the encoded matrix."""
-        d = self.unitary.shape[0] >> self.ancillas
-        return self.alpha * self.unitary[:d, :d]
-
-
-def be_product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
-    """The block-encoding of AB: U_b, then U_a, on registers (ancillas of a,
-    ancillas of b, system).
-
-    Encoding A with (alpha, delta) times encoding B with (beta, eps) yields
-    AB with normalization alpha*beta and error alpha*eps + beta*delta +
-    delta*eps (the cross term is required; dropping it undercounts).
-    """
-    d = a.unitary.shape[0] >> a.ancillas
-    if b.unitary.shape[0] >> b.ancillas != d:
-        raise SpecError(f"cannot compose block-encodings of {d}- and "
-                        f"{b.unitary.shape[0] >> b.ancillas}-dimensional systems")
-    n_a, n_b = 1 << a.ancillas, 1 << b.ancillas
-    a_blocks = a.unitary.reshape(n_a, d, n_a, d).transpose(0, 2, 1, 3)  # [i, j]: A_ij
-    b_blocks = b.unitary.reshape(n_b, d, n_b, d).transpose(0, 2, 1, 3)  # [k, l]: B_kl
-    # the block of rows (i, k) and columns (j, l) is A_ij B_kl
-    blocks = a_blocks[:, None, :, None] @ b_blocks[None, :, None, :]
-    dim = n_a * n_b * d
-    return BlockEncoding(
-        blocks.transpose(0, 1, 4, 2, 3, 5).reshape(dim, dim),
-        a.alpha * b.alpha,
-        a.ancillas + b.ancillas,
-        a.alpha * b.delta + b.alpha * a.delta + a.delta * b.delta,
-    )
-
-
-def dilate(contraction, alpha: float) -> BlockEncoding:
-    """Exact one-ancilla unitary dilation of a contraction C.
-
-    U = [[C, (I - C C^dag)^{1/2}], [(I - C^dag C)^{1/2}, -C^dag]] with the
-    ancilla as the leading register, so (<0| (x) I) U (|0> (x) I) = C.
-    Built through the SVD so each cosine/sine pair comes from one singular
-    value; unitarity then survives C touching the boundary |C| = 1.
-    """
-    c = np.asarray(contraction, dtype=complex)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise SpecError("contraction must be square")
-    u_l, sing, v_h = np.linalg.svd(c)
-    if sing[0] > 1.0 + 1e-10:
-        raise SpecError(f"contraction norm {sing[0]:.6f} exceeds 1")
-    cos = np.minimum(sing, 1.0)
-    sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
-    middle = np.block(
-        [[np.diag(cos), np.diag(sin)], [np.diag(sin), -np.diag(cos)]]
-    ).astype(complex)
-    d = c.shape[0]
-    left = np.zeros((2 * d, 2 * d), dtype=complex)
-    left[:d, :d] = u_l
-    left[d:, d:] = v_h.conj().T
-    right = np.zeros((2 * d, 2 * d), dtype=complex)
-    right[:d, :d] = v_h
-    right[d:, d:] = u_l.conj().T
-    u = left @ middle @ right
-    return BlockEncoding(u, float(alpha), 1, 0.0)
-
-
-def modular_unitary(model: ThermalModel, s: float) -> BlockEncoding:
-    """Exact encoding of the modular-flow unitary sigma_v^{-is/2} (no ancilla)."""
-    es = model.sigma_v_eig
-    if float(es.vals[0]) <= 0.0:
-        raise SpecError("visible marginal must be strictly positive")
-    phases = np.exp(-0.5j * s * np.log(es.vals))
-    u = (es.vecs * phases) @ es.vecs.conj().T
-    return BlockEncoding(u, 1.0, 0, 0.0)
-
-
-def inv_sqrt_encoding(model: ThermalModel) -> BlockEncoding:
-    """Exact (sqrt(kappa), 0)-block-encoding of sigma_v^{-1/2}."""
-    if not np.isfinite(model.kappa):
-        raise SpecError("kappa must be finite")
-    root_kappa = math.sqrt(model.kappa)
-    contraction = model.sigma_v_eig.power(-0.5) / root_kappa
-    return dilate(contraction, root_kappa)
 
 
 @dataclass(frozen=True)
@@ -216,6 +119,15 @@ def hoeffding_shots(kappa: float, g_norm: float, epsilon: float, delta_fail: flo
     if not count <= MAX_SHOTS:
         raise SpecError(f"Hoeffding count {count:.3g} exceeds MAX_SHOTS = {MAX_SHOTS:.0e}")
     return int(math.ceil(count))
+
+
+def inv_sqrt_cos_sin(model: ThermalModel) -> tuple[np.ndarray, np.ndarray]:
+    """The exact inverse-root encoding's cosines sqrt(lambda_min / lambda) and
+    sines sqrt((lambda - lambda_min) / lambda) over sigma_v's eigenvalues."""
+    if not np.isfinite(model.kappa):
+        raise SpecError("kappa must be finite")
+    vals = model.sigma_v_eig.vals
+    return np.sqrt(vals[0] / vals), np.sqrt((vals - vals[0]) / vals)
 
 
 def check_circuit(dims) -> None:
@@ -279,11 +191,12 @@ class _BatchContext:
     modular phases phi_ab(s) = e^{i theta_ab}, theta_ab = -s(ln l_a - ln l_b)/2,
     of the sigma_v eigenbasis.  The target enters through the basis matrices
     w_ab = rho~_ab b_a b_b^dag, where b is the first (ancilla hit) or second
-    (ancilla miss) row block, V diag(c) or V diag(s), of the inverse-root
-    dilation's first d_v columns, read off ``model.sigma_v_eig``.  Since phi_aa = 1
-    and phi_ba = conj(phi_ab), the phases fold into n_f = 1 + d_v(d_v - 1)
-    real features f = [1, cos theta_ab, sin theta_ab]_{a<b} against the
-    Hermitian matrices sum_a w_aa, w_ab + w_ba and i(w_ab - w_ba).
+    (ancilla miss) row block of the inverse-root encoding's first d_v columns
+    in sigma_v's eigenbasis V, by default V diag(c) and V diag(s), where (c, s) =
+    ``inv_sqrt_cos_sin(model)``.
+    Since phi_aa = 1 and phi_ba = conj(phi_ab), the phases fold into
+    n_f = 1 + d_v(d_v - 1) real features f = [1, cos theta_ab, sin theta_ab]_{a<b}
+    against the Hermitian matrices sum_a w_aa, w_ab + w_ba and i(w_ab - w_ba).
 
     In the eigenbasis V of G the ancilla-hit blocks X = V^dag(w (x) R)V,
     R in {I, sigma_h}, are Hermitian, so the (p, q) and (q, p) terms of the
@@ -293,11 +206,9 @@ class _BatchContext:
     do not depend on t and join the traces and the ancilla-miss branch in
     ``static_map``; the table's 1/4, +-1 and factor 2 sit in both maps.
 
-    ``inv_sqrt``, a one-ancilla encoding in place of the exact dilation,
-    injects controlled encoding errors: its own columns give the blocks b.  A
-    modular-flow error N enters as its factor, ``be_product(inv_sqrt,
-    BlockEncoding(N, 1.0, 0, delta))``, whose first d_v columns are those
-    of ``inv_sqrt`` times N.
+    ``inv_sqrt=(columns, alpha)`` injects controlled encoding errors: the
+    2d_v x d_v first columns of a one-ancilla encoding give the blocks b,
+    columns @ V.  A modular-flow error N enters as a factor, columns @ N.
     """
 
     log_vals: np.ndarray  # ln eigenvalues of sigma_v
@@ -316,15 +227,14 @@ def _batch_context(
     check_circuit(model.dims)
     rho = as_target(rho, UMEGAKI).rho  # the umegaki lift is what the circuit estimates
     sv = model.sigma_v_eig
-    if inv_sqrt is None:  # the exact dilation's columns V c, V s in sigma_v's eigenbasis
-        if not np.isfinite(model.kappa):
-            raise SpecError("kappa must be finite")
-        cos = np.minimum(np.power(sv.vals, -0.5) / math.sqrt(model.kappa), 1.0)
-        blocks = np.stack([sv.vecs * cos, sv.vecs * np.sqrt(np.maximum(1.0 - cos * cos, 0.0))])
-    elif inv_sqrt.ancillas != 1:
-        raise SpecError("the inverse-root encoding must use exactly one ancilla")
+    if inv_sqrt is None:  # the exact encoding's columns V c, V s in sigma_v's eigenbasis
+        cos, sin = inv_sqrt_cos_sin(model)
+        blocks = np.stack([sv.vecs * cos, sv.vecs * sin])
     else:
-        blocks = (inv_sqrt.unitary[:, :d_v] @ sv.vecs).reshape(2, d_v, d_v)  # [ancilla, x, a]
+        columns = inv_sqrt[0]
+        if columns.shape != (2 * d_v, d_v):
+            raise SpecError("the inverse-root encoding must use exactly one ancilla")
+        blocks = (columns @ sv.vecs).reshape(2, d_v, d_v)  # [ancilla, x, a]
     values, g_es, bounds = eigen_groups(g_j) if groups is None else groups
     g_vecs = model.g_eig.vecs
     g_vecs_h = g_vecs.conj().T
@@ -531,12 +441,11 @@ def quadrature_first_term(model: ThermalModel, rho, g_j, *, inv_sqrt=None) -> fl
     in closed form: the table is linear in the modular features f and in the
     pair phases e separately, so the sum equals W table(f_bar, e_bar / W)
     with f_bar = sum_i w_i f(s_i), e_bar = t_w0 + sum_j w_j e(t_j) and
-    W = t_w0 + sum_j w_j.  alpha is sqrt(kappa) unless ``inv_sqrt`` injects
-    controlled encoding errors as in ``_BatchContext``, a modular-flow error
-    as its ``be_product`` factor.
+    W = t_w0 + sum_j w_j.  alpha is sqrt(kappa) unless ``inv_sqrt=(columns,
+    alpha)`` injects controlled encoding errors as in ``_BatchContext``.
     """
     ctx = _batch_context(model, rho, g_j, inv_sqrt=inv_sqrt)
-    alpha = inv_sqrt.alpha if inv_sqrt is not None else math.sqrt(model.kappa)
+    alpha = inv_sqrt[1] if inv_sqrt is not None else math.sqrt(model.kappa)
     s_pts, s_wts, _ = expectation_nodes(LOGISTIC, T=QUAD_S_MAX, nodes=QUAD_S_NODES)
     t_pts, t_wts, t_w0 = expectation_nodes(HIGH_PEAK_TENT, T=QUAD_T_MAX, nodes=QUAD_T_NODES)
     t_mass = t_w0 + float(np.sum(t_wts))
@@ -545,21 +454,3 @@ def quadrature_first_term(model: ThermalModel, rho, g_j, *, inv_sqrt=None) -> fl
     table = _outcome_table(ctx, f_bar[:, None], e_bar[:, None])[0]
     k = ctx.y_values.shape[0]
     return alpha**2 * t_mass * float((table[:k] - table[k : 2 * k]) @ ctx.y_values)
-
-
-# ---------------------------------------------------------------------------
-# error budget
-# ---------------------------------------------------------------------------
-
-
-def budget_split(epsilon: float, kappa: float, g_norm: float) -> tuple[float, float]:
-    """Split a total error target so the composed bias stays below epsilon/2.
-
-    Encoding errors eps1 (modular flow) and eps2 (inverse root) bias the first
-    term by at most g (2 sqrt(k) eps2 + 2 eps1 (k + sqrt(k) eps2)), k = kappa,
-    g = g_norm.  eps1 = eps/(10 k g) and eps2 = eps/(10 sqrt(k) g) make that
-    2 eps/5 + eps^2/(50 k g) <= eps/2 whenever eps <= 5 k g.
-    """
-    if min(epsilon, kappa, g_norm) <= 0.0:
-        raise SpecError("budget_split needs positive inputs")
-    return epsilon / (10.0 * kappa * g_norm), epsilon / (10.0 * math.sqrt(kappa) * g_norm)

@@ -109,7 +109,6 @@ class ThermalModel:
     """
 
     hamiltonian: ParamHamiltonian
-    G: np.ndarray
     Z: float
     sigma_vh: np.ndarray
     sigma_v: np.ndarray
@@ -160,7 +159,6 @@ def thermalize(h: ParamHamiltonian) -> ThermalModel:
         raise ScaleError("visible marginal lost strict positivity")
     return ThermalModel(
         hamiltonian=h,
-        G=g,
         Z=float(z_shifted) * float(np.exp(-g_eig.vals[0])),
         sigma_vh=sigma_vh,
         sigma_v=sigma_v,

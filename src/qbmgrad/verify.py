@@ -4,11 +4,12 @@ Each check returns its worst residual against a fixed tolerance and measures
 a computation that could fail, never a formula against itself; suites are
 deterministic (fixed seeds) so a regression is a hard failure, not noise.
 The random-instance generators and oracles below are public because the
-test suite draws its instances from the same ones.  The oracles include
-the reference forms of the matcalc derivatives, which production never
-evaluates: the Duhamel exp-derivative, the resolvent log-derivative and
-the time-quadrature channel (``densities.numeric_fourier``, |t| <= 14,
-4096 nodes).
+test suite draws its instances from the same ones.  The block-encoding
+algebra lives here; the checks inject encodings into the estimator as
+``inv_sqrt=(columns, alpha)``.  The oracles include the reference forms
+of the matcalc derivatives, which production never evaluates: the Duhamel
+exp-derivative, the resolvent log-derivative and the time-quadrature
+channel (``densities.numeric_fourier``, |t| <= 14, 4096 nodes).
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ from numpy.polynomial.legendre import leggauss
 from . import densities, estimator, gradients, matcalc, models
 from .errors import SpecError
 from .linalg import (
-    BipartiteDims, as_hermitian, eigh, expectation, gibbs_weights, hermitize, spectral_norm,
-    tensor)
+    BipartiteDims, as_hermitian, as_unitary, eigh, expectation, gibbs_weights, hermitize,
+    spectral_norm, tensor)
 from .training import finite_difference_gradient
 
 SUITES = ("matcalc", "densities", "gradients", "estimator")
@@ -357,16 +358,14 @@ def suite_estimator() -> list[CheckResult]:
     for _ in range(5):
         c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         c /= spectral_norm(c) * 1.1
-        be = estimator.dilate(c, 1.0)
+        be = dilate(c, 1.0)
         worst = max(worst, spectral_norm(be.extract() - c))
     out.append(CheckResult("estimator", "dilation extracts the contraction", worst, 1e-12))
     model = rand_model(rng, 2, 2)
-    u1 = estimator.modular_unitary(model, 0.7).unitary
-    u2 = estimator.modular_unitary(model, -1.9).unitary
-    u12 = estimator.modular_unitary(model, 0.7 - 1.9).unitary
+    u1, u2, u12 = (modular_unitary(model, s).unitary for s in (0.7, -1.9, 0.7 - 1.9))
     out.append(CheckResult("estimator", "modular flow group law",
                            spectral_norm(u1 @ u2 - u12), 1e-10))
-    inv = estimator.inv_sqrt_encoding(model)
+    inv = inv_sqrt_encoding(model)
     out.append(CheckResult("estimator", "inverse-root encoding extraction",
                            spectral_norm(inv.extract() - model.sigma_v_eig.power(-0.5)), 1e-10))
     rho = rand_state(rng, 2)
@@ -400,13 +399,14 @@ def suite_estimator() -> list[CheckResult]:
         rho = rand_state(rng, 2)
         g_j = model.hamiltonian.terms[0]
         exact = gradients.gradient(model, rho).first_terms[0]
-        inv = estimator.inv_sqrt_encoding(model)
+        inv = inv_sqrt_encoding(model)
         for eps in (0.05, 0.2):
-            e1, e2 = estimator.budget_split(eps, model.kappa, spectral_norm(g_j))
-            noise1 = estimator.BlockEncoding(unitary_noise(rng, model.dims.d_v, e1), 1.0, 0, e1)
+            e1, e2 = budget_split(eps, model.kappa, spectral_norm(g_j))
+            noise1 = BlockEncoding(unitary_noise(rng, model.dims.d_v, e1), 1.0, 0, e1)
             inv_p, _ = perturb_encoding(inv, rng, scale=0.5 * e2 / inv.alpha)
+            enc = be_product(inv_p, noise1)
             biased = estimator.quadrature_first_term(
-                model, rho, g_j, inv_sqrt=estimator.be_product(inv_p, noise1))
+                model, rho, g_j, inv_sqrt=(enc.unitary[:, :model.dims.d_v], enc.alpha))
             worst = max(worst, abs(biased - exact) - eps / 2)
     out.append(CheckResult("estimator", "budget split keeps bias below eps/2",
                            worst, 0.0 + 1e-30))
@@ -440,7 +440,117 @@ def direct_trace_formula(model, rho, g_j, s, t):
     return 0.5 * np.trace(o_t @ (model.sigma_vh @ ai + ai @ model.sigma_vh)).real
 
 
-def perturb_encoding(be: estimator.BlockEncoding, rng, *, scale: float = 0.05):
+@dataclass(frozen=True)
+class BlockEncoding:
+    """Unitary whose top-left block is target/alpha up to spectral error delta."""
+
+    unitary: np.ndarray
+    alpha: float
+    ancillas: int
+    delta: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "unitary", as_unitary(self.unitary, "block-encoding matrix"))
+        dim = self.unitary.shape[0]
+        if self.ancillas < 0 or dim % (1 << self.ancillas):
+            raise SpecError(f"a {dim}-dimensional block-encoding cannot hold "
+                            f"{self.ancillas} ancilla qubits")
+
+    def extract(self) -> np.ndarray:
+        """alpha * (<0| (x) I) U (|0> (x) I): the encoded matrix."""
+        d = self.unitary.shape[0] >> self.ancillas
+        return self.alpha * self.unitary[:d, :d]
+
+
+def be_product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
+    """The block-encoding of AB: U_b, then U_a, on registers (ancillas of a,
+    ancillas of b, system).
+
+    Encoding A with (alpha, delta) times encoding B with (beta, eps) yields
+    AB with normalization alpha*beta and error alpha*eps + beta*delta +
+    delta*eps (the cross term is required; dropping it undercounts).
+    """
+    d = a.unitary.shape[0] >> a.ancillas
+    if b.unitary.shape[0] >> b.ancillas != d:
+        raise SpecError(f"cannot compose block-encodings of {d}- and "
+                        f"{b.unitary.shape[0] >> b.ancillas}-dimensional systems")
+    n_a, n_b = 1 << a.ancillas, 1 << b.ancillas
+    a_blocks = a.unitary.reshape(n_a, d, n_a, d).transpose(0, 2, 1, 3)  # [i, j]: A_ij
+    b_blocks = b.unitary.reshape(n_b, d, n_b, d).transpose(0, 2, 1, 3)  # [k, l]: B_kl
+    # the block of rows (i, k) and columns (j, l) is A_ij B_kl
+    blocks = a_blocks[:, None, :, None] @ b_blocks[None, :, None, :]
+    dim = n_a * n_b * d
+    return BlockEncoding(blocks.transpose(0, 1, 4, 2, 3, 5).reshape(dim, dim), a.alpha * b.alpha,
+                         a.ancillas + b.ancillas,
+                         a.alpha * b.delta + b.alpha * a.delta + a.delta * b.delta)
+
+
+def dilate(contraction, alpha: float) -> BlockEncoding:
+    """Exact one-ancilla unitary dilation of a contraction C.
+
+    U = [[C, (I - C C^dag)^{1/2}], [(I - C^dag C)^{1/2}, -C^dag]] with the
+    ancilla as the leading register, so (<0| (x) I) U (|0> (x) I) = C.
+    Built through the SVD so each cosine/sine pair comes from one singular
+    value; unitarity then survives C touching the boundary |C| = 1.  There the
+    sines sqrt(1 - cos^2) are accurate only to about sqrt(eps): a singular value
+    1 - 1e-16 gives a sine of 1.5e-8 where the exact one is 0.
+    """
+    c = np.asarray(contraction, dtype=complex)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise SpecError("contraction must be square")
+    u_l, sing, v_h = np.linalg.svd(c)
+    if sing[0] > 1.0 + 1e-10:
+        raise SpecError(f"contraction norm {sing[0]:.6f} exceeds 1")
+    cos = np.minimum(sing, 1.0)
+    sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
+    middle = np.block(
+        [[np.diag(cos), np.diag(sin)], [np.diag(sin), -np.diag(cos)]]
+    ).astype(complex)
+    d = c.shape[0]
+    left = np.zeros((2 * d, 2 * d), dtype=complex)
+    left[:d, :d] = u_l
+    left[d:, d:] = v_h.conj().T
+    right = np.zeros((2 * d, 2 * d), dtype=complex)
+    right[:d, :d] = v_h
+    right[d:, d:] = u_l.conj().T
+    u = left @ middle @ right
+    return BlockEncoding(u, float(alpha), 1, 0.0)
+
+
+def modular_unitary(model: models.ThermalModel, s: float) -> BlockEncoding:
+    """Exact encoding of the modular-flow unitary sigma_v^{-is/2} (no ancilla)."""
+    es = model.sigma_v_eig
+    if float(es.vals[0]) <= 0.0:
+        raise SpecError("visible marginal must be strictly positive")
+    phases = np.exp(-0.5j * s * np.log(es.vals))
+    u = (es.vecs * phases) @ es.vecs.conj().T
+    return BlockEncoding(u, 1.0, 0, 0.0)
+
+
+def inv_sqrt_encoding(model: models.ThermalModel) -> BlockEncoding:
+    """Exact (sqrt(kappa), 0)-block-encoding [[C, S], [S, -C]] of sigma_v^{-1/2},
+    from the commuting C = V diag(c) V^dag and S = V diag(s) V^dag with
+    (c, s) from ``estimator.inv_sqrt_cos_sin``; no SVD."""
+    cos, sin = estimator.inv_sqrt_cos_sin(model)
+    vecs = model.sigma_v_eig.vecs
+    c, s = (vecs * cos) @ vecs.conj().T, (vecs * sin) @ vecs.conj().T
+    return BlockEncoding(np.block([[c, s], [s, -c]]), math.sqrt(model.kappa), 1, 0.0)
+
+
+def budget_split(epsilon: float, kappa: float, g_norm: float) -> tuple[float, float]:
+    """Split a total error target so the composed bias stays below epsilon/2.
+
+    Encoding errors eps1 (modular flow) and eps2 (inverse root) bias the first
+    term by at most g (2 sqrt(k) eps2 + 2 eps1 (k + sqrt(k) eps2)), k = kappa,
+    g = g_norm.  eps1 = eps/(10 k g) and eps2 = eps/(10 sqrt(k) g) make that
+    2 eps/5 + eps^2/(50 k g) <= eps/2 whenever eps <= 5 k g.
+    """
+    if min(epsilon, kappa, g_norm) <= 0.0:
+        raise SpecError("budget_split needs positive inputs")
+    return epsilon / (10.0 * kappa * g_norm), epsilon / (10.0 * math.sqrt(kappa) * g_norm)
+
+
+def perturb_encoding(be: BlockEncoding, rng, *, scale: float = 0.05):
     """Left-multiply by exp(i N) noise; returns (perturbed, exact target).
 
     The declared delta is the exactly measured extraction error, so the
@@ -449,9 +559,9 @@ def perturb_encoding(be: estimator.BlockEncoding, rng, *, scale: float = 0.05):
     n = eigh(rand_herm(rng, be.unitary.shape[0], rng.random() * scale))
     rot = (n.vecs * np.exp(1j * n.vals)) @ n.vecs.conj().T
     target = be.extract()
-    pert = estimator.BlockEncoding(rot @ be.unitary, be.alpha, be.ancillas, 0.0)
+    pert = BlockEncoding(rot @ be.unitary, be.alpha, be.ancillas, 0.0)
     delta = spectral_norm(pert.extract() - target)
-    return estimator.BlockEncoding(pert.unitary, be.alpha, be.ancillas, delta), target
+    return BlockEncoding(pert.unitary, be.alpha, be.ancillas, delta), target
 
 
 def unitary_noise(rng, d, target_norm):
@@ -470,7 +580,7 @@ def be_bound_gap(rng) -> float:
     b_mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     alpha = spectral_norm(a_mat) * (1 + rng.random())
     beta = spectral_norm(b_mat) * (1 + rng.random())
-    up, a_target = perturb_encoding(estimator.dilate(a_mat / alpha, alpha), rng)
-    vp, b_target = perturb_encoding(estimator.dilate(b_mat / beta, beta), rng)
-    product = estimator.be_product(up, vp)
+    up, a_target = perturb_encoding(dilate(a_mat / alpha, alpha), rng)
+    vp, b_target = perturb_encoding(dilate(b_mat / beta, beta), rng)
+    product = be_product(up, vp)
     return spectral_norm(a_target @ b_target - product.extract()) - product.delta

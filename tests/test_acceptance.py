@@ -13,15 +13,7 @@ import numpy as np
 
 from qbmgrad.cli import main as cli_main
 from qbmgrad.densities import HIGH_PEAK_TENT, LOGISTIC, numeric_tail_mass, tail_mass_bound
-from qbmgrad.estimator import (
-    BlockEncoding,
-    EstimatorConfig,
-    be_product,
-    budget_split,
-    estimate_first_term,
-    inv_sqrt_encoding,
-    quadrature_first_term,
-)
+from qbmgrad.estimator import EstimatorConfig, estimate_first_term, quadrature_first_term
 from qbmgrad.gradients import (
     UMEGAKI,
     classical_gradient,
@@ -34,7 +26,14 @@ from qbmgrad.gradients import (
 from qbmgrad.linalg import BipartiteDims, expectation, spectral_norm
 from qbmgrad.models import ParamHamiltonian, cq_decompose, qc_decompose, thermalize
 from qbmgrad.training import QuantumProblem, TrainConfig, finite_difference_gradient, train
-from qbmgrad.verify import be_bound_gap, perturb_encoding
+from qbmgrad.verify import (
+    BlockEncoding,
+    be_bound_gap,
+    be_product,
+    budget_split,
+    inv_sqrt_encoding,
+    perturb_encoding,
+)
 from conftest import (
     PAULI_Z,
     block_hidden_terms,
@@ -249,7 +248,8 @@ def test_criterion_10_error_budget():
         inv_p, _ = perturb_encoding(inv, rng, scale=0.5 * e2 / inv.alpha)
         assert inv_p.delta <= e2
         exact = gradient(model, rho).first_terms[0]
-        biased = quadrature_first_term(model, rho, g_j, inv_sqrt=be_product(inv_p, noise1))
+        enc = be_product(inv_p, noise1)
+        biased = quadrature_first_term(model, rho, g_j, inv_sqrt=(enc.unitary[:, :2], enc.alpha))
         worst_bias = max(worst_bias, abs(biased - exact) - eps / 2)
     _verdict(10, worst_gap <= 0.0 and worst_bias <= 0.0,
              "composed-encoding error never exceeds its bound over 100 trials "

@@ -9,20 +9,15 @@ import qbmgrad.estimator as est
 from qbmgrad.errors import ScaleError, SpecError
 from qbmgrad.gradients import gradient
 from qbmgrad.models import ParamHamiltonian, thermalize
+from qbmgrad import verify
 from qbmgrad.estimator import (
-    BlockEncoding,
     EstimatorConfig,
     MAX_CIRCUIT_DIM,
     MAX_SHOTS,
-    be_product,
-    budget_split,
-    dilate,
     eigen_groups,
     estimate_first_term,
     estimate_model_term,
     hoeffding_shots,
-    inv_sqrt_encoding,
-    modular_unitary,
     quadrature_first_term,
     _CHUNK,
     _SUB_BLOCK,
@@ -45,7 +40,17 @@ from qbmgrad.linalg import (
     spectral_norm,
     tensor,
 )
-from qbmgrad.verify import be_bound_gap, direct_trace_formula, perturb_encoding
+from qbmgrad.verify import (
+    BlockEncoding,
+    be_bound_gap,
+    be_product,
+    budget_split,
+    dilate,
+    direct_trace_formula,
+    inv_sqrt_encoding,
+    modular_unitary,
+    perturb_encoding,
+)
 from conftest import PAULI_Z, rand_herm, rand_model, rand_state, rand_unitary, unitary_noise
 
 
@@ -62,6 +67,12 @@ def _swap_perm(d_v: int, d_h: int) -> np.ndarray:
     perm = idx.copy()
     perm[1] = idx[1].transpose(0, 2, 1, 3)
     return perm.reshape(-1)
+
+
+def _columns(enc, d_v):
+    """What the estimator reads of a one-ancilla encoding: its first d_v
+    columns and its normalization."""
+    return enc.unitary[:, :d_v], enc.alpha
 
 
 def _circuit_pieces(model, rho, s, t, g_j, modular, inv_sqrt):
@@ -237,14 +248,15 @@ def test_injected_encodings_are_checked(rng):
     rho, g_j = rand_state(rng, 2), model.hamiltonian.terms[0]
     inv = inv_sqrt_encoding(model)
     with pytest.raises(SpecError, match="not unitary"):
-        quadrature_first_term(model, rho, g_j, inv_sqrt=be_product(
-            inv, BlockEncoding(np.diag([1.0, 0.9]), 1.0, 0)))
+        quadrature_first_term(model, rho, g_j, inv_sqrt=_columns(be_product(
+            inv, BlockEncoding(np.diag([1.0, 0.9]), 1.0, 0)), 2))
     with pytest.raises(SpecError,
                        match="cannot compose block-encodings of 2- and 3-dimensional systems"):
-        quadrature_first_term(model, rho, g_j,
-                              inv_sqrt=be_product(inv, BlockEncoding(np.eye(3), 1.0, 0)))
+        quadrature_first_term(model, rho, g_j, inv_sqrt=_columns(
+            be_product(inv, BlockEncoding(np.eye(3), 1.0, 0)), 2))
     with pytest.raises(SpecError, match="ancilla"):
-        quadrature_first_term(model, rho, g_j, inv_sqrt=BlockEncoding(np.eye(2), 1.0, 0))
+        quadrature_first_term(model, rho, g_j,
+                              inv_sqrt=_columns(BlockEncoding(np.eye(2), 1.0, 0), 2))
 
 
 def _circuit_blocks(monkeypatch, model, rho, g_j, **kwargs):
@@ -265,10 +277,10 @@ def _circuit_blocks(monkeypatch, model, rho, g_j, **kwargs):
 
 
 def _svd_spy(monkeypatch):
-    """Record the dilation's SVD and the encoding's unitarity check."""
-    calls, svd, unitary = [], np.linalg.svd, est.as_unitary
+    """Record any SVD and the encoding's unitarity check."""
+    calls, svd, unitary = [], np.linalg.svd, verify.as_unitary
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
-    monkeypatch.setattr(est, "as_unitary",
+    monkeypatch.setattr(verify, "as_unitary",
                         lambda *a, **k: calls.append("as_unitary") or unitary(*a, **k))
     return calls
 
@@ -282,12 +294,11 @@ def test_closed_form_rows_match_the_dilation(rng, monkeypatch, d_v, d_h):
     hit, miss = blocks @ vecs.conj().T  # V diag(c) V^dag and V diag(s) V^dag
     want = inv_sqrt_encoding(model).unitary[:, :d_v]
     assert np.max(np.abs(hit - want[:d_v])) < 1e-14
-    # s = (1 - c^2)^{1/2} is ill-conditioned where c is near 1: the SVD's
-    # singular value 1 - 1e-16 gives s ~ 1e-8 where the closed form gives 0,
-    # so the miss block agrees through its square I - C^2 and to sqrt(eps)
+    # the encoding's sines come from the same closed form, with no SVD, so the
+    # miss block agrees to rounding, and so does its square I - C^2
     assert np.max(np.abs(miss @ miss - want[d_v:] @ want[d_v:])) < 1e-14
-    assert np.max(np.abs(miss - want[d_v:])) < 1e-7
-    # the lowest eigenvalue gives c = 1 up to rounding, clamped to at most 1
+    assert np.max(np.abs(miss - want[d_v:])) < 1e-14
+    # the lowest eigenvalue gives c = 1, and no c exceeds 1
     cos = np.linalg.norm(blocks[0], axis=0)
     assert np.all(cos <= 1.0 + 1e-15) and abs(cos[0] - 1.0) < 1e-15
     # the columns of the stacked blocks are orthonormal, as the dilation's are
@@ -318,21 +329,38 @@ def test_default_rows_take_no_svd(rng, monkeypatch):
     _batch_context(model, rho, g_j)
     quadrature_first_term(model, rho, g_j)
     assert calls == []
-    inv_sqrt_encoding(model)  # the spy sees the dilation it replaces
-    assert calls == ["svd", "as_unitary"]
+    inv_sqrt_encoding(model)  # the spy sees the encoding's unitarity check
+    assert calls == ["as_unitary"]
+
+
+def test_default_rows_are_exact_at_the_norm_one_edge(monkeypatch):
+    # c = sqrt(lambda_min / lambda) and s = sqrt((lambda - lambda_min) / lambda)
+    # give exactly 1 and 0 at lambda_min; min(lambda^{-1/2} / sqrt(kappa), 1)
+    # rounds below 1 on 17 of these models and leaves an ancilla-miss
+    # amplitude of about 1e-8 where the exact one is 0
+    inexact = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        model = verify.rand_model(rng, 2 if seed % 2 == 0 else 4, 2)
+        rho, g_j = rand_state(rng, model.dims.d_v), model.hamiltonian.terms[0]
+        hit, miss = _circuit_blocks(monkeypatch, model, rho, g_j)
+        edge = model.sigma_v_eig.vecs[:, 0]  # the eigenvector of lambda_min
+        if not np.array_equal(hit[:, 0], edge) or miss[:, 0].any():
+            inexact.append(seed)
+    assert inexact == []
 
 
 def test_injected_encoding_keeps_its_columns_and_ancilla_check(rng, monkeypatch):
     model = rand_model(rng, 2, 2)
     rho, g_j = rand_state(rng, 2), model.hamiltonian.terms[0]
     inv = perturb_encoding(inv_sqrt_encoding(model), rng, scale=0.05)[0]
-    blocks = _circuit_blocks(monkeypatch, model, rho, g_j, inv_sqrt=inv)
+    blocks = _circuit_blocks(monkeypatch, model, rho, g_j, inv_sqrt=_columns(inv, 2))
     vecs = model.sigma_v_eig.vecs
     assert np.array_equal(blocks, (inv.unitary[:, :2] @ vecs).reshape(2, 2, 2))
     for bad in (BlockEncoding(np.eye(2), 1.0, 0), BlockEncoding(np.eye(8), 1.0, 2)):
         with pytest.raises(SpecError, match="^the inverse-root encoding must use exactly one "
                                             "ancilla$"):
-            _batch_context(model, rho, g_j, inv_sqrt=bad)
+            _batch_context(model, rho, g_j, inv_sqrt=_columns(bad, 2))
 
 
 def test_infinite_kappa_is_spec_error(rng):
@@ -422,8 +450,8 @@ def test_quadrature_equals_double_grid_average(rng, monkeypatch):
             oracle = dict(modular_noise=unitary_noise(rng, d_v, 0.05),
                           inv_sqrt=perturb_encoding(inv, rng, scale=0.05)[0])
             assert oracle["inv_sqrt"].delta > 1e-4
-            injected = dict(inv_sqrt=be_product(
-                oracle["inv_sqrt"], BlockEncoding(oracle["modular_noise"], 1.0, 0)))
+            injected = dict(inv_sqrt=_columns(be_product(
+                oracle["inv_sqrt"], BlockEncoding(oracle["modular_noise"], 1.0, 0)), d_v))
         brute = _double_grid_average(model, rho, g_j, **oracle)
         fast = quadrature_first_term(model, rho, g_j, **injected)
         assert abs(fast - brute) < 1e-10, (d_v, d_h, noisy)
@@ -1006,11 +1034,12 @@ def test_modular_noise_factor_matches_the_circuit(rng, monkeypatch):
     for noise in (np.eye(2), unitary_noise(rng, 2, 0.05)):
         noisy = be_product(inv, BlockEncoding(noise, 1.0, 0, spectral_norm(noise - np.eye(2))))
         assert spectral_norm(noisy.unitary[:, :2] - inv.unitary[:, :2] @ noise) < 1e-14
-        fast = quadrature_first_term(model, rho, g_j, inv_sqrt=noisy)
+        fast = quadrature_first_term(model, rho, g_j, inv_sqrt=_columns(noisy, 2))
         brute = _double_grid_average(model, rho, g_j, modular_noise=noise, inv_sqrt=inv)
         assert abs(fast - brute) < 1e-10
-    assert abs(quadrature_first_term(model, rho, g_j, inv_sqrt=be_product(
-        inv, BlockEncoding(np.eye(2), 1.0, 0))) - quadrature_first_term(model, rho, g_j)) < 1e-14
+    identity = _columns(be_product(inv, BlockEncoding(np.eye(2), 1.0, 0)), 2)
+    assert abs(quadrature_first_term(model, rho, g_j, inv_sqrt=identity)
+               - quadrature_first_term(model, rho, g_j)) < 1e-14
 
 
 def test_be_product_bound_never_violated(rng):
@@ -1030,7 +1059,8 @@ def test_budget_split_bounds_measured_bias(rng):
     inv = inv_sqrt_encoding(model)
     inv_p, _ = perturb_encoding(inv, rng, scale=0.5 * e2 / inv.alpha)
     assert inv_p.delta <= e2
-    biased = quadrature_first_term(model, rho, g_j, inv_sqrt=be_product(inv_p, noise1))
+    biased = quadrature_first_term(model, rho, g_j,
+                                   inv_sqrt=_columns(be_product(inv_p, noise1), 2))
     assert abs(biased - exact) <= eps / 2
 
 

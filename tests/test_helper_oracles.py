@@ -29,7 +29,7 @@ from qbmgrad.linalg import (
     spectral_norm,
 )
 from qbmgrad.gradients import UMEGAKI, as_target
-from qbmgrad.verify import perturb_encoding
+from qbmgrad.verify import inv_sqrt_encoding, perturb_encoding
 from conftest import rand_herm, rand_model, rand_pd, rand_state, rand_unitary
 
 KINDS = [densities.HIGH_PEAK_TENT, densities.LOGISTIC, densities.power_density(0.5),
@@ -482,9 +482,9 @@ def test_stacked_lifts_keep_the_maps_bits(rng, d_v, d_h, degenerate):
     if degenerate:
         g_j = _degenerate(rng, d_v * d_h, [2, d_v * d_h - 2])
     # the same injected columns on both sides, exact and perturbed
-    inv = estimator.inv_sqrt_encoding(model)
+    inv = inv_sqrt_encoding(model)
     for enc in (inv, perturb_encoding(inv, rng)[0]):
-        ctx = estimator._batch_context(model, rho, g_j, inv_sqrt=enc)
+        ctx = estimator._batch_context(model, rho, g_j, inv_sqrt=(enc.unitary[:, :d_v], enc.alpha))
         got = (ctx.static_map, ctx.lift_map, ctx.pair_map, ctx.y_values)
         for x, y in zip(got, old_batch_maps(model, rho, g_j, enc)):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()

@@ -85,7 +85,7 @@ def _guard_edge_hamiltonian(rng, theta):
 
 def test_exponent_guard_edge(rng):
     below = _guard_edge_hamiltonian(rng, EXP_NORM_GUARD * (1 - 1e-9))
-    assert spectral_norm(thermalize(below).G) <= EXP_NORM_GUARD
+    assert spectral_norm(thermalize(below).g_eig) <= EXP_NORM_GUARD
     with pytest.raises(ScaleError, match="exceeds the exponent guard 700.0"):
         thermalize(below.with_theta([EXP_NORM_GUARD * (1 + 1e-9)]))
 

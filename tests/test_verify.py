@@ -6,7 +6,7 @@ failing check fails exactly one ``test_check[<suite>/<name>]``.
 import numpy as np
 import pytest
 
-from qbmgrad import densities, estimator
+from qbmgrad import densities, verify
 from qbmgrad.linalg import as_hermitian, eigh
 from qbmgrad.verify import rand_herm, rand_pd, suite_densities, suite_estimator
 from conftest import check_id, verify_checks
@@ -27,10 +27,10 @@ def test_check(check):
 
 def test_budget_check_fails_on_an_inflated_split(monkeypatch):
     # the check measures the bias, so a split too generous must fail it
-    split = estimator.budget_split
+    split = verify.budget_split
     checks = []
     for factor in (1.0, 10.0, 100.0):
-        monkeypatch.setattr(estimator, "budget_split",
+        monkeypatch.setattr(verify, "budget_split",
                             lambda *args, f=factor: tuple(f * e for e in split(*args)))
         checks += [c for c in suite_estimator() if c.name == "budget split keeps bias below eps/2"]
     assert checks[0].residual < checks[1].residual < checks[2].residual

@@ -57,8 +57,12 @@ SETUP_PARTS = ("import_s", "setup_median_s")
 
 
 def _seeds(spec: str) -> list[int]:
+    """The seeds of 'LO-HI' or 'N'; ValueError unless they are integers and LO <= HI."""
     lo, _, hi = spec.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise ValueError("empty range")
+    return seeds
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -168,6 +172,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if len(args.seeds) != len(args.workload):
         ap.error("give one --seeds per --workload")
+    try:
+        seed_lists = [_seeds(spec) for spec in args.seeds]
+    except ValueError:
+        ap.error(f"--seeds takes nonempty integer ranges LO-HI with LO <= HI, got {args.seeds}")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
@@ -176,9 +184,9 @@ def main(argv=None) -> int:
     report = {"command": ["python3", "perfbench/run.py", "--seconds", str(seconds), "--trace", "0"],
               "workloads": {}}
     failed_runs = []
-    for workload, spec in zip(args.workload, args.seeds):
+    for workload, seeds in zip(args.workload, seed_lists):
         pairs = []
-        for i, seed in enumerate(_seeds(spec)):
+        for i, seed in enumerate(seeds):
             order = ("before", "after") if i % 2 == 0 else ("after", "before")
             pair = {"seed": seed, "first": order[0]}
             for side in order:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GuardError, SpecError
-from .estimator import EstimatorConfig, estimate_first_term, hoeffding_shots
+from .estimator import EstimatorConfig, eigen_groups, estimate_first_term, hoeffding_shots
 from .gradients import Objective, Target, UMEGAKI, gradient, tsallis
 from .linalg import spectral_norm
 from .models import cq_decompose, qc_decompose, thermalize
@@ -292,11 +292,12 @@ def cmd_estimate(args) -> int:
     if not 0 <= term < len(terms):
         raise SpecError(f"term index {term} outside [0, {len(terms)})")
     cfg = _estimator_config(args, opts, seed)
-    g_norm = spectral_norm(terms[term])
-    auto_shots = hoeffding_shots(model.kappa, g_norm, cfg.epsilon, cfg.delta_fail)
+    groups = eigen_groups(terms[term])  # the term's one decomposition: its norm and outcomes
+    g_norm = spectral_norm(groups[1])
+    auto_shots = hoeffding_shots(model.kappa, g_norm, cfg.epsilon, cfg.delta_fail) if g_norm else None
     target = Target(spec.target_state)  # validated once, for the estimate and the exact term
     start = time.perf_counter()
-    mean, stderr, shots = estimate_first_term(model, target, terms[term], cfg)
+    mean, stderr, shots = estimate_first_term(model, target, terms[term], cfg, groups=groups)
     elapsed = time.perf_counter() - start
     exact = gradient(model, target).first_terms[term]
     payload = {

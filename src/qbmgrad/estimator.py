@@ -113,7 +113,8 @@ def hoeffding_shots(kappa: float, g_norm: float, epsilon: float, delta_fail: flo
     """Two-sided Hoeffding count for range 2*kappa*g_norm samples:
     ceil(2 (kappa g / eps)^2 ln(2/delta)), at most ``MAX_SHOTS``."""
     if min(kappa, g_norm, epsilon) <= 0.0 or not 0.0 < delta_fail < 1.0:
-        raise SpecError("hoeffding_shots needs positive inputs and delta in (0,1)")
+        raise SpecError("|G_j| = 0 gives no Hoeffding count; a zero term needs fixed shots"
+                        if not g_norm else "hoeffding_shots needs positive inputs and delta in (0,1)")
     ratio = kappa * g_norm / epsilon
     count = 2.0 * ratio * ratio * math.log(2.0 / delta_fail)  # inf, not OverflowError
     if not count <= MAX_SHOTS:
@@ -216,13 +217,10 @@ class _BatchContext:
     static_map: np.ndarray  # (n_f, 2K+2): features -> t-independent table part
     lift_map: np.ndarray  # (n_f, 4P): features -> (Re, Im) X_qp, block-major
     pair_map: np.ndarray  # (4P, 2K+2): (Re, Im) X_qp e^{it(g_p-g_q)} -> table
-    y_values: np.ndarray  # distinct eigenvalues of the observable
     outcome_values: np.ndarray  # (2K+2,): Y of each table column, y_k, -y_k, 0, 0
 
 
-def _batch_context(
-    model: ThermalModel, rho, g_j, *, groups=None, inv_sqrt=None
-) -> _BatchContext:
+def _batch_context(model: ThermalModel, rho, groups, *, inv_sqrt=None) -> _BatchContext:
     d_v, d_h = model.dims.d_v, model.dims.d_h
     check_circuit(model.dims)
     rho = as_target(rho, UMEGAKI).rho  # the umegaki lift is what the circuit estimates
@@ -235,9 +233,8 @@ def _batch_context(
         if columns.shape != (2 * d_v, d_v):
             raise SpecError("the inverse-root encoding must use exactly one ancilla")
         blocks = (columns @ sv.vecs).reshape(2, d_v, d_v)  # [ancilla, x, a]
-    values, g_es, bounds = eigen_groups(g_j) if groups is None else groups
+    values, g_es, bounds = groups
     g_vecs = model.g_eig.vecs
-    g_vecs_h = g_vecs.conj().T
     dim = d_v * d_h
     proj_rot = _group_projectors(g_es, bounds, g_vecs)
     d_weights = model.weights
@@ -254,7 +251,7 @@ def _batch_context(
     # product: hit[:, r] lifts w0, miss[:, r] lifts w1
     right = np.stack([np.eye(d_h, dtype=complex), sigma_h])
     lift = w[:, :, None, :, None, :, None] * right[:, None, :, None, :]
-    hit, miss = g_vecs_h @ lift.reshape(2, -1, 2, dim, dim) @ g_vecs
+    hit, miss = g_vecs.conj().T @ lift.reshape(2, -1, 2, dim, dim) @ g_vecs
     k = values.shape[0]
     c1 = np.einsum("kpp,p->k", proj_rot, d_weights).real  # Tr[Pi_k sigma_vh]
     base0 = np.einsum("fpp->f", w0).real[:, None] * c1 + np.einsum(
@@ -288,7 +285,6 @@ def _batch_context(
         static_map=static_map,
         lift_map=lift_map,
         pair_map=pair_map.reshape(-1, 2 * k + 2),
-        y_values=values,
         outcome_values=np.concatenate([values, -values, [0.0, 0.0]]),
     )
 
@@ -375,8 +371,8 @@ def estimate_first_term(
 
     ``rho`` is a density matrix or a ``Target`` prepared for the umegaki
     objective, whose lift the circuit estimates.  ``groups`` is
-    ``eigen_groups(g_j)`` when the caller already holds it; by default it
-    is formed here.
+    ``eigen_groups(g_j)`` when the caller already holds it, else formed
+    here; its one eigensystem gives the outcomes and the count's |G_j|.
 
     Shot count defaults to the Hoeffding bound for the configured
     (epsilon, delta_fail).  Work is split into fixed-size chunks; chunk i
@@ -385,9 +381,10 @@ def estimate_first_term(
     sub-blocks.  Chunks are merged in index order, so the result is
     reproducible for any thread count; a single chunk runs inline.
     """
-    g_norm = spectral_norm(g_j)
-    shots = config.shots or hoeffding_shots(model.kappa, g_norm, config.epsilon, config.delta_fail)
-    ctx = _batch_context(model, rho, g_j, groups=groups)
+    groups = eigen_groups(g_j) if groups is None else groups
+    shots = config.shots or hoeffding_shots(
+        model.kappa, spectral_norm(groups[1]), config.epsilon, config.delta_fail)
+    ctx = _batch_context(model, rho, groups)
     sizes = [_CHUNK] * (shots // _CHUNK)
     if shots % _CHUNK:
         sizes.append(shots % _CHUNK)
@@ -444,7 +441,8 @@ def quadrature_first_term(model: ThermalModel, rho, g_j, *, inv_sqrt=None) -> fl
     W = t_w0 + sum_j w_j.  alpha is sqrt(kappa) unless ``inv_sqrt=(columns,
     alpha)`` injects controlled encoding errors as in ``_BatchContext``.
     """
-    ctx = _batch_context(model, rho, g_j, inv_sqrt=inv_sqrt)
+    groups = eigen_groups(g_j)
+    ctx = _batch_context(model, rho, groups, inv_sqrt=inv_sqrt)
     alpha = inv_sqrt[1] if inv_sqrt is not None else math.sqrt(model.kappa)
     s_pts, s_wts, _ = expectation_nodes(LOGISTIC, T=QUAD_S_MAX, nodes=QUAD_S_NODES)
     t_pts, t_wts, t_w0 = expectation_nodes(HIGH_PEAK_TENT, T=QUAD_T_MAX, nodes=QUAD_T_NODES)
@@ -452,5 +450,5 @@ def quadrature_first_term(model: ThermalModel, rho, g_j, *, inv_sqrt=None) -> fl
     f_bar = _modular_features(ctx, s_pts) @ s_wts
     e_bar = (t_w0 + _pair_phases(np.outer(ctx.g_vals, t_pts)) @ t_wts) / t_mass
     table = _outcome_table(ctx, f_bar[:, None], e_bar[:, None])[0]
-    k = ctx.y_values.shape[0]
-    return alpha**2 * t_mass * float((table[:k] - table[k : 2 * k]) @ ctx.y_values)
+    k = groups[0].shape[0]
+    return alpha**2 * t_mass * float((table[:k] - table[k : 2 * k]) @ groups[0])

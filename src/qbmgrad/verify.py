@@ -371,7 +371,7 @@ def suite_estimator() -> list[CheckResult]:
     rho = rand_state(rng, 2)
     g_j = model.hamiltonian.terms[0]
     s, t = 0.9, -0.4
-    ctx = estimator._batch_context(model, rho, g_j)
+    ctx = estimator._batch_context(model, rho, estimator.eigen_groups(g_j))
     table = estimator._outcome_table(ctx, estimator._modular_features(ctx, np.array([s])),
                                      estimator._pair_phases(np.outer(ctx.g_vals, [t])))
     val = model.kappa * float(estimator._clean_probs(table)[0] @ ctx.outcome_values)

@@ -206,6 +206,46 @@ def test_estimate_fixed_shots(tmp_path):
     assert rep["shots"] == 5000
 
 
+def _term_decompositions(monkeypatch, term):
+    """Record each np.linalg.eigh / eigvalsh call made on the matrix ``term``."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def spy(x, *a, _raw=getattr(np.linalg, name), _name=name, **k):
+            if np.shape(x) == term.shape and np.array_equal(x, term):
+                calls.append(_name)
+            return _raw(x, *a, **k)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--spec", DEMOS / "estimate.json"],
+    ["train", "--spec", DEMOS / "train_qubit.json", "--mode", "shot", "--shots", "1024",
+     "--iterations", "20"],
+], ids=["estimate", "shot-train"])
+def test_the_term_is_decomposed_once(tmp_path, monkeypatch, argv):
+    # the Hoeffding norm and the outcomes come from one checked eigh of the term
+    term = load_runspec(argv[2]).model.hamiltonian.terms[0]
+    calls = _term_decompositions(monkeypatch, term)
+    assert run([*argv, "--out", tmp_path]) == 0
+    assert calls == ["eigh"]
+
+
+def test_zero_term_estimate_needs_fixed_shots(tmp_path, capsys):
+    raw = json.loads((DEMOS / "estimate.json").read_text())
+    raw["model"]["terms"][0] = matrix_to_json(np.zeros((4, 4), dtype=complex))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))
+    assert run(["estimate", "--spec", spec, "--out", tmp_path / "auto"]) == 2
+    assert ("input error: |G_j| = 0 gives no Hoeffding count; a zero term needs fixed shots"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "auto" / "report.json").exists()
+    assert run(["estimate", "--spec", spec, "--shots", "300", "--out", tmp_path / "fixed"]) == 0
+    rep = json.loads((tmp_path / "fixed" / "report.json").read_text())
+    assert (rep["shots"], rep["auto_shots"], rep["mean"], rep["g_norm"]) == (300, None, 0.0, 0.0)
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     outs = []
     for sub, env in (("a", "123"), ("b", "123"), ("c", "456")):

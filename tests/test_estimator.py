@@ -7,7 +7,7 @@ import pytest
 
 import qbmgrad.estimator as est
 from qbmgrad.errors import ScaleError, SpecError
-from qbmgrad.gradients import gradient
+from qbmgrad.gradients import Target, gradient
 from qbmgrad.models import ParamHamiltonian, thermalize
 from qbmgrad import verify
 from qbmgrad.estimator import (
@@ -271,7 +271,7 @@ def _circuit_blocks(monkeypatch, model, rho, g_j, **kwargs):
 
     with monkeypatch.context() as m:
         m.setattr(np, "einsum", spy)
-        _batch_context(model, rho, g_j, **kwargs)
+        _batch_context(model, rho, eigen_groups(g_j), **kwargs)
     (blocks,) = seen
     return blocks
 
@@ -326,7 +326,7 @@ def test_default_rows_take_no_svd(rng, monkeypatch):
     model = rand_model(rng, 2, 2)
     rho, g_j = rand_state(rng, 2), model.hamiltonian.terms[0]
     calls = _svd_spy(monkeypatch)
-    _batch_context(model, rho, g_j)
+    _batch_context(model, rho, eigen_groups(g_j))
     quadrature_first_term(model, rho, g_j)
     assert calls == []
     inv_sqrt_encoding(model)  # the spy sees the encoding's unitarity check
@@ -360,14 +360,15 @@ def test_injected_encoding_keeps_its_columns_and_ancilla_check(rng, monkeypatch)
     for bad in (BlockEncoding(np.eye(2), 1.0, 0), BlockEncoding(np.eye(8), 1.0, 2)):
         with pytest.raises(SpecError, match="^the inverse-root encoding must use exactly one "
                                             "ancilla$"):
-            _batch_context(model, rho, g_j, inv_sqrt=_columns(bad, 2))
+            _batch_context(model, rho, eigen_groups(g_j), inv_sqrt=_columns(bad, 2))
 
 
 def test_infinite_kappa_is_spec_error(rng):
     model = rand_model(rng, 2, 2)
     rho, g_j = rand_state(rng, 2), model.hamiltonian.terms[0]
     model = replace(model, kappa=math.inf)
-    for call in (lambda: _batch_context(model, rho, g_j), lambda: inv_sqrt_encoding(model),
+    for call in (lambda: _batch_context(model, rho, eigen_groups(g_j)),
+                 lambda: inv_sqrt_encoding(model),
                  lambda: quadrature_first_term(model, rho, g_j)):
         with pytest.raises(SpecError, match="^kappa must be finite$"):
             call()
@@ -556,7 +557,7 @@ def test_batch_outcomes_match_honest_path(rng):
     model = rand_model(rng, 3, 2)
     rho = rand_state(rng, 3)
     g_j = model.hamiltonian.terms[0]
-    ctx = _batch_context(model, rho, g_j)
+    ctx = _batch_context(model, rho, eigen_groups(g_j))
     for s_i, t_i in [(0.0, 0.0), (1.3, -0.8), (-3.0, 2.2)]:
         yv, probs = _batch_outcomes(ctx, np.array([s_i]), np.array([t_i]))
         z, g, y, p = outcome_distribution(model, rho, g_j, s_i, t_i)
@@ -666,8 +667,9 @@ def test_batch_outcomes_match_reference(rng, d_v, d_h, degenerate, theta_zero):
     if theta_zero:  # G = 0: every Gibbs weight equal, every phase difference zero
         model = thermalize(model.hamiltonian.with_theta(np.zeros(3)))
         assert np.ptp(model.g_eig.vals) == 0.0 and np.ptp(np.log(model.sigma_v_eig.vals)) < 1e-15
-    ctx = _batch_context(model, rho, g_j)
-    assert ctx.y_values.shape[0] == (2 if degenerate else d_v * d_h)
+    groups = eigen_groups(g_j)
+    ctx = _batch_context(model, rho, groups)
+    assert groups[0].shape[0] == (2 if degenerate else d_v * d_h)
     for m in (1, 8193):
         s = 4.0 * rng.normal(size=m)
         t = 4.0 * rng.normal(size=m)
@@ -695,7 +697,7 @@ def test_blocked_chunk_matches_single_pass(rng, n):
     for d_h in (1, 2, 4):
         model = rand_model(rng, 4, d_h)
         rho = rand_state(rng, 4)
-        ctx = _batch_context(model, rho, model.hamiltonian.terms[0])
+        ctx = _batch_context(model, rho, eigen_groups(model.hamiltonian.terms[0]))
         for seed, chunk in [(0, 0), (11, 3)]:
             assert np.array_equal(
                 _run_chunk(ctx, seed, chunk, n), _reference_run_chunk(ctx, seed, chunk, n))
@@ -703,7 +705,7 @@ def test_blocked_chunk_matches_single_pass(rng, n):
 
 def test_sample_reproduces_run_chunk_draws(rng, monkeypatch):
     model = rand_model(rng, 2, 2)
-    ctx = _batch_context(model, rand_state(rng, 2), model.hamiltonian.terms[0])
+    ctx = _batch_context(model, rand_state(rng, 2), eigen_groups(model.hamiltonian.terms[0]))
     drawn = []
 
     def spy(d, stream, n):
@@ -741,7 +743,7 @@ def test_chunk_streams_pairwise_distinct():
 def test_guards_fire_in_a_later_sub_block(rng, monkeypatch, shift, message):
     model = rand_model(rng, 3, 2)
     rho = rand_state(rng, 3)
-    ctx = _batch_context(model, rho, model.hamiltonian.terms[0])
+    ctx = _batch_context(model, rho, eigen_groups(model.hamiltonian.terms[0]))
     static_map = ctx.static_map.copy()
     static_map[0, 0] += shift  # the constant feature feeds every shot's first outcome
     broken = replace(ctx, static_map=static_map)
@@ -800,7 +802,7 @@ def _cos_sin_run_chunk(ctx, seed, chunk, n):
 def test_run_chunk_outcomes_equal_the_cos_sin_kernel(rng, d_v, d_h):
     # the phases move by at most a few ulps, which flips no outcome here
     model = rand_model(rng, d_v, d_h)
-    ctx = _batch_context(model, rand_state(rng, d_v), model.hamiltonian.terms[0])
+    ctx = _batch_context(model, rand_state(rng, d_v), eigen_groups(model.hamiltonian.terms[0]))
     for chunk in (0, 1):  # two full seeded chunks
         assert np.array_equal(_run_chunk(ctx, 17, chunk, _CHUNK),
                               _cos_sin_run_chunk(ctx, 17, chunk, _CHUNK))
@@ -983,6 +985,39 @@ def test_hoeffding_count_is_capped():
     assert EstimatorConfig(shots=MAX_SHOTS).shots == MAX_SHOTS
     with pytest.raises(SpecError, match=r"shots 100000001 exceed MAX_SHOTS = 1e\+08"):
         EstimatorConfig(shots=MAX_SHOTS + 1)
+
+
+def test_zero_term_needs_fixed_shots(rng):
+    model = rand_model(rng, 2, 2)
+    rho, zero = rand_state(rng, 2), np.zeros((4, 4), dtype=complex)
+    with pytest.raises(SpecError, match=r"^\|G_j\| = 0 gives no Hoeffding count; a zero term "
+                                        r"needs fixed shots$"):
+        estimate_first_term(model, rho, zero, EstimatorConfig(seed=1))
+    assert estimate_first_term(model, rho, zero, EstimatorConfig(shots=300, seed=1)) == (
+        0.0, 0.0, 300)
+
+
+def test_auto_count_reads_the_groups_eigensystem(rng, monkeypatch):
+    # |G_j| comes from eigen_groups' checked eigh, not from a second eigvalsh
+    model = rand_model(rng, 2, 2)
+    rho, g_j = rand_state(rng, 2), model.hamiltonian.terms[0]
+    cfg = EstimatorConfig(epsilon=0.5, seed=2)
+    want = hoeffding_shots(model.kappa, spectral_norm(eigen_groups(g_j)[1]), 0.5, 0.05)
+
+    def refuse(*a, **k):
+        raise AssertionError("eigvalsh called")
+
+    target = Target(rho)  # the state's own PSD check runs an eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert estimate_first_term(model, target, g_j, cfg)[2] == want
+
+
+def test_non_hermitian_term_fails_before_the_count(rng, monkeypatch):
+    model = rand_model(rng, 2, 2)
+    g_j = model.hamiltonian.terms[0] + np.triu(np.ones((4, 4)), 1)
+    monkeypatch.setattr(est, "hoeffding_shots", lambda *a: pytest.fail("count formed"))
+    with pytest.raises(SpecError, match="^matrix is not Hermitian"):
+        estimate_first_term(model, rand_state(rng, 2), g_j, EstimatorConfig(seed=1))
 
 
 def test_be_product_exact_composition():

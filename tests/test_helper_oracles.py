@@ -482,9 +482,10 @@ def test_stacked_lifts_keep_the_maps_bits(rng, d_v, d_h, degenerate):
     if degenerate:
         g_j = _degenerate(rng, d_v * d_h, [2, d_v * d_h - 2])
     # the same injected columns on both sides, exact and perturbed
-    inv = inv_sqrt_encoding(model)
+    inv, groups = inv_sqrt_encoding(model), estimator.eigen_groups(g_j)
     for enc in (inv, perturb_encoding(inv, rng)[0]):
-        ctx = estimator._batch_context(model, rho, g_j, inv_sqrt=(enc.unitary[:, :d_v], enc.alpha))
-        got = (ctx.static_map, ctx.lift_map, ctx.pair_map, ctx.y_values)
+        ctx = estimator._batch_context(model, rho, groups,
+                                       inv_sqrt=(enc.unitary[:, :d_v], enc.alpha))
+        got = (ctx.static_map, ctx.lift_map, ctx.pair_map, groups[0])
         for x, y in zip(got, old_batch_maps(model, rho, g_j, enc)):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()

@@ -108,6 +108,20 @@ def test_bench_pairs_stamps_and_checks_openblas_threads(tmp_path, monkeypatch, c
         assert "cli-demos seed 1: before 2, after 1" in err
 
 
+@pytest.mark.parametrize("seeds", ["5-3", "x", "1-y", ""])
+def test_bench_pairs_rejects_an_empty_or_non_numeric_seed_range(tmp_path, monkeypatch, capsys,
+                                                                seeds):
+    module = _load(ROOT / "scripts" / "bench_pairs.py")
+    monkeypatch.setattr(module, "_run", lambda *a: pytest.fail("a run started"))
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(["--before", str(tmp_path), "--after", str(tmp_path), "--out", str(out),
+                     "--workload", "cli-demos", "--seeds", seeds])
+    assert exit_info.value.code == 2
+    assert "--seeds takes nonempty integer ranges" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_digests_repeat_and_leave_out_timings_and_paths():
     module = _load(ROOT / "scripts" / "output_digests.py")
     by_label = {" ".join(argv): argv for argv in module.commands(ROOT / "demos")}
